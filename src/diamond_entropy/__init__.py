@@ -32,12 +32,10 @@ from .dirac_symbols import (
     split_symbol,
 )
 from .discretization import (
-    DiscretizedOperator,
     Grid,
     GridRule,
     ScalarSymbol,
     assemble_offdiagonal_truncation,
-    assemble_operator,
     build_grid,
     clear_spectrum_cache,
     constant_symbol,
@@ -51,7 +49,6 @@ from .entropy_pipeline import (
     entanglement_entropy,
     entropy_from_eigenvalues,
     subtraction_trace,
-    truncated_entropy_trace,
 )
 from .errors import (
     ConvergenceError,
@@ -60,13 +57,10 @@ from .errors import (
     VacuousBoundError,
 )
 from .kernel_eval import (
-    KernelValue,
     QuadratureSpec,
     default_quadrature_spec,
-    kernel_massive_bessel,
-    kernel_massless_closed,
+    kernel_blocks,
     kernel_quadrature,
-    kernel_value,
 )
 from .renyi_functions import (
     ConditionFParams,
@@ -86,5 +80,3 @@ from .schatten_toolkit import (
     verify_commutator_lemma,
     verify_inequalities,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

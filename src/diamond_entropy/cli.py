@@ -4,9 +4,13 @@ Subcommands: entropy (one evaluation), sweep (epsilon sweep with slope fit),
 kernel-dump (kernel matrix on a separation grid), verify (randomized
 Schatten-norm property suite), diag (decomposition diagnostics).
 
-Exit codes: 0 success, 2 argument errors, 3 numerical non-convergence,
-4 property-suite failure. Outputs embed the resolved configuration and the
-package version and are bit-identical for identical configuration and seed.
+Every subcommand takes --output-format, --output-path and --jobs (default:
+DIAMOND_ENTROPY_JOBS, else the CPU count); verify also takes --seed.
+
+Exit codes: 0 success, 2 argument errors (a bad --jobs or
+DIAMOND_ENTROPY_JOBS included), 3 numerical non-convergence, 4
+property-suite failure. Outputs embed the resolved configuration and the
+package version and are bit-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .dirac_symbols import PhysicalParams
 from .discretization import GridRule
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError, DiamondEntropyError
-from .kernel_eval import kernel_value
+from .kernel_eval import kernel_blocks
 from .renyi_functions import RenyiOrder
 from .schatten_toolkit import verify_commutator_lemma, verify_inequalities
 
@@ -41,14 +45,20 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("DIAMOND_ENTROPY_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _resolve_jobs(flag: int | None) -> int:
+    """--jobs, else DIAMOND_ENTROPY_JOBS, else the CPU count; ValueError unless >= 1."""
+    source, value = "--jobs", flag
+    if flag is None:
+        source, value = "DIAMOND_ENTROPY_JOBS", os.environ.get("DIAMOND_ENTROPY_JOBS")
+        if value is None:
+            return os.cpu_count() or 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be >= 1")
+    return jobs
 
 
 def _parse_eps_grid(text: str) -> np.ndarray:
@@ -103,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output-format", choices=("csv", "json"), default="json")
         p.add_argument("--output-path", default="-", help="file path or - for stdout")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=None, help="worker count (default: CPUs)")
 
     p_entropy = sub.add_parser("entropy", help="single entropy evaluation")
@@ -114,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--grid-size", type=int, default=4096)
     p_entropy.add_argument("--rule", choices=[r.value for r in GridRule],
                            default=GridRule.GAUSS_LEGENDRE.value)
-    p_entropy.add_argument("--tail-tol", type=float, default=1e-12,
-                           help="tail tolerance for quadrature kernel paths "
-                                "(validated closed-form paths do not consume it)")
     add_common(p_entropy)
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with slope fit")
@@ -127,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid-size", type=int, default=4096)
     p_sweep.add_argument("--rule", choices=[r.value for r in GridRule],
                          default=GridRule.GAUSS_LEGENDRE.value)
-    p_sweep.add_argument("--tail-tol", type=float, default=1e-12,
-                         help="tail tolerance for quadrature kernel paths "
-                              "(validated closed-form paths do not consume it)")
     add_common(p_sweep)
 
     p_kernel = sub.add_parser("kernel-dump", help="kernel matrix on a separation grid")
@@ -142,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="randomized Schatten property suite")
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--dims", type=str, default="4,8,16", help="comma-separated")
+    p_verify.add_argument("--seed", type=int, default=0)
     add_common(p_verify)
 
     p_diag = sub.add_parser("diag", help="decomposition diagnostics")
@@ -235,14 +239,14 @@ def _cmd_kernel_dump(args, jobs: int) -> int:
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
     config = _config_dict(args, jobs)
     header = ["u", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
-    rows = []
-    for u in u_grid:
-        mat = kernel_value(params, float(u)).matrix
-        row = [_fmt(u)]
-        for i in range(2):
-            for j in range(2):
-                row.extend([_fmt(mat[i, j].real), _fmt(mat[i, j].imag)])
-        rows.append(row)
+    K11, K12 = kernel_blocks(params, u_grid)
+    K12 = np.broadcast_to(K12, u_grid.shape)
+    im22 = 0.0 - K11.imag  # Im conj(K11), with 0 rather than -0 at u = 0
+    rows = [
+        [_fmt(u), _fmt(k11.real), _fmt(k11.imag), _fmt(k12), "0", _fmt(k12), "0",
+         _fmt(k11.real), _fmt(k22_imag)]
+        for u, k11, k12, k22_imag in zip(u_grid, K11, K12, im22)
+    ]
     if args.output_format == "csv":
         _emit(_csv_document(config, header, rows), args.output_path)
     else:
@@ -324,13 +328,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("error: --jobs must be >= 1\n")
-        return 2
     try:
-        return _DISPATCH[args.command](args, jobs)
+        return _DISPATCH[args.command](args, _resolve_jobs(args.jobs))
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")

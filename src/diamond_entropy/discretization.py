@@ -13,11 +13,11 @@ Two exact algebraic reductions speed up the spectrum:
   yields the full spectrum with multiplicity two.
 * mass > 0: the kernel satisfies K(u) = sigma_x conj(K(u)) sigma_x, which
   makes the 2N x 2N Hermitian matrix unitarily equivalent to the real
-  symmetric matrix [[A + C, -B], [B, A - C]] built from its real/imaginary
-  parts; a real eigensolve is about four times cheaper.
+  symmetric matrix [[A + C, -B], [B, A - C]] built from K11 = A + iB and
+  K12 = C; a real eigensolve is about four times cheaper.
 
-Both reductions are verified against the direct complex assembly in the
-test suite.
+Both reductions are verified against the direct 2N x 2N complex assembly
+that the test suite keeps as its reference.
 
 The module also builds the cross blocks (inside x outside) of scalar-symbol
 operators on a graded grid, used by the quasi-norm growth diagnostics.
@@ -35,15 +35,9 @@ from scipy.special import k1 as _bessel_k1
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
-from .kernel_eval import (
-    QuadratureSpec,
-    default_quadrature_spec,
-    kernel_quadrature,
-    massive_scalar_integrals,
-)
+from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
-_HERMITIZATION_LIMIT = 1e-8
 
 
 class GridRule(str, Enum):
@@ -99,96 +93,6 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
     return Grid(nodes=nodes, weights=weights, rule=rule, lam=lam)
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Weight-symmetrized 2N x 2N Hermitian matrix with its provenance."""
-
-    grid: Grid
-    matrix: np.ndarray
-    params: PhysicalParams
-    spec: QuadratureSpec
-    hermitization_correction: float
-
-    def __post_init__(self) -> None:
-        dev = np.abs(self.matrix - self.matrix.conj().T).max()
-        if dev > 1e-12:
-            raise ValueError(f"matrix is not Hermitian after symmetrization: {dev:.3e}")
-
-
-def _massless_block(epsilon: float, diff: np.ndarray) -> np.ndarray:
-    """Upper spinor block of the massless kernel at separations diff."""
-    return 1.0 / (2.0 * np.pi * (epsilon - 1j * diff))
-
-
-def _massive_parts(mass: float, epsilon: float, diff: np.ndarray):
-    """Real parts (A, B, C) with K = [[A + iB, C], [C, A - iB]]."""
-    F0, F1_imag, Fm = massive_scalar_integrals(mass, epsilon, diff)
-    inv4pi = 1.0 / (4.0 * np.pi)
-    return inv4pi * F0, inv4pi * F1_imag, -inv4pi * Fm
-
-
-def _kernel_blocks_quadrature(params: PhysicalParams, diff: np.ndarray, spec: QuadratureSpec):
-    """Entrywise quadrature evaluation of the four kernel blocks (slow path)."""
-    shape = diff.shape
-    K11 = np.empty(shape, dtype=complex)
-    K12 = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        mat = kernel_quadrature(params, float(diff[idx]), spec).matrix
-        K11[idx] = mat[0, 0]
-        K12[idx] = mat[0, 1]
-    return K11, K12, K12.copy(), np.conj(K11)
-
-
-def assemble_operator(
-    params: PhysicalParams,
-    grid: Grid,
-    spec: QuadratureSpec | None = None,
-    *,
-    x_offset: float = 0.0,
-    kernel_path: str = "auto",
-) -> DiscretizedOperator:
-    """Assemble the full 2N x 2N symmetrized Nystrom matrix.
-
-    kernel_path "auto" uses the closed massless form or the Bessel fast
-    path; "quadrature" forces the reference quadrature kernel (slow, meant
-    for small cross-validation grids).
-    """
-    if spec is None:
-        spec = default_quadrature_spec(params)
-    x = grid.nodes + x_offset
-    diff = x[:, None] - x[None, :]
-
-    if kernel_path == "quadrature":
-        K11, K12, K21, K22 = _kernel_blocks_quadrature(params, diff, spec)
-    elif kernel_path == "auto":
-        if params.mass == 0.0:
-            K11 = _massless_block(params.epsilon, diff)
-            K22 = np.conj(K11)
-            K12 = np.zeros_like(K11)
-            K21 = K12
-        else:
-            A, B, C = _massive_parts(params.mass, params.epsilon, diff)
-            K11 = A + 1j * B
-            K22 = A - 1j * B
-            K12 = C.astype(complex)
-            K21 = K12
-    else:
-        raise ValueError(f"unknown kernel_path {kernel_path!r}")
-
-    sw = np.sqrt(grid.weights)
-    W = sw[:, None] * sw[None, :]
-    M = np.block([[K11 * W, K12 * W], [K21 * W, K22 * W]])
-    correction = float(np.abs(M - M.conj().T).max() / 2.0)
-    if correction > _HERMITIZATION_LIMIT:
-        raise ConvergenceError(
-            f"Hermitization correction {correction:.3e} exceeds {_HERMITIZATION_LIMIT:.0e}"
-        )
-    M = 0.5 * (M + M.conj().T)
-    return DiscretizedOperator(
-        grid=grid, matrix=M, params=params, spec=spec, hermitization_correction=correction
-    )
-
-
 _SPECTRUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _SPECTRUM_CACHE_MAX = 256
 
@@ -231,25 +135,26 @@ def operator_eigenvalues(
     """All 2N eigenvalues (ascending) of the symmetrized Nystrom matrix.
 
     Uses the spinor-block reduction at mass = 0 and the real-symmetric
-    reduction at mass > 0; results are cached by the defining parameters.
+    reduction at mass > 0; results are cached by the parameters, the grid's
+    nodes and weights, and the offset.
     """
-    key = (params.mass, params.epsilon, params.lam, grid.size, grid.rule.value, x_offset)
+    key = (params.mass, params.epsilon, params.lam,
+           grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
 
     def compute() -> np.ndarray:
         x = grid.nodes + x_offset
-        diff = x[:, None] - x[None, :]
         sw = np.sqrt(grid.weights)
         W = sw[:, None] * sw[None, :]
+        K11, K12 = kernel_blocks(params, x[:, None] - x[None, :])
+        K11 *= W
         if params.mass == 0.0:
-            block = _massless_block(params.epsilon, diff) * W
-            block = 0.5 * (block + block.conj().T)
-            ev = np.linalg.eigvalsh(block)
+            K11 = 0.5 * (K11 + K11.conj().T)
+            ev = np.linalg.eigvalsh(K11)
             return np.sort(np.repeat(ev, 2))
-        A, B, C = _massive_parts(params.mass, params.epsilon, diff)
-        A *= W
-        B *= W
-        C *= W
-        real_form = np.block([[A + C, -B], [B, A - C]])
+        K12 *= W
+        A, B = K11.real, K11.imag
+        real_form = np.block([[A + K12, -B], [B, A - K12]])
+        del K11, K12, A, B  # free the blocks before the eigensolve
         real_form = 0.5 * (real_form + real_form.T)
         return np.linalg.eigvalsh(real_form)
 

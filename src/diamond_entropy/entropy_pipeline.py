@@ -26,7 +26,6 @@ from scipy import integrate
 from .dirac_symbols import PhysicalParams
 from .discretization import (
     DEFAULT_TOL_DISC,
-    DiscretizedOperator,
     GridRule,
     build_grid,
     operator_eigenvalues,
@@ -56,18 +55,6 @@ class EntropyResult:
     clamp_count: int
     grid_size: int
     converged: bool
-    tail_mass: float
-
-    def as_dict(self) -> dict:
-        return {
-            "truncated_trace": self.truncated_trace,
-            "subtraction_trace": self.subtraction_trace,
-            "entropy": self.entropy,
-            "clamp_count": self.clamp_count,
-            "grid_size": self.grid_size,
-            "converged": self.converged,
-            "tail_mass": self.tail_mass,
-        }
 
 
 def entropy_from_eigenvalues(
@@ -87,14 +74,6 @@ def entropy_from_eigenvalues(
         max_distance=float(distances.max()) if ev.size else 0.0,
     )
     return float(np.sum(eta(order, clipped))), report
-
-
-def truncated_entropy_trace(
-    op: DiscretizedOperator, order: RenyiOrder, tol_disc: float = DEFAULT_TOL_DISC
-):
-    """Trace of eta over the full Hermitian eigendecomposition of op."""
-    eigenvalues = np.linalg.eigvalsh(op.matrix)
-    return entropy_from_eigenvalues(eigenvalues, order, tol_disc)
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder, rel_tol: float = 1e-8) -> float:
@@ -168,7 +147,7 @@ def entanglement_entropy(
             continue
         trace, clamp = entropy_from_eigenvalues(eigenvalues, order, tol_disc)
         entropy_value = trace - sub
-        last = (size, trace, entropy_value, clamp, eigenvalues)
+        last = (size, trace, entropy_value, clamp)
         if prev_entropy is not None and abs(entropy_value - prev_entropy) < rel_change * max(
             abs(entropy_value), 1e-12
         ):
@@ -181,9 +160,7 @@ def entanglement_entropy(
             f"no grid size up to {n} resolves epsilon={params.epsilon} "
             f"(spectrum keeps leaving [-{tol_disc:.0e}, 1+{tol_disc:.0e}])"
         )
-    size, trace, entropy_value, clamp, eigenvalues = last
-    descending = np.sort(eigenvalues)[::-1]
-    tail_mass = float(descending[size // 2 :].sum())
+    size, trace, entropy_value, clamp = last
     return EntropyResult(
         truncated_trace=trace,
         subtraction_trace=sub,
@@ -191,5 +168,4 @@ def entanglement_entropy(
         clamp_count=clamp.count,
         grid_size=size,
         converged=converged,
-        tail_mass=tail_mass,
     )

@@ -10,14 +10,13 @@ built from three scalar momentum integrals of the damped symbol:
     F1(u)  = int (k/omega) exp(-eps*omega + i k u) dk       (imaginary, odd)
     Fm(u)  = m int (1/omega) exp(-eps*omega + i k u) dk     (real, even)
 
-Three evaluation paths are provided: direct oscillatory quadrature (the
-reference), the massless closed form diag(1/(2pi(eps -+ i u))), and a
-massive fast path through the modified Bessel functions
+The closed form is written once, in kernel_blocks: diag(1/(2pi(eps -+ i u)))
+at mass 0, and at mass > 0 the modified Bessel functions
 
     F0 = 2 m eps K1(m r)/r,  Fm = 2 m K0(m r),  F1 = 2 i m u K1(m r)/r,
 
-with r = sqrt(eps^2 + u^2). The Bessel identities are validated against the
-quadrature path by the test suite before the fast path is trusted anywhere.
+with r = sqrt(eps^2 + u^2). Direct oscillatory quadrature, kernel_quadrature,
+is the reference the test suite checks the closed form against.
 """
 
 from __future__ import annotations
@@ -81,25 +80,6 @@ def default_quadrature_spec(
     return spec
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Kernel matrix at one separation u (units 1/length)."""
-
-    u: float
-    matrix: np.ndarray
-
-
-def _assemble_kernel(F0, F1_imag, Fm):
-    """Combine the three scalar integrals into the 2x2 kernel matrix."""
-    inv4pi = 1.0 / (4.0 * np.pi)
-    return np.array(
-        [
-            [inv4pi * (F0 + 1j * F1_imag), -inv4pi * Fm],
-            [-inv4pi * Fm, inv4pi * (F0 - 1j * F1_imag)],
-        ]
-    )
-
-
 def _quadrature_edges(params: PhysicalParams, spec: QuadratureSpec, u: float) -> np.ndarray:
     """Panel edges on [0, k_max]: geometric refinement toward k = 0 (the
     massive integrands have a feature of width ~ mass there), then every
@@ -125,8 +105,8 @@ def kernel_quadrature(
     u: float,
     spec: QuadratureSpec | None = None,
     max_panels: int = MAX_OSCILLATION_PANELS,
-) -> KernelValue:
-    """Reference path: composite Gauss-Legendre over [0, k_max].
+) -> np.ndarray:
+    """Reference 2x2 kernel matrix: composite Gauss-Legendre over [0, k_max].
 
     Panels refine geometrically toward k = 0 and are capped at pi/|u| so
     each sees at most half an oscillation period; raises ConvergenceError
@@ -163,21 +143,13 @@ def kernel_quadrature(
         Fm = 2.0 * params.mass * np.sum(w * damp * cos_u / om)
     else:
         Fm = 0.0
-    return KernelValue(u=u, matrix=_assemble_kernel(F0, F1_imag, Fm))
-
-
-def kernel_massless_closed(epsilon: float, u: float) -> KernelValue:
-    """Exact massless kernel diag(1/(2pi(eps - iu)), 1/(2pi(eps + iu)))."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    two_pi = 2.0 * np.pi
-    matrix = np.array(
+    inv4pi = 1.0 / (4.0 * np.pi)
+    return np.array(
         [
-            [1.0 / (two_pi * (epsilon - 1j * u)), 0.0],
-            [0.0, 1.0 / (two_pi * (epsilon + 1j * u))],
+            [inv4pi * (F0 + 1j * F1_imag), -inv4pi * Fm],
+            [-inv4pi * Fm, inv4pi * (F0 - 1j * F1_imag)],
         ]
     )
-    return KernelValue(u=u, matrix=matrix)
 
 
 def massive_scalar_integrals(mass: float, epsilon: float, u):
@@ -205,14 +177,18 @@ def massive_scalar_integrals(mass: float, epsilon: float, u):
     return F0, F1_imag, Fm
 
 
-def kernel_massive_bessel(params: PhysicalParams, u: float) -> KernelValue:
-    """Fast massive path assembled from the three Bessel-form integrals."""
-    F0, F1_imag, Fm = massive_scalar_integrals(params.mass, params.epsilon, u)
-    return KernelValue(u=u, matrix=_assemble_kernel(float(F0), float(F1_imag), float(Fm)))
+def kernel_blocks(params: PhysicalParams, u):
+    """Closed-form kernel blocks (K11, K12) at separations u.
 
-
-def kernel_value(params: PhysicalParams, u: float, spec: QuadratureSpec | None = None) -> KernelValue:
-    """Dispatch to the fastest validated path for the given mass."""
+    K(u) = [[K11, K12], [K12, conj(K11)]] with K11 complex and K12 real,
+    both of the shape of u; K12 is the scalar 0.0 at mass 0.
+    """
+    u_arr = np.asarray(u, dtype=float)
     if params.mass == 0.0:
-        return kernel_massless_closed(params.epsilon, u)
-    return kernel_massive_bessel(params, u)
+        return 1.0 / (2.0 * np.pi * (params.epsilon - 1j * u_arr)), 0.0
+    F0, F1_imag, Fm = massive_scalar_integrals(params.mass, params.epsilon, u_arr)
+    inv4pi = 1.0 / (4.0 * np.pi)
+    K11 = np.empty(u_arr.shape, dtype=complex)
+    K11.real = inv4pi * F0
+    K11.imag = inv4pi * F1_imag
+    return K11, -inv4pi * Fm

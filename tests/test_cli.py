@@ -32,6 +32,11 @@ class TestArgumentHandling:
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", "--jobs", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--tail-tol", "--seed"])
+    def test_removed_options_exit_2(self, option):
+        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", option, "1"])
+        assert code == 2
+
     def test_eps_grid_mini_language(self):
         grid = _parse_eps_grid("0.1:0.002:8log")
         np.testing.assert_allclose(grid, np.geomspace(0.1, 0.002, 8))
@@ -204,6 +209,15 @@ class TestJobsResolution:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["jobs"] == 3
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
+    def test_bad_env_exits_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", value)
+        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "DIAMOND_ENTROPY_JOBS" in captured.err
 
     def test_flag_overrides_env(self, monkeypatch, capsys):
         monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", "3")

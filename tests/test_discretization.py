@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diamond_entropy import (
     ConvergenceError,
@@ -8,13 +10,16 @@ from diamond_entropy import (
     PhysicalParams,
     ScalarSymbol,
     assemble_offdiagonal_truncation,
-    assemble_operator,
     build_grid,
+    clear_spectrum_cache,
     constant_symbol,
     exp_abs_symbol,
     exp_omega_symbol,
+    kernel_blocks,
+    kernel_quadrature,
     operator_eigenvalues,
 )
+from oracle import direct_matrix, direct_operator, direct_spectrum
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,15 +59,14 @@ class TestAssembleOperator:
     def test_single_node_matrix_is_kernel_at_zero(self):
         grid = Grid(nodes=[0.5], weights=[1.0], rule=GridRule.MIDPOINT, lam=1.0)
         params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        op = assemble_operator(params, grid)
         np.testing.assert_allclose(
-            op.matrix, np.diag([1 / TWO_PI, 1 / TWO_PI]), rtol=1e-14
+            direct_operator(params, grid), np.diag([1 / TWO_PI, 1 / TWO_PI]), rtol=1e-14
         )
 
     def test_hermitization_correction_tiny_for_closed_form(self):
         params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
-        op = assemble_operator(params, build_grid(64, 1.0))
-        assert op.hermitization_correction < 1e-12
+        M = direct_matrix(params, build_grid(64, 1.0))
+        assert np.abs(M - M.conj().T).max() / 2.0 < 1e-12
 
     def test_eigenvalue_range_massive(self):
         params = PhysicalParams(mass=1.0, epsilon=0.05, lam=1.0)
@@ -74,16 +78,19 @@ class TestAssembleOperator:
     def test_fast_spectrum_matches_full_assembly(self, mass):
         params = PhysicalParams(mass=mass, epsilon=0.2, lam=1.0)
         grid = build_grid(48, 1.0)
-        full = np.linalg.eigvalsh(assemble_operator(params, grid).matrix)
+        full = direct_spectrum(params, grid)
         fast = operator_eigenvalues(params, grid, use_cache=False)
         assert np.abs(np.sort(full) - np.sort(fast)).max() < 1e-12
 
     def test_quadrature_path_matches_closed_forms(self):
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)
-        grid = build_grid(8, 1.0)
-        auto = assemble_operator(params, grid).matrix
-        quad = assemble_operator(params, grid, kernel_path="quadrature").matrix
-        assert np.abs(auto - quad).max() < 1e-12
+        x = build_grid(8, 1.0).nodes
+        diff = x[:, None] - x[None, :]
+        K11, K12 = kernel_blocks(params, diff)
+        for idx in np.ndindex(diff.shape):
+            quad = kernel_quadrature(params, float(diff[idx]))
+            closed = np.array([[K11[idx], K12[idx]], [K12[idx], np.conj(K11[idx])]])
+            assert np.abs(closed - quad).max() < 1e-12
 
     def test_translation_invariance_of_spectrum(self):
         params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
@@ -95,11 +102,11 @@ class TestAssembleOperator:
     def test_symmetrized_matches_collocation_spectrum(self):
         params = PhysicalParams(mass=0.7, epsilon=0.5, lam=1.0)
         grid = build_grid(64, 1.0)
-        op = assemble_operator(params, grid)
+        op = direct_operator(params, grid)
         sw = np.sqrt(np.concatenate([grid.weights, grid.weights]))
-        colloc = (op.matrix / sw[:, None]) * sw[None, :]  # w_j K(x_i - x_j)
+        colloc = (op / sw[:, None]) * sw[None, :]  # w_j K(x_i - x_j)
         ev_colloc = np.sort(np.linalg.eigvals(colloc).real)
-        ev_sym = np.sort(np.linalg.eigvalsh(op.matrix))
+        ev_sym = np.sort(np.linalg.eigvalsh(op))
         assert np.abs(ev_colloc - ev_sym).max() < 1e-10
 
     def test_nystrom_consistency_defines_converged_n(self):
@@ -119,6 +126,33 @@ class TestAssembleOperator:
         params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
         with pytest.raises(ConvergenceError):
             operator_eigenvalues(params, build_grid(128, 1.0), use_cache=False)
+
+    def test_cache_distinguishes_grids_of_equal_size_and_rule(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
+        clear_spectrum_cache()
+        operator_eigenvalues(params, build_grid(4, 1.0))
+        grid = Grid(nodes=[0.1, 0.2, 0.3, 0.9], weights=[0.15, 0.1, 0.35, 0.4],
+                    rule=GridRule.GAUSS_LEGENDRE, lam=1.0)
+        cached = operator_eigenvalues(params, grid)
+        assert np.array_equal(cached, operator_eigenvalues(params, grid, use_cache=False))
+        assert np.abs(cached - direct_spectrum(params, grid)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mass=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+    epsilon=st.floats(0.05, 1.0),
+    lam=st.floats(0.2, 5.0),
+    rule=st.sampled_from(list(GridRule)),
+    x_offset=st.floats(-3.0, 3.0),
+    n=st.integers(2, 65),
+)
+def test_reduced_spectrum_matches_direct_assembly(mass, epsilon, lam, rule, x_offset, n):
+    params = PhysicalParams(mass=mass, epsilon=epsilon, lam=lam)
+    grid = build_grid(n, lam, rule)
+    fast = operator_eigenvalues(params, grid, x_offset=x_offset, validate=False, use_cache=False)
+    direct = direct_spectrum(params, grid, x_offset)
+    assert np.abs(fast - direct).max() <= 1e-12
 
 
 class TestOffdiagonalTruncation:

