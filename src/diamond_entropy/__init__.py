@@ -34,13 +34,9 @@ from .dirac_symbols import (
 from .discretization import (
     Grid,
     GridRule,
-    ScalarSymbol,
     assemble_offdiagonal_truncation,
     build_grid,
     clear_spectrum_cache,
-    constant_symbol,
-    exp_abs_symbol,
-    exp_omega_symbol,
     operator_eigenvalues,
 )
 from .entropy_pipeline import (

@@ -26,7 +26,6 @@ from .discretization import (
     GridRule,
     assemble_offdiagonal_truncation,
     build_grid,
-    exp_omega_symbol,
     operator_eigenvalues,
 )
 from .entropy_pipeline import (
@@ -207,10 +206,11 @@ def mass_independence_check(
     masses = tuple(float(m) for m in masses)
     if 0.0 not in masses:
         raise ValueError("masses must include 0")
-    sweeps = {}
-    for mass in masses:
-        base = PhysicalParams(mass=mass if mass > 0 else 0.0, epsilon=1.0, lam=lam)
-        sweeps[mass] = sweep(base, order, eps_grid, n_max=n_max, jobs=jobs)
+    bases = {mass: PhysicalParams(mass=mass, epsilon=1.0, lam=lam) for mass in masses}
+    sweeps = {
+        mass: sweep(base, order, eps_grid, n_max=n_max, jobs=jobs)
+        for mass, base in bases.items()
+    }
 
     slopes_full = {m: s.slope for m, s in sweeps.items()}
     n_coarse = max(2, min(len(s.converged_points()) for s in sweeps.values()) // 2)
@@ -235,7 +235,6 @@ def matched_grid_entropy(
     n: int,
     *,
     rule: GridRule = GridRule.GAUSS_LEGENDRE,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Single-grid entropy without the spectral-range gate.
 
@@ -246,7 +245,7 @@ def matched_grid_entropy(
     grid = build_grid(n, params.lam, rule)
     eigenvalues = operator_eigenvalues(params, grid, validate=False)
     trace, _ = entropy_from_eigenvalues(eigenvalues, order, enforce_range=False)
-    return trace - subtraction_trace(params, order, rel_tol)
+    return trace - subtraction_trace(params, order)
 
 
 def _high_low_sup_deviation(alpha: float, mass: float) -> float:
@@ -325,8 +324,8 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
 
     norms = []
     for alpha in alphas:
-        symbol = exp_omega_symbol(box.l0 / alpha, box.mass)
-        block = assemble_offdiagonal_truncation(symbol, box.lam, box.half_width, box.n)
+        params = PhysicalParams(mass=box.mass, epsilon=box.l0 / alpha, lam=box.lam)
+        block = assemble_offdiagonal_truncation(params, box.half_width, box.n)
         s = np.linalg.svd(block, compute_uv=False)
         norms.append(float(np.sum(s**q)))
     return DiagnosticsResult(alpha_grid=alphas, logq_norms=np.array(norms))

@@ -19,19 +19,20 @@ Two exact algebraic reductions speed up the spectrum:
 Both reductions are verified against the direct 2N x 2N complex assembly
 that the test suite keeps as its reference.
 
-The module also builds the cross blocks (inside x outside) of scalar-symbol
-operators on a graded grid, used by the quasi-norm growth diagnostics.
+The module also builds, on a graded grid, the cross block (inside x outside)
+of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
+diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
+the closed form is written only in kernel_eval.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
-from scipy.special import k1 as _bessel_k1
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
@@ -75,6 +76,15 @@ class Grid:
         return self.nodes.size
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> Grid:
     """Gauss-Legendre or midpoint rule with n nodes on (0, lam)."""
     if n < 2:
@@ -83,7 +93,7 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
         raise ValueError(f"lam must be positive, got {lam}")
     rule = GridRule(rule)
     if rule is GridRule.GAUSS_LEGENDRE:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _legendre_rule(n)
         nodes = 0.5 * lam * (x + 1.0)
         weights = 0.5 * lam * w
     else:
@@ -106,19 +116,21 @@ def _cached(key, compute):
         _SPECTRUM_CACHE.move_to_end(key)
         return _SPECTRUM_CACHE[key]
     value = compute()
+    value.flags.writeable = False  # later rungs and other orders read it back
     _SPECTRUM_CACHE[key] = value
     if len(_SPECTRUM_CACHE) > _SPECTRUM_CACHE_MAX:
         _SPECTRUM_CACHE.popitem(last=False)
     return value
 
 
-def validate_spectrum_range(eigenvalues: np.ndarray, tol_disc: float = DEFAULT_TOL_DISC) -> None:
+def validate_spectrum_range(eigenvalues: np.ndarray) -> None:
     """Raise ConvergenceError unless the spectrum lies in [-tol, 1 + tol]."""
     lo = float(eigenvalues.min())
     hi = float(eigenvalues.max())
-    if lo < -tol_disc or hi > 1.0 + tol_disc:
+    tol = DEFAULT_TOL_DISC
+    if lo < -tol or hi > 1.0 + tol:
         raise ConvergenceError(
-            f"spectrum [{lo:.3e}, {hi:.6f}] leaves [-{tol_disc:.0e}, 1+{tol_disc:.0e}]; "
+            f"spectrum [{lo:.3e}, {hi:.6f}] leaves [-{tol:.0e}, 1+{tol:.0e}]; "
             "the grid does not resolve the kernel at this epsilon"
         )
 
@@ -129,7 +141,6 @@ def operator_eigenvalues(
     *,
     x_offset: float = 0.0,
     validate: bool = True,
-    tol_disc: float = DEFAULT_TOL_DISC,
     use_cache: bool = True,
 ) -> np.ndarray:
     """All 2N eigenvalues (ascending) of the symmetrized Nystrom matrix.
@@ -160,69 +171,13 @@ def operator_eigenvalues(
 
     eigenvalues = _cached(key, compute) if use_cache else compute()
     if validate:
-        validate_spectrum_range(eigenvalues, tol_disc)
+        validate_spectrum_range(eigenvalues)
     return eigenvalues
 
 
 # ---------------------------------------------------------------------------
-# Cross blocks of scalar-symbol operators (inside x outside an interval)
+# Cross block of the damped scalar symbol (inside x outside an interval)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarSymbol:
-    """Scalar momentum symbol with an optional closed-form position kernel.
-
-    fine_scale is the smallest position-space feature of the kernel and
-    controls how deep the graded grids refine toward the interval endpoints.
-    """
-
-    func: Callable[[np.ndarray], np.ndarray]
-    kernel: Callable[[np.ndarray], np.ndarray] | None = None
-    fine_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.fine_scale) and self.fine_scale > 0):
-            raise ValueError("fine_scale must be positive and finite")
-
-
-def constant_symbol(c: float) -> ScalarSymbol:
-    """Multiplication by a constant; its cross-interval kernel vanishes."""
-    return ScalarSymbol(
-        func=lambda k: np.full_like(np.asarray(k, dtype=float), c),
-        kernel=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        fine_scale=1.0,
-    )
-
-
-def exp_abs_symbol(eps0: float) -> ScalarSymbol:
-    """a(k) = exp(-eps0 |k|), kernel eps0 / (pi (eps0^2 + u^2))."""
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
-    return ScalarSymbol(
-        func=lambda k: np.exp(-eps0 * np.abs(k)),
-        kernel=lambda u: eps0 / (np.pi * (eps0**2 + np.asarray(u, dtype=float) ** 2)),
-        fine_scale=eps0,
-    )
-
-
-def exp_omega_symbol(eps0: float, mass: float) -> ScalarSymbol:
-    """a(k) = exp(-eps0 sqrt(k^2 + mass^2)), kernel via the Bessel identity."""
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
-    if mass == 0.0:
-        return exp_abs_symbol(eps0)
-
-    def kern(u):
-        u_arr = np.asarray(u, dtype=float)
-        r = np.hypot(eps0, u_arr)
-        return mass * eps0 * _bessel_k1(mass * r) / (np.pi * r)
-
-    return ScalarSymbol(
-        func=lambda k: np.exp(-eps0 * np.hypot(k, mass)),
-        kernel=kern,
-        fine_scale=eps0,
-    )
 
 
 def _graded_edges(length: float, fine: float) -> np.ndarray:
@@ -235,7 +190,7 @@ def _graded_edges(length: float, fine: float) -> np.ndarray:
 
 
 def _panel_nodes(edges: np.ndarray, per: int):
-    nodes, weights = np.polynomial.legendre.leggauss(per)
+    nodes, weights = _legendre_rule(per)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -244,44 +199,16 @@ def _panel_nodes(edges: np.ndarray, per: int):
     return x[order], w[order]
 
 
-def _kernel_by_quadrature(symbol: ScalarSymbol, u_flat: np.ndarray) -> np.ndarray:
-    """Fourier transform of a generic decaying symbol on given separations."""
-    probe = np.abs(symbol.func(np.array([0.0]))).max()
-    if probe == 0.0:
-        return np.zeros_like(u_flat)
-    k_max = 1.0 / symbol.fine_scale
-    while np.abs(symbol.func(np.array([k_max]))).max() > 1e-12 * probe:
-        k_max *= 2.0
-        if k_max > 1e12:
-            raise ConvergenceError("symbol does not decay; cannot truncate its Fourier transform")
-    u_abs_max = float(np.abs(u_flat).max())
-    n_panels = max(64, int(np.ceil(k_max * u_abs_max / np.pi)))
-    if n_panels > 200_000:
-        raise ConvergenceError("oscillation budget exceeded in symbol Fourier transform")
-    edges = np.linspace(0.0, k_max, n_panels + 1)
-    k, w = _panel_nodes(edges, 16)
-    a_plus = symbol.func(k)
-    a_minus = symbol.func(-k)
-    if np.allclose(a_plus, a_minus, rtol=1e-12, atol=1e-300):
-        def transform(u_chunk):
-            return (a_plus * w) @ np.cos(np.outer(k, u_chunk)) / np.pi
-    else:
-        def transform(u_chunk):
-            phases = np.exp(1j * np.outer(k, u_chunk))
-            return ((a_plus * w) @ phases + (a_minus * w) @ np.conj(phases)).real / (2.0 * np.pi)
-
-    out = np.empty_like(u_flat)
-    chunk = max(1, 10_000_000 // max(k.size, 1))
-    for start in range(0, u_flat.size, chunk):
-        out[start : start + chunk] = transform(u_flat[start : start + chunk])
-    return out
+def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
+    """Position kernel of exp(-eps omega(k)): F0 / 2pi = 2 Re K11."""
+    return 2.0 * kernel_blocks(params, u)[0].real
 
 
-def _box_tail_fraction(kernel: Callable, fine: float, lam: float, box_half_width: float) -> float:
+def _box_tail_fraction(params: PhysicalParams, fine: float, box_half_width: float) -> float:
     """Relative Hilbert-Schmidt mass of the kernel beyond the box cut."""
-    u_lo, u_hi = fine / 8.0, 50.0 * (box_half_width + lam)
+    u_lo, u_hi = fine / 8.0, 50.0 * (box_half_width + params.lam)
     u = np.geomspace(u_lo, u_hi, 1200)
-    k2 = np.abs(kernel(u)) ** 2
+    k2 = _scalar_kernel(params, u) ** 2
     if not np.any(k2 > 0):
         return 0.0
     total = np.trapezoid(k2, u) + k2[0] * u_lo  # near field bounded by k(u_lo)
@@ -299,27 +226,25 @@ def _box_tail_fraction(kernel: Callable, fine: float, lam: float, box_half_width
 
 
 def assemble_offdiagonal_truncation(
-    symbol: ScalarSymbol | Callable,
-    lam: float,
+    params: PhysicalParams,
     box_half_width: float,
     n: int,
     *,
     box_tail_tol: float = 1e-6,
 ) -> np.ndarray:
-    """Cross block of a scalar-symbol operator: rows inside (0, lam), columns
-    in [-L, 0) and (lam, lam + L], weight-symmetrized.
+    """Cross block of the damped symbol exp(-eps omega(k)): rows inside
+    (0, lam), columns in [-L, 0) and (lam, lam + L], weight-symmetrized.
 
-    The grids grade dyadically toward the interval endpoints down to the
-    symbol's fine scale; n is the total node budget across rows and columns.
-    Raises ConvergenceError if the kernel mass beyond the box exceeds
-    box_tail_tol of the total (the box would bias the singular values).
+    The grids grade dyadically toward the interval endpoints down to eps/2;
+    n is the total node budget across rows and columns. Raises
+    ConvergenceError if the kernel mass beyond the box exceeds box_tail_tol
+    of the total (the box would bias the singular values).
     """
-    if callable(symbol) and not isinstance(symbol, ScalarSymbol):
-        symbol = ScalarSymbol(func=symbol)
-    if not (lam > 0 and box_half_width > 0):
-        raise ValueError("lam and box_half_width must be positive")
+    if not box_half_width > 0:
+        raise ValueError("box_half_width must be positive")
 
-    fine = symbol.fine_scale / 2.0
+    lam = params.lam
+    fine = params.epsilon / 2.0
     row_half = _graded_edges(lam / 2.0, fine)
     col_edges = _graded_edges(box_half_width, fine)
     n_panels = 2 * (row_half.size - 1) + 2 * (col_edges.size - 1)
@@ -328,6 +253,11 @@ def assemble_offdiagonal_truncation(
         raise ValueError(
             f"node budget n={n} too small: need at least {4 * n_panels} for "
             f"{n_panels} graded panels"
+        )
+    if _box_tail_fraction(params, fine, box_half_width) > box_tail_tol:
+        raise ConvergenceError(
+            f"kernel mass beyond the box exceeds box_tail_tol={box_tail_tol:.0e}; "
+            "increase box_half_width"
         )
 
     x_l, w_l = _panel_nodes(row_half, per)
@@ -338,16 +268,5 @@ def assemble_offdiagonal_truncation(
     y_cols = np.concatenate([-y_out[::-1], lam + y_out])
     w_cols = np.concatenate([w_out[::-1], w_out])
 
-    if symbol.kernel is not None:
-        if _box_tail_fraction(symbol.kernel, fine, lam, box_half_width) > box_tail_tol:
-            raise ConvergenceError(
-                f"kernel mass beyond the box exceeds box_tail_tol={box_tail_tol:.0e}; "
-                "increase box_half_width"
-            )
-        diff = x_rows[:, None] - y_cols[None, :]
-        kvals = symbol.kernel(diff)
-    else:
-        diff = (x_rows[:, None] - y_cols[None, :]).ravel()
-        kvals = _kernel_by_quadrature(symbol, diff).reshape(x_rows.size, y_cols.size)
-
+    kvals = _scalar_kernel(params, x_rows[:, None] - y_cols[None, :])
     return np.sqrt(w_rows)[:, None] * kvals * np.sqrt(w_cols)[None, :]

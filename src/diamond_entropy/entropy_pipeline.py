@@ -60,13 +60,12 @@ class EntropyResult:
 def entropy_from_eigenvalues(
     eigenvalues: np.ndarray,
     order: RenyiOrder,
-    tol_disc: float = DEFAULT_TOL_DISC,
     enforce_range: bool = True,
 ):
     """Sum of eta over the clipped spectrum, with a clamp report."""
     ev = np.asarray(eigenvalues, dtype=float)
     if enforce_range:
-        validate_spectrum_range(ev, tol_disc)
+        validate_spectrum_range(ev)
     clipped = np.clip(ev, 0.0, 1.0)
     distances = np.abs(ev - clipped)
     report = ClampReport(
@@ -119,38 +118,34 @@ def entanglement_entropy(
     n: int = DEFAULT_N_MAX,
     *,
     rule: GridRule = GridRule.GAUSS_LEGENDRE,
-    tol_disc: float = DEFAULT_TOL_DISC,
-    rel_tol: float = 1e-8,
-    n_start: int = DEFAULT_N_START,
-    rel_change: float = DEFAULT_REL_CHANGE,
 ) -> EntropyResult:
     """Entropy with the grid-doubling convergence policy, capped at n.
 
-    Grids whose spectrum leaves [-tol_disc, 1 + tol_disc] are treated as
-    unresolved and skipped; if no grid up to the cap yields an admissible
-    spectrum, ConvergenceError is raised. The result is flagged converged
-    once doubling the grid changes the entropy by less than rel_change.
+    Grids whose spectrum leaves [-DEFAULT_TOL_DISC, 1 + DEFAULT_TOL_DISC]
+    are treated as unresolved and skipped; if no grid up to the cap yields
+    an admissible spectrum, ConvergenceError is raised. The result is flagged
+    converged once doubling the grid changes the entropy by less than
+    DEFAULT_REL_CHANGE.
     """
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
-    sub = subtraction_trace(params, order, rel_tol)
+    sub = subtraction_trace(params, order)
 
     prev_entropy = None
     last = None
     converged = False
-    for size in _ladder_sizes(n_start, n):
+    for size in _ladder_sizes(DEFAULT_N_START, n):
         grid = build_grid(size, params.lam, rule)
         try:
-            eigenvalues = operator_eigenvalues(params, grid, tol_disc=tol_disc)
+            eigenvalues = operator_eigenvalues(params, grid)
         except ConvergenceError:
             prev_entropy = None  # this resolution is unusable; restart comparison
             continue
-        trace, clamp = entropy_from_eigenvalues(eigenvalues, order, tol_disc)
+        trace, clamp = entropy_from_eigenvalues(eigenvalues, order)
         entropy_value = trace - sub
         last = (size, trace, entropy_value, clamp)
-        if prev_entropy is not None and abs(entropy_value - prev_entropy) < rel_change * max(
-            abs(entropy_value), 1e-12
-        ):
+        tol = DEFAULT_REL_CHANGE * max(abs(entropy_value), 1e-12)
+        if prev_entropy is not None and abs(entropy_value - prev_entropy) < tol:
             converged = True
             break
         prev_entropy = entropy_value
@@ -158,7 +153,7 @@ def entanglement_entropy(
     if last is None:
         raise ConvergenceError(
             f"no grid size up to {n} resolves epsilon={params.epsilon} "
-            f"(spectrum keeps leaving [-{tol_disc:.0e}, 1+{tol_disc:.0e}])"
+            f"(spectrum keeps leaving [-{DEFAULT_TOL_DISC:.0e}, 1+{DEFAULT_TOL_DISC:.0e}])"
         )
     size, trace, entropy_value, clamp = last
     return EntropyResult(

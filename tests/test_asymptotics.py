@@ -75,6 +75,15 @@ class TestMassIndependence:
         with pytest.raises(ValueError):
             mass_independence_check(1.0, K1, [0.5, 1.0], COARSE_GRID)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_invalid_mass_rejected_before_any_sweep(self, monkeypatch, bad):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr("diamond_entropy.asymptotics.sweep", no_sweep)
+        with pytest.raises(ValueError, match="mass"):
+            mass_independence_check(1.0, K1, [0.0, bad], COARSE_GRID)
+
     def test_slopes_agree_and_sharpen(self):
         report = mass_independence_check(1.0, K1, [0.0, 1.0], COARSE_GRID)
         assert abs(report.sweeps[1.0].slope - report.sweeps[0.0].slope) <= 0.05

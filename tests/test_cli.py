@@ -201,6 +201,15 @@ class TestDiagCommand:
         ratios = np.array(d["ratios_to_log_alpha"])
         assert ratios.max() <= 3.0 * ratios.min()
 
+    def test_log_growth_negative_mass_exits_2(self, capsys):
+        code = run_cli(
+            ["diag", "--diag-type", "log-growth", "--mass", "-1", "--jobs", "1"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mass" in captured.err
+
 
 class TestJobsResolution:
     def test_env_fallback(self, monkeypatch, capsys):

@@ -8,13 +8,10 @@ from diamond_entropy import (
     Grid,
     GridRule,
     PhysicalParams,
-    ScalarSymbol,
     assemble_offdiagonal_truncation,
     build_grid,
     clear_spectrum_cache,
-    constant_symbol,
-    exp_abs_symbol,
-    exp_omega_symbol,
+    discretization,
     kernel_blocks,
     kernel_quadrature,
     operator_eigenvalues,
@@ -45,6 +42,25 @@ class TestBuildGrid:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             build_grid(1, 1.0)
+
+    def test_legendre_rule_computed_once_per_size(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        discretization._legendre_rule.cache_clear()
+        first = build_grid(37, 2.0)
+        second = build_grid(37, 3.0)
+        assert calls == [37]
+        x, w = leggauss(37)
+        assert np.array_equal(first.nodes, 0.5 * 2.0 * (x + 1.0))
+        assert np.array_equal(second.weights, 0.5 * 3.0 * w)
+        unit_nodes, unit_weights = discretization._legendre_rule(37)
+        assert not unit_nodes.flags.writeable and not unit_weights.flags.writeable
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -137,6 +153,16 @@ class TestAssembleOperator:
         assert np.array_equal(cached, operator_eigenvalues(params, grid, use_cache=False))
         assert np.abs(cached - direct_spectrum(params, grid)).max() < 1e-12
 
+    def test_cached_spectrum_is_read_only(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
+        grid = build_grid(16, 1.0)
+        clear_spectrum_cache()
+        ev = operator_eigenvalues(params, grid)
+        original = ev.copy()
+        with pytest.raises(ValueError):
+            ev -= 1.0
+        assert np.array_equal(operator_eigenvalues(params, grid), original)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -156,14 +182,9 @@ def test_reduced_spectrum_matches_direct_assembly(mass, epsilon, lam, rule, x_of
 
 
 class TestOffdiagonalTruncation:
-    def test_constant_symbol_gives_zero(self):
-        M = assemble_offdiagonal_truncation(constant_symbol(3.0), 1.0, 8.0, 1024)
-        assert np.abs(M).max() == 0.0
-
     def test_contraction_largest_singular_value(self):
-        M = assemble_offdiagonal_truncation(
-            exp_abs_symbol(1.0), 1.0, 8.0, 1024, box_tail_tol=0.1
-        )
+        params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
+        M = assemble_offdiagonal_truncation(params, 8.0, 1024, box_tail_tol=0.1)
         s1 = np.linalg.svd(M, compute_uv=False)[0]
         assert 0.0 < s1 < 1.0
 
@@ -175,9 +196,8 @@ class TestOffdiagonalTruncation:
         alphas = np.array([10.0, 100.0, 1000.0, 10000.0])
         norms = []
         for a in alphas:
-            M = assemble_offdiagonal_truncation(
-                exp_abs_symbol(1.0 / a), 1.0, 8.0, 1024, box_tail_tol=0.1
-            )
+            params = PhysicalParams(mass=0.0, epsilon=1.0 / a, lam=1.0)
+            M = assemble_offdiagonal_truncation(params, 8.0, 1024, box_tail_tol=0.1)
             s = np.linalg.svd(M, compute_uv=False)
             norms.append(float(np.sum(np.sqrt(s))))
         norms = np.array(norms)
@@ -187,30 +207,32 @@ class TestOffdiagonalTruncation:
         assert 0.0 < exponent < 0.4                 # far from genuine log growth
 
     def test_box_tail_guard_fires_for_fat_tails(self):
+        params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
         with pytest.raises(ConvergenceError):
-            assemble_offdiagonal_truncation(exp_abs_symbol(1.0), 1.0, 8.0, 1024)
+            assemble_offdiagonal_truncation(params, 8.0, 1024)
 
     def test_default_tolerance_accepts_massive_symbols(self):
-        M = assemble_offdiagonal_truncation(exp_omega_symbol(1e-4, 1.0), 1.0, 8.0, 1024)
+        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
+        M = assemble_offdiagonal_truncation(params, 8.0, 1024)
         assert np.all(np.isfinite(M))
 
     def test_budget_too_small_rejected(self):
+        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
         with pytest.raises(ValueError):
-            assemble_offdiagonal_truncation(exp_omega_symbol(1e-4, 1.0), 1.0, 8.0, 32)
+            assemble_offdiagonal_truncation(params, 8.0, 32)
 
-    def test_generic_symbol_fourier_path_matches_closed_kernel(self):
-        # gaussian symbol: kernel is exp(-u^2/4) / (2 sqrt(pi))
-        gaussian = ScalarSymbol(func=lambda k: np.exp(-np.asarray(k) ** 2), fine_scale=1.0)
-        with_kernel = ScalarSymbol(
-            func=gaussian.func,
-            kernel=lambda u: np.exp(-np.asarray(u) ** 2 / 4.0) / (2 * np.sqrt(np.pi)),
-            fine_scale=1.0,
-        )
-        M_quad = assemble_offdiagonal_truncation(gaussian, 1.0, 2.0, 400)
-        M_closed = assemble_offdiagonal_truncation(with_kernel, 1.0, 2.0, 400, box_tail_tol=1.0)
-        assert M_quad.shape == M_closed.shape
-        assert np.abs(M_quad - M_closed).max() < 1e-10
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    def test_entries_match_quadrature_kernel(self, monkeypatch, mass):
+        # The same graded nodes and weights with the kernel replaced by
+        # 2 Re of the (1, 1) entry of the oscillatory-quadrature reference.
+        params = PhysicalParams(mass=mass, epsilon=0.5, lam=1.0)
+        M = assemble_offdiagonal_truncation(params, 2.0, 96, box_tail_tol=1.0)
 
-    def test_massless_exp_omega_delegates(self):
-        sym = exp_omega_symbol(0.5, 0.0)
-        np.testing.assert_allclose(sym.func(np.array([2.0])), np.exp(-1.0))
+        def reference(p, u):
+            quad = np.vectorize(lambda v: 2.0 * kernel_quadrature(p, v)[0, 0].real)
+            return quad(u)
+
+        monkeypatch.setattr(discretization, "_scalar_kernel", reference)
+        M_ref = assemble_offdiagonal_truncation(params, 2.0, 96, box_tail_tol=1.0)
+        assert M.shape == M_ref.shape == (32, 64)
+        assert np.abs(M - M_ref).max() < 1e-9
