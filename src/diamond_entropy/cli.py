@@ -173,6 +173,9 @@ def _cmd_entropy(args, jobs: int) -> int:
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=args.lam)
     order = RenyiOrder(args.kappa)
     result = entanglement_entropy(params, order, n=args.grid_size, rule=GridRule(args.rule))
+    if not result.converged:
+        sys.stderr.write(f"warning: entropy not converged at the grid-size cap "
+                         f"{args.grid_size}; reporting n={result.grid_size}\n")
     config = _config_dict(args, jobs)
     payload = {
         "result": {
@@ -289,27 +292,24 @@ def _cmd_diag(args, jobs: int) -> int:
         result = offdiagonal_diagnostic(
             args.lam, RenyiOrder(args.kappa), args.mass, alphas, n=args.grid_size
         )
-        payload = {
-            "diagnostics": {
-                "alpha_grid": [float(a) for a in result.alpha_grid],
-                "offdiag_ratios": [float(r) for r in result.offdiag_ratios],
-                "sup_deviations": [float(d) for d in result.sup_deviations],
-            }
-        }
+        columns = [("offdiag_ratios", "offdiag_ratio", result.offdiag_ratios),
+                   ("sup_deviations", "sup_deviation", result.sup_deviations)]
     else:
         box = BoxSpec(lam=args.lam, half_width=args.box_half_width,
                       n=args.box_grid_size, mass=args.mass, l0=args.l0)
         result = log_growth_diagnostic(args.q, alphas, box)
-        payload = {
-            "diagnostics": {
-                "alpha_grid": [float(a) for a in result.alpha_grid],
-                "logq_norms": [float(v) for v in result.logq_norms],
-                "ratios_to_log_alpha": [
-                    float(v / np.log(a)) for v, a in zip(result.logq_norms, result.alpha_grid)
-                ],
-            }
-        }
-    _emit(_json_document(config, payload), args.output_path)
+        ratios = [v / np.log(a) for v, a in zip(result.logq_norms, result.alpha_grid)]
+        columns = [("logq_norms", "logq_norm", result.logq_norms),
+                   ("ratios_to_log_alpha", "ratio_to_log_alpha", ratios)]
+    if args.output_format == "json":
+        diagnostics = {"alpha_grid": [float(a) for a in result.alpha_grid]}
+        diagnostics.update({key: [float(v) for v in values] for key, _, values in columns})
+        _emit(_json_document(config, {"diagnostics": diagnostics}), args.output_path)
+    else:
+        header = ["alpha"] + [name for _, name, _ in columns]
+        rows = [[_fmt(a)] + [_fmt(values[i]) for _, _, values in columns]
+                for i, a in enumerate(result.alpha_grid)]
+        _emit(_csv_document(config, header, rows), args.output_path)
     return 0
 
 

@@ -6,18 +6,16 @@ sqrt(w_i) K(x_i - x_j) sqrt(w_j) on a quadrature grid, which is Hermitian
 by construction and has the same eigenvalues as the plain collocation
 matrix w_j K(x_i - x_j).
 
-Two exact algebraic reductions speed up the spectrum:
-
-* mass = 0: the kernel is diagonal in the spinor index and the two blocks
-  are complex conjugates of each other, so one N x N Hermitian eigensolve
-  yields the full spectrum with multiplicity two.
-* mass > 0: the kernel satisfies K(u) = sigma_x conj(K(u)) sigma_x, which
-  makes the 2N x 2N Hermitian matrix unitarily equivalent to the real
-  symmetric matrix [[A + C, -B], [B, A - C]] built from K11 = A + iB and
-  K12 = C; a real eigensolve is about four times cheaper.
-
-Both reductions are verified against the direct 2N x 2N complex assembly
-that the test suite keeps as its reference.
+One exact reduction gives the spectrum from real N x N blocks. With the
+weighted blocks K11 W = A + iB, K12 W = C and J the node reversal, a grid
+mirror-symmetric about lam/2 (Grid refuses any other) gives J A J = A,
+J B J = -B and J C J = C. The 2N x 2N matrix then acts on the spaces spanned
+by (v, +-Jv) as the centro-Hermitian K11 W +- CJ, which the unitary
+(I - iJ)/sqrt(2) turns into the real symmetric S+- = A - JB +- CJ (A. Lee,
+Centrohermitian and skew-centrohermitian matrices, LAA 29 (1980); A. Cantoni
+and P. Butler, Eigenvalues and eigenvectors of symmetric centrosymmetric
+matrices, LAA 13 (1976)). At mass 0, C = 0 and S+ = S-. The test suite
+checks the reduction against the direct 2N x 2N complex assembly.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -48,7 +46,7 @@ class GridRule(str, Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature nodes/weights on (0, lam)."""
+    """Quadrature nodes/weights on (0, lam), mirror-symmetric about lam/2."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -70,6 +68,10 @@ class Grid:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - self.lam) > 1e-12 * self.lam:
             raise ValueError("weights must sum to lam")
+        mirror_tol = 8.0 * np.finfo(float).eps * self.lam
+        if (np.abs(nodes + nodes[::-1] - self.lam).max() > mirror_tol
+                or np.abs(weights - weights[::-1]).max() > mirror_tol):
+            raise ValueError("nodes and weights must be mirror-symmetric about lam/2")
 
     @property
     def size(self) -> int:
@@ -145,9 +147,10 @@ def operator_eigenvalues(
 ) -> np.ndarray:
     """All 2N eigenvalues (ascending) of the symmetrized Nystrom matrix.
 
-    Uses the spinor-block reduction at mass = 0 and the real-symmetric
-    reduction at mass > 0; results are cached by the parameters, the grid's
-    nodes and weights, and the offset.
+    The spectra of the real mirror blocks S+- = A - JB +- CJ (module
+    docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
+    Results are cached by the parameters, the grid's nodes and weights, and
+    the offset.
     """
     key = (params.mass, params.epsilon, params.lam,
            grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
@@ -158,16 +161,13 @@ def operator_eigenvalues(
         W = sw[:, None] * sw[None, :]
         K11, K12 = kernel_blocks(params, x[:, None] - x[None, :])
         K11 *= W
+        S = K11.real - K11.imag[::-1]  # A - JB
+        del K11  # free the complex block before the eigensolve
         if params.mass == 0.0:
-            K11 = 0.5 * (K11 + K11.conj().T)
-            ev = np.linalg.eigvalsh(K11)
-            return np.sort(np.repeat(ev, 2))
+            return np.repeat(np.linalg.eigvalsh(S), 2)
         K12 *= W
-        A, B = K11.real, K11.imag
-        real_form = np.block([[A + K12, -B], [B, A - K12]])
-        del K11, K12, A, B  # free the blocks before the eigensolve
-        real_form = 0.5 * (real_form + real_form.T)
-        return np.linalg.eigvalsh(real_form)
+        CJ = K12[:, ::-1]
+        return np.sort(np.concatenate([np.linalg.eigvalsh(S + CJ), np.linalg.eigvalsh(S - CJ)]))
 
     eigenvalues = _cached(key, compute) if use_cache else compute()
     if validate:

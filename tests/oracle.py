@@ -1,9 +1,9 @@
 """Slow references that the fast paths are checked against.
 
 direct_operator assembles the full 2N x 2N complex Nystrom matrix
-sqrt(w_i) K(x_i - x_j) sqrt(w_j) from the kernel blocks, with no spinor or
-real-form reduction; its eigenvalues are the reference for both spectrum
-reductions in operator_eigenvalues.
+sqrt(w_i) K(x_i - x_j) sqrt(w_j) from the kernel blocks, with no mirror
+reduction; its eigenvalues are the reference for the real N x N mirror
+blocks in operator_eigenvalues.
 """
 
 import numpy as np

@@ -77,6 +77,17 @@ class TestEntropyCommand:
         value = float(row[header.index("entropy")])
         assert value == pytest.approx(1.027821, abs=2e-3)
 
+    def test_cap_without_convergence_warns_on_stderr(self, capsys):
+        code = run_cli(
+            ["entropy", "--kappa", "1", "--epsilon", "0.01", "--grid-size", "256", "--jobs", "1"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["result"]["converged"] is False
+        warning = captured.err.splitlines()
+        assert len(warning) == 1
+        assert "not converged" in warning[0] and "n=256" in warning[0]
+
     def test_unresolvable_epsilon_exits_3(self, capsys):
         code = run_cli(
             ["entropy", "--kappa", "1", "--epsilon", "1e-5",
@@ -200,6 +211,25 @@ class TestDiagCommand:
         assert len(d["logq_norms"]) == 3
         ratios = np.array(d["ratios_to_log_alpha"])
         assert ratios.max() <= 3.0 * ratios.min()
+
+    @pytest.mark.parametrize("diag_type, extra, header", [
+        ("offdiag", ["--grid-size", "256"], "alpha,offdiag_ratio,sup_deviation"),
+        ("log-growth", ["--q", "0.5"], "alpha,logq_norm,ratio_to_log_alpha"),
+    ])
+    def test_csv_output(self, tmp_path, capsys, diag_type, extra, header):
+        out = tmp_path / "diag.csv"
+        code = run_cli(
+            ["diag", "--diag-type", diag_type, "--alpha-grid", "10,100,1000", *extra,
+             "--output-format", "csv", "--output-path", str(out), "--jobs", "1"]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# version:")
+        assert lines[1].startswith("# config:")
+        assert lines[2] == header
+        rows = [line.split(",") for line in lines[3:]]
+        assert [float(row[0]) for row in rows] == [10.0, 100.0, 1000.0]
+        assert all(len(row) == 3 for row in rows)
 
     def test_log_growth_negative_mass_exits_2(self, capsys):
         code = run_cli(

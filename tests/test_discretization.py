@@ -69,6 +69,9 @@ class TestBuildGrid:
             Grid(nodes=[0.2, 0.5], weights=[0.5, -0.5], rule=GridRule.MIDPOINT, lam=1.0)
         with pytest.raises(ValueError):
             Grid(nodes=[0.2, 0.5], weights=[0.9, 0.9], rule=GridRule.MIDPOINT, lam=1.0)
+        with pytest.raises(ValueError, match="mirror-symmetric"):
+            Grid(nodes=[0.1, 0.2, 0.3, 0.9], weights=[0.15, 0.1, 0.35, 0.4],
+                 rule=GridRule.GAUSS_LEGENDRE, lam=1.0)
 
 
 class TestAssembleOperator:
@@ -90,12 +93,19 @@ class TestAssembleOperator:
         assert ev.min() >= -1e-6
         assert ev.max() <= 1 + 1e-6
 
-    @pytest.mark.parametrize("mass", [0.0, 1.3])
-    def test_fast_spectrum_matches_full_assembly(self, mass):
-        params = PhysicalParams(mass=mass, epsilon=0.2, lam=1.0)
-        grid = build_grid(48, 1.0)
+    @pytest.mark.parametrize("mass, n, epsilon", [
+        pytest.param(0.0, 48, 0.2, id="0.0"),
+        pytest.param(1.3, 48, 0.2, id="1.3"),
+        (0.0, 255, 0.002), (1.3, 255, 0.002), (0.0, 256, 0.002), (1.3, 256, 0.002),
+    ])
+    def test_fast_spectrum_matches_full_assembly(self, mass, n, epsilon):
+        # Sharp kernels with odd and even N amplify any mirror asymmetry by 1/eps^2.
+        # At eps = 0.002 these grids under-resolve the kernel (the spectrum reaches
+        # 1.12), so the range check is off; the oracle sees the same matrix.
+        params = PhysicalParams(mass=mass, epsilon=epsilon, lam=1.0)
+        grid = build_grid(n, 1.0)
         full = direct_spectrum(params, grid)
-        fast = operator_eigenvalues(params, grid, use_cache=False)
+        fast = operator_eigenvalues(params, grid, validate=False, use_cache=False)
         assert np.abs(np.sort(full) - np.sort(fast)).max() < 1e-12
 
     def test_quadrature_path_matches_closed_forms(self):
@@ -147,7 +157,7 @@ class TestAssembleOperator:
         params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
         clear_spectrum_cache()
         operator_eigenvalues(params, build_grid(4, 1.0))
-        grid = Grid(nodes=[0.1, 0.2, 0.3, 0.9], weights=[0.15, 0.1, 0.35, 0.4],
+        grid = Grid(nodes=[0.1, 0.3, 0.7, 0.9], weights=[0.2, 0.3, 0.3, 0.2],
                     rule=GridRule.GAUSS_LEGENDRE, lam=1.0)
         cached = operator_eigenvalues(params, grid)
         assert np.array_equal(cached, operator_eigenvalues(params, grid, use_cache=False))
