@@ -23,9 +23,11 @@ import numpy as np
 
 from .dirac_symbols import PhysicalParams, limit_symbol, split_symbol
 from .discretization import (
+    DEFAULT_BOX_TAIL_TOL,
     GridRule,
     assemble_offdiagonal_truncation,
     build_grid,
+    min_box_half_width,
     operator_eigenvalues,
 )
 from .entropy_pipeline import (
@@ -322,9 +324,18 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
     if alphas.max() / alphas.min() < 100.0 * (1.0 - 1e-9):
         raise ValueError("alpha_grid must span at least two decades")
 
+    all_params = [PhysicalParams(mass=box.mass, epsilon=box.l0 / alpha, lam=box.lam)
+                  for alpha in alphas]
+    # the box-tail guard is cheap; fail on a narrow box before the first SVD
+    width = max(min_box_half_width(params, box.half_width) for params in all_params)
+    if width > box.half_width:
+        raise ValueError(
+            f"box half-width {box.half_width:g} leaves more than {DEFAULT_BOX_TAIL_TOL:g} "
+            f"of the kernel's mass beyond the box; the smallest width "
+            f"{box.half_width:g} * 2^k that passes on this alpha grid is {width:g}"
+        )
     norms = []
-    for alpha in alphas:
-        params = PhysicalParams(mass=box.mass, epsilon=box.l0 / alpha, lam=box.lam)
+    for params in all_params:
         block = assemble_offdiagonal_truncation(params, box.half_width, box.n)
         s = np.linalg.svd(block, compute_uv=False)
         norms.append(float(np.sum(s**q)))

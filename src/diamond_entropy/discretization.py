@@ -17,6 +17,13 @@ and P. Butler, Eigenvalues and eigenvectors of symmetric centrosymmetric
 matrices, LAA 13 (1976)). At mass 0, C = 0 and S+ = S-. The test suite
 checks the reduction against the direct 2N x 2N complex assembly.
 
+Only the eigensolve costs O(N^3). Re K11 and K12 are even in the separation
+and Im K11 is odd, so on the mirror grid every row of S and CJ below
+ceil(N/2) is a reversed copy of a row above: the kernel is evaluated on
+ceil(N/2) x N separations and the real blocks are filled by reflection,
+without an N x N complex array. The Gauss-Legendre nodes start from a
+tridiagonal eigensolve, O(n^2).
+
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
 diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
@@ -31,12 +38,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
+DEFAULT_BOX_TAIL_TOL = 1e-6
 
 
 class GridRule(str, Enum):
@@ -80,8 +90,26 @@ class Grid:
 
 @functools.lru_cache(maxsize=64)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on (-1, 1), computed once per n."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), computed once per n.
+
+    numpy's leggauss recipe (one Newton step, normalized weights, mirror
+    symmetrization), started from the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969)) by a
+    tridiagonal solve in O(n^2) instead of leggauss's dense O(n^3) one.
+    """
+    k = np.arange(1.0, n)
+    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    df = legendre.legval(x, legendre.legder(c))
+    x -= legendre.legval(x, c) / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1.0 / (fm * df)
+    w = (w + w[::-1]) / 2.0
+    x = (x - x[::-1]) / 2.0
+    w *= 2.0 / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -149,25 +177,36 @@ def operator_eigenvalues(
 
     The spectra of the real mirror blocks S+- = A - JB +- CJ (module
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
-    Results are cached by the parameters, the grid's nodes and weights, and
-    the offset.
+    The kernel is evaluated on the top ceil(N/2) rows only; the bottom rows
+    of S and CJ are their reflections. Results are cached by the parameters,
+    the grid's nodes and weights, and the offset.
     """
     key = (params.mass, params.epsilon, params.lam,
            grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
 
     def compute() -> np.ndarray:
+        n = grid.size
+        h = (n + 1) // 2
         x = grid.nodes + x_offset
         sw = np.sqrt(grid.weights)
-        W = sw[:, None] * sw[None, :]
-        K11, K12 = kernel_blocks(params, x[:, None] - x[None, :])
-        K11 *= W
-        S = K11.real - K11.imag[::-1]  # A - JB
-        del K11  # free the complex block before the eigensolve
+        W = sw[:h, None] * sw[None, :]
+        T11, T12 = kernel_blocks(params, x[:h, None] - x[None, :])
+        T11 *= W
+        # S = A - JB; the rows below h are mirror images of rows above n - h
+        S = np.empty((n, n))
+        np.add(T11.real, T11.imag[:, ::-1], out=S[:h])
+        np.subtract(T11.real[:n - h], T11.imag[:n - h, ::-1], out=S[h:][::-1, ::-1])
+        del T11  # free the complex rows before the eigensolve
         if params.mass == 0.0:
             return np.repeat(np.linalg.eigvalsh(S), 2)
-        K12 *= W
-        CJ = K12[:, ::-1]
-        return np.sort(np.concatenate([np.linalg.eigvalsh(S + CJ), np.linalg.eigvalsh(S - CJ)]))
+        T12 *= W
+        CJ = np.empty((n, n))
+        CJ[:h] = T12[:, ::-1]
+        CJ[h:] = CJ[:n - h][::-1, ::-1]
+        del T12, W
+        plus = np.linalg.eigvalsh(S + CJ)
+        S -= CJ
+        return np.sort(np.concatenate([plus, np.linalg.eigvalsh(S)]))
 
     eigenvalues = _cached(key, compute) if use_cache else compute()
     if validate:
@@ -225,12 +264,23 @@ def _box_tail_fraction(params: PhysicalParams, fine: float, box_half_width: floa
     return float(np.sqrt(tail / total))
 
 
+def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
+    """Smallest box_half_width * 2**k (k >= 0) that passes the box-tail guard
+    of assemble_offdiagonal_truncation at its default box_tail_tol."""
+    if not box_half_width > 0:
+        raise ValueError("box_half_width must be positive")
+    width = box_half_width
+    while _box_tail_fraction(params, params.epsilon / 2.0, width) > DEFAULT_BOX_TAIL_TOL:
+        width *= 2.0
+    return width
+
+
 def assemble_offdiagonal_truncation(
     params: PhysicalParams,
     box_half_width: float,
     n: int,
     *,
-    box_tail_tol: float = 1e-6,
+    box_tail_tol: float = DEFAULT_BOX_TAIL_TOL,
 ) -> np.ndarray:
     """Cross block of the damped symbol exp(-eps omega(k)): rows inside
     (0, lam), columns in [-L, 0) and (lam, lam + L], weight-symmetrized.

@@ -231,6 +231,32 @@ class TestDiagCommand:
         assert [float(row[0]) for row in rows] == [10.0, 100.0, 1000.0]
         assert all(len(row) == 3 for row in rows)
 
+    def test_log_growth_massless_default_box_exits_2_before_any_svd(self, monkeypatch, capsys):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD reached with a box the tail guard rejects")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0", "--jobs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "128" in captured.err
+
+    @pytest.mark.parametrize("width", ["0", "-8"])
+    def test_log_growth_nonpositive_box_exits_2(self, capsys, width):
+        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
+                        "--box-half-width", width, "--jobs", "1"])
+        assert code == 2
+        assert "box_half_width must be positive" in capsys.readouterr().err
+
+    def test_log_growth_massless_wide_box_runs(self, capsys):
+        code = run_cli(
+            ["diag", "--diag-type", "log-growth", "--mass", "0", "--q", "0.5",
+             "--alpha-grid", "100,1000,10000", "--box-half-width", "128", "--jobs", "1"]
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["diagnostics"]["logq_norms"]) == 3
+
     def test_log_growth_negative_mass_exits_2(self, capsys):
         code = run_cli(
             ["diag", "--diag-type", "log-growth", "--mass", "-1", "--jobs", "1"]

@@ -45,22 +45,32 @@ class TestBuildGrid:
 
     def test_legendre_rule_computed_once_per_size(self, monkeypatch):
         calls = []
-        leggauss = np.polynomial.legendre.leggauss
+        eigvalsh_tridiagonal = discretization.eigvalsh_tridiagonal
 
-        def counting(n):
-            calls.append(n)
-            return leggauss(n)
+        def counting(d, e):
+            calls.append(d.size)
+            return eigvalsh_tridiagonal(d, e)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        monkeypatch.setattr(discretization, "eigvalsh_tridiagonal", counting)
         discretization._legendre_rule.cache_clear()
         first = build_grid(37, 2.0)
         second = build_grid(37, 3.0)
         assert calls == [37]
-        x, w = leggauss(37)
-        assert np.array_equal(first.nodes, 0.5 * 2.0 * (x + 1.0))
-        assert np.array_equal(second.weights, 0.5 * 3.0 * w)
         unit_nodes, unit_weights = discretization._legendre_rule(37)
+        assert calls == [37]
+        assert np.array_equal(first.nodes, 0.5 * 2.0 * (unit_nodes + 1.0))
+        assert np.array_equal(second.weights, 0.5 * 3.0 * unit_weights)
         assert not unit_nodes.flags.writeable and not unit_weights.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 512, 1024])
+    def test_legendre_rule_matches_leggauss(self, n):
+        x, w = discretization._legendre_rule(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.abs(x - ref_x) <= 8.0 * np.spacing(np.abs(ref_x)))
+        assert np.abs(w / ref_w - 1.0).max() <= 1e-10
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(min(20, n - 1) + 1):  # exact up to degree 2n - 1
+            assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-12
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -97,6 +107,7 @@ class TestAssembleOperator:
         pytest.param(0.0, 48, 0.2, id="0.0"),
         pytest.param(1.3, 48, 0.2, id="1.3"),
         (0.0, 255, 0.002), (1.3, 255, 0.002), (0.0, 256, 0.002), (1.3, 256, 0.002),
+        (0.0, 257, 0.002), (1.3, 257, 0.002),
     ])
     def test_fast_spectrum_matches_full_assembly(self, mass, n, epsilon):
         # Sharp kernels with odd and even N amplify any mirror asymmetry by 1/eps^2.
@@ -107,6 +118,21 @@ class TestAssembleOperator:
         full = direct_spectrum(params, grid)
         fast = operator_eigenvalues(params, grid, validate=False, use_cache=False)
         assert np.abs(np.sort(full) - np.sort(fast)).max() < 1e-12
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [4, 5, 256, 257])
+    def test_kernel_filled_on_half_the_rows(self, monkeypatch, mass, n):
+        shapes = []
+        kernel = discretization.kernel_blocks
+
+        def recording(params, u):
+            shapes.append(np.shape(u))
+            return kernel(params, u)
+
+        monkeypatch.setattr(discretization, "kernel_blocks", recording)
+        params = PhysicalParams(mass=mass, epsilon=0.1, lam=1.0)
+        operator_eigenvalues(params, build_grid(n, 1.0), validate=False, use_cache=False)
+        assert shapes == [((n + 1) // 2, n)]
 
     def test_quadrature_path_matches_closed_forms(self):
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)
