@@ -52,12 +52,7 @@ from .errors import (
     EstimationError,
     VacuousBoundError,
 )
-from .kernel_eval import (
-    QuadratureSpec,
-    default_quadrature_spec,
-    kernel_blocks,
-    kernel_quadrature,
-)
+from .kernel_eval import kernel_blocks
 from .renyi_functions import (
     ConditionFParams,
     RenyiOrder,

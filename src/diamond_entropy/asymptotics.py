@@ -196,9 +196,6 @@ def mass_independence_check(
     order: RenyiOrder,
     masses,
     eps_grid,
-    *,
-    n_max: int = DEFAULT_N_MAX,
-    jobs: int = 1,
 ) -> MassIndependenceReport:
     """Sweep once per mass and compare the fitted slopes.
 
@@ -209,10 +206,7 @@ def mass_independence_check(
     if 0.0 not in masses:
         raise ValueError("masses must include 0")
     bases = {mass: PhysicalParams(mass=mass, epsilon=1.0, lam=lam) for mass in masses}
-    sweeps = {
-        mass: sweep(base, order, eps_grid, n_max=n_max, jobs=jobs)
-        for mass, base in bases.items()
-    }
+    sweeps = {mass: sweep(base, order, eps_grid) for mass, base in bases.items()}
 
     slopes_full = {m: s.slope for m, s in sweeps.items()}
     n_coarse = max(2, min(len(s.converged_points()) for s in sweeps.values()) // 2)
@@ -231,20 +225,14 @@ def mass_independence_check(
     )
 
 
-def matched_grid_entropy(
-    params: PhysicalParams,
-    order: RenyiOrder,
-    n: int,
-    *,
-    rule: GridRule = GridRule.GAUSS_LEGENDRE,
-) -> float:
-    """Single-grid entropy without the spectral-range gate.
+def matched_grid_entropy(params: PhysicalParams, order: RenyiOrder, n: int) -> float:
+    """Single-grid Gauss-Legendre entropy without the spectral-range gate.
 
     Meant for matched-grid differences: at fixed n the discretization error
     largely cancels between two kernels that differ by a smooth (mass)
     perturbation, even at epsilon too small for the grid to resolve alone.
     """
-    grid = build_grid(n, params.lam, rule)
+    grid = build_grid(n, params.lam)
     eigenvalues = operator_eigenvalues(params, grid, validate=False)
     trace, _ = entropy_from_eigenvalues(eigenvalues, order, enforce_range=False)
     return trace - subtraction_trace(params, order)
@@ -271,7 +259,6 @@ def offdiagonal_diagnostic(
     alpha_grid,
     *,
     n: int = DEFAULT_N_MAX,
-    rule: GridRule = GridRule.GAUSS_LEGENDRE,
 ) -> DiagnosticsResult:
     """Mass contribution to the entropy, normalized by log(alpha).
 
@@ -293,12 +280,8 @@ def offdiagonal_diagnostic(
     sup_devs = []
     for alpha in alphas:
         eps = 1.0 / alpha
-        s_mass = matched_grid_entropy(
-            PhysicalParams(mass=mass, epsilon=eps, lam=lam), order, n, rule=rule
-        )
-        s_zero = matched_grid_entropy(
-            PhysicalParams(mass=0.0, epsilon=eps, lam=lam), order, n, rule=rule
-        )
+        s_mass = matched_grid_entropy(PhysicalParams(mass=mass, epsilon=eps, lam=lam), order, n)
+        s_zero = matched_grid_entropy(PhysicalParams(mass=0.0, epsilon=eps, lam=lam), order, n)
         ratios.append(abs(s_mass - s_zero) / np.log(alpha))
         sup_devs.append(_high_low_sup_deviation(alpha, mass))
     return DiagnosticsResult(

@@ -4,11 +4,13 @@ Subcommands: entropy (one evaluation), sweep (epsilon sweep with slope fit),
 kernel-dump (kernel matrix on a separation grid), verify (randomized
 Schatten-norm property suite), diag (decomposition diagnostics).
 
-Every subcommand takes --output-format, --output-path and --jobs (default:
-DIAMOND_ENTROPY_JOBS, else the CPU count); verify also takes --seed.
+Every subcommand takes --output-format and --output-path; verify also takes
+--seed. sweep takes --jobs, the worker count for its epsilon points (default:
+DIAMOND_ENTROPY_JOBS, else the CPU count); entropy accepts it too, resolves
+it the same way and records it in its configuration, but starts no worker.
 
-Exit codes: 0 success, 2 argument errors (a bad --jobs or
-DIAMOND_ENTROPY_JOBS included), 3 numerical non-convergence, 4
+Exit codes: 0 success, 2 argument errors (for entropy and sweep, a bad
+--jobs or DIAMOND_ENTROPY_JOBS included), 3 numerical non-convergence, 4
 property-suite failure. Outputs embed the resolved configuration and the
 package version and are bit-identical for identical configuration.
 """
@@ -113,6 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output-format", choices=("csv", "json"), default="json")
         p.add_argument("--output-path", default="-", help="file path or - for stdout")
+
+    def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=None, help="worker count (default: CPUs)")
 
     p_entropy = sub.add_parser("entropy", help="single entropy evaluation")
@@ -124,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--rule", choices=[r.value for r in GridRule],
                            default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_entropy)
+    add_jobs(p_entropy)
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with slope fit")
     p_sweep.add_argument("--kappa", type=float, required=True)
@@ -134,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rule", choices=[r.value for r in GridRule],
                          default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_sweep)
+    add_jobs(p_sweep)
 
     p_kernel = sub.add_parser("kernel-dump", help="kernel matrix on a separation grid")
     p_kernel.add_argument("--mass", type=float, default=0.0)
@@ -163,20 +169,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_dict(args: argparse.Namespace, jobs: int) -> dict:
-    config = {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
-    config["jobs"] = jobs
-    return config
+def _config_dict(args: argparse.Namespace) -> dict:
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
 
 
-def _cmd_entropy(args, jobs: int) -> int:
+def _cmd_entropy(args) -> int:
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=args.lam)
     order = RenyiOrder(args.kappa)
     result = entanglement_entropy(params, order, n=args.grid_size, rule=GridRule(args.rule))
     if not result.converged:
         sys.stderr.write(f"warning: entropy not converged at the grid-size cap "
                          f"{args.grid_size}; reporting n={result.grid_size}\n")
-    config = _config_dict(args, jobs)
+    config = _config_dict(args)
     payload = {
         "result": {
             "params": {"mass": params.mass, "epsilon": params.epsilon, "lambda": params.lam},
@@ -202,13 +206,13 @@ def _cmd_entropy(args, jobs: int) -> int:
     return 0
 
 
-def _cmd_sweep(args, jobs: int) -> int:
+def _cmd_sweep(args) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
     params = PhysicalParams(mass=args.mass, epsilon=float(eps_grid[0]), lam=args.lam)
     order = RenyiOrder(args.kappa)
     result = sweep(params, order, eps_grid, n_max=args.grid_size,
-                   rule=GridRule(args.rule), jobs=jobs)
-    config = _config_dict(args, jobs)
+                   rule=GridRule(args.rule), jobs=args.jobs)
+    config = _config_dict(args)
     fit = {
         "slope": result.slope,
         "intercept": result.intercept,
@@ -235,12 +239,12 @@ def _cmd_sweep(args, jobs: int) -> int:
     return 0
 
 
-def _cmd_kernel_dump(args, jobs: int) -> int:
+def _cmd_kernel_dump(args) -> int:
     if args.u_count < 1 or args.u_max <= 0:
         raise ValueError("u-count must be >= 1 and u-max > 0")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
-    config = _config_dict(args, jobs)
+    config = _config_dict(args)
     header = ["u", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
     K11, K12 = kernel_blocks(params, u_grid)
     K12 = np.broadcast_to(K12, u_grid.shape)
@@ -258,7 +262,7 @@ def _cmd_kernel_dump(args, jobs: int) -> int:
     return 0
 
 
-def _cmd_verify(args, jobs: int) -> int:
+def _cmd_verify(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     if not dims or args.trials < 1:
         raise ValueError("need at least one dim and trials >= 1")
@@ -268,7 +272,7 @@ def _cmd_verify(args, jobs: int) -> int:
             reports.append((dim, rep))
         for rep in verify_commutator_lemma(dim, args.trials, args.seed):
             reports.append((dim, rep))
-    config = _config_dict(args, jobs)
+    config = _config_dict(args)
     report_dicts = [{"dim": dim, **dataclasses.asdict(rep), "passed": rep.passed}
                     for dim, rep in reports]
     failed = [r for _, r in reports if not r.passed]
@@ -285,9 +289,9 @@ def _cmd_verify(args, jobs: int) -> int:
     return 4 if failed else 0
 
 
-def _cmd_diag(args, jobs: int) -> int:
+def _cmd_diag(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
-    config = _config_dict(args, jobs)
+    config = _config_dict(args)
     if args.diag_type == "offdiag":
         result = offdiagonal_diagnostic(
             args.lam, RenyiOrder(args.kappa), args.mass, alphas, n=args.grid_size
@@ -329,7 +333,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args, _resolve_jobs(args.jobs))
+        if "jobs" in args:  # entropy and sweep
+            args.jobs = _resolve_jobs(args.jobs)
+        return _DISPATCH[args.command](args)
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")

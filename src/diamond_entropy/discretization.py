@@ -33,7 +33,6 @@ the closed form is written only in kernel_eval.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,24 +132,37 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
     return Grid(nodes=nodes, weights=weights, rule=rule, lam=lam)
 
 
-_SPECTRUM_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_SPECTRUM_CACHE_MAX = 256
+@functools.lru_cache(maxsize=256)
+def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: float) -> np.ndarray:
+    """Eigenvalues of S+- on the grid given by its node and weight bytes."""
+    x = np.frombuffer(nodes) + x_offset
+    sw = np.sqrt(np.frombuffer(weights))
+    n = x.size
+    h = (n + 1) // 2
+    W = sw[:h, None] * sw[None, :]
+    T11, T12 = kernel_blocks(params, x[:h, None] - x[None, :])
+    T11 *= W
+    # S = A - JB; the rows below h are mirror images of rows above n - h
+    S = np.empty((n, n))
+    np.add(T11.real, T11.imag[:, ::-1], out=S[:h])
+    np.subtract(T11.real[:n - h], T11.imag[:n - h, ::-1], out=S[h:][::-1, ::-1])
+    del T11  # free the complex rows before the eigensolve
+    if params.mass == 0.0:
+        eigenvalues = np.repeat(np.linalg.eigvalsh(S), 2)
+    else:
+        T12 *= W
+        CJ = np.empty((n, n))
+        CJ[:h] = T12[:, ::-1]
+        CJ[h:] = CJ[:n - h][::-1, ::-1]
+        del T12, W
+        plus = np.linalg.eigvalsh(S + CJ)
+        S -= CJ
+        eigenvalues = np.sort(np.concatenate([plus, np.linalg.eigvalsh(S)]))
+    eigenvalues.flags.writeable = False  # later rungs and other orders read it back
+    return eigenvalues
 
 
-def clear_spectrum_cache() -> None:
-    _SPECTRUM_CACHE.clear()
-
-
-def _cached(key, compute):
-    if key in _SPECTRUM_CACHE:
-        _SPECTRUM_CACHE.move_to_end(key)
-        return _SPECTRUM_CACHE[key]
-    value = compute()
-    value.flags.writeable = False  # later rungs and other orders read it back
-    _SPECTRUM_CACHE[key] = value
-    if len(_SPECTRUM_CACHE) > _SPECTRUM_CACHE_MAX:
-        _SPECTRUM_CACHE.popitem(last=False)
-    return value
+clear_spectrum_cache = _spectrum.cache_clear
 
 
 def validate_spectrum_range(eigenvalues: np.ndarray) -> None:
@@ -178,37 +190,11 @@ def operator_eigenvalues(
     The spectra of the real mirror blocks S+- = A - JB +- CJ (module
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
     The kernel is evaluated on the top ceil(N/2) rows only; the bottom rows
-    of S and CJ are their reflections. Results are cached by the parameters,
-    the grid's nodes and weights, and the offset.
+    of S and CJ are their reflections. Results are read-only and cached by
+    the parameters, the grid's nodes and weights, and the offset.
     """
-    key = (params.mass, params.epsilon, params.lam,
-           grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
-
-    def compute() -> np.ndarray:
-        n = grid.size
-        h = (n + 1) // 2
-        x = grid.nodes + x_offset
-        sw = np.sqrt(grid.weights)
-        W = sw[:h, None] * sw[None, :]
-        T11, T12 = kernel_blocks(params, x[:h, None] - x[None, :])
-        T11 *= W
-        # S = A - JB; the rows below h are mirror images of rows above n - h
-        S = np.empty((n, n))
-        np.add(T11.real, T11.imag[:, ::-1], out=S[:h])
-        np.subtract(T11.real[:n - h], T11.imag[:n - h, ::-1], out=S[h:][::-1, ::-1])
-        del T11  # free the complex rows before the eigensolve
-        if params.mass == 0.0:
-            return np.repeat(np.linalg.eigvalsh(S), 2)
-        T12 *= W
-        CJ = np.empty((n, n))
-        CJ[:h] = T12[:, ::-1]
-        CJ[h:] = CJ[:n - h][::-1, ::-1]
-        del T12, W
-        plus = np.linalg.eigvalsh(S + CJ)
-        S -= CJ
-        return np.sort(np.concatenate([plus, np.linalg.eigvalsh(S)]))
-
-    eigenvalues = _cached(key, compute) if use_cache else compute()
+    key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
+    eigenvalues = _spectrum(*key) if use_cache else _spectrum.__wrapped__(*key)
     if validate:
         validate_spectrum_range(eigenvalues)
     return eigenvalues

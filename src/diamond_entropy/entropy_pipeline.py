@@ -37,6 +37,8 @@ from .renyi_functions import RenyiOrder, eta
 DEFAULT_N_START = 128
 DEFAULT_N_MAX = 4096
 DEFAULT_REL_CHANGE = 0.005
+# relative accuracy demanded of the bulk-term quadrature
+BULK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,13 @@ def entropy_from_eigenvalues(
     return float(np.sum(eta(order, clipped))), report
 
 
-def subtraction_trace(params: PhysicalParams, order: RenyiOrder, rel_tol: float = 1e-8) -> float:
+def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
     """Bulk term (lam / 2 pi) int eta(exp(-eps*omega(k))) dk by adaptive quadrature.
 
     Rescaled to x = eps * k, the integrand decays like exp(-min(kappa,1) x);
-    the integration range is truncated where it underflows well below any
-    admissible tolerance.
+    the integration range is truncated where it underflows well below
+    BULK_REL_TOL.
     """
-    if not (0.0 < rel_tol <= 1e-3):
-        raise ValueError(f"rel_tol must lie in (0, 1e-3], got {rel_tol}")
     a = params.epsilon * params.mass
     kappa_floor = min(order.kappa, 1.0)
     x_max = max(80.0, 60.0 / kappa_floor) + a + 5.0
@@ -94,12 +94,13 @@ def subtraction_trace(params: PhysicalParams, order: RenyiOrder, rel_tol: float 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         result = integrate.quad(
-            integrand, 0.0, x_max, epsabs=1e-15, epsrel=0.1 * rel_tol, limit=500, full_output=1
+            integrand, 0.0, x_max, epsabs=1e-15, epsrel=0.1 * BULK_REL_TOL, limit=500,
+            full_output=1,
         )
     value, abserr = result[0], result[1]
-    if len(result) > 3 or abserr > rel_tol * abs(value) + 1e-13:
+    if len(result) > 3 or abserr > BULK_REL_TOL * abs(value) + 1e-13:
         raise ConvergenceError(
-            f"bulk-term quadrature did not reach rel_tol={rel_tol}: value={value}, "
+            f"bulk-term quadrature did not reach rel_tol={BULK_REL_TOL}: value={value}, "
             f"abserr={abserr}"
         )
     return params.lam * value / (np.pi * params.epsilon)

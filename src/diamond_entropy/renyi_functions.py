@@ -23,6 +23,9 @@ VON_NEUMANN_TOL = 1e-12
 # t below this is treated as an exact endpoint (IEEE underflow guard).
 _UNDERFLOW_T = 1e-300
 
+# relative accuracy demanded of entropy_integral
+INTEGRAL_REL_TOL = 1e-8
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
@@ -121,18 +124,15 @@ def _panel_integral(order: RenyiOrder, a: float, b: float) -> float:
     return float(np.sum(w * eta(order, x) / (x * (1.0 - x))))
 
 
-def entropy_integral(order: RenyiOrder, rel_tol: float = 1e-8) -> float:
+def entropy_integral(order: RenyiOrder) -> float:
     """Compute (1/pi^2) int_0^1 eta_kappa(t) / (t(1-t)) dt.
 
     The integrand behaves like t^(gamma-1) at the endpoints, so the unit
     interval is covered by dyadic panels refined toward both ends (the
     integrand is symmetric, so only (0, 1/2] is integrated and doubled).
     Refinement stops once the geometric tail estimate of the remaining
-    panels drops below a fraction of rel_tol.
+    panels drops below a fraction of INTEGRAL_REL_TOL.
     """
-    if not (0.0 < rel_tol <= 1e-3):
-        raise ValueError(f"rel_tol must lie in (0, 1e-3], got {rel_tol}")
-
     total = 0.0
     prev_contrib = None
     max_levels = 600
@@ -144,11 +144,11 @@ def entropy_integral(order: RenyiOrder, rel_tol: float = 1e-8) -> float:
             ratio = contrib / prev_contrib if prev_contrib > 0 else 0.0
             if 0.0 <= ratio < 0.97:
                 tail = contrib * ratio / (1.0 - ratio)
-                if tail < 0.25 * rel_tol * total:
+                if tail < 0.25 * INTEGRAL_REL_TOL * total:
                     return total / np.pi**2
         prev_contrib = contrib
     raise ConvergenceError(
-        f"entropy_integral: dyadic refinement did not settle to rel_tol={rel_tol} "
+        f"entropy_integral: dyadic refinement did not settle to rel_tol={INTEGRAL_REL_TOL} "
         f"within {max_levels} levels (kappa={order.kappa})"
     )
 

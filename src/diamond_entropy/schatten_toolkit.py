@@ -208,7 +208,8 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
         SchattenReport("conjugation_invariance", trials, worst, seed, slack_tolerance=1e-12)
     )
 
-    def cross_norms(A_stack, q):
+    def cross_singular_values(A_stack):
+        """Singular values of the commutator [A, P] and of the compression PA(1-P)."""
         comm = A_stack @ P - P @ A_stack
         comp = P @ A_stack @ one_minus_P
         s_comm = np.linalg.svd(comm, compute_uv=False)
@@ -218,8 +219,8 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
     # (ii) ||[A, B]||_q^q <= 2 ||BA(1-B)||_q^q, Hermitian A, projection B
     worst = -np.inf
     worst_display = -np.inf
+    s_comm, s_comp = cross_singular_values(A_herm)
     for q in (0.4, 0.7, 1.0):
-        s_comm, s_comp = cross_norms(A_herm, q)
         lhs = np.sum(s_comm**q, axis=-1)
         rhs = 2.0 * np.sum(s_comp**q, axis=-1)
         worst = max(worst, _relative_violation(lhs, rhs, rhs))
@@ -235,8 +236,8 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
 
     # (iii) ||BA(1-B)||_q <= ||[A, B]||_q for any A, projection B
     worst = -np.inf
+    s_comm, s_comp = cross_singular_values(A_general)
     for q in (0.5, 1.0, 2.0):
-        s_comm, s_comp = cross_norms(A_general, q)
         lhs = _qnorms(s_comp, q)
         rhs = _qnorms(s_comm, q)
         worst = max(worst, _relative_violation(lhs, rhs, rhs))

@@ -20,7 +20,6 @@ from diamond_entropy import (
     entropy_integral,
     eta,
     GridRule,
-    kernel_quadrature,
     log_growth_diagnostic,
     offdiagonal_diagnostic,
     operator_eigenvalues,
@@ -30,7 +29,7 @@ from diamond_entropy import (
     verify_commutator_lemma,
     verify_inequalities,
 )
-from oracle import kernel_matrix
+from oracle import kernel_matrix, kernel_quadrature
 
 EPS_GRID = np.geomspace(0.1, 0.002, 8)
 K1 = RenyiOrder(1.0)
@@ -60,7 +59,7 @@ def test_criterion_1_closed_form_constant():
     worst = 0.0
     for kappa in (0.5, 1.0, 2.0, 3.0, 5.0):
         order = RenyiOrder(kappa)
-        value = entropy_integral(order, rel_tol=1e-8)
+        value = entropy_integral(order)
         rel = abs(value - theoretical_slope(order)) / theoretical_slope(order)
         worst = max(worst, rel)
         assert rel <= 1e-6, f"kappa={kappa}: rel error {rel:.2e}"
@@ -145,7 +144,7 @@ def test_criterion_6_subtraction_closed_form():
     worst = 0.0
     for eps in (0.5, 0.1, 0.02):
         params = PhysicalParams(mass=0.0, epsilon=eps, lam=1.0)
-        value = subtraction_trace(params, K1, rel_tol=1e-8)
+        value = subtraction_trace(params, K1)
         rel = abs(value - np.pi / (6 * eps)) / (np.pi / (6 * eps))
         worst = max(worst, rel)
         assert rel <= 1e-6, f"eps={eps}: rel error {rel:.2e}"

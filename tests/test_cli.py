@@ -143,7 +143,7 @@ class TestKernelDumpCommand:
         out = tmp_path / "kernel.csv"
         code = run_cli(
             ["kernel-dump", "--epsilon", "0.5", "--u-max", "2", "--u-count", "5",
-             "--output-format", "csv", "--output-path", str(out), "--jobs", "1"]
+             "--output-format", "csv", "--output-path", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -161,7 +161,7 @@ class TestKernelDumpCommand:
         out = tmp_path / "kernel.csv"
         run_cli(
             ["kernel-dump", "--epsilon", "0.3", "--u-max", "1", "--u-count", "3",
-             "--output-format", "csv", "--output-path", str(out), "--jobs", "1"]
+             "--output-format", "csv", "--output-path", str(out)]
         )
         row = out.read_text().splitlines()[3].split(",")
         value = float(row[1])
@@ -170,7 +170,7 @@ class TestKernelDumpCommand:
 
 class TestVerifyCommand:
     def test_exit_zero_and_reports(self, capsys):
-        code = run_cli(["verify", "--trials", "50", "--seed", "42", "--jobs", "1"])
+        code = run_cli(["verify", "--trials", "50", "--seed", "42"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         reports = doc["reports"]
@@ -183,7 +183,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr("diamond_entropy.cli.verify_inequalities", fake_verify)
         monkeypatch.setattr("diamond_entropy.cli.verify_commutator_lemma", lambda *a: [])
-        code = run_cli(["verify", "--trials", "5", "--dims", "4", "--jobs", "1"])
+        code = run_cli(["verify", "--trials", "5", "--dims", "4"])
         assert code == 4
 
 
@@ -191,7 +191,7 @@ class TestDiagCommand:
     def test_offdiag_json(self, capsys):
         code = run_cli(
             ["diag", "--diag-type", "offdiag", "--mass", "1", "--kappa", "1",
-             "--alpha-grid", "10,31.6,100", "--grid-size", "256", "--jobs", "1"]
+             "--alpha-grid", "10,31.6,100", "--grid-size", "256"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -203,7 +203,7 @@ class TestDiagCommand:
     def test_log_growth_json(self, capsys):
         code = run_cli(
             ["diag", "--diag-type", "log-growth", "--q", "0.5",
-             "--alpha-grid", "100,1000,10000", "--jobs", "1"]
+             "--alpha-grid", "100,1000,10000"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -220,7 +220,7 @@ class TestDiagCommand:
         out = tmp_path / "diag.csv"
         code = run_cli(
             ["diag", "--diag-type", diag_type, "--alpha-grid", "10,100,1000", *extra,
-             "--output-format", "csv", "--output-path", str(out), "--jobs", "1"]
+             "--output-format", "csv", "--output-path", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
@@ -236,7 +236,7 @@ class TestDiagCommand:
             raise AssertionError("SVD reached with a box the tail guard rejects")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0", "--jobs", "1"])
+        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -245,21 +245,21 @@ class TestDiagCommand:
     @pytest.mark.parametrize("width", ["0", "-8"])
     def test_log_growth_nonpositive_box_exits_2(self, capsys, width):
         code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
-                        "--box-half-width", width, "--jobs", "1"])
+                        "--box-half-width", width])
         assert code == 2
         assert "box_half_width must be positive" in capsys.readouterr().err
 
     def test_log_growth_massless_wide_box_runs(self, capsys):
         code = run_cli(
             ["diag", "--diag-type", "log-growth", "--mass", "0", "--q", "0.5",
-             "--alpha-grid", "100,1000,10000", "--box-half-width", "128", "--jobs", "1"]
+             "--alpha-grid", "100,1000,10000", "--box-half-width", "128"]
         )
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["diagnostics"]["logq_norms"]) == 3
 
     def test_log_growth_negative_mass_exits_2(self, capsys):
         code = run_cli(
-            ["diag", "--diag-type", "log-growth", "--mass", "-1", "--jobs", "1"]
+            ["diag", "--diag-type", "log-growth", "--mass", "-1"]
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -290,6 +290,23 @@ class TestJobsResolution:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["jobs"] == 2
+
+    @pytest.mark.parametrize("command", [
+        ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],
+        ["verify", "--trials", "5", "--dims", "4"],
+        ["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100", "--grid-size", "128"],
+    ])
+    def test_jobs_flag_only_on_entropy_and_sweep(self, command):
+        assert run_cli([*command, "--jobs", "1"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--trials", "5", "--dims", "4"],
+        ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],
+    ])
+    def test_env_ignored_without_workers(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", "abc")
+        assert run_cli(command) == 0
+        assert "jobs" not in json.loads(capsys.readouterr().out)["config"]
 
 
 class TestEntryPoint:

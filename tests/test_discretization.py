@@ -13,10 +13,9 @@ from diamond_entropy import (
     clear_spectrum_cache,
     discretization,
     kernel_blocks,
-    kernel_quadrature,
     operator_eigenvalues,
 )
-from oracle import direct_matrix, direct_operator, direct_spectrum
+from oracle import direct_matrix, direct_operator, direct_spectrum, kernel_quadrature
 
 TWO_PI = 2.0 * np.pi
 

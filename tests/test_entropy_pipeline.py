@@ -60,7 +60,7 @@ class TestSubtractionTrace:
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.02])
     def test_massless_closed_form(self, eps):
         params = PhysicalParams(mass=0.0, epsilon=eps, lam=1.0)
-        value = subtraction_trace(params, K1, rel_tol=1e-8)
+        value = subtraction_trace(params, K1)
         assert value == pytest.approx(np.pi / (6 * eps), rel=1e-6)
 
     def test_dilogarithm_gate(self):
@@ -85,7 +85,7 @@ class TestSubtractionTrace:
         # independent oracle: composite Gauss-Legendre at two resolutions
         params = PhysicalParams(mass=1.0, epsilon=0.05, lam=1.0)
         order = RenyiOrder(2.0)
-        adaptive = subtraction_trace(params, order, rel_tol=1e-8)
+        adaptive = subtraction_trace(params, order)
         a = params.epsilon * params.mass
 
         def fixed_gl(n):
@@ -99,11 +99,6 @@ class TestSubtractionTrace:
         coarse, fine = fixed_gl(200), fixed_gl(400)
         assert abs(fine - coarse) / abs(fine) < 1e-8
         assert adaptive == pytest.approx(fine, rel=1e-8)
-
-    def test_rel_tol_validation(self):
-        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
-        with pytest.raises(ValueError):
-            subtraction_trace(params, K1, rel_tol=0.1)
 
 
 class TestEntanglementEntropy:

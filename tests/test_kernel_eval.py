@@ -5,13 +5,10 @@ from scipy.special import k0, k1
 from diamond_entropy import (
     ConvergenceError,
     PhysicalParams,
-    QuadratureSpec,
-    default_quadrature_spec,
     kernel_blocks,
-    kernel_quadrature,
 )
 from diamond_entropy.kernel_eval import massive_scalar_integrals
-from oracle import kernel_matrix
+from oracle import QuadratureSpec, default_quadrature_spec, kernel_matrix, kernel_quadrature
 
 TWO_PI = 2.0 * np.pi
 

@@ -130,14 +130,8 @@ class TestEntropyIntegral:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     def test_matches_closed_form(self, kappa):
         order = RenyiOrder(kappa)
-        value = entropy_integral(order, rel_tol=1e-8)
+        value = entropy_integral(order)
         assert value == pytest.approx(theoretical_slope(order), rel=1e-7)
-
-    def test_rel_tol_validation(self):
-        with pytest.raises(ValueError):
-            entropy_integral(RenyiOrder(1.0), rel_tol=0.0)
-        with pytest.raises(ValueError):
-            entropy_integral(RenyiOrder(1.0), rel_tol=1e-2)
 
 
 class TestProbe:

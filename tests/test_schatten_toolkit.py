@@ -123,6 +123,19 @@ class TestCommutatorLemma:
         assert rep.informational
         assert rep.max_violation > 0.1
 
+    def test_singular_values_computed_once_per_stack(self, monkeypatch):
+        # A, A*, and for each of the two inputs [A, P] and PA(1-P): 6 stacks
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        verify_commutator_lemma(4, 5, 0)
+        assert len(calls) == 6
+
     def test_identity_projection_trivial(self):
         rng = np.random.default_rng(0)
         A = complex_gaussian(rng, (5, 5))
