@@ -27,6 +27,7 @@ from .discretization import (
     GridRule,
     assemble_offdiagonal_truncation,
     build_grid,
+    check_spectrum_memory,
     min_box_half_width,
     operator_eigenvalues,
 )
@@ -151,9 +152,12 @@ def sweep(
 
     Points are computed independently (optionally in separate processes)
     and aggregated in decreasing-epsilon order; the fit uses only converged
-    points and requires at least five of them.
+    points and requires at least five of them. ValueError before any point
+    if min(jobs, points) processes at the cap n_max would exceed physical
+    memory.
     """
     eps = _validate_eps_grid(eps_grid)
+    check_spectrum_memory(n_max, params_base.mass, min(jobs, eps.size))
     jobs_list = [
         (params_base.lam, params_base.mass, float(e), order.kappa, n_max, rule.value)
         for e in eps
@@ -296,7 +300,8 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
 
     Computes ||restrict * Op(a_alpha) * (1 - restrict)||_q^q with
     a_alpha(k) = exp(-(l0/alpha) omega(k)); the ratio to log(alpha) must stay
-    bounded (an upper-bound property, not an exact rate).
+    bounded (an upper-bound property, not an exact rate). Singular values
+    s <= s_1 * max(block.shape) * eps_machine are left out of the sum.
     """
     l = round(1.0 / q)
     if abs(1.0 / q - l) > 1e-9 or l not in (2, 3, 4):
@@ -321,5 +326,7 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
     for params in all_params:
         block = assemble_offdiagonal_truncation(params, box.half_width, box.n)
         s = np.linalg.svd(block, compute_uv=False)
+        # values at the rounding floor are noise that s**q with q < 1 magnifies
+        s = s[s > s[0] * max(block.shape) * np.finfo(float).eps]
         norms.append(float(np.sum(s**q)))
     return DiagnosticsResult(alpha_grid=alphas, logq_norms=np.array(norms))

@@ -6,11 +6,13 @@ Schatten-norm property suite), diag (decomposition diagnostics).
 
 Every subcommand takes --output-format and --output-path; verify also takes
 --seed. sweep takes --jobs, the worker count for its epsilon points (default:
-DIAMOND_ENTROPY_JOBS, else the CPU count); entropy accepts it too, resolves
-it the same way and records it in its configuration, but starts no worker.
+DIAMOND_ENTROPY_JOBS, else the CPU count); entropy accepts it too and
+records it in its configuration when it is given, by flag or environment,
+but starts no worker.
 
 Exit codes: 0 success, 2 argument errors (for entropy and sweep, a bad
---jobs or DIAMOND_ENTROPY_JOBS included), 3 numerical non-convergence, 4
+--jobs or DIAMOND_ENTROPY_JOBS included, and a --grid-size whose
+eigensolver buffers exceed physical memory), 3 numerical non-convergence, 4
 property-suite failure. Outputs embed the resolved configuration and the
 package version and are bit-identical for identical configuration.
 """
@@ -47,13 +49,13 @@ def _fmt(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def _resolve_jobs(flag: int | None) -> int:
-    """--jobs, else DIAMOND_ENTROPY_JOBS, else the CPU count; ValueError unless >= 1."""
+def _resolve_jobs(flag: int | None) -> int | None:
+    """--jobs, else DIAMOND_ENTROPY_JOBS, else None; ValueError unless >= 1."""
     source, value = "--jobs", flag
     if flag is None:
         source, value = "DIAMOND_ENTROPY_JOBS", os.environ.get("DIAMOND_ENTROPY_JOBS")
         if value is None:
-            return os.cpu_count() or 1
+            return None
     try:
         jobs = int(value)
     except ValueError:
@@ -207,6 +209,8 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs is None:
+        args.jobs = os.cpu_count() or 1
     eps_grid = _parse_eps_grid(args.eps_grid)
     params = PhysicalParams(mass=args.mass, epsilon=float(eps_grid[0]), lam=args.lam)
     order = RenyiOrder(args.kappa)

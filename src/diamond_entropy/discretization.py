@@ -20,9 +20,13 @@ checks the reduction against the direct 2N x 2N complex assembly.
 Only the eigensolve costs O(N^3). Re K11 and K12 are even in the separation
 and Im K11 is odd, so on the mirror grid every row of S and CJ below
 ceil(N/2) is a reversed copy of a row above: the kernel is evaluated on
-ceil(N/2) x N separations and the real blocks are filled by reflection,
-without an N x N complex array. The Gauss-Legendre nodes start from a
-tridiagonal eigensolve, O(n^2).
+ceil(N/2) x N separations, _FILL_ROWS rows at a time, and each block and its
+mirror rows are written straight into S + CJ and S - CJ (S alone at mass 0),
+which LAPACK then solves in place. These are the only N x N arrays, so one
+spectrum peaks at the imports plus 8 N^2 b bytes (b = 1 at mass 0, 2 above)
+plus O(_FILL_ROWS N); check_spectrum_memory compares that figure with the
+physical memory. The Gauss-Legendre nodes start from a tridiagonal
+eigensolve, O(n^2).
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -33,12 +37,14 @@ the closed form is written only in kernel_eval.
 from __future__ import annotations
 
 import functools
+import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
@@ -46,6 +52,8 @@ from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
 DEFAULT_BOX_TAIL_TOL = 1e-6
+# kernel rows evaluated per block while S+- is filled
+_FILL_ROWS = 64
 
 
 class GridRule(str, Enum):
@@ -132,32 +140,84 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
     return Grid(nodes=nodes, weights=weights, rule=rule, lam=lam)
 
 
+def spectrum_buffer_bytes(n: int, mass: float) -> int:
+    """Bytes of the N x N matrices one spectrum holds: S at mass 0, S+ and S- above."""
+    return 8 * n * n * (1 if mass == 0.0 else 2)
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of the machine, from the page count and page size."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_spectrum_memory(n: int, mass: float, processes: int = 1) -> None:
+    """Raise ValueError if `processes` spectra at grid size n at once would
+    need more eigensolver buffers than the machine has physical memory."""
+    need = processes * spectrum_buffer_bytes(n, mass)
+    total = physical_memory_bytes()
+    if need > total:
+        fits = math.isqrt(total // (processes * spectrum_buffer_bytes(1, mass)))
+        raise ValueError(
+            f"grid size {n} needs {need:.3g} bytes of eigensolver buffers "
+            f"({processes} process(es) at mass {mass:g}), more than the {total:.3g} bytes "
+            f"of physical memory; the largest grid-size cap that fits is {fits}"
+        )
+
+
+def _eigvalsh_in_place(buf: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric C-ordered buf.
+
+    buf.T is the same matrix in Fortran order, so LAPACK overwrites it
+    instead of copying it. LAPACK reads the lower triangle of buf.T, the
+    reduction numpy's eigvalsh runs; buf is symmetric only to rounding, so
+    the eigenvalues agree with numpy's to a few ulp.
+    """
+    return eigh(buf.T, lower=True, eigvals_only=True, driver="evd",
+                overwrite_a=True, check_finite=False)
+
+
 @functools.lru_cache(maxsize=256)
 def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: float) -> np.ndarray:
-    """Eigenvalues of S+- on the grid given by its node and weight bytes."""
+    """Eigenvalues of S+- on the grid given by its node and weight bytes.
+
+    The only N x N arrays are the matrices LAPACK solves: S + CJ and S - CJ,
+    or S alone at mass 0. Peak memory is 8 N^2 bytes per matrix plus
+    O(_FILL_ROWS N) for one row block of kernel values.
+    """
     x = np.frombuffer(nodes) + x_offset
     sw = np.sqrt(np.frombuffer(weights))
     n = x.size
     h = (n + 1) // 2
-    W = sw[:h, None] * sw[None, :]
-    T11, T12 = kernel_blocks(params, x[:h, None] - x[None, :])
-    T11 *= W
-    # S = A - JB; the rows below h are mirror images of rows above n - h
-    S = np.empty((n, n))
-    np.add(T11.real, T11.imag[:, ::-1], out=S[:h])
-    np.subtract(T11.real[:n - h], T11.imag[:n - h, ::-1], out=S[h:][::-1, ::-1])
-    del T11  # free the complex rows before the eigensolve
-    if params.mass == 0.0:
-        eigenvalues = np.repeat(np.linalg.eigvalsh(S), 2)
+    massive = params.mass != 0.0
+    plus = np.empty((n, n))
+    minus = np.empty((n, n)) if massive else None
+    for a in range(0, h, _FILL_ROWS):
+        b = min(a + _FILL_ROWS, h)
+        T11, T12 = kernel_blocks(params, x[a:b, None] - x[None, :])
+        W = sw[a:b, None] * sw[None, :]
+        T11 *= W
+        # rows a:b of S = A - JB = A + BJ; row n-1-i (i < n - h) of S, with
+        # columns reversed, is row i of A - BJ
+        top = T11.real + T11.imag[:, ::-1]
+        low = T11.real - T11.imag[:, ::-1]
+        del T11  # not alive while the next block is evaluated
+        below = min(b, n - h) - a  # rows with a mirror row: the centre row has none
+        mirror = slice(n - a - below, n - a)
+        if massive:
+            T12 *= W
+            CJ = T12[:, ::-1]  # CJ is centrosymmetric: row n-1-i is row i reversed
+            np.add(top, CJ, out=plus[a:b])
+            np.subtract(top, CJ, out=minus[a:b])
+            np.add(low[:below], CJ[:below], out=plus[mirror][::-1, ::-1])
+            np.subtract(low[:below], CJ[:below], out=minus[mirror][::-1, ::-1])
+        else:
+            plus[a:b] = top
+            plus[mirror][::-1, ::-1] = low[:below]
+    if massive:
+        eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus),
+                                              _eigvalsh_in_place(minus)]))
     else:
-        T12 *= W
-        CJ = np.empty((n, n))
-        CJ[:h] = T12[:, ::-1]
-        CJ[h:] = CJ[:n - h][::-1, ::-1]
-        del T12, W
-        plus = np.linalg.eigvalsh(S + CJ)
-        S -= CJ
-        eigenvalues = np.sort(np.concatenate([plus, np.linalg.eigvalsh(S)]))
+        eigenvalues = np.repeat(_eigvalsh_in_place(plus), 2)
     eigenvalues.flags.writeable = False  # later rungs and other orders read it back
     return eigenvalues
 
@@ -189,9 +249,10 @@ def operator_eigenvalues(
 
     The spectra of the real mirror blocks S+- = A - JB +- CJ (module
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
-    The kernel is evaluated on the top ceil(N/2) rows only; the bottom rows
-    of S and CJ are their reflections. Results are read-only and cached by
-    the parameters, the grid's nodes and weights, and the offset.
+    The kernel is evaluated on the top ceil(N/2) rows only, in blocks of
+    _FILL_ROWS rows; the bottom rows of S and CJ are their reflections.
+    Results are read-only and cached by the parameters, the grid's nodes and
+    weights, and the offset.
     """
     key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
     eigenvalues = _spectrum(*key) if use_cache else _spectrum.__wrapped__(*key)

@@ -28,6 +28,7 @@ from .discretization import (
     DEFAULT_TOL_DISC,
     GridRule,
     build_grid,
+    check_spectrum_memory,
     operator_eigenvalues,
     validate_spectrum_range,
 )
@@ -126,10 +127,12 @@ def entanglement_entropy(
     are treated as unresolved and skipped; if no grid up to the cap yields
     an admissible spectrum, ConvergenceError is raised. The result is flagged
     converged once doubling the grid changes the entropy by less than
-    DEFAULT_REL_CHANGE.
+    DEFAULT_REL_CHANGE. ValueError before any work if the cap's eigensolver
+    buffers exceed physical memory.
     """
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
+    check_spectrum_memory(n, params.mass)
     sub = subtraction_trace(params, order)
 
     prev_entropy = None

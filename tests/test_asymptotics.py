@@ -6,6 +6,7 @@ from diamond_entropy import (
     ConvergenceError,
     PhysicalParams,
     RenyiOrder,
+    asymptotics,
     log_growth_diagnostic,
     mass_independence_check,
     offdiagonal_diagnostic,
@@ -147,6 +148,21 @@ class TestLogGrowthDiagnostic:
         spread = ratios_a.max() - ratios_a.min()
         gap = np.abs(res_a.logq_norms - res_b.logq_norms).max()
         assert gap < spread + 0.5
+
+    def test_rounding_floor_left_out(self, monkeypatch):
+        # one ulp up or down on every entry, in a checkerboard
+        alphas = [1e2, 1e3, 1e4]
+        exact = log_growth_diagnostic(0.25, alphas).logq_norms
+        assemble = asymptotics.assemble_offdiagonal_truncation
+
+        def perturbed(*args):
+            block = assemble(*args)
+            signs = np.where(np.add.outer(*map(np.arange, block.shape)) % 2, 1.0, -1.0)
+            return block + signs * np.spacing(block)
+
+        monkeypatch.setattr(asymptotics, "assemble_offdiagonal_truncation", perturbed)
+        moved = log_growth_diagnostic(0.25, alphas).logq_norms
+        assert np.abs(moved / exact - 1.0).max() < 1e-9
 
     def test_other_q_orders_run(self):
         for q in (1.0 / 3.0, 0.25):

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import diamond_entropy
+from diamond_entropy import asymptotics, discretization, entropy_pipeline
 from diamond_entropy.cli import main, _parse_eps_grid
 from diamond_entropy.schatten_toolkit import SchattenReport
 
@@ -36,6 +38,37 @@ class TestArgumentHandling:
     def test_removed_options_exit_2(self, option):
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", option, "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--epsilon", "0.01"],
+        ["sweep", "--eps-grid", "0.1:0.002:8log", "--jobs", "2"],
+    ])
+    def test_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the memory preflight")
+
+        for module, name in [(entropy_pipeline, "subtraction_trace"),
+                             (entropy_pipeline, "build_grid"),
+                             (asymptotics, "_sweep_point")]:
+            monkeypatch.setattr(module, name, no_work)
+        tracemalloc.start()
+        try:
+            code = run_cli([*command, "--kappa", "1", "--grid-size", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert "bytes of eigensolver buffers" in err and "largest grid-size cap that fits" in err
+
+    def test_sweep_preflight_counts_workers(self, monkeypatch, capsys):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096**2)
+        monkeypatch.setattr(asymptotics, "_sweep_point", None)  # never reached
+        code = run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
+                        "--grid-size", "4096", "--jobs", "4"])
+        assert code == 2
+        assert "4 process(es)" in capsys.readouterr().err
 
     def test_eps_grid_mini_language(self):
         grid = _parse_eps_grid("0.1:0.002:8log")
@@ -274,6 +307,12 @@ class TestJobsResolution:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["jobs"] == 3
+
+    def test_no_flag_no_env_records_no_jobs(self, monkeypatch, capsys):
+        monkeypatch.delenv("DIAMOND_ENTROPY_JOBS", raising=False)
+        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5"])
+        assert code == 0
+        assert "jobs" not in json.loads(capsys.readouterr().out)["config"]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-4"])
     def test_bad_env_exits_2(self, monkeypatch, capsys, value):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,8 @@ class TestAssembleOperator:
         pytest.param(1.3, 48, 0.2, id="1.3"),
         (0.0, 255, 0.002), (1.3, 255, 0.002), (0.0, 256, 0.002), (1.3, 256, 0.002),
         (0.0, 257, 0.002), (1.3, 257, 0.002),
+        (0.0, 127, 0.002), (1.3, 127, 0.002), (0.0, 128, 0.002), (1.3, 128, 0.002),
+        (0.0, 129, 0.002), (1.3, 129, 0.002), (0.0, 259, 0.002), (1.3, 259, 0.002),
     ])
     def test_fast_spectrum_matches_full_assembly(self, mass, n, epsilon):
         # Sharp kernels with odd and even N amplify any mirror asymmetry by 1/eps^2.
@@ -121,17 +125,44 @@ class TestAssembleOperator:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     @pytest.mark.parametrize("n", [4, 5, 256, 257])
     def test_kernel_filled_on_half_the_rows(self, monkeypatch, mass, n):
-        shapes = []
+        grid = build_grid(n, 1.0)
+        row_of = {d: i for i, d in enumerate(grid.nodes - grid.nodes[0])}
+        calls = []
         kernel = discretization.kernel_blocks
 
         def recording(params, u):
-            shapes.append(np.shape(u))
+            calls.append((np.shape(u), [row_of[d] for d in u[:, 0]]))
             return kernel(params, u)
 
         monkeypatch.setattr(discretization, "kernel_blocks", recording)
         params = PhysicalParams(mass=mass, epsilon=0.1, lam=1.0)
-        operator_eigenvalues(params, build_grid(n, 1.0), validate=False, use_cache=False)
-        assert shapes == [((n + 1) // 2, n)]
+        operator_eigenvalues(params, grid, validate=False, use_cache=False)
+        assert all(cols == n and rows <= discretization._FILL_ROWS
+                   for (rows, cols), _ in calls)
+        assert [i for _, block in calls for i in block] == list(range((n + 1) // 2))
+
+    @pytest.mark.parametrize("mass, buffers", [(0.0, 1), (1.0, 2)])
+    def test_peak_memory_is_the_eigensolver_buffers(self, mass, buffers):
+        n = 2048
+        params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
+        grid = build_grid(n, 1.0)
+        tracemalloc.start()
+        try:
+            operator_eigenvalues(params, grid, validate=False, use_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert discretization.spectrum_buffer_bytes(n, mass) == 8 * n * n * buffers
+        assert peak <= 8 * n * n * buffers + 32 * 8 * discretization._FILL_ROWS * n
+
+    def test_memory_preflight_scales_with_mass_and_processes(self, monkeypatch):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096**2)
+        discretization.check_spectrum_memory(4096, 0.0, 3)
+        discretization.check_spectrum_memory(4096, 1.0, 1)
+        with pytest.raises(ValueError, match="largest grid-size cap that fits is 3547$"):
+            discretization.check_spectrum_memory(4096, 1.0, 2)
+        with pytest.raises(ValueError, match="fits is 4096$"):
+            discretization.check_spectrum_memory(4097, 0.0, 3)
 
     def test_quadrature_path_matches_closed_forms(self):
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)
