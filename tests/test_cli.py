@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +359,29 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert diamond_entropy.__version__ in proc.stdout
+
+
+class TestImportGraph:
+    def test_no_integrate_optimize_or_sparse_loaded(self):
+        # the pipeline needs scipy.linalg and scipy.special only; each of these
+        # subpackages costs a fresh CLI process import time and memory
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import diamond_entropy.cli as cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["entropy", "--kappa", "1", "--epsilon", "0.5",
+                                 "--grid-size", "128", "--jobs", "1"]) == 0
+                assert cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
+                                 "--grid-size", "256", "--jobs", "2"]) == 0
+            heavy = [m for m in sys.modules
+                     if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
+                                             ["scipy", "sparse"])]
+            print(" ".join(sorted(heavy)))
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        env.pop("DIAMOND_ENTROPY_JOBS", None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

@@ -14,6 +14,7 @@ from diamond_entropy import (
     operator_eigenvalues,
     subtraction_trace,
 )
+from diamond_entropy import discretization, entropy_pipeline
 from oracle import direct_spectrum
 
 K1 = RenyiOrder(1.0)
@@ -63,6 +64,54 @@ class TestSubtractionTrace:
         value = subtraction_trace(params, K1)
         assert value == pytest.approx(np.pi / (6 * eps), rel=1e-6)
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
+    def test_massless_closed_form_every_order(self, kappa):
+        # int_0^inf eta_kappa(exp(-x)) dx = pi^2 (kappa + 1) / (12 kappa)
+        params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
+        value = subtraction_trace(params, RenyiOrder(kappa))
+        expected = np.pi * (kappa + 1.0) / (12.0 * kappa * params.epsilon)
+        assert value == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("mass, eps, kappa", [(1.0, 0.002, 1.0), (1.0, 0.05, 2.0),
+                                                  (5.0, 0.3, 0.5)])
+    def test_matches_30_digit_oracle(self, mass, eps, kappa):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a, k = mpmath.mpf(mass) * mpmath.mpf(eps), mpmath.mpf(kappa)
+
+            def integrand(x):
+                r = mpmath.sqrt(x * x + a * a)
+                p, q = mpmath.exp(-r), -mpmath.expm1(-r)
+                if k == 1:
+                    return -p * mpmath.log(p) - q * mpmath.log(q)
+                return mpmath.log(p**k + q**k) / (1 - k)
+
+            breaks = [0] + [mpmath.mpf(2) ** j for j in range(-8, 9)] + [mpmath.inf]
+            oracle = float(mpmath.quad(integrand, breaks) / (mpmath.pi * eps))
+        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
+        assert subtraction_trace(params, RenyiOrder(kappa)) == pytest.approx(oracle, rel=1e-13)
+
+    def test_unresolved_integrand_signals(self, monkeypatch):
+        # an integrand the 16- and 32-node panel sums disagree on
+        monkeypatch.setattr(entropy_pipeline, "eta", lambda order, t: np.sin(1e3 * t))
+        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
+        with pytest.raises(ConvergenceError, match="bulk-term quadrature"):
+            subtraction_trace(params, K1)
+
+    @pytest.mark.parametrize("kappa", [0.05, 1.0])
+    def test_node_count_bounded_at_large_mass_times_eps(self, monkeypatch, kappa):
+        sizes = []
+
+        def recording(edges, per):
+            x, w = discretization._panel_nodes(edges, per)
+            sizes.append(x.size)
+            return x, w
+
+        monkeypatch.setattr(entropy_pipeline, "_panel_nodes", recording)
+        params = PhysicalParams(mass=1e4, epsilon=1.0, lam=1.0)
+        assert np.isfinite(subtraction_trace(params, RenyiOrder(kappa)))
+        assert sizes and max(sizes) <= 4096
+
     def test_dilogarithm_gate(self):
         # quadrature oracle for the closed form: int_0^1 eta_1(u)/u du = pi^2/6
         integrand = lambda u: eta(K1, u) / u
@@ -85,7 +134,7 @@ class TestSubtractionTrace:
         # independent oracle: composite Gauss-Legendre at two resolutions
         params = PhysicalParams(mass=1.0, epsilon=0.05, lam=1.0)
         order = RenyiOrder(2.0)
-        adaptive = subtraction_trace(params, order)
+        panel = subtraction_trace(params, order)
         a = params.epsilon * params.mass
 
         def fixed_gl(n):
@@ -98,7 +147,7 @@ class TestSubtractionTrace:
 
         coarse, fine = fixed_gl(200), fixed_gl(400)
         assert abs(fine - coarse) / abs(fine) < 1e-8
-        assert adaptive == pytest.approx(fine, rel=1e-8)
+        assert panel == pytest.approx(fine, rel=1e-8)
 
 
 class TestEntanglementEntropy:
