@@ -44,6 +44,7 @@ from .entropy_pipeline import (
     EntropyResult,
     entanglement_entropy,
     entropy_from_eigenvalues,
+    entropy_integral,
     subtraction_trace,
 )
 from .errors import (
@@ -56,7 +57,6 @@ from .kernel_eval import kernel_blocks
 from .renyi_functions import (
     ConditionFParams,
     RenyiOrder,
-    entropy_integral,
     eta,
     eta_derivatives,
     probe_condition_f,

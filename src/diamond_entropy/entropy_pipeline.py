@@ -11,7 +11,8 @@ the translation-invariant operator (its symbol has eigenvalues
 integral; discretizing it in position space would only add a second,
 avoidable source of error. The integral is a fixed composite Gauss-Legendre
 sum on dyadic panels (the panel helpers of the cross-block diagnostic's
-graded grid), checked by a coarser rule on the same panels.
+graded grid), checked by a coarser rule on the same panels. The same sum at
+m = 0 gives the integral behind the slope constant, entropy_integral.
 
 Grid sizes double from 128 until the entropy changes by less than 0.5%
 or the requested cap is reached.
@@ -35,7 +36,7 @@ from .discretization import (
     validate_spectrum_range,
 )
 from .errors import ConvergenceError
-from .renyi_functions import RenyiOrder, eta
+from .renyi_functions import _LN2, RenyiOrder, _eta_of_log, eta
 
 DEFAULT_N_START = 128
 DEFAULT_N_MAX = 4096
@@ -82,26 +83,28 @@ def entropy_from_eigenvalues(
     return float(np.sum(eta(order, clipped))), report
 
 
-def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
-    """Bulk term (lam / 2 pi) int eta(exp(-eps*omega(k))) dk by panel quadrature.
+def _eta_integral(order: RenyiOrder, a: float) -> float:
+    """int_0^inf eta(exp(-hypot(x, a))) dx by a checked panel sum.
 
-    Rescaled to x = eps * k, the integrand decays like exp(-min(kappa,1) x);
-    the integration range is truncated at x_max, where it underflows well
-    below BULK_REL_TOL. The panels [0, 2^-60], [2^-60, 2^-59], ..., up to
-    x_max resolve the x^kappa and x log x behaviour at x = 0 and the
-    exponential tail with a node count that grows only like log2(x_max).
-    The 32-node Gauss-Legendre sum on these panels is the value; the 16-node
-    sum on the same panels checks it, and ConvergenceError is raised when
-    the two differ by more than BULK_REL_TOL relative.
+    The integrand decays like exp(-min(kappa,1) x) and is cut at x_max, where
+    it underflows well below BULK_REL_TOL. Dyadic panels resolve the x^kappa
+    and x log x behaviour at x = 0 and, when a < ln 2, the turn within
+    ~1/kappa of t = 1/2 at x* = sqrt(ln^2 2 - a^2), graded toward x* from
+    both sides. The 32-node Gauss-Legendre sum is the value; the 16-node sum
+    on the same panels checks it (ConvergenceError past BULK_REL_TOL). eta is
+    read from ln t, so the tail stays accurate where exp(-hypot) underflows.
     """
-    a = params.epsilon * params.mass
-    kappa_floor = min(order.kappa, 1.0)
-    x_max = max(80.0, 60.0 / kappa_floor) + a + 5.0
-
+    x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
     edges = _graded_edges(x_max, _BULK_FINE)
+    if a < _LN2:
+        x_star = np.sqrt(_LN2**2 - a * a)
+        below = _graded_edges(0.5 * x_star, _BULK_FINE)
+        above = x_star + _graded_edges(x_max - x_star, _BULK_FINE)
+        # panels narrower than the float spacing at x* collapse and drop out
+        edges = np.unique(np.concatenate([below, x_star - below, above]))
     x_fine, w_fine = _panel_nodes(edges, 32)
     x_coarse, w_coarse = _panel_nodes(edges, 16)
-    values = eta(order, np.exp(-np.hypot(np.concatenate([x_fine, x_coarse]), a)))
+    values = _eta_of_log(order, -np.hypot(np.concatenate([x_fine, x_coarse]), a))
     value = float(w_fine @ values[:x_fine.size])
     coarse = float(w_coarse @ values[x_fine.size:])
     if abs(value - coarse) > BULK_REL_TOL * abs(value) + 1e-13:
@@ -109,7 +112,25 @@ def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
             f"bulk-term quadrature did not reach rel_tol={BULK_REL_TOL}: value={value}, "
             f"16-node value={coarse}"
         )
-    return params.lam * value / (np.pi * params.epsilon)
+    return value
+
+
+def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
+    """Bulk term (lam / 2 pi) int eta(exp(-eps*omega(k))) dk = lam I(eps*m) / (pi eps).
+
+    I(a) = int_0^inf eta(exp(-hypot(x, a))) dx is _eta_integral in x = eps*k.
+    """
+    a = params.epsilon * params.mass
+    return params.lam * _eta_integral(order, a) / (np.pi * params.epsilon)
+
+
+def entropy_integral(order: RenyiOrder) -> float:
+    """(1/pi^2) int_0^1 eta(t) / (t(1-t)) dt, equal to (1/6)(kappa+1)/kappa.
+
+    With t = exp(-x) and the symmetry of eta about 1/2 it is (2/pi^2) I(0),
+    the massless bulk integral _eta_integral.
+    """
+    return 2.0 * _eta_integral(order, 0.0) / np.pi**2
 
 
 def _ladder_sizes(n_start: int, n_cap: int) -> list[int]:

@@ -2,10 +2,10 @@
 
 The family eta_kappa interpolates between the von Neumann entropy function
 (kappa = 1) and the Renyi functions (1/(1-kappa)) ln(t^kappa + (1-t)^kappa).
-This module provides stable evaluation of eta and its first two derivatives,
-the closed-form slope constant (1/6)(kappa+1)/kappa, the singular integral
-(1/pi^2) int_0^1 eta(t)/(t(1-t)) dt that reproduces it, and a numerical probe
-of the endpoint exponent gamma in |eta^(k)(t)| <= c_k |t - t0|^(gamma - k).
+This module provides stable evaluation of eta (from t or ln t) and its first
+two derivatives, the closed-form slope constant (1/6)(kappa+1)/kappa (whose
+integral form lives beside the bulk term in entropy_pipeline), and a probe of
+the endpoint exponent gamma in |eta^(k)(t)| <= c_k |t - t0|^(gamma - k).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EstimationError
+from .errors import EstimationError
 
 # |kappa - 1| below this uses the von Neumann branch; the general formula
 # suffers catastrophic cancellation in (1/(1-kappa)) ln(...) near kappa = 1.
@@ -23,10 +23,7 @@ VON_NEUMANN_TOL = 1e-12
 # t below this is treated as an exact endpoint (IEEE underflow guard).
 _UNDERFLOW_T = 1e-300
 
-# relative accuracy demanded of entropy_integral
-INTEGRAL_REL_TOL = 1e-8
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,23 @@ class ConditionFParams:
             raise ValueError("seminorm_bound must be nonnegative")
 
 
+def _eta_reflected(order: RenyiOrder, s, log_s, log_c, ratio_pow):
+    """eta at the reflected point s <= 1/2 from s, ln s, ln(1-s), (s/(1-s))^kappa.
+
+    (kappa ln(1-s) + log1p((s/(1-s))^kappa)) / (1-kappa) neither overflows
+    nor cancels at large kappa; callers form each input accurately.
+    """
+    if order.is_von_neumann:
+        return -s * log_s - np.exp(log_c) * log_c
+    kap = order.kappa
+    return (kap * log_c + np.log1p(ratio_pow)) / (1.0 - kap)
+
+
 def eta(order: RenyiOrder, t):
     """Evaluate eta_kappa at t (scalar or array); zero outside (0, 1).
 
-    Uses the reflected variable min(t, 1-t) with log1p/expm1 forms so the
-    evaluation stays accurate at both endpoints.
+    Uses the reflected variable min(t, 1-t) in log1p form, so it stays
+    accurate at both endpoints and for every kappa > 0.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -81,15 +90,18 @@ def eta(order: RenyiOrder, t):
 
     tm = np.minimum(t_arr, 1.0 - t_arr)   # eta is symmetric about t = 1/2
     inside = tm > _UNDERFLOW_T
-    tmi = tm[inside]
-    if order.is_von_neumann:
-        out[inside] = -tmi * np.log(tmi) - (1.0 - tmi) * np.log1p(-tmi)
-    else:
-        kap = order.kappa
-        # t^k + (1-t)^k = 1 + [t^k + expm1(k log1p(-t))], stable as t -> 0
-        s = np.power(tmi, kap) + np.expm1(kap * np.log1p(-tmi))
-        out[inside] = np.log1p(s) / (1.0 - kap)
+    s = tm[inside]
+    out[inside] = _eta_reflected(order, s, np.log(s), np.log1p(-s), (s / (1.0 - s)) ** order.kappa)
     return float(out[0]) if scalar else out
+
+
+def _eta_of_log(order: RenyiOrder, log_t: np.ndarray) -> np.ndarray:
+    """eta_kappa(exp(log_t)) for log_t < 0, accurate where t underflows but t^kappa does not."""
+    # ln(1 - t), each form where it does not cancel
+    low = log_t <= -_LN2
+    log_u = np.where(low, np.log1p(-np.exp(np.minimum(log_t, -_LN2))), np.log(-np.expm1(log_t)))
+    log_s, log_c = np.minimum(log_t, log_u), np.maximum(log_t, log_u)
+    return _eta_reflected(order, np.exp(log_s), log_s, log_c, np.exp(order.kappa * (log_s - log_c)))
 
 
 def eta_derivatives(order: RenyiOrder, t):
@@ -115,42 +127,6 @@ def eta_derivatives(order: RenyiOrder, t):
 def theoretical_slope(order: RenyiOrder) -> float:
     """Slope constant (1/6)(kappa+1)/kappa of the log-enhanced area law."""
     return (order.kappa + 1.0) / (6.0 * order.kappa)
-
-
-def _panel_integral(order: RenyiOrder, a: float, b: float) -> float:
-    """32-node Gauss-Legendre of eta(t)/(t(1-t)) over [a, b]."""
-    x = 0.5 * (b - a) * (_GL_NODES + 1.0) + a
-    w = 0.5 * (b - a) * _GL_WEIGHTS
-    return float(np.sum(w * eta(order, x) / (x * (1.0 - x))))
-
-
-def entropy_integral(order: RenyiOrder) -> float:
-    """Compute (1/pi^2) int_0^1 eta_kappa(t) / (t(1-t)) dt.
-
-    The integrand behaves like t^(gamma-1) at the endpoints, so the unit
-    interval is covered by dyadic panels refined toward both ends (the
-    integrand is symmetric, so only (0, 1/2] is integrated and doubled).
-    Refinement stops once the geometric tail estimate of the remaining
-    panels drops below a fraction of INTEGRAL_REL_TOL.
-    """
-    total = 0.0
-    prev_contrib = None
-    max_levels = 600
-    for j in range(1, max_levels + 1):
-        a, b = 2.0 ** -(j + 1), 2.0**-j
-        contrib = 2.0 * _panel_integral(order, a, b)
-        total += contrib
-        if prev_contrib is not None and total > 0.0:
-            ratio = contrib / prev_contrib if prev_contrib > 0 else 0.0
-            if 0.0 <= ratio < 0.97:
-                tail = contrib * ratio / (1.0 - ratio)
-                if tail < 0.25 * INTEGRAL_REL_TOL * total:
-                    return total / np.pi**2
-        prev_contrib = contrib
-    raise ConvergenceError(
-        f"entropy_integral: dyadic refinement did not settle to rel_tol={INTEGRAL_REL_TOL} "
-        f"within {max_levels} levels (kappa={order.kappa})"
-    )
 
 
 def probe_condition_f(order: RenyiOrder, t0: float, samples: int = 200) -> ConditionFParams:

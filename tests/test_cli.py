@@ -124,6 +124,15 @@ class TestEntropyCommand:
         assert len(warning) == 1
         assert "not converged" in warning[0] and "n=256" in warning[0]
 
+    @pytest.mark.parametrize("kappa", ["0.02", "20", "100"])
+    def test_extreme_orders_finite(self, capsys, kappa):
+        code = run_cli(["entropy", "--kappa", kappa, "--epsilon", "0.1",
+                        "--grid-size", "256", "--jobs", "1"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert np.isfinite(result["entropy"])
+        assert np.isfinite(result["subtraction_trace"])
+
     def test_unresolvable_epsilon_exits_3(self, capsys):
         code = run_cli(
             ["entropy", "--kappa", "1", "--epsilon", "1e-5",
@@ -364,10 +373,22 @@ class TestEntryPoint:
 class TestImportGraph:
     def test_no_integrate_optimize_or_sparse_loaded(self):
         # the pipeline needs scipy.linalg and scipy.special only; each of these
-        # subpackages costs a fresh CLI process import time and memory
+        # subpackages costs a fresh CLI process import time and memory. Its
+        # Gauss-Legendre rules all come from discretization._legendre_rule,
+        # built on first use, never from numpy's leggauss.
         script = textwrap.dedent("""
             import contextlib, io, sys
+            import numpy.polynomial.legendre
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("numpy leggauss called")
+
+            numpy.polynomial.legendre.leggauss = refuse
             import diamond_entropy.cli as cli
+            from diamond_entropy import RenyiOrder, entropy_integral
+            from diamond_entropy.discretization import _legendre_rule
+            assert _legendre_rule.cache_info().currsize == 0
+            assert abs(entropy_integral(RenyiOrder(2.0)) - 0.25) < 1e-13
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["entropy", "--kappa", "1", "--epsilon", "0.5",
                                  "--grid-size", "128", "--jobs", "1"]) == 0

@@ -64,7 +64,7 @@ class TestSubtractionTrace:
         value = subtraction_trace(params, K1)
         assert value == pytest.approx(np.pi / (6 * eps), rel=1e-6)
 
-    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("kappa", [0.01, 0.5, 1.0, 2.0, 3.0, 20.0, 100.0, 1e4])
     def test_massless_closed_form_every_order(self, kappa):
         # int_0^inf eta_kappa(exp(-x)) dx = pi^2 (kappa + 1) / (12 kappa)
         params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
@@ -73,7 +73,9 @@ class TestSubtractionTrace:
         assert value == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("mass, eps, kappa", [(1.0, 0.002, 1.0), (1.0, 0.05, 2.0),
-                                                  (5.0, 0.3, 0.5)])
+                                                  (5.0, 0.3, 0.5), (0.3, 1.0, 0.01),
+                                                  (0.3, 1.0, 20.0), (0.69, 1.0, 1000.0),
+                                                  (40.0, 1.0, 0.01)])
     def test_matches_30_digit_oracle(self, mass, eps, kappa):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
@@ -93,7 +95,8 @@ class TestSubtractionTrace:
 
     def test_unresolved_integrand_signals(self, monkeypatch):
         # an integrand the 16- and 32-node panel sums disagree on
-        monkeypatch.setattr(entropy_pipeline, "eta", lambda order, t: np.sin(1e3 * t))
+        monkeypatch.setattr(entropy_pipeline, "_eta_of_log",
+                            lambda order, log_t: np.sin(1e3 * np.exp(log_t)))
         params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
         with pytest.raises(ConvergenceError, match="bulk-term quadrature"):
             subtraction_trace(params, K1)

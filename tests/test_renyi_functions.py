@@ -93,6 +93,20 @@ class TestEta:
         for lo, hi in zip(values, values[1:]):
             assert np.all(lo >= hi - 1e-14)
 
+    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.5, 2.0, 20.0, 50.0, 100.0, 1e4])
+    def test_matches_90_digit_oracle(self, kappa):
+        # t^kappa + (1-t)^kappa falls to 2^(1-kappa) near t = 1/2 at large
+        # kappa; no step of eta may cancel there or underflow near t = 0
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.geomspace(1e-30, 0.5, 120)
+        values = eta(RenyiOrder(kappa), ts)
+        with mpmath.workdps(90):
+            k = mpmath.mpf(kappa)
+            for t, value in zip(ts, values):
+                t = mpmath.mpf(float(t))
+                oracle = float(mpmath.log(t**k + (1 - t) ** k) / (1 - k))
+                assert value == pytest.approx(oracle, rel=1e-14)
+
     def test_endpoint_stability_no_nan(self):
         order = RenyiOrder(1.0)
         t = np.nextafter(1.0, 0.0)
@@ -127,11 +141,13 @@ class TestTheoreticalSlope:
 
 
 class TestEntropyIntegral:
-    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "kappa", [1e-3, 0.01, 0.05, 0.5, 1.0, 2.0, 7.0, 20.0, 30.0, 100.0, 1e4]
+    )
     def test_matches_closed_form(self, kappa):
         order = RenyiOrder(kappa)
         value = entropy_integral(order)
-        assert value == pytest.approx(theoretical_slope(order), rel=1e-7)
+        assert value == pytest.approx(theoretical_slope(order), rel=1e-13)
 
 
 class TestProbe:
