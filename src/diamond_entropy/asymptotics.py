@@ -157,7 +157,7 @@ def sweep(
     memory.
     """
     eps = _validate_eps_grid(eps_grid)
-    check_spectrum_memory(n_max, params_base.mass, min(jobs, eps.size))
+    check_spectrum_memory(n_max, min(jobs, eps.size))
     jobs_list = [
         (params_base.lam, params_base.mass, float(e), order.kappa, n_max, rule.value)
         for e in eps

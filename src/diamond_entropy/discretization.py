@@ -17,16 +17,21 @@ and P. Butler, Eigenvalues and eigenvectors of symmetric centrosymmetric
 matrices, LAA 13 (1976)). At mass 0, C = 0 and S+ = S-. The test suite
 checks the reduction against the direct 2N x 2N complex assembly.
 
-Only the eigensolve costs O(N^3). Re K11 and K12 are even in the separation
-and Im K11 is odd, so on the mirror grid every row of S and CJ below
-ceil(N/2) is a reversed copy of a row above: the kernel is evaluated on
-ceil(N/2) x N separations, _FILL_ROWS rows at a time, and each block and its
-mirror rows are written straight into S + CJ and S - CJ (S alone at mass 0),
-which LAPACK then solves in place. These are the only N x N arrays, so one
-spectrum peaks at the imports plus 8 N^2 b bytes (b = 1 at mass 0, 2 above)
-plus O(_FILL_ROWS N); check_spectrum_memory compares that figure with the
-physical memory. The Gauss-Legendre nodes start from a tridiagonal
-eigensolve, O(n^2).
+Only the eigensolve costs O(N^3). A, B and C depend on the separation
+x_i - x_j alone (A and C even in it, B odd), and S+- = A + H+- with
+H+- J = B +- C. On the mirror grid, transposition and the mirror
+(i, j) -> (N-1-i, N-1-j) each map the set of separations onto itself, so the
+kernel is evaluated only on the fundamental domain D = {i <= j <= N-1-i},
+about N^2/4 separations, _FILL_ROWS rows at a time, and each value is added
+into its four images in A and in H+- J. One zero-initialised N x N buffer
+holds S+ on and above its diagonal and S- below it, with S-'s diagonal
+saved in an N-vector. LAPACK's ?sytrd reads and overwrites only the
+triangle it is told to, so S+ is solved in place, the saved diagonal is
+written back, and S- is solved in place (S+ = S- at mass 0, so only S+ is
+filled and solved). The buffer is the only N x N array, so one spectrum
+peaks at the imports plus 8 N (N + 1) bytes plus O(_FILL_ROWS N);
+check_spectrum_memory compares that figure with the physical memory. The
+Gauss-Legendre nodes start from a tridiagonal eigensolve, O(n^2).
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -52,7 +57,7 @@ from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
 DEFAULT_BOX_TAIL_TOL = 1e-6
-# kernel rows evaluated per block while S+- is filled
+# kernel rows evaluated per strip while S+- is filled
 _FILL_ROWS = 64
 
 
@@ -140,9 +145,9 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
     return Grid(nodes=nodes, weights=weights, rule=rule, lam=lam)
 
 
-def spectrum_buffer_bytes(n: int, mass: float) -> int:
-    """Bytes of the N x N matrices one spectrum holds: S at mass 0, S+ and S- above."""
-    return 8 * n * n * (1 if mass == 0.0 else 2)
+def spectrum_buffer_bytes(n: int) -> int:
+    """Bytes of the N x N buffer one spectrum holds, plus one N-vector beside it."""
+    return 8 * n * (n + 1)
 
 
 def physical_memory_bytes() -> int:
@@ -150,29 +155,31 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_spectrum_memory(n: int, mass: float, processes: int = 1) -> None:
+def check_spectrum_memory(n: int, processes: int = 1) -> None:
     """Raise ValueError if `processes` spectra at grid size n at once would
     need more eigensolver buffers than the machine has physical memory."""
-    need = processes * spectrum_buffer_bytes(n, mass)
+    need = processes * spectrum_buffer_bytes(n)
     total = physical_memory_bytes()
     if need > total:
-        fits = math.isqrt(total // (processes * spectrum_buffer_bytes(1, mass)))
+        # largest k with 8 k (k + 1) <= total / processes
+        fits = (math.isqrt(4 * (total // (8 * processes)) + 1) - 1) // 2
         raise ValueError(
             f"grid size {n} needs {need:.3g} bytes of eigensolver buffers "
-            f"({processes} process(es) at mass {mass:g}), more than the {total:.3g} bytes "
+            f"({processes} process(es)), more than the {total:.3g} bytes "
             f"of physical memory; the largest grid-size cap that fits is {fits}"
         )
 
 
-def _eigvalsh_in_place(buf: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric C-ordered buf.
+def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix in one triangle of the
+    C-ordered buf: the upper one (with the diagonal) if upper, else the lower.
 
-    buf.T is the same matrix in Fortran order, so LAPACK overwrites it
-    instead of copying it. LAPACK reads the lower triangle of buf.T, the
-    reduction numpy's eigvalsh runs; buf is symmetric only to rounding, so
-    the eigenvalues agree with numpy's to a few ulp.
+    buf.T is the same array in Fortran order, so LAPACK overwrites it instead
+    of copying it, and buf's upper triangle is the lower triangle of buf.T.
+    ?sytrd reads and overwrites only that triangle and the diagonal; the
+    other strict triangle survives the solve bit for bit.
     """
-    return eigh(buf.T, lower=True, eigvals_only=True, driver="evd",
+    return eigh(buf.T, lower=upper, eigvals_only=True, driver="evd",
                 overwrite_a=True, check_finite=False)
 
 
@@ -180,44 +187,68 @@ def _eigvalsh_in_place(buf: np.ndarray) -> np.ndarray:
 def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: float) -> np.ndarray:
     """Eigenvalues of S+- on the grid given by its node and weight bytes.
 
-    The only N x N arrays are the matrices LAPACK solves: S + CJ and S - CJ,
-    or S alone at mass 0. Peak memory is 8 N^2 bytes per matrix plus
-    O(_FILL_ROWS N) for one row block of kernel values.
+    The kernel is evaluated on row strips of D = {i <= j <= N-1-i}. With
+    i' = N-1-i, a value at (i, j) of A goes to (i, j) and (j', i') of S+ and
+    to (j, i) and (i', j') of S-; one of B +- C goes to (i, j') and (j, i')
+    of S+ and to (i', j) and (j', i) of S-, negated where B is reflected.
+    Where two images coincide in one matrix (A on the antidiagonal j = i',
+    B +- C on the diagonal j = i) each carries weight 1/2, and the images of
+    S- that land on the diagonal go to its saved N-vector. The only N x N
+    array is the buffer LAPACK solves; the rest is O(_FILL_ROWS N).
     """
     x = np.frombuffer(nodes) + x_offset
     sw = np.sqrt(np.frombuffer(weights))
     n = x.size
     h = (n + 1) // 2
     massive = params.mass != 0.0
-    plus = np.empty((n, n))
-    minus = np.empty((n, n)) if massive else None
+    buf = np.zeros((n, n))  # S+ on and above the diagonal, S- below it
+    minus_diag = np.zeros(n)
+    mirror = buf[::-1, ::-1]  # mirror[i, j] = buf[i', j']
+    right = buf[:, ::-1]      # right[i, j] = buf[i, j']
+    down = buf[::-1, :]       # down[i, j] = buf[i', j]
     for a in range(0, h, _FILL_ROWS):
         b = min(a + _FILL_ROWS, h)
-        T11, T12 = kernel_blocks(params, x[a:b, None] - x[None, :])
-        W = sw[a:b, None] * sw[None, :]
-        T11 *= W
-        # rows a:b of S = A - JB = A + BJ; row n-1-i (i < n - h) of S, with
-        # columns reversed, is row i of A - BJ
-        top = T11.real + T11.imag[:, ::-1]
-        low = T11.real - T11.imag[:, ::-1]
-        del T11  # not alive while the next block is evaluated
-        below = min(b, n - h) - a  # rows with a mirror row: the centre row has none
-        mirror = slice(n - a - below, n - a)
+        rows, cols = slice(a, b), slice(a, n - a)
+        T11, T12 = kernel_blocks(params, x[rows, None] - x[None, cols])
+        i = np.arange(a, b)[:, None]
+        j = np.arange(a, n - a)[None, :]
+        k = np.arange(b - a)
+        anti = n - 1 - 2 * a - k  # strip columns k and anti hold j = i and j = i'
+        W = sw[rows, None] * sw[None, cols] * ((j >= i) & (j <= n - 1 - i))
+        A = T11.real * W
+        A[k, anti] *= 0.5
+        W[k, k] *= 0.5
+        P = T11.imag * W  # B + C
         if massive:
-            T12 *= W
-            CJ = T12[:, ::-1]  # CJ is centrosymmetric: row n-1-i is row i reversed
-            np.add(top, CJ, out=plus[a:b])
-            np.subtract(top, CJ, out=minus[a:b])
-            np.add(low[:below], CJ[:below], out=plus[mirror][::-1, ::-1])
-            np.subtract(low[:below], CJ[:below], out=minus[mirror][::-1, ::-1])
+            C = T12 * W
+            Q = P - C      # B - C
+            P += C
+            del C
         else:
-            plus[a:b] = top
-            plus[mirror][::-1, ::-1] = low[:below]
+            Q = P
+        del T11, T12, W  # not alive while the next strip is evaluated
+        # a transposed image is written as view[cols, rows] += X.T, which
+        # numpy runs about 3x faster than view.T[rows, cols] += X
+        buf[rows, cols] += A
+        mirror[cols, rows] += A.T
+        right[rows, cols] += P
+        right[cols, rows] -= Q.T
+        if massive:
+            minus_diag[a:b] += A[k, k] + Q[k, anti]
+            minus_diag[n - 1 - a - k] += A[k, k] - P[k, anti]
+            A[k, k] = 0.0
+            P[k, anti] = 0.0
+            Q[k, anti] = 0.0
+            buf[cols, rows] += A.T
+            mirror[rows, cols] += A
+            down[rows, cols] -= P
+            down[cols, rows] += Q.T
+    plus = _eigvalsh_in_place(buf, upper=True)
     if massive:
-        eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus),
-                                              _eigvalsh_in_place(minus)]))
+        np.fill_diagonal(buf, minus_diag)
+        eigenvalues = np.sort(np.concatenate([plus, _eigvalsh_in_place(buf, upper=False)]))
     else:
-        eigenvalues = np.repeat(_eigvalsh_in_place(plus), 2)
+        eigenvalues = np.repeat(plus, 2)
     eigenvalues.flags.writeable = False  # later rungs and other orders read it back
     return eigenvalues
 
@@ -249,8 +280,8 @@ def operator_eigenvalues(
 
     The spectra of the real mirror blocks S+- = A - JB +- CJ (module
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
-    The kernel is evaluated on the top ceil(N/2) rows only, in blocks of
-    _FILL_ROWS rows; the bottom rows of S and CJ are their reflections.
+    The kernel is evaluated on the fundamental domain D = {i <= j <= N-1-i}
+    only, in strips of _FILL_ROWS rows; the rest of S+- are its images.
     Results are read-only and cached by the parameters, the grid's nodes and
     weights, and the offset.
     """

@@ -158,7 +158,7 @@ def entanglement_entropy(
     """
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
-    check_spectrum_memory(n, params.mass)
+    check_spectrum_memory(n)
     sub = subtraction_trace(params, order)
 
     prev_entropy = None

@@ -19,6 +19,8 @@ from .errors import EstimationError
 # |kappa - 1| below this uses the von Neumann branch; the general formula
 # suffers catastrophic cancellation in (1/(1-kappa)) ln(...) near kappa = 1.
 VON_NEUMANN_TOL = 1e-12
+# |kappa - 1| up to this uses the expm1 form of eta, which does not cancel there
+NEAR_ONE_BAND = 1e-3
 
 # t below this is treated as an exact endpoint (IEEE underflow guard).
 _UNDERFLOW_T = 1e-300
@@ -69,11 +71,17 @@ def _eta_reflected(order: RenyiOrder, s, log_s, log_c, ratio_pow):
     """eta at the reflected point s <= 1/2 from s, ln s, ln(1-s), (s/(1-s))^kappa.
 
     (kappa ln(1-s) + log1p((s/(1-s))^kappa)) / (1-kappa) neither overflows
-    nor cancels at large kappa; callers form each input accurately.
+    nor cancels at large kappa. Near kappa = 1 its numerator cancels, so
+    within NEAR_ONE_BAND it is log1p(s expm1(d ln s) + c expm1(d ln c)) / (-d)
+    with d = kappa - 1 and c = 1 - s, whose two terms share a sign. Callers
+    form each input accurately.
     """
     if order.is_von_neumann:
         return -s * log_s - np.exp(log_c) * log_c
     kap = order.kappa
+    d = kap - 1.0
+    if abs(d) <= NEAR_ONE_BAND:
+        return np.log1p(s * np.expm1(d * log_s) + np.exp(log_c) * np.expm1(d * log_c)) / -d
     return (kap * log_c + np.log1p(ratio_pow)) / (1.0 - kap)
 
 

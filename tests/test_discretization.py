@@ -125,24 +125,30 @@ class TestAssembleOperator:
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     @pytest.mark.parametrize("n", [4, 5, 256, 257])
     def test_kernel_filled_on_half_the_rows(self, monkeypatch, mass, n):
+        # strips of the fundamental domain {i <= j <= n-1-i}: rows a:b of the
+        # top ceil(n/2), columns a:n-a, so about n^2/4 separations in all
         grid = build_grid(n, 1.0)
-        row_of = {d: i for i, d in enumerate(grid.nodes - grid.nodes[0])}
+        x = grid.nodes
         calls = []
         kernel = discretization.kernel_blocks
 
         def recording(params, u):
-            calls.append((np.shape(u), [row_of[d] for d in u[:, 0]]))
+            calls.append(np.array(u))
             return kernel(params, u)
 
         monkeypatch.setattr(discretization, "kernel_blocks", recording)
         params = PhysicalParams(mass=mass, epsilon=0.1, lam=1.0)
         operator_eigenvalues(params, grid, validate=False, use_cache=False)
-        assert all(cols == n and rows <= discretization._FILL_ROWS
-                   for (rows, cols), _ in calls)
-        assert [i for _, block in calls for i in block] == list(range((n + 1) // 2))
+        assert all(u.shape[0] <= discretization._FILL_ROWS for u in calls)
+        assert sum(u.size for u in calls) <= n * n / 4 + discretization._FILL_ROWS * n
+        a = 0
+        for u in calls:
+            assert np.array_equal(u, x[a:a + u.shape[0], None] - x[None, a:n - a])
+            a += u.shape[0]
+        assert a == (n + 1) // 2
 
-    @pytest.mark.parametrize("mass, buffers", [(0.0, 1), (1.0, 2)])
-    def test_peak_memory_is_the_eigensolver_buffers(self, mass, buffers):
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    def test_peak_memory_is_the_eigensolver_buffers(self, mass):
         n = 2048
         params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
         grid = build_grid(n, 1.0)
@@ -152,17 +158,43 @@ class TestAssembleOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert discretization.spectrum_buffer_bytes(n, mass) == 8 * n * n * buffers
-        assert peak <= 8 * n * n * buffers + 32 * 8 * discretization._FILL_ROWS * n
+        # one N x N buffer at both masses
+        assert discretization.spectrum_buffer_bytes(n) == 8 * n * n + 8 * n
+        assert peak <= 8 * n * n + 32 * 8 * discretization._FILL_ROWS * n
 
     def test_memory_preflight_scales_with_mass_and_processes(self, monkeypatch):
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096**2)
-        discretization.check_spectrum_memory(4096, 0.0, 3)
-        discretization.check_spectrum_memory(4096, 1.0, 1)
-        with pytest.raises(ValueError, match="largest grid-size cap that fits is 3547$"):
-            discretization.check_spectrum_memory(4096, 1.0, 2)
+        # one N x N buffer and one N-vector per spectrum at every mass
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096 * 4097)
+        discretization.check_spectrum_memory(4096, 3)
+        discretization.check_spectrum_memory(7094, 1)
+        discretization.check_spectrum_memory(5016, 2)
+        with pytest.raises(ValueError, match="largest grid-size cap that fits is 5016$"):
+            discretization.check_spectrum_memory(5017, 2)
+        with pytest.raises(ValueError, match="fits is 7094$"):
+            discretization.check_spectrum_memory(7095, 1)
         with pytest.raises(ValueError, match="fits is 4096$"):
-            discretization.check_spectrum_memory(4097, 0.0, 3)
+            discretization.check_spectrum_memory(4097, 3)
+
+    @pytest.mark.parametrize("upper", [True, False])
+    def test_lapack_solves_one_triangle_in_place(self, upper):
+        # _spectrum keeps S+ and S- in the two triangles of one buffer: a
+        # solve must neither copy the buffer nor touch the other triangle
+        n = 300
+        buf = np.random.default_rng(11).standard_normal((n, n))
+        named = np.triu_indices(n) if upper else np.tril_indices(n)
+        other = np.tril_indices(n, -1) if upper else np.triu_indices(n, 1)
+        before = buf[named].copy()
+        kept = buf[other].copy()
+        symmetric = np.zeros((n, n))
+        symmetric[named] = before
+        symmetric += np.triu(symmetric, 1).T + np.tril(symmetric, -1).T
+        # LAPACK gets buf.T, the same memory in Fortran order; its lower
+        # triangle (lower=True) is buf's upper one
+        assert np.shares_memory(buf.T, buf) and buf.T.flags.f_contiguous
+        ev = discretization._eigvalsh_in_place(buf, upper=upper)
+        assert np.array_equal(buf[other], kept)
+        assert not np.array_equal(buf[named], before)  # overwritten, not copied
+        assert np.abs(ev - np.linalg.eigvalsh(symmetric)).max() < 1e-10
 
     def test_quadrature_path_matches_closed_forms(self):
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)
@@ -245,6 +277,21 @@ def test_reduced_spectrum_matches_direct_assembly(mass, epsilon, lam, rule, x_of
     fast = operator_eigenvalues(params, grid, x_offset=x_offset, validate=False, use_cache=False)
     direct = direct_spectrum(params, grid, x_offset)
     assert np.abs(fast - direct).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    mass=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+    epsilon=st.floats(0.002, 0.5),
+)
+def test_packed_spectrum_matches_direct_assembly(n, mass, epsilon):
+    # both triangles of the shared buffer, the centre row at odd n and the
+    # restored diagonal of S-
+    params = PhysicalParams(mass=mass, epsilon=epsilon, lam=1.0)
+    grid = build_grid(n, 1.0)
+    fast = operator_eigenvalues(params, grid, validate=False, use_cache=False)
+    assert np.abs(fast - direct_spectrum(params, grid)).max() <= 1e-12
 
 
 class TestOffdiagonalTruncation:

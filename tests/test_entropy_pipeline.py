@@ -115,6 +115,15 @@ class TestSubtractionTrace:
         assert np.isfinite(subtraction_trace(params, RenyiOrder(kappa)))
         assert sizes and max(sizes) <= 4096
 
+    @pytest.mark.parametrize("kappa", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-11])
+    def test_orders_next_to_von_neumann(self, kappa):
+        # eta's general form cancels within ~1e-8 of kappa = 1, which the
+        # 16/32-node check once reported as an unresolved bulk term
+        for a in np.linspace(0.0, 2.0, 201):
+            params = PhysicalParams(mass=a / 0.1, epsilon=0.1, lam=1.0)
+            value = subtraction_trace(params, RenyiOrder(kappa))
+            assert value == pytest.approx(subtraction_trace(params, K1), rel=1e-8)
+
     def test_dilogarithm_gate(self):
         # quadrature oracle for the closed form: int_0^1 eta_1(u)/u du = pi^2/6
         integrand = lambda u: eta(K1, u) / u

@@ -93,10 +93,12 @@ class TestEta:
         for lo, hi in zip(values, values[1:]):
             assert np.all(lo >= hi - 1e-14)
 
-    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.5, 2.0, 20.0, 50.0, 100.0, 1e4])
+    @pytest.mark.parametrize("kappa", [0.01, 0.05, 0.5, 2.0, 20.0, 50.0, 100.0, 1e4,
+                                       1.0 - 1e-9, 1.0 + 1e-11, 1.0001, 1.001])
     def test_matches_90_digit_oracle(self, kappa):
         # t^kappa + (1-t)^kappa falls to 2^(1-kappa) near t = 1/2 at large
-        # kappa; no step of eta may cancel there or underflow near t = 0
+        # kappa; no step of eta may cancel there, next to kappa = 1, or
+        # underflow near t = 0
         mpmath = pytest.importorskip("mpmath")
         ts = np.geomspace(1e-30, 0.5, 120)
         values = eta(RenyiOrder(kappa), ts)
