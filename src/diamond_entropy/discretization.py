@@ -31,7 +31,8 @@ written back, and S- is solved in place (S+ = S- at mass 0, so only S+ is
 filled and solved). The buffer is the only N x N array, so one spectrum
 peaks at the imports plus 8 N (N + 1) bytes plus O(_FILL_ROWS N);
 check_spectrum_memory compares that figure with the physical memory. The
-Gauss-Legendre nodes start from a tridiagonal eigensolve, O(n^2).
+Gauss-Legendre rules are built in O(n): Newton's method for n <= 100 and
+Bogaert's asymptotic formulas above.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import legendre
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigh
+from scipy.special import j1, jn_zeros
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
@@ -100,25 +101,105 @@ class Grid:
         return self.nodes.size
 
 
+# Bogaert's interpolants in x = alpha^2 (highest degree first): the node
+# corrections F1, F2, F3 and the weight corrections W1, W2, W3
+_BOGAERT_F = (
+    (-1.29052996274280508473467968379e-12, 2.40724685864330121825976175184e-10,
+     -3.13148654635992041468855740012e-8, 0.275573168962061235623801563453e-5,
+     -0.148809523713909147898955880165e-3, 0.416666666665193394525296923981e-2,
+     -0.416666666666662959639712457549e-1),
+    (2.20639421781871003734786884322e-9, -7.53036771373769326811030753538e-8,
+     0.161969259453836261731700382098e-5, -0.253300326008232025914059965302e-4,
+     0.282116886057560434805998583817e-3, -0.209022248387852902722635654229e-2,
+     0.815972221772932265640401128517e-2),
+    (-2.97058225375526229899781956673e-8, 5.55845330223796209655886325712e-7,
+     -0.567797841356833081642185432056e-5, 0.418498100329504574443885193835e-4,
+     -0.251395293283965914823026348764e-3, 0.128654198542845137196151147483e-2,
+     -0.416012165620204364833694266818e-2),
+)
+_BOGAERT_W = (
+    (-2.20902861044616638398573427475e-14, 2.30365726860377376873232578871e-12,
+     -1.75257700735423807659851042318e-10, 1.03756066927916795821098009353e-8,
+     -4.63968647553221331251529631098e-7, 0.149644593625028648361395938176e-4,
+     -0.326278659594412170300449074873e-3, 0.436507936507598105249726413120e-2,
+     -0.305555555555553028279487898503e-1, 0.833333333333333302184063103900e-1),
+    (3.63117412152654783455929483029e-12, 7.67643545069893130779501844323e-11,
+     -7.12912857233642220650643150625e-9, 2.11483880685947151466370130277e-7,
+     -0.381817918680045468483009307090e-5, 0.465969530694968391417927388162e-4,
+     -0.407297185611335764191683161117e-3, 0.268959435694729660779984493795e-2,
+     -0.111111111111214923138249347172e-1),
+    (2.01826791256703301806643264922e-9, -4.38647122520206649251063212545e-8,
+     5.08898347288671653137451093208e-7, -0.397933316519135275712977531366e-5,
+     0.200559326396458326778521795392e-4, -0.422888059282921161626339411388e-4,
+     -0.105646050254076140548678457002e-3, -0.947969308958577323145923317955e-4,
+     0.656966489926484797412985260842e-2),
+)
+# rules with more nodes than this come from the asymptotic formulas
+_NEWTON_MAX_NODES = 100
+
+
+def _bogaert_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_1 > ... > x_h >= 0 (h = ceil(n/2)) and their weights, n > 100.
+
+    I. Bogaert, Iteration-free computation of Gauss-Legendre quadrature
+    nodes and weights, SIAM J. Sci. Comput. 36 (2014) A1008: the asymptotic
+    series in alpha_k = j_{0,k} / (n + 1/2), with the Chebyshev interpolants
+    of his FastGL code (GLPairS). Near machine precision for n > 100.
+    """
+    nu = jn_zeros(0, (n + 1) // 2)
+    rho = 1.0 / (n + 0.5)
+    alpha = rho * nu
+    a2 = alpha * alpha
+    f1, f2, f3 = (np.polyval(c, a2) for c in _BOGAERT_F)
+    w1, w2, w3 = (np.polyval(c, a2) for c in _BOGAERT_W)
+    nu_sin = nu / np.sin(alpha)
+    v = rho * rho * nu_sin
+    v2 = v * v
+    theta = rho * (nu + alpha * v * (f1 + v2 * (f2 + v2 * f3)))
+    weights = 2.0 * rho / (j1(nu) ** 2 * nu_sin * (1.0 + v2 * (w1 + v2 * (w2 + v2 * w3))))
+    return np.cos(theta), weights
+
+
+def _newton_half(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_1 > ... > x_h >= 0 (h = ceil(n/2)) and their weights, n <= 100.
+
+    Three Newton steps on P_n from Tricomi's initial guess
+    (1 - (n - 1) / (8 n^3)) cos(pi (4k - 1) / (4n + 2)), with P_n and P_n'
+    from the three-term recurrence, then w = 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    k = np.arange(1.0, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+
+    def newton_step():
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        return p1 / dp, dp
+
+    for _ in range(3):
+        x = x - newton_step()[0]
+    step, dp = newton_step()
+    s = (1.0 - x) * (1.0 + x)
+    # d ln w / dx = -2x / (1 - x^2) at a root: correct w to first order for
+    # the rounding left in x, which would otherwise cost 1e-13 at x ~ 1
+    return x, 2.0 / (s * dp * dp) * (1.0 + 2.0 * x * step / s)
+
+
 @functools.lru_cache(maxsize=64)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on (-1, 1), computed once per n.
 
-    numpy's leggauss recipe (one Newton step, normalized weights, mirror
-    symmetrization), started from the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969)) by a
-    tridiagonal solve in O(n^2) instead of leggauss's dense O(n^3) one.
+    One half comes from Newton's method (n <= 100) or Bogaert's asymptotic
+    formulas (n > 100), in O(n) for large n; the other is its mirror image.
+    The rule is then symmetrized and its weights normalized to sum to 2.
     """
-    k = np.arange(1.0, n)
-    x = eigvalsh_tridiagonal(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    df = legendre.legval(x, legendre.legder(c))
-    x -= legendre.legval(x, c) / df
-    fm = legendre.legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1.0 / (fm * df)
+    half_x, half_w = (_newton_half if n <= _NEWTON_MAX_NODES else _bogaert_half)(n)
+    h = half_x.size
+    x = np.empty(n)
+    w = np.empty(n)
+    x[:h], x[n - h:] = -half_x, half_x[::-1]
+    w[:h], w[n - h:] = half_w, half_w[::-1]
     w = (w + w[::-1]) / 2.0
     x = (x - x[::-1]) / 2.0
     w *= 2.0 / w.sum()

@@ -15,17 +15,95 @@ at mass 0, and at mass > 0 the modified Bessel functions
 
     F0 = 2 m eps K1(m r)/r,  Fm = 2 m K0(m r),  F1 = 2 i m u K1(m r)/r,
 
-with r = sqrt(eps^2 + u^2). The test suite checks the closed form against
-a direct oscillatory quadrature of the three integrals (tests/oracle.py).
+with r = sqrt(eps^2 + u^2). K0 and K1 come from one vectorised power series
+where m r <= 2 and from scipy.special elsewhere, chosen per element, so a
+separation gets the same value in any array. The test suite checks the
+closed form against a direct oscillatory quadrature of the three integrals
+(tests/oracle.py).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import k0 as _bessel_k0, k1 as _bessel_k1
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
+
+# K0 and K1 come from their power series in w = z^2/4 up to this z
+_SERIES_MAX_Z = 2.0
+_SERIES_TERMS = 14
+_EULER_GAMMA = 0.57721566490153286061
+
+
+def _series_coefficients():
+    """Highest-degree-first coefficients of I0, S0, I1 and S1 in w (A&S 9.6.13
+    and 9.6.11): 1/k!^2, H_k/k!^2, 1/(k!(k+1)!) and (H_k + H_{k+1})/(k!(k+1)!),
+    each one quotient of integers, so rounded once; H_k = h_k / k! are the
+    harmonic numbers."""
+    fact = [math.factorial(k) for k in range(_SERIES_TERMS + 1)]
+    h = [sum(fact[k] // j for j in range(1, k + 1)) for k in range(_SERIES_TERMS + 1)]
+    ks = range(_SERIES_TERMS - 1, -1, -1)
+    return (
+        tuple(1 / fact[k] ** 2 for k in ks),
+        tuple(h[k] / fact[k] ** 3 for k in ks),
+        tuple(1 / (fact[k] * fact[k + 1]) for k in ks),
+        tuple(((k + 1) * h[k] + h[k + 1]) / (fact[k] * fact[k + 1] ** 2) for k in ks),
+    )
+
+
+_I0, _S0, _I1, _S1 = _series_coefficients()
+
+
+def _horner(coefficients, w, out):
+    out.fill(coefficients[0])
+    for c in coefficients[1:]:
+        out *= w
+        out += c
+    return out
+
+
+def _k0_k1_series(z):
+    """K0(z) = S0(w) - (ln(z/2) + gamma) I0(w) and
+    K1(z) = 1/z + (z/2) [(ln(z/2) + gamma) I1(w) - S1(w)/2], w = z^2/4.
+    Within 1e-14 of scipy's K0 and K1 for 0 < z <= 2. At most five arrays
+    of the shape of z are alive besides z."""
+    w = 0.25 * z * z
+    log_term = np.log(0.5 * z)
+    log_term += _EULER_GAMMA
+    k0 = _horner(_S0, w, np.empty_like(z))
+    term = _horner(_I0, w, np.empty_like(z))
+    term *= log_term
+    k0 -= term
+    k1 = _horner(_I1, w, np.empty_like(z))
+    k1 *= log_term
+    _horner(_S1, w, term)
+    term *= 0.5
+    k1 -= term
+    del w, log_term
+    k1 *= np.multiply(z, 0.5, out=term)
+    k1 += np.divide(1.0, z, out=term)
+    return k0, k1
+
+
+def _bessel_k0_k1(z):
+    """K0(z) and K1(z), each element from the series where z <= 2 and from
+    scipy.special elsewhere, so an element's value does not depend on the
+    array it is evaluated in."""
+    near = z <= _SERIES_MAX_Z
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if near.all():  # the common case: no gather or scatter
+            return _k0_k1_series(z)
+        k0 = np.empty_like(z)
+        k1 = np.empty_like(z)
+        far = ~near
+        k0[far] = _bessel_k0(z[far])
+        k1[far] = _bessel_k1(z[far])
+        if near.any():
+            k0[near], k1[near] = _k0_k1_series(z[near])
+    return k0, k1
 
 
 def massive_scalar_integrals(mass: float, epsilon: float, u):
@@ -38,9 +116,7 @@ def massive_scalar_integrals(mass: float, epsilon: float, u):
         raise ValueError("massive_scalar_integrals requires mass > 0")
     u_arr = np.asarray(u, dtype=float)
     r = np.hypot(epsilon, u_arr)
-    z = mass * r
-    bk1 = _bessel_k1(z)
-    bk0 = _bessel_k0(z)
+    bk0, bk1 = _bessel_k0_k1(mass * r)
     F0 = 2.0 * mass * epsilon * bk1 / r
     F1_imag = 2.0 * mass * u_arr * bk1 / r
     Fm = 2.0 * mass * bk0

@@ -123,12 +123,19 @@ def eta_derivatives(order: RenyiOrder, t):
         d1 = np.log1p(-t_arr) - np.log(t_arr)
         d2 = -1.0 / t_arr - 1.0 / u
     else:
+        # eta = ln g / (1 - kappa) with g = t^kappa + u^kappa, d = kappa - 1:
+        # eta' = -kappa D / g and eta'' = (-kappa (t^(kappa-2) + u^(kappa-2)) g
+        # + kappa^2 d D^2) / g^2, where D = (t^d - u^d) / d; within
+        # NEAR_ONE_BAND, D = (expm1(d ln t) - expm1(d ln u)) / d does not cancel
         kap = order.kappa
+        d = kap - 1.0
         g = t_arr**kap + u**kap
-        gp = kap * (t_arr ** (kap - 1.0) - u ** (kap - 1.0))
-        gpp = kap * (kap - 1.0) * (t_arr ** (kap - 2.0) + u ** (kap - 2.0))
-        d1 = gp / ((1.0 - kap) * g)
-        d2 = (gpp * g - gp * gp) / ((1.0 - kap) * g * g)
+        if abs(d) <= NEAR_ONE_BAND:
+            D = (np.expm1(d * np.log(t_arr)) - np.expm1(d * np.log(u))) / d
+        else:
+            D = (t_arr**d - u**d) / d
+        d1 = -kap * D / g
+        d2 = (kap * kap * d * D * D - kap * (t_arr ** (kap - 2.0) + u ** (kap - 2.0)) * g) / (g * g)
     return d0, d1, d2
 
 

@@ -6,7 +6,9 @@ closed form kernel_blocks, and it is not part of the package. direct_operator
 assembles the full 2N x 2N complex Nystrom matrix
 sqrt(w_i) K(x_i - x_j) sqrt(w_j) from the kernel blocks, with no mirror
 reduction; its eigenvalues are the reference for the real N x N mirror
-blocks in operator_eigenvalues.
+blocks in operator_eigenvalues. exact_legendre_node refines one
+Gauss-Legendre node to 50 digits; it is the reference for the rules of
+discretization._legendre_rule.
 """
 
 from dataclasses import dataclass
@@ -167,3 +169,26 @@ def direct_operator(params, grid, x_offset=0.0):
 def direct_spectrum(params, grid, x_offset=0.0):
     """All 2N eigenvalues (ascending) of direct_operator."""
     return np.linalg.eigvalsh(direct_operator(params, grid, x_offset))
+
+
+def exact_legendre_node(n, x0):
+    """The root of P_n nearest the float x0 and its Gauss-Legendre weight
+    2 / ((1 - x^2) P_n'(x)^2), as 50-digit mpmath numbers: Newton's method
+    on the three-term recurrence, run in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x0))
+        for _ in range(10):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (p0 - x * p1) / (1 - x * x)
+            step = p1 / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -45:
+                break
+        else:
+            raise AssertionError(f"Newton's method did not converge from x0={x0} at n={n}")
+        # the last step was below 1e-45, so dp is the derivative at the root to 45 digits
+        return +x, 2 / ((1 - x * x) * dp * dp)

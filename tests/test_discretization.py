@@ -17,7 +17,13 @@ from diamond_entropy import (
     kernel_blocks,
     operator_eigenvalues,
 )
-from oracle import direct_matrix, direct_operator, direct_spectrum, kernel_quadrature
+from oracle import (
+    direct_matrix,
+    direct_operator,
+    direct_spectrum,
+    exact_legendre_node,
+    kernel_quadrature,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,29 +52,34 @@ class TestBuildGrid:
 
     def test_legendre_rule_computed_once_per_size(self, monkeypatch):
         calls = []
-        eigvalsh_tridiagonal = discretization.eigvalsh_tridiagonal
+        for construction in ("_newton_half", "_bogaert_half"):
+            def counting(size, build_half=getattr(discretization, construction), name=construction):
+                calls.append((name, size))
+                return build_half(size)
 
-        def counting(d, e):
-            calls.append(d.size)
-            return eigvalsh_tridiagonal(d, e)
-
-        monkeypatch.setattr(discretization, "eigvalsh_tridiagonal", counting)
+            monkeypatch.setattr(discretization, construction, counting)
         discretization._legendre_rule.cache_clear()
-        first = build_grid(37, 2.0)
-        second = build_grid(37, 3.0)
-        assert calls == [37]
-        unit_nodes, unit_weights = discretization._legendre_rule(37)
-        assert calls == [37]
-        assert np.array_equal(first.nodes, 0.5 * 2.0 * (unit_nodes + 1.0))
-        assert np.array_equal(second.weights, 0.5 * 3.0 * unit_weights)
-        assert not unit_nodes.flags.writeable and not unit_weights.flags.writeable
+        for n, construction in ((37, "_newton_half"), (128, "_bogaert_half")):
+            calls.clear()
+            first = build_grid(n, 2.0)
+            second = build_grid(n, 3.0)
+            assert calls == [(construction, n)]
+            unit_nodes, unit_weights = discretization._legendre_rule(n)
+            assert calls == [(construction, n)]
+            assert np.array_equal(first.nodes, 0.5 * 2.0 * (unit_nodes + 1.0))
+            assert np.array_equal(second.weights, 0.5 * 3.0 * unit_weights)
+            assert not unit_nodes.flags.writeable and not unit_weights.flags.writeable
 
-    @pytest.mark.parametrize("n", [2, 3, 37, 512, 1024])
+    # The reference is the exact rule, not leggauss, whose endpoint weights
+    # are off by 1.2e-9 relative at n = 1024.
+    @pytest.mark.parametrize("n", [2, 3, 37, 60, 100, 101, 128, 512, 1024, 2048, 8192])
     def test_legendre_rule_matches_leggauss(self, n):
+        pytest.importorskip("mpmath")
         x, w = discretization._legendre_rule(n)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
-        assert np.all(np.abs(x - ref_x) <= 8.0 * np.spacing(np.abs(ref_x)))
-        assert np.abs(w / ref_w - 1.0).max() <= 1e-10
+        for i in sorted({0, n // 4, n // 2, n - 1}):  # both ends, a quarter in, the middle
+            ref_x, ref_w = exact_legendre_node(n, x[i])
+            assert abs(x[i] - float(ref_x)) <= 2.0 * np.finfo(float).eps
+            assert abs(float(w[i] / ref_w) - 1.0) <= 2e-13
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
         for k in range(min(20, n - 1) + 1):  # exact up to degree 2n - 1
             assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-12

@@ -5,7 +5,11 @@ from scipy.special import k0, k1
 from diamond_entropy import (
     ConvergenceError,
     PhysicalParams,
+    build_grid,
+    discretization,
     kernel_blocks,
+    kernel_eval,
+    operator_eigenvalues,
 )
 from diamond_entropy.kernel_eval import massive_scalar_integrals
 from oracle import QuadratureSpec, default_quadrature_spec, kernel_matrix, kernel_quadrature
@@ -119,6 +123,44 @@ class TestBesselPath:
         params = PhysicalParams(mass=5e-324, epsilon=1.0, lam=1.0)
         with pytest.raises(ConvergenceError):
             kernel_matrix(params, 0.0)
+
+
+class TestBesselSeries:
+    def test_k0_k1_match_scipy(self):
+        z = np.concatenate([
+            np.geomspace(1e-12, 2.0, 2001),
+            [np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0), 2.5, 50.0, 700.0],
+        ])
+        bk0, bk1 = kernel_eval._bessel_k0_k1(z)
+        assert np.abs(bk0 / k0(z) - 1.0).max() <= 1e-14
+        assert np.abs(bk1 / k1(z) - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("mass", [1.0, 20.0])
+    def test_scipy_sees_only_arguments_beyond_the_series(self, monkeypatch, mass):
+        seen = {"k0": [], "k1": []}
+        separations = []
+
+        def recording(name, bessel):
+            def record(z):
+                seen[name].append(np.array(z, copy=True))
+                return bessel(z)
+            return record
+
+        def recording_blocks(params, u):
+            separations.append(np.array(u, copy=True))
+            return kernel_blocks(params, u)
+
+        monkeypatch.setattr(kernel_eval, "_bessel_k0", recording("k0", k0))
+        monkeypatch.setattr(kernel_eval, "_bessel_k1", recording("k1", k1))
+        monkeypatch.setattr(discretization, "kernel_blocks", recording_blocks)
+        params = PhysicalParams(mass=mass, epsilon=0.05, lam=1.0)
+        operator_eigenvalues(params, build_grid(256, 1.0), validate=False, use_cache=False)
+        z = np.concatenate([(mass * np.hypot(params.epsilon, u)).ravel() for u in separations])
+        beyond = z[z > 2.0]
+        assert (beyond.size > 0) == (mass > 2.0)  # every m r <= 1.01 at m = 1
+        for name in ("k0", "k1"):
+            got = np.concatenate(seen[name]) if seen[name] else np.empty(0)
+            assert np.array_equal(got, beyond)
 
 
 class TestKernelBlocks:

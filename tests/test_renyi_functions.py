@@ -128,6 +128,23 @@ class TestDerivatives:
         assert d1 == pytest.approx(fd1, rel=1e-7, abs=1e-7)
         assert d2 == pytest.approx(fd2, rel=1e-3, abs=1e-3)
 
+    @pytest.mark.parametrize("kappa", [1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-11, 1.0001])
+    def test_near_one_matches_50_digit_oracle(self, kappa):
+        # the closed forms divide by 1 - kappa; next to kappa = 1 nothing may cancel
+        mpmath = pytest.importorskip("mpmath")
+        ts = [1e-6, 0.01, 0.3, 0.7, 0.999]
+        _, d1, d2 = eta_derivatives(RenyiOrder(kappa), ts)
+        with mpmath.workdps(50):
+            k = mpmath.mpf(kappa)
+            for t, got1, got2 in zip(ts, d1, d2):
+                t = mpmath.mpf(t)
+                u = 1 - t
+                g = t**k + u**k
+                gp = k * (t ** (k - 1) - u ** (k - 1))
+                gpp = k * (k - 1) * (t ** (k - 2) + u ** (k - 2))
+                assert got1 == pytest.approx(float(gp / ((1 - k) * g)), rel=1e-12)
+                assert got2 == pytest.approx(float((gpp * g - gp * gp) / ((1 - k) * g * g)), rel=1e-12)
+
     def test_rejects_endpoint_input(self):
         with pytest.raises(ValueError):
             eta_derivatives(RenyiOrder(1.0), 0.0)
