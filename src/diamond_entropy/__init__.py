@@ -1,9 +1,9 @@
 """Entanglement entropy of the damped Dirac vacuum restricted to an interval.
 
 Numerical-spectral library: momentum symbols, position-space kernels,
-Nystrom discretization, Schatten-norm tooling, the entropy pipeline, and
-damping-scale sweeps that verify the logarithmically enhanced area law
-with slope (1/6)(kappa+1)/kappa.
+Nystrom discretization, the Schatten-norm property suite, the entropy
+pipeline, and damping-scale sweeps that verify the logarithmically enhanced
+area law with slope (1/6)(kappa+1)/kappa.
 """
 
 __version__ = "0.1.0"
@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .asymptotics import (
     BoxSpec,
     DiagnosticsResult,
-    MassIndependenceReport,
     SweepPoint,
     SweepResult,
     log_growth_diagnostic,
-    mass_independence_check,
     matched_grid_entropy,
     offdiagonal_diagnostic,
     sweep,
@@ -26,7 +24,6 @@ from .dirac_symbols import (
     hamiltonian_symbol,
     limit_symbol,
     omega,
-    regularized_symbol,
     rescaled_symbol,
     spectral_projection,
     split_symbol,
@@ -50,24 +47,15 @@ from .entropy_pipeline import (
 from .errors import (
     ConvergenceError,
     DiamondEntropyError,
-    EstimationError,
-    VacuousBoundError,
 )
 from .kernel_eval import kernel_blocks
 from .renyi_functions import (
-    ConditionFParams,
     RenyiOrder,
     eta,
-    eta_derivatives,
-    probe_condition_f,
     theoretical_slope,
 )
 from .schatten_toolkit import (
     SchattenReport,
-    SingularSpectrum,
-    check_szego_bound,
-    schatten_norm,
-    singular_values,
     verify_commutator_lemma,
     verify_inequalities,
 )

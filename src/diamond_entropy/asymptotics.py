@@ -68,15 +68,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class MassIndependenceReport:
-    masses: tuple
-    sweeps: dict
-    theory_slope: float
-    slope_gap_full: float
-    slope_gap_coarse: float
-
-
-@dataclass(frozen=True)
 class DiagnosticsResult:
     alpha_grid: np.ndarray
     offdiag_ratios: np.ndarray | None = None
@@ -185,47 +176,6 @@ def sweep(
         r_squared=r_squared,
         theory_slope=theory,
         rel_error=abs(slope - theory) / theory,
-    )
-
-
-def _refit_slope(result: SweepResult, keep: int) -> float:
-    pts = result.converged_points()[:keep]
-    x = np.array([np.log(1.0 / p.epsilon) for p in pts])
-    y = np.array([p.entropy for p in pts])
-    return _fit_line(x, y)[0]
-
-
-def mass_independence_check(
-    lam: float,
-    order: RenyiOrder,
-    masses,
-    eps_grid,
-) -> MassIndependenceReport:
-    """Sweep once per mass and compare the fitted slopes.
-
-    The slope gap is also refitted on the coarse (largest epsilon) half of
-    the grid: extending toward smaller epsilon must shrink the gap.
-    """
-    masses = tuple(float(m) for m in masses)
-    if 0.0 not in masses:
-        raise ValueError("masses must include 0")
-    bases = {mass: PhysicalParams(mass=mass, epsilon=1.0, lam=lam) for mass in masses}
-    sweeps = {mass: sweep(base, order, eps_grid) for mass, base in bases.items()}
-
-    slopes_full = {m: s.slope for m, s in sweeps.items()}
-    n_coarse = max(2, min(len(s.converged_points()) for s in sweeps.values()) // 2)
-    slopes_coarse = {m: _refit_slope(s, n_coarse) for m, s in sweeps.items()}
-
-    def gap(values: dict) -> float:
-        vals = list(values.values())
-        return max(abs(a - b) for a in vals for b in vals)
-
-    return MassIndependenceReport(
-        masses=masses,
-        sweeps=sweeps,
-        theory_slope=theoretical_slope(order),
-        slope_gap_full=gap(slopes_full),
-        slope_gap_coarse=gap(slopes_coarse),
     )
 
 

@@ -37,7 +37,7 @@ from .asymptotics import (
 from .dirac_symbols import PhysicalParams
 from .discretization import GridRule
 from .entropy_pipeline import entanglement_entropy
-from .errors import ConvergenceError, DiamondEntropyError
+from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 from .renyi_functions import RenyiOrder
 from .schatten_toolkit import verify_commutator_lemma, verify_inequalities
@@ -347,9 +347,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         sys.stderr.write(f"non-convergence: {exc}\n")
         return 3
-    except DiamondEntropyError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
 
 
 if __name__ == "__main__":

@@ -2,10 +2,10 @@
 
 All symbols are 2x2 Hermitian matrices (plain numpy arrays) of a real
 momentum: the dispersion omega(k), the Hamiltonian symbol [[-k, m], [m, k]],
-its spectral projections E_+/E_-, the damped negative-frequency symbol
-exp(-eps*omega) E_-, the rescaled family obtained by momentum dilation, the
-large-dilation limit symbol, and the high/low frequency split at the
-threshold log(alpha).
+its spectral projections E_+/E_-, the rescaled family of the damped
+negative-frequency symbol exp(-eps*omega) E_- obtained by momentum dilation,
+the large-dilation limit symbol, and the high-frequency part of the rescaled
+symbol above the threshold log(alpha).
 """
 
 from __future__ import annotations
@@ -40,17 +40,14 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SymbolSplit:
-    """High/low frequency split of the rescaled symbol at |k| = threshold.
+    """High-frequency part of the rescaled symbol, split at |k| = threshold.
 
     high_part(k) equals the rescaled symbol for |k| >= threshold and the
-    limit symbol below it; low_part(k) is the (rescaled - limit) difference
-    cut off above the threshold, so high + low reproduces the rescaled
-    symbol below threshold and the rescaled symbol alone above it.
+    limit symbol below it.
     """
 
     threshold: float
     high_part: Callable[[float], np.ndarray]
-    low_part: Callable[[float], np.ndarray]
 
 
 def omega(k, mass):
@@ -87,15 +84,6 @@ def _negative_projection_total(k: float, mass: float) -> np.ndarray:
     return spectral_projection(k, mass, -1)
 
 
-def regularized_symbol(params: PhysicalParams, k: float) -> np.ndarray:
-    """Damped negative-frequency symbol exp(-eps*omega(k)) E_-(k).
-
-    Eigenvalues are {exp(-eps*omega(k)), 0}, so the symbol is a contraction.
-    """
-    damping = np.exp(-params.epsilon * omega(k, params.mass))
-    return damping * _negative_projection_total(k, params.mass)
-
-
 def rescaled_symbol(alpha: float, mass: float, xi: float) -> np.ndarray:
     """Symbol of the dilated family: equals the damped symbol at
     (epsilon = 1/alpha, k = alpha * xi), i.e. mass enters only as mass/alpha."""
@@ -123,7 +111,7 @@ def split_symbol(alpha: float, mass: float) -> SymbolSplit:
     """Split the rescaled symbol at the threshold log(alpha).
 
     The threshold set |k| = log(alpha) is assigned to the high part (closed
-    on the high side), which keeps both parts deterministic point functions.
+    on the high side), which keeps it a deterministic point function.
     Requires alpha > e so the threshold exceeds 1.
     """
     if not alpha > np.e:
@@ -135,9 +123,4 @@ def split_symbol(alpha: float, mass: float) -> SymbolSplit:
             return rescaled_symbol(alpha, mass, k)
         return limit_symbol(k)
 
-    def low_part(k: float) -> np.ndarray:
-        if abs(k) >= threshold:
-            return np.zeros((2, 2))
-        return rescaled_symbol(alpha, mass, k) - limit_symbol(k)
-
-    return SymbolSplit(threshold=threshold, high_part=high_part, low_part=low_part)
+    return SymbolSplit(threshold=threshold, high_part=high_part)

@@ -8,15 +8,15 @@ class DiamondEntropyError(Exception):
 class ConvergenceError(DiamondEntropyError):
     """A numerical procedure did not reach its requested tolerance.
 
-    Raised by adaptive quadratures that exhaust their refinement budget,
-    by the grid-doubling entropy ladder when the final grid still violates
-    the spectral range, and by sweeps with too few converged points.
+    Raised by:
+    - the bulk-term panel sum (and the slope constant's) when its 16-node
+      and 32-node results disagree;
+    - the massive kernel fill when the Bessel values come out non-finite;
+    - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance;
+    - the cross-block assembly when the kernel's mass beyond the box
+      exceeds its tail tolerance;
+    - the grid-doubling entropy ladder when no grid up to the cap yields an
+      admissible spectrum;
+    - sweeps with fewer converged points than the slope fit's minimum.
     """
 
-
-class VacuousBoundError(DiamondEntropyError):
-    """A bound check was requested where the bounding quantity vanishes."""
-
-
-class EstimationError(DiamondEntropyError):
-    """A numerical estimate came out unusable (e.g. a non-positive exponent)."""

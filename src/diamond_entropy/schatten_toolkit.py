@@ -1,4 +1,4 @@
-"""Singular values, Schatten (quasi-)norms, and randomized inequality checks.
+"""Randomized singular-value and Schatten-norm inequality checks.
 
 verify_inequalities exercises, on seeded complex Gaussian matrices, the
 singular-value sum bound s_{2k-1}(A+B) <= s_k(A) + s_k(B), the p-triangle
@@ -16,23 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VacuousBoundError
-from .renyi_functions import RenyiOrder, eta, probe_condition_f
-
 SLACK_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Non-increasing singular values of one matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if np.any(vals < 0) or np.any(np.diff(vals) > 0):
-            raise ValueError("singular values must be nonnegative and non-increasing")
 
 
 @dataclass(frozen=True)
@@ -56,25 +40,6 @@ class SchattenReport:
     @property
     def passed(self) -> bool:
         return self.informational or self.max_violation <= self.slack_tolerance
-
-
-def singular_values(A: np.ndarray) -> SingularSpectrum:
-    """Singular values of A in non-increasing order (LAPACK SVD)."""
-    A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    return SingularSpectrum(values=np.linalg.svd(A, compute_uv=False))
-
-
-def schatten_norm(A: np.ndarray, p: float) -> float:
-    """(sum s_k^p)^(1/p); p = inf gives the operator norm, p = 1 the trace norm."""
-    if not (p > 0 or p == np.inf):
-        raise ValueError(f"p must be positive or inf, got {p}")
-    s = singular_values(A).values
-    if p == np.inf:
-        return float(s[0]) if s.size else 0.0
-    total = float(np.sum(s**p))
-    return total ** (1.0 / p)
 
 
 def _qnorms(s: np.ndarray, p: float) -> np.ndarray:
@@ -244,70 +209,3 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
     reports.append(SchattenReport("projection_compression", trials, worst, seed))
     return reports
 
-
-def _smooth_step(x: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        f = np.where(x > 0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        g = np.where(1.0 - x > 0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return f / (f + g)
-
-
-def localized_eta(order: RenyiOrder, t: np.ndarray, t0: float) -> np.ndarray:
-    """eta multiplied by a fixed smooth partition member supported near t0.
-
-    The partition cuts between 0.35 and 0.65, so each member contains exactly
-    one endpoint of [0, 1] in its support.
-    """
-    t = np.asarray(t, dtype=float)
-    psi_low = _smooth_step((0.65 - t) / 0.3)
-    weight = psi_low if t0 == 0.0 else 1.0 - psi_low
-    return eta(order, t) * weight
-
-
-def _apply_fn(H: np.ndarray, fn) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(H)
-    return (vecs * fn(vals)) @ np.conj(vecs.T)
-
-
-def check_szego_bound(
-    A: np.ndarray,
-    P: np.ndarray,
-    order: RenyiOrder,
-    q: float,
-    sigma: float,
-    t0: float = 0.0,
-) -> float:
-    """Ratio ||P f(PAP) P - P f(A) P||_q / ||P A (1-P)||_{sigma q}^sigma.
-
-    f is eta localized near one endpoint by the fixed smooth partition. The
-    ratio realizes the constant in the spectral-compression bound; it is
-    meaningful only when the compression PA(1-P) does not vanish, otherwise
-    VacuousBoundError is raised.
-    """
-    if not (0.5 < q <= 1.0):
-        raise ValueError(f"q must lie in (1/2, 1], got {q}")
-    gamma = probe_condition_f(order, t0, samples=120).gamma
-    limit = min(2.0 - 1.0 / q, gamma)
-    if not sigma < limit:
-        raise ValueError(f"sigma must be below min(2 - 1/q, gamma) = {limit:.4f}, got {sigma}")
-    A = np.asarray(A)
-    P = np.asarray(P)
-    if np.abs(A - A.conj().T).max() > 1e-12:
-        raise ValueError("A must be Hermitian")
-    if np.abs(P @ P - P).max() > 1e-12 or np.abs(P - P.conj().T).max() > 1e-12:
-        raise ValueError("P must be an orthogonal projection")
-    evals = np.linalg.eigvalsh(A)
-    if evals.min() < -1e-12 or evals.max() > 1.0 + 1e-12:
-        raise ValueError("spectrum of A must lie in [0, 1]")
-
-    fn = lambda t: localized_eta(order, t, t0)
-    one_minus_P = np.eye(P.shape[0]) - P
-    denominator = schatten_norm(P @ A @ one_minus_P, sigma * q) ** sigma
-    if denominator < 1e-14:
-        raise VacuousBoundError(
-            "compression P A (1-P) vanishes; the bound is vacuous for commuting inputs"
-        )
-    difference = P @ _apply_fn(P @ A @ P, fn) @ P - P @ _apply_fn(A, fn) @ P
-    return schatten_norm(difference, q) / denominator

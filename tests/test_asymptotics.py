@@ -8,10 +8,10 @@ from diamond_entropy import (
     RenyiOrder,
     asymptotics,
     log_growth_diagnostic,
-    mass_independence_check,
     offdiagonal_diagnostic,
     sweep,
 )
+from proof_probes import mass_independence_check
 
 K1 = RenyiOrder(1.0)
 COARSE_GRID = np.geomspace(0.5, 0.01, 6)
@@ -81,7 +81,7 @@ class TestMassIndependence:
         def no_sweep(*args, **kwargs):
             raise AssertionError("sweep started")
 
-        monkeypatch.setattr("diamond_entropy.asymptotics.sweep", no_sweep)
+        monkeypatch.setattr("proof_probes.sweep", no_sweep)
         with pytest.raises(ValueError, match="mass"):
             mass_independence_check(1.0, K1, [0.0, bad], COARSE_GRID)
 

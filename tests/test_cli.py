@@ -362,9 +362,10 @@ class TestJobsResolution:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "diamond_entropy.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0
         assert diamond_entropy.__version__ in proc.stdout

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate
 
 from diamond_entropy import (
@@ -39,6 +42,28 @@ class TestEntropyFromEigenvalues:
     def test_out_of_range_signals(self):
         with pytest.raises(ConvergenceError):
             entropy_from_eigenvalues(np.array([0.5, 1.5]), K1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ev=arrays(
+            float,
+            st.integers(1, 40),
+            # weight the draws toward both endpoints, where the clamp acts
+            elements=st.one_of(
+                st.floats(-1e-6, 1e-6),
+                st.floats(1.0 - 1e-6, 1.0 + 1e-6),
+                st.floats(-1e-6, 1.0 + 1e-6),
+            ),
+        ),
+        kappa=st.floats(0.05, 20.0),
+    )
+    def test_clamp_report_matches_out_of_range_entries(self, ev, kappa):
+        value, report = entropy_from_eigenvalues(ev, RenyiOrder(kappa))
+        distances = np.maximum(-ev, ev - 1.0)
+        outside = distances > 0.0
+        assert value >= 0.0
+        assert report.count == int(np.count_nonzero(outside))
+        assert report.max_distance == (float(distances[outside].max()) if outside.any() else 0.0)
 
 
 class TestTruncatedTrace:

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from diamond_entropy import (
     ConvergenceError,
-    EstimationError,
     RenyiOrder,
     entropy_integral,
     eta,
-    eta_derivatives,
-    probe_condition_f,
     theoretical_slope,
 )
+from proof_probes import eta_derivatives, probe_condition_f
 
 LN2 = np.log(2.0)
 

@@ -3,18 +3,17 @@ import pytest
 
 from diamond_entropy import (
     RenyiOrder,
-    VacuousBoundError,
-    check_szego_bound,
     eta,
-    schatten_norm,
-    singular_values,
     verify_commutator_lemma,
     verify_inequalities,
 )
-from diamond_entropy.schatten_toolkit import (
-    complex_gaussian,
+from diamond_entropy.schatten_toolkit import complex_gaussian, random_projections
+from proof_probes import (
+    VacuousBoundError,
+    check_szego_bound,
     localized_eta,
-    random_projections,
+    schatten_norm,
+    singular_values,
 )
 
 
