@@ -10,11 +10,19 @@ DIAMOND_ENTROPY_JOBS, else the CPU count); entropy accepts it too and
 records it in its configuration when it is given, by flag or environment,
 but starts no worker.
 
-Exit codes: 0 success, 2 argument errors (for entropy and sweep, a bad
---jobs or DIAMOND_ENTROPY_JOBS included, and a --grid-size whose
-eigensolver buffers exceed physical memory), 3 numerical non-convergence, 4
-property-suite failure. Outputs embed the resolved configuration and the
-package version and are bit-identical for identical configuration.
+Every subcommand writes through one writer, `_write`: a JSON document, or
+CSV with one row per flat record (bools as true/false, floats to 17
+significant digits). JSON writes NaN, the entropy of a sweep point with no
+admissible grid, as null; CSV as nan.
+
+Exit codes: 0 success; 2 argument errors, found before any work (among them
+a bad --jobs or DIAMOND_ENTROPY_JOBS, a --grid-size whose eigensolver
+buffers exceed physical memory for entropy, sweep and diag --diag-type
+offdiag, and an --output-path that is a directory or lacks its parent
+directory), or an --output-path that fails while being written; 3 numerical
+non-convergence; 4 property-suite failure. Outputs embed the resolved
+configuration and the package version and are bit-identical for identical
+configuration.
 """
 
 from __future__ import annotations
@@ -28,25 +36,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    BoxSpec,
-    log_growth_diagnostic,
-    offdiagonal_diagnostic,
-    sweep,
-)
+from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import GridRule
+from .discretization import GridRule, check_spectrum_memory
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 from .renyi_functions import RenyiOrder
 from .schatten_toolkit import verify_commutator_lemma, verify_inequalities
 
-_FLOAT_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FLOAT_FMT)
+_PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy's JSON
 
 
 def _resolve_jobs(flag: int | None) -> int | None:
@@ -83,27 +82,73 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(",")])
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+class _UnwritableOutput(Exception):
+    """--output-path cannot be written (exit 2)."""
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, a path that is a directory or lacks its parent."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise _UnwritableOutput(f"cannot write --output-path {path!r}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise _UnwritableOutput(f"cannot write --output-path {path!r}: no such directory")
+
+
+def _json_safe(value):
+    """The value with every NaN or infinity, which JSON cannot carry, as None."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _json_document(config: dict, payload: dict) -> str:
     doc = {"version": __version__, "config": config, **payload}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_json_safe(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_document(config: dict, header: list[str], rows: list[list[str]]) -> str:
+def _cell(value) -> str:
+    """One CSV cell: bools as true/false, floats to 17 digits, the rest as str."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _csv_document(config: dict, records: list[dict]) -> str:
+    header = list(records[0])
     lines = [
         f"# version: {__version__}",
         "# config: " + json.dumps(config, sort_keys=True),
         ",".join(header),
     ]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(_cell(record[key]) for key in header) for record in records)
     return "\n".join(lines) + "\n"
+
+
+def _write(args: argparse.Namespace, payload: dict, records: list[dict]) -> None:
+    """The one output path: `payload` as a JSON document or `records` as CSV
+    rows, to stdout or to --output-path."""
+    config = _config_dict(args)
+    if args.output_format == "json":
+        text = _json_document(config, payload)
+    else:
+        text = _csv_document(config, records)
+    if args.output_path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.output_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UnwritableOutput(f"cannot write --output-path {args.output_path!r}: "
+                                f"{exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,29 +227,14 @@ def _cmd_entropy(args) -> int:
     if not result.converged:
         sys.stderr.write(f"warning: entropy not converged at the grid-size cap "
                          f"{args.grid_size}; reporting n={result.grid_size}\n")
-    config = _config_dict(args)
-    payload = {
-        "result": {
-            "params": {"mass": params.mass, "epsilon": params.epsilon, "lambda": params.lam},
-            "kappa": order.kappa,
-            "n": result.grid_size,
-            "truncated_trace": result.truncated_trace,
-            "subtraction_trace": result.subtraction_trace,
-            "entropy": result.entropy,
-            "clamp_count": result.clamp_count,
-            "converged": result.converged,
-        }
-    }
-    if args.output_format == "json":
-        _emit(_json_document(config, payload), args.output_path)
-    else:
-        header = ["kappa", "mass", "epsilon", "lambda", "n",
-                  "truncated_trace", "subtraction_trace", "entropy", "clamp_count", "converged"]
-        row = [_fmt(order.kappa), _fmt(params.mass), _fmt(params.epsilon), _fmt(params.lam),
-               str(result.grid_size), _fmt(result.truncated_trace),
-               _fmt(result.subtraction_trace), _fmt(result.entropy),
-               str(result.clamp_count), str(result.converged).lower()]
-        _emit(_csv_document(config, header, [row]), args.output_path)
+    row = {"kappa": order.kappa, "mass": params.mass, "epsilon": params.epsilon,
+           "lambda": params.lam, "n": result.grid_size,
+           "truncated_trace": result.truncated_trace,
+           "subtraction_trace": result.subtraction_trace, "entropy": result.entropy,
+           "clamp_count": result.clamp_count, "converged": result.converged}
+    nested = {key: value for key, value in row.items() if key not in _PARAM_KEYS}
+    nested["params"] = {key: row[key] for key in _PARAM_KEYS}
+    _write(args, {"result": nested}, [row])
     return 0
 
 
@@ -216,30 +246,16 @@ def _cmd_sweep(args) -> int:
     order = RenyiOrder(args.kappa)
     result = sweep(params, order, eps_grid, n_max=args.grid_size,
                    rule=GridRule(args.rule), jobs=args.jobs)
-    config = _config_dict(args)
-    fit = {
-        "slope": result.slope,
-        "intercept": result.intercept,
-        "r_squared": result.r_squared,
-        "theory_slope": result.theory_slope,
-        "rel_error": result.rel_error,
-    }
-    if args.output_format == "json":
-        points = [
-            {"epsilon": p.epsilon, "ln_inv_eps": float(np.log(1.0 / p.epsilon)),
-             "entropy": p.entropy, "n": p.grid_size, "converged": p.converged}
-            for p in result.points
-        ]
-        _emit(_json_document(config, {"fit": fit, "points": points}), args.output_path)
-    else:
-        header = ["epsilon", "ln_inv_eps", "entropy", "n", "converged"]
-        rows = [
-            [_fmt(p.epsilon), _fmt(np.log(1.0 / p.epsilon)), _fmt(p.entropy),
-             str(p.grid_size), str(p.converged).lower()]
-            for p in result.points
-        ]
-        _emit(_csv_document(config, header, rows), args.output_path)
-        sys.stdout.write(_json_document(config, {"fit": fit}))
+    fit = {key: getattr(result, key)
+           for key in ("slope", "intercept", "r_squared", "theory_slope", "rel_error")}
+    points = [
+        {"epsilon": p.epsilon, "ln_inv_eps": float(np.log(1.0 / p.epsilon)),
+         "entropy": p.entropy, "n": p.grid_size, "converged": p.converged}
+        for p in result.points
+    ]
+    _write(args, {"fit": fit, "points": points}, points)
+    if args.output_format == "csv":  # the rows may go to a file; the fit goes to stdout
+        sys.stdout.write(_json_document(_config_dict(args), {"fit": fit}))
     return 0
 
 
@@ -248,21 +264,16 @@ def _cmd_kernel_dump(args) -> int:
         raise ValueError("u-count must be >= 1 and u-max > 0")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
-    config = _config_dict(args)
-    header = ["u", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
     K11, K12 = kernel_blocks(params, u_grid)
     K12 = np.broadcast_to(K12, u_grid.shape)
     im22 = 0.0 - K11.imag  # Im conj(K11), with 0 rather than -0 at u = 0
-    rows = [
-        [_fmt(u), _fmt(k11.real), _fmt(k11.imag), _fmt(k12), "0", _fmt(k12), "0",
-         _fmt(k11.real), _fmt(k22_imag)]
+    columns = ("u", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22")
+    points = [
+        dict(zip(columns, map(float, (u, k11.real, k11.imag, k12, 0, k12, 0,
+                                      k11.real, k22_imag))))
         for u, k11, k12, k22_imag in zip(u_grid, K11, K12, im22)
     ]
-    if args.output_format == "csv":
-        _emit(_csv_document(config, header, rows), args.output_path)
-    else:
-        points = [dict(zip(header, [float(v) for v in row])) for row in rows]
-        _emit(_json_document(config, {"kernel": points}), args.output_path)
+    _write(args, {"kernel": points}, points)
     return 0
 
 
@@ -270,33 +281,20 @@ def _cmd_verify(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     if not dims or args.trials < 1:
         raise ValueError("need at least one dim and trials >= 1")
-    reports = []
-    for dim in dims:
-        for rep in verify_inequalities(dim, args.trials, args.seed):
-            reports.append((dim, rep))
-        for rep in verify_commutator_lemma(dim, args.trials, args.seed):
-            reports.append((dim, rep))
-    config = _config_dict(args)
-    report_dicts = [{"dim": dim, **dataclasses.asdict(rep), "passed": rep.passed}
-                    for dim, rep in reports]
-    failed = [r for _, r in reports if not r.passed]
-    if args.output_format == "json":
-        _emit(_json_document(config, {"reports": report_dicts}), args.output_path)
-    else:
-        header = ["dim", "inequality_name", "trials", "max_violation", "seed",
-                  "slack_tolerance", "informational", "passed"]
-        rows = [[str(r["dim"]), r["inequality_name"], str(r["trials"]),
-                 _fmt(r["max_violation"]), str(r["seed"]), _fmt(r["slack_tolerance"]),
-                 str(r["informational"]).lower(), str(r["passed"]).lower()]
-                for r in report_dicts]
-        _emit(_csv_document(config, header, rows), args.output_path)
-    return 4 if failed else 0
+    reports = [
+        {"dim": dim, **dataclasses.asdict(rep), "passed": rep.passed}
+        for dim in dims
+        for check in (verify_inequalities, verify_commutator_lemma)
+        for rep in check(dim, args.trials, args.seed)
+    ]
+    _write(args, {"reports": reports}, reports)
+    return 0 if all(r["passed"] for r in reports) else 4
 
 
 def _cmd_diag(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
-    config = _config_dict(args)
     if args.diag_type == "offdiag":
+        check_spectrum_memory(args.grid_size)
         result = offdiagonal_diagnostic(
             args.lam, RenyiOrder(args.kappa), args.mass, alphas, n=args.grid_size
         )
@@ -309,25 +307,16 @@ def _cmd_diag(args) -> int:
         ratios = [v / np.log(a) for v, a in zip(result.logq_norms, result.alpha_grid)]
         columns = [("logq_norms", "logq_norm", result.logq_norms),
                    ("ratios_to_log_alpha", "ratio_to_log_alpha", ratios)]
-    if args.output_format == "json":
-        diagnostics = {"alpha_grid": [float(a) for a in result.alpha_grid]}
-        diagnostics.update({key: [float(v) for v in values] for key, _, values in columns})
-        _emit(_json_document(config, {"diagnostics": diagnostics}), args.output_path)
-    else:
-        header = ["alpha"] + [name for _, name, _ in columns]
-        rows = [[_fmt(a)] + [_fmt(values[i]) for _, _, values in columns]
-                for i, a in enumerate(result.alpha_grid)]
-        _emit(_csv_document(config, header, rows), args.output_path)
+    columns = [("alpha_grid", "alpha", result.alpha_grid), *columns]
+    diagnostics = {key: [float(v) for v in values] for key, _, values in columns}
+    rows = [dict(zip([name for _, name, _ in columns], values))
+            for values in zip(*diagnostics.values())]
+    _write(args, {"diagnostics": diagnostics}, rows)
     return 0
 
 
-_DISPATCH = {
-    "entropy": _cmd_entropy,
-    "sweep": _cmd_sweep,
-    "kernel-dump": _cmd_kernel_dump,
-    "verify": _cmd_verify,
-    "diag": _cmd_diag,
-}
+_DISPATCH = {"entropy": _cmd_entropy, "sweep": _cmd_sweep, "kernel-dump": _cmd_kernel_dump,
+             "verify": _cmd_verify, "diag": _cmd_diag}
 
 
 def main(argv=None) -> int:
@@ -337,9 +326,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse prints its own usage message
         return int(exc.code or 0)
     try:
+        _check_output_path(args.output_path)
         if "jobs" in args:  # entropy and sweep
             args.jobs = _resolve_jobs(args.jobs)
         return _DISPATCH[args.command](args)
+    except _UnwritableOutput as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")

@@ -192,7 +192,8 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     One half comes from Newton's method (n <= 100) or Bogaert's asymptotic
     formulas (n > 100), in O(n) for large n; the other is its mirror image.
-    The rule is then symmetrized and its weights normalized to sum to 2.
+    For odd n the centre node is set to exactly 0, and the weights are
+    normalized to sum to 2.
     """
     half_x, half_w = (_newton_half if n <= _NEWTON_MAX_NODES else _bogaert_half)(n)
     h = half_x.size
@@ -200,8 +201,8 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.empty(n)
     x[:h], x[n - h:] = -half_x, half_x[::-1]
     w[:h], w[n - h:] = half_w, half_w[::-1]
-    w = (w + w[::-1]) / 2.0
-    x = (x - x[::-1]) / 2.0
+    if n % 2:
+        x[n // 2] = 0.0
     w *= 2.0 / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False

@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 import diamond_entropy
-from diamond_entropy import asymptotics, discretization, entropy_pipeline
-from diamond_entropy.cli import main, _parse_eps_grid
+from diamond_entropy import asymptotics, cli, discretization, entropy_pipeline
+from diamond_entropy.cli import build_parser, main, _parse_eps_grid
 from diamond_entropy.schatten_toolkit import SchattenReport
 
 
@@ -72,6 +74,55 @@ class TestArgumentHandling:
                         "--grid-size", "4096", "--jobs", "4"])
         assert code == 2
         assert "4 process(es)" in capsys.readouterr().err
+
+    def test_offdiag_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the memory preflight")
+
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
+        monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
+        code = run_cli(["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100",
+                        "--grid-size", "4096"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bytes of eigensolver buffers" in captured.err
+
+    @pytest.mark.parametrize("command, compute, target", [
+        (["kernel-dump", "--epsilon", "0.5"], "kernel_blocks", "missing/k.csv"),
+        (["verify", "--trials", "3", "--dims", "4"], "verify_inequalities", "."),
+    ])
+    def test_unwritable_output_path_exits_2_before_work(self, monkeypatch, capsys, tmp_path,
+                                                        command, compute, target):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output-path check")
+
+        monkeypatch.setattr(cli, compute, no_work)
+        path = str(tmp_path / target)
+        for fmt in ("json", "csv"):
+            code = run_cli([*command, "--output-format", fmt, "--output-path", path])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and repr(path) in captured.err
+
+    def test_output_path_failing_on_write_exits_2(self, monkeypatch, capsys, tmp_path):
+        # the directory exists at the check and is gone when the output is written
+        (tmp_path / "out").mkdir()
+        kernel = cli.kernel_blocks
+
+        def remove_directory_then_compute(*args):
+            shutil.rmtree(tmp_path / "out")
+            return kernel(*args)
+
+        monkeypatch.setattr(cli, "kernel_blocks", remove_directory_then_compute)
+        path = str(tmp_path / "out" / "k.csv")
+        code = run_cli(["kernel-dump", "--epsilon", "0.5", "--output-path", path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and repr(path) in captured.err
 
     def test_eps_grid_mini_language(self):
         grid = _parse_eps_grid("0.1:0.002:8log")
@@ -181,6 +232,22 @@ class TestSweepCommand:
         assert len(lines) == 3 + 6
         fit = json.loads(capsys.readouterr().out)
         assert "slope" in fit["fit"]
+
+    def test_failed_point_is_null_in_json_and_nan_in_csv(self, capsys):
+        # eps = 0.002 has no admissible grid up to the cap of 256
+        args = ["sweep", "--kappa", "1", "--eps-grid", "2:0.002:10log",
+                "--grid-size", "256", "--jobs", "1"]
+        assert run_cli(args) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        failed = json.loads(capsys.readouterr().out, parse_constant=refuse)["points"][-1]
+        assert failed["entropy"] is None
+        assert failed["n"] == 256 and failed["converged"] is False
+        assert run_cli([*args, "--output-format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[3 + 9] == "0.002,6.2146080984221914,nan,256,false"
 
 
 class TestKernelDumpCommand:
@@ -407,3 +474,97 @@ class TestImportGraph:
                               env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+def _same_value(cell: str, value) -> bool:
+    """A CSV cell read back against the JSON value of the same field."""
+    if isinstance(value, bool):
+        return cell == str(value).lower()
+    if isinstance(value, str):
+        return cell == value
+    return type(value)(cell) == value  # 17 significant digits round-trip a float
+
+
+class TestOutputWriter:
+    """Both output formats of one configuration carry the same numbers."""
+
+    def _both(self, capsys, command):
+        assert run_cli([*command, "--output-format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run_cli([*command, "--output-format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"# version: {diamond_entropy.__version__}"
+        config = json.loads(lines[1].removeprefix("# config: "))
+        assert config == {**doc["config"], "output-format": "csv"}
+        header = lines[2].split(",")
+        rows = []
+        for line in lines[3:]:
+            if line == "{":  # sweep's fit summary follows its rows
+                break
+            rows.append(dict(zip(header, line.split(","), strict=True)))
+        return doc, rows, lines
+
+    def _assert_same(self, records, rows):
+        assert len(records) == len(rows) > 0
+        for record, row in zip(records, rows):
+            assert set(record) == set(row)
+            for key, value in record.items():
+                assert _same_value(row[key], value), (key, row[key], value)
+
+    def test_entropy(self, capsys):
+        doc, rows, _ = self._both(capsys, ["entropy", "--kappa", "2", "--mass", "1",
+                                           "--epsilon", "0.5", "--grid-size", "128"])
+        result = dict(doc["result"])
+        result.update(result.pop("params"))
+        self._assert_same([result], rows)
+        assert list(rows[0]) == ["kappa", "mass", "epsilon", "lambda", "n", "truncated_trace",
+                                 "subtraction_trace", "entropy", "clamp_count", "converged"]
+
+    def test_sweep(self, capsys):
+        doc, rows, lines = self._both(capsys, ["sweep", "--kappa", "1", "--eps-grid",
+                                               "0.5:0.01:6log", "--grid-size", "256",
+                                               "--jobs", "1"])
+        self._assert_same(doc["points"], rows)
+        assert json.loads("\n".join(lines[3 + len(rows):]))["fit"] == doc["fit"]
+
+    def test_kernel_dump(self, capsys):
+        doc, rows, _ = self._both(capsys, ["kernel-dump", "--mass", "1", "--epsilon", "0.5",
+                                           "--u-max", "2", "--u-count", "5"])
+        self._assert_same(doc["kernel"], rows)
+        assert [row["im12"] for row in rows] == ["0"] * 5
+
+    def test_verify(self, capsys):
+        doc, rows, _ = self._both(capsys, ["verify", "--trials", "3", "--dims", "4"])
+        self._assert_same(doc["reports"], rows)
+
+    @pytest.mark.parametrize("command, columns", [
+        (["--diag-type", "offdiag", "--alpha-grid", "10,31.6", "--grid-size", "128"],
+         {"alpha": "alpha_grid", "offdiag_ratio": "offdiag_ratios",
+          "sup_deviation": "sup_deviations"}),
+        (["--diag-type", "log-growth", "--alpha-grid", "100,1000,10000",
+          "--box-grid-size", "512"],
+         {"alpha": "alpha_grid", "logq_norm": "logq_norms",
+          "ratio_to_log_alpha": "ratios_to_log_alpha"}),
+    ])
+    def test_diag(self, capsys, command, columns):
+        doc, rows, _ = self._both(capsys, ["diag", *command])
+        diagnostics = doc["diagnostics"]
+        assert set(diagnostics) == set(columns.values())
+        records = [{name: diagnostics[key][i] for name, key in columns.items()}
+                   for i in range(len(diagnostics["alpha_grid"]))]
+        self._assert_same(records, rows)
+        assert list(rows[0]) == list(columns)
+
+
+class TestReadmeExamples:
+    def test_every_cli_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [
+            line for line in readme.replace("\\\n", " ").splitlines()
+            if line.startswith("diamond-entropy ")
+        ]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for line in commands:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command in line

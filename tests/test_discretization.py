@@ -84,6 +84,24 @@ class TestBuildGrid:
         for k in range(min(20, n - 1) + 1):  # exact up to degree 2n - 1
             assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-12
 
+    def test_mirrored_rule_needs_no_symmetrization(self):
+        # The mirrored halves are symmetric already: averaging x with -x[::-1]
+        # and w with w[::-1] changes no bit but the odd-n centre node (up to
+        # ~3e-16 from Bogaert's formulas), which the rule sets to 0 directly.
+        for n in [*range(2, 400), 511, 512, 513, 1000, 1024, 2047, 2048, 4096, 8191, 8192]:
+            half = (discretization._newton_half if n <= discretization._NEWTON_MAX_NODES
+                    else discretization._bogaert_half)
+            half_x, half_w = half(n)
+            h = half_x.size
+            x, w = np.empty(n), np.empty(n)
+            x[:h], x[n - h:] = -half_x, half_x[::-1]
+            w[:h], w[n - h:] = half_w, half_w[::-1]
+            w = (w + w[::-1]) / 2.0
+            x = (x - x[::-1]) / 2.0
+            w *= 2.0 / w.sum()
+            rule_x, rule_w = discretization._legendre_rule.__wrapped__(n)
+            assert np.array_equal(rule_x, x) and np.array_equal(rule_w, w), n
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid(nodes=[0.5, 0.2], weights=[0.5, 0.5], rule=GridRule.MIDPOINT, lam=1.0)
