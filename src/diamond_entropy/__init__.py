@@ -20,13 +20,11 @@ from .asymptotics import (
 )
 from .dirac_symbols import (
     PhysicalParams,
-    SymbolSplit,
     hamiltonian_symbol,
     limit_symbol,
     omega,
     rescaled_symbol,
     spectral_projection,
-    split_symbol,
 )
 from .discretization import (
     Grid,

@@ -16,12 +16,13 @@ log(alpha) up to a bounded constant.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dirac_symbols import PhysicalParams, limit_symbol, split_symbol
+from .dirac_symbols import PhysicalParams, limit_symbol, rescaled_symbol
 from .discretization import (
     DEFAULT_BOX_TAIL_TOL,
     GridRule,
@@ -101,21 +102,17 @@ def _validate_eps_grid(eps_grid: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _sweep_point(job) -> SweepPoint:
-    lam, mass, epsilon, kappa, n_max, rule = job
+def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule,
+                 params: PhysicalParams) -> SweepPoint:
     try:
-        result = entanglement_entropy(
-            PhysicalParams(mass=mass, epsilon=epsilon, lam=lam),
-            RenyiOrder(kappa),
-            n=n_max,
-            rule=GridRule(rule),
-        )
+        result = entanglement_entropy(params, order, n=n_max, rule=rule)
     except ConvergenceError:
         # no admissible grid up to the cap: an unconverged point, counted
         # against the minimum-converged-points requirement
-        return SweepPoint(epsilon=epsilon, entropy=float("nan"), converged=False, grid_size=n_max)
+        return SweepPoint(epsilon=params.epsilon, entropy=float("nan"), converged=False,
+                          grid_size=n_max)
     return SweepPoint(
-        epsilon=epsilon,
+        epsilon=params.epsilon,
         entropy=result.entropy,
         converged=result.converged,
         grid_size=result.grid_size,
@@ -143,21 +140,20 @@ def sweep(
 
     Points are computed independently (optionally in separate processes)
     and aggregated in decreasing-epsilon order; the fit uses only converged
-    points and requires at least five of them. ValueError before any point
-    if min(jobs, points) processes at the cap n_max would exceed physical
-    memory.
+    points and requires at least five of them. At most min(jobs, points)
+    worker processes run; ValueError before any point if that many spectra
+    at the cap n_max would exceed physical memory.
     """
     eps = _validate_eps_grid(eps_grid)
-    check_spectrum_memory(n_max, min(jobs, eps.size))
-    jobs_list = [
-        (params_base.lam, params_base.mass, float(e), order.kappa, n_max, rule.value)
-        for e in eps
-    ]
-    if jobs > 1 and len(jobs_list) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_sweep_point, jobs_list))
+    workers = min(jobs, eps.size)
+    check_spectrum_memory(n_max, workers)
+    point = functools.partial(_sweep_point, order, n_max, rule)
+    all_params = [replace(params_base, epsilon=float(e)) for e in eps]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(point, all_params))
     else:
-        points = [_sweep_point(job) for job in jobs_list]
+        points = [point(params) for params in all_params]
 
     fit_points = [p for p in points if p.converged]
     if len(fit_points) < MIN_CONVERGED_POINTS:
@@ -188,20 +184,20 @@ def matched_grid_entropy(params: PhysicalParams, order: RenyiOrder, n: int) -> f
     """
     grid = build_grid(n, params.lam)
     eigenvalues = operator_eigenvalues(params, grid, validate=False)
-    trace, _ = entropy_from_eigenvalues(eigenvalues, order, enforce_range=False)
+    trace, _ = entropy_from_eigenvalues(eigenvalues, order)
     return trace - subtraction_trace(params, order)
 
 
 def _high_low_sup_deviation(alpha: float, mass: float) -> float:
-    """Max spectral-norm distance of the high-frequency part from the limit."""
-    split = split_symbol(alpha, mass)
-    threshold = split.threshold
+    """Max spectral-norm distance of the rescaled symbol from the limit symbol
+    on |xi| >= ln(alpha), the high-frequency part of the symbol."""
+    threshold = np.log(alpha)
     offsets = np.concatenate([[0.0], np.geomspace(1e-9, 4.0 * threshold + 30.0, 400)])
     worst = 0.0
     for off in offsets:
         for sign in (1.0, -1.0):
             xi = sign * (threshold + off)
-            dev = np.linalg.norm(split.high_part(xi) - limit_symbol(xi), 2)
+            dev = np.linalg.norm(rescaled_symbol(alpha, mass, xi) - limit_symbol(xi), 2)
             worst = max(worst, float(dev))
     return worst
 
@@ -220,8 +216,10 @@ def offdiagonal_diagnostic(
     evaluated on the same grid and differenced; the massless entropy is the
     diagonal-symbol term exactly, so the ratio |S(m) - S(0)| / ln(alpha)
     isolates the off-diagonal contribution, which must trend to zero.
-    At mass = 0 the difference vanishes identically.
+    At mass = 0 the difference vanishes identically. ValueError before any
+    work if the eigensolver buffers at grid size n exceed physical memory.
     """
+    check_spectrum_memory(n)
     if mass < 0:
         raise ValueError("mass must be nonnegative")
     alphas = np.asarray(alpha_grid, dtype=float)

@@ -17,9 +17,10 @@ admissible grid, as null; CSV as nan.
 
 Exit codes: 0 success; 2 argument errors, found before any work (among them
 a bad --jobs or DIAMOND_ENTROPY_JOBS, a --grid-size whose eigensolver
-buffers exceed physical memory for entropy, sweep and diag --diag-type
-offdiag, and an --output-path that is a directory or lacks its parent
-directory), or an --output-path that fails while being written; 3 numerical
+buffers exceed physical memory, which entanglement_entropy, sweep and
+offdiagonal_diagnostic check first, and an --output-path that is a directory
+or lacks its parent directory), or an --output-path that fails while being
+written; 3 numerical
 non-convergence; 4 property-suite failure. Outputs embed the resolved
 configuration and the package version and are bit-identical for identical
 configuration.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -38,7 +40,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import GridRule, check_spectrum_memory
+from .discretization import GridRule
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
@@ -70,7 +72,7 @@ def _parse_eps_grid(text: str) -> np.ndarray:
     if len(parts) == 3 and parts[2].endswith("log"):
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2][:-3])
-        if count < 1 or start <= 0 or stop <= 0:
+        if count < 1 or not all(math.isfinite(v) and v > 0 for v in (start, stop)):
             raise ValueError(f"bad grid spec {text!r}")
         return np.geomspace(start, stop, count)
     raise ValueError(f"grid spec must be start:stop:Nlog, got {text!r}")
@@ -260,8 +262,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
-    if args.u_count < 1 or args.u_max <= 0:
-        raise ValueError("u-count must be >= 1 and u-max > 0")
+    if args.u_count < 1 or not (math.isfinite(args.u_max) and args.u_max > 0):
+        raise ValueError("u-count must be >= 1 and u-max finite and > 0")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
     K11, K12 = kernel_blocks(params, u_grid)
@@ -294,7 +296,6 @@ def _cmd_verify(args) -> int:
 def _cmd_diag(args) -> int:
     alphas = _parse_alpha_grid(args.alpha_grid)
     if args.diag_type == "offdiag":
-        check_spectrum_memory(args.grid_size)
         result = offdiagonal_diagnostic(
             args.lam, RenyiOrder(args.kappa), args.mass, alphas, n=args.grid_size
         )

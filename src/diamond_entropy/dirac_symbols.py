@@ -4,14 +4,12 @@ All symbols are 2x2 Hermitian matrices (plain numpy arrays) of a real
 momentum: the dispersion omega(k), the Hamiltonian symbol [[-k, m], [m, k]],
 its spectral projections E_+/E_-, the rescaled family of the damped
 negative-frequency symbol exp(-eps*omega) E_- obtained by momentum dilation,
-the large-dilation limit symbol, and the high-frequency part of the rescaled
-symbol above the threshold log(alpha).
+and its large-dilation limit symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,18 +34,6 @@ class PhysicalParams:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be > 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class SymbolSplit:
-    """High-frequency part of the rescaled symbol, split at |k| = threshold.
-
-    high_part(k) equals the rescaled symbol for |k| >= threshold and the
-    limit symbol below it.
-    """
-
-    threshold: float
-    high_part: Callable[[float], np.ndarray]
 
 
 def omega(k, mass):
@@ -105,22 +91,3 @@ def limit_symbol(xi: float) -> np.ndarray:
     if xi < 0.0:
         return np.array([[0.0, 0.0], [0.0, damping]])
     return _DEGENERATE_PROJECTION.copy()
-
-
-def split_symbol(alpha: float, mass: float) -> SymbolSplit:
-    """Split the rescaled symbol at the threshold log(alpha).
-
-    The threshold set |k| = log(alpha) is assigned to the high part (closed
-    on the high side), which keeps it a deterministic point function.
-    Requires alpha > e so the threshold exceeds 1.
-    """
-    if not alpha > np.e:
-        raise ValueError(f"alpha must exceed e, got {alpha}")
-    threshold = np.log(alpha)
-
-    def high_part(k: float) -> np.ndarray:
-        if abs(k) >= threshold:
-            return rescaled_symbol(alpha, mass, k)
-        return limit_symbol(k)
-
-    return SymbolSplit(threshold=threshold, high_part=high_part)

@@ -49,9 +49,11 @@ def regularized_symbol(params: PhysicalParams, k: float) -> np.ndarray:
 
 
 def low_part(alpha: float, mass: float, k: float) -> np.ndarray:
-    """Low-frequency remainder of split_symbol: rescaled - limit below |k| = ln(alpha).
+    """Low-frequency remainder of the rescaled symbol: rescaled - limit below
+    |k| = ln(alpha).
 
-    Zero on the threshold set and above it, so high_part + low_part
+    Zero on the threshold set and above it, so the high part (the rescaled
+    symbol on |k| >= ln(alpha), the limit symbol below it) plus low_part
     reproduces the rescaled symbol everywhere.
     """
     if abs(k) >= np.log(alpha):

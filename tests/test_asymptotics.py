@@ -71,6 +71,46 @@ class TestSweep:
         assert [p.entropy for p in again.points] == [p.entropy for p in coarse_sweep.points]
 
 
+class TestSweepWorkers:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Pool sizes and preflight worker counts of the sweeps run in a test."""
+        pool, preflight = [], []
+        check = asymptotics.check_spectrum_memory
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and maps in-process."""
+
+            def __init__(self, max_workers):
+                pool.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def recording_check(n, processes=1):
+            preflight.append(processes)
+            check(n, processes)
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(asymptotics, "check_spectrum_memory", recording_check)
+        return pool, preflight
+
+    def test_pool_never_exceeds_points(self, recorded, coarse_sweep):
+        result = sweep(base_params(), K1, COARSE_GRID, jobs=64)
+        assert recorded == ([COARSE_GRID.size], [COARSE_GRID.size])
+        assert result.points == coarse_sweep.points
+
+    def test_one_job_starts_no_pool(self, recorded, coarse_sweep):
+        sweep(base_params(), K1, COARSE_GRID, jobs=1)
+        assert recorded == ([], [1])
+
+
 class TestMassIndependence:
     def test_requires_zero_mass(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,24 @@ class TestArgumentHandling:
             ["sweep", "--kappa", "1", "--eps-grid", "nonsense"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["inf:0.002:8log", "nan:0.002:8log", "0.1:inf:8log"])
+    def test_non_finite_eps_grid_exits_2_without_warnings(self, capsys, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(["sweep", "--kappa", "1", "--eps-grid", spec])
+        assert code == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "Warning" not in err and f"bad grid spec {spec!r}" in err
+
+    @pytest.mark.parametrize("u_max", ["inf", "nan"])
+    def test_non_finite_u_max_exits_2(self, capsys, u_max):
+        code = run_cli(["kernel-dump", "--epsilon", "0.5", "--u-max", u_max])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "u-max" in captured.err
 
     def test_bad_jobs_exits_2(self, capsys):
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", "--jobs", "0"])

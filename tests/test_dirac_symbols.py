@@ -3,12 +3,12 @@ import pytest
 
 from diamond_entropy import (
     PhysicalParams,
+    asymptotics,
     hamiltonian_symbol,
     limit_symbol,
     omega,
     rescaled_symbol,
     spectral_projection,
-    split_symbol,
 )
 from proof_probes import low_part, regularized_symbol
 
@@ -153,13 +153,9 @@ class TestLimitSymbol:
 
 
 class TestSplitSymbol:
-    def test_requires_alpha_above_e(self):
-        with pytest.raises(ValueError):
-            split_symbol(2.0, 1.0)
-
     def test_low_part_vanishes_beyond_threshold(self):
-        split = split_symbol(100.0, 1.0)
-        for k in (split.threshold, split.threshold + 0.5, -split.threshold - 3.0, 17.0):
+        thr = np.log(100.0)
+        for k in (thr, thr + 0.5, -thr - 3.0, 17.0):
             assert np.abs(low_part(100.0, 1.0, k)).max() == 0.0
 
     def test_massless_low_part_identically_zero(self):
@@ -168,32 +164,22 @@ class TestSplitSymbol:
 
     def test_defining_identities_pointwise(self):
         alpha, mass = 50.0, 1.3
-        split = split_symbol(alpha, mass)
-        thr = split.threshold
+        thr = np.log(alpha)
         for k in (-2 * thr, -thr, -0.6 * thr, 0.0, 0.3 * thr, thr, 1.7 * thr):
             full = rescaled_symbol(alpha, mass, k)
             if abs(k) >= thr:
-                assert np.abs(split.high_part(k) - full).max() < 1e-15
                 assert np.abs(low_part(alpha, mass, k)).max() == 0.0
             else:
-                recombined = split.high_part(k) + low_part(alpha, mass, k)
+                recombined = limit_symbol(k) + low_part(alpha, mass, k)
                 assert np.abs(recombined - full).max() < 1e-15
-                assert np.abs(split.high_part(k) - limit_symbol(k)).max() == 0.0
 
     def test_high_part_deviation_bound_and_decay(self):
-        # sup_k |high(k) - limit(k)| <= C m / log(alpha) with a small constant,
-        # and the sup decays monotonically along an increasing alpha grid
+        # sup over |k| >= log(alpha) of |rescaled(k) - limit(k)| <= C m / log(alpha)
+        # with a small constant, and the sup decays along an increasing alpha grid
         mass = 1.0
         sups = []
         for alpha in (np.e**2.5, np.e**4, np.e**7, np.e**10):
-            split = split_symbol(alpha, mass)
-            thr = split.threshold
-            ks = np.concatenate(
-                [np.linspace(-3 * thr, 3 * thr, 301), [thr, -thr, thr * 1.0000001]]
-            )
-            dev = max(
-                np.linalg.norm(split.high_part(k) - limit_symbol(k), 2) for k in ks
-            )
+            dev = asymptotics._high_low_sup_deviation(alpha, mass)
             sups.append(dev)
             assert dev <= 5.0 * mass / np.log(alpha)
         assert all(a > b for a, b in zip(sups, sups[1:]))

@@ -41,7 +41,7 @@ class TestEntropyFromEigenvalues:
 
     def test_out_of_range_signals(self):
         with pytest.raises(ConvergenceError):
-            entropy_from_eigenvalues(np.array([0.5, 1.5]), K1)
+            discretization.validate_spectrum_range(np.array([0.5, 1.5]))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -71,7 +71,7 @@ class TestTruncatedTrace:
         params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
         ev = direct_spectrum(params, build_grid(64, 1.0))
         with pytest.raises(ConvergenceError):
-            entropy_from_eigenvalues(ev, K1)
+            discretization.validate_spectrum_range(ev)
 
     def test_matches_eigenvalue_path(self):
         params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
