@@ -29,7 +29,6 @@ from .dirac_symbols import (
 from .discretization import (
     Grid,
     GridRule,
-    assemble_offdiagonal_truncation,
     build_grid,
     clear_spectrum_cache,
     operator_eigenvalues,

@@ -24,17 +24,17 @@ import numpy as np
 
 from .dirac_symbols import PhysicalParams, limit_symbol, rescaled_symbol
 from .discretization import (
-    DEFAULT_BOX_TAIL_TOL,
+    BOX_TAIL_TOL,
     GridRule,
     assemble_offdiagonal_truncation,
     build_grid,
     check_spectrum_memory,
+    cross_block_nodes,
     min_box_half_width,
     operator_eigenvalues,
 )
 from .entropy_pipeline import (
     DEFAULT_N_MAX,
-    EntropyResult,
     entanglement_entropy,
     entropy_from_eigenvalues,
     subtraction_trace,
@@ -193,13 +193,9 @@ def _high_low_sup_deviation(alpha: float, mass: float) -> float:
     on |xi| >= ln(alpha), the high-frequency part of the symbol."""
     threshold = np.log(alpha)
     offsets = np.concatenate([[0.0], np.geomspace(1e-9, 4.0 * threshold + 30.0, 400)])
-    worst = 0.0
-    for off in offsets:
-        for sign in (1.0, -1.0):
-            xi = sign * (threshold + off)
-            dev = np.linalg.norm(rescaled_symbol(alpha, mass, xi) - limit_symbol(xi), 2)
-            worst = max(worst, float(dev))
-    return worst
+    xis = np.concatenate([threshold + offsets, -(threshold + offsets)])
+    return max(float(np.linalg.norm(rescaled_symbol(alpha, mass, xi) - limit_symbol(xi), 2))
+               for xi in xis)
 
 
 def offdiagonal_diagnostic(
@@ -216,24 +212,23 @@ def offdiagonal_diagnostic(
     evaluated on the same grid and differenced; the massless entropy is the
     diagonal-symbol term exactly, so the ratio |S(m) - S(0)| / ln(alpha)
     isolates the off-diagonal contribution, which must trend to zero.
-    At mass = 0 the difference vanishes identically. ValueError before any
-    work if the eigensolver buffers at grid size n exceed physical memory.
+    At mass = 0 the difference vanishes identically. ValueError before the
+    first spectrum on bad input or eigensolver buffers beyond physical memory.
     """
     check_spectrum_memory(n)
-    if mass < 0:
-        raise ValueError("mass must be nonnegative")
     alphas = np.asarray(alpha_grid, dtype=float)
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha_grid must be increasing")
     if alphas[0] <= np.e**2:
         raise ValueError("alpha_grid entries must exceed e^2")
+    all_params = [(PhysicalParams(mass=mass, epsilon=1.0 / alpha, lam=lam),
+                   PhysicalParams(mass=0.0, epsilon=1.0 / alpha, lam=lam)) for alpha in alphas]
 
     ratios = []
     sup_devs = []
-    for alpha in alphas:
-        eps = 1.0 / alpha
-        s_mass = matched_grid_entropy(PhysicalParams(mass=mass, epsilon=eps, lam=lam), order, n)
-        s_zero = matched_grid_entropy(PhysicalParams(mass=0.0, epsilon=eps, lam=lam), order, n)
+    for alpha, (massive, massless) in zip(alphas, all_params):
+        s_mass = matched_grid_entropy(massive, order, n)
+        s_zero = matched_grid_entropy(massless, order, n)
         ratios.append(abs(s_mass - s_zero) / np.log(alpha))
         sup_devs.append(_high_low_sup_deviation(alpha, mass))
     return DiagnosticsResult(
@@ -250,6 +245,7 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
     a_alpha(k) = exp(-(l0/alpha) omega(k)); the ratio to log(alpha) must stay
     bounded (an upper-bound property, not an exact rate). Singular values
     s <= s_1 * max(block.shape) * eps_machine are left out of the sum.
+    ValueError before the first SVD if any alpha's box tail or node budget fails.
     """
     l = round(1.0 / q)
     if abs(1.0 / q - l) > 1e-9 or l not in (2, 3, 4):
@@ -262,17 +258,17 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
 
     all_params = [PhysicalParams(mass=box.mass, epsilon=box.l0 / alpha, lam=box.lam)
                   for alpha in alphas]
-    # the box-tail guard is cheap; fail on a narrow box before the first SVD
     width = max(min_box_half_width(params, box.half_width) for params in all_params)
     if width > box.half_width:
         raise ValueError(
-            f"box half-width {box.half_width:g} leaves more than {DEFAULT_BOX_TAIL_TOL:g} "
+            f"box half-width {box.half_width:g} leaves more than {BOX_TAIL_TOL:g} "
             f"of the kernel's mass beyond the box; the smallest width "
             f"{box.half_width:g} * 2^k that passes on this alpha grid is {width:g}"
         )
+    node_sets = [cross_block_nodes(params, box.half_width, box.n) for params in all_params]
     norms = []
-    for params in all_params:
-        block = assemble_offdiagonal_truncation(params, box.half_width, box.n)
+    for params, nodes in zip(all_params, node_sets):
+        block = assemble_offdiagonal_truncation(params, nodes)
         s = np.linalg.svd(block, compute_uv=False)
         # values at the rounding floor are noise that s**q with q < 1 magnifies
         s = s[s > s[0] * max(block.shape) * np.finfo(float).eps]

@@ -45,7 +45,7 @@ from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 from .renyi_functions import RenyiOrder
-from .schatten_toolkit import verify_commutator_lemma, verify_inequalities
+from .schatten_toolkit import check_suite_args, verify_commutator_lemma, verify_inequalities
 
 _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy's JSON
 
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--grid-size", type=int, default=4096)
     p_diag.add_argument("--q", type=float, default=0.5)
     p_diag.add_argument("--box-half-width", type=float, default=8.0)
-    p_diag.add_argument("--box-grid-size", type=int, default=1024)
+    p_diag.add_argument("--box-grid-size", type=int, default=1024,
+                        help="total node budget of a cross block, <= 24 per panel")
     p_diag.add_argument("--l0", type=float, default=1.0)
     add_common(p_diag)
     return parser
@@ -283,6 +284,8 @@ def _cmd_verify(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     if not dims or args.trials < 1:
         raise ValueError("need at least one dim and trials >= 1")
+    for dim in dims:
+        check_suite_args(dim, args.trials)
     reports = [
         {"dim": dim, **dataclasses.asdict(rep), "passed": rep.passed}
         for dim in dims

@@ -37,7 +37,8 @@ Bogaert's asymptotic formulas above.
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
 diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
-the closed form is written only in kernel_eval.
+the closed form is written only in kernel_eval. min_box_half_width checks the
+box and cross_block_nodes the node budget, both apart from the assembly.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
-DEFAULT_BOX_TAIL_TOL = 1e-6
+BOX_TAIL_TOL = 1e-6
 # kernel rows evaluated per strip while S+- is filled
 _FILL_ROWS = 64
 
@@ -403,9 +404,9 @@ def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
     return 2.0 * kernel_blocks(params, u)[0].real
 
 
-def _box_tail_fraction(params: PhysicalParams, fine: float, box_half_width: float) -> float:
+def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
     """Relative Hilbert-Schmidt mass of the kernel beyond the box cut."""
-    u_lo, u_hi = fine / 8.0, 50.0 * (box_half_width + params.lam)
+    u_lo, u_hi = params.epsilon / 16.0, 50.0 * (box_half_width + params.lam)
     u = np.geomspace(u_lo, u_hi, 1200)
     k2 = _scalar_kernel(params, u) ** 2
     if not np.any(k2 > 0):
@@ -425,34 +426,23 @@ def _box_tail_fraction(params: PhysicalParams, fine: float, box_half_width: floa
 
 
 def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
-    """Smallest box_half_width * 2**k (k >= 0) that passes the box-tail guard
-    of assemble_offdiagonal_truncation at its default box_tail_tol."""
-    if not box_half_width > 0:
-        raise ValueError("box_half_width must be positive")
+    """Smallest box_half_width * 2**k (k >= 0) beyond which lies at most
+    BOX_TAIL_TOL of the kernel's mass (more would bias the cross block)."""
+    if not 0 < box_half_width < math.inf:
+        raise ValueError("box_half_width must be positive and finite")
     width = box_half_width
-    while _box_tail_fraction(params, params.epsilon / 2.0, width) > DEFAULT_BOX_TAIL_TOL:
+    while _box_tail_fraction(params, width) > BOX_TAIL_TOL:
         width *= 2.0
     return width
 
 
-def assemble_offdiagonal_truncation(
-    params: PhysicalParams,
-    box_half_width: float,
-    n: int,
-    *,
-    box_tail_tol: float = DEFAULT_BOX_TAIL_TOL,
-) -> np.ndarray:
-    """Cross block of the damped symbol exp(-eps omega(k)): rows inside
-    (0, lam), columns in [-L, 0) and (lam, lam + L], weight-symmetrized.
+def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):
+    """(rows, row weights, columns, column weights) of the cross block: rows
+    inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
 
-    The grids grade dyadically toward the interval endpoints down to eps/2;
-    n is the total node budget across rows and columns. Raises
-    ConvergenceError if the kernel mass beyond the box exceeds box_tail_tol
-    of the total (the box would bias the singular values).
+    Panels grade dyadically toward the interval endpoints down to eps/2. n is
+    the total node budget, used up to 24 nodes per panel; below 4, ValueError.
     """
-    if not box_half_width > 0:
-        raise ValueError("box_half_width must be positive")
-
     lam = params.lam
     fine = params.epsilon / 2.0
     row_half = _graded_edges(lam / 2.0, fine)
@@ -464,11 +454,6 @@ def assemble_offdiagonal_truncation(
             f"node budget n={n} too small: need at least {4 * n_panels} for "
             f"{n_panels} graded panels"
         )
-    if _box_tail_fraction(params, fine, box_half_width) > box_tail_tol:
-        raise ConvergenceError(
-            f"kernel mass beyond the box exceeds box_tail_tol={box_tail_tol:.0e}; "
-            "increase box_half_width"
-        )
 
     x_l, w_l = _panel_nodes(row_half, per)
     x_rows = np.concatenate([x_l, lam - x_l[::-1]])
@@ -477,6 +462,12 @@ def assemble_offdiagonal_truncation(
     y_out, w_out = _panel_nodes(col_edges, per)
     y_cols = np.concatenate([-y_out[::-1], lam + y_out])
     w_cols = np.concatenate([w_out[::-1], w_out])
+    return x_rows, w_rows, y_cols, w_cols
 
+
+def assemble_offdiagonal_truncation(params: PhysicalParams, nodes) -> np.ndarray:
+    """Weight-symmetrized cross block of the damped symbol exp(-eps omega(k))
+    on the nodes from cross_block_nodes."""
+    x_rows, w_rows, y_cols, w_cols = nodes
     kvals = _scalar_kernel(params, x_rows[:, None] - y_cols[None, :])
     return np.sqrt(w_rows)[:, None] * kvals * np.sqrt(w_cols)[None, :]

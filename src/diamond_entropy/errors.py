@@ -13,8 +13,6 @@ class ConvergenceError(DiamondEntropyError):
       and 32-node results disagree;
     - the massive kernel fill when the Bessel values come out non-finite;
     - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance;
-    - the cross-block assembly when the kernel's mass beyond the box
-      exceeds its tail tolerance;
     - the grid-doubling entropy ladder when no grid up to the cap yields an
       admissible spectrum;
     - sweeps with fewer converged points than the slope fit's minimum.

@@ -61,16 +61,21 @@ def random_projections(rng: np.random.Generator, trials: int, dim: int, rank: in
     return Q @ np.conj(np.swapaxes(Q, -1, -2))
 
 
+def check_suite_args(dim: int, trials: int) -> None:
+    """ValueError unless both suites accept dim (2 to 32) and trials (>= 1)."""
+    if not (2 <= dim <= 32):
+        raise ValueError(f"dim must lie in [2, 32], got {dim}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def _relative_violation(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max((lhs - rhs) / np.maximum(scale, 1e-300)))
 
 
 def verify_inequalities(dim: int, trials: int, seed: int) -> list[SchattenReport]:
     """Run the singular-value and Schatten-norm inequality suite."""
-    if not (2 <= dim <= 32):
-        raise ValueError(f"dim must lie in [2, 32], got {dim}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_suite_args(dim, trials)
     rng = np.random.default_rng(seed)
     A = complex_gaussian(rng, (trials, dim, dim))
     B = complex_gaussian(rng, (trials, dim, dim))
@@ -150,10 +155,7 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
     yields; the stated one-sided form without the factor 2 fails generically
     and is recorded as an informational report rather than asserted.
     """
-    if not (2 <= dim <= 32):
-        raise ValueError(f"dim must lie in [2, 32], got {dim}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_suite_args(dim, trials)
     rng = np.random.default_rng(seed)
     G = complex_gaussian(rng, (trials, dim, dim))
     A_general = complex_gaussian(rng, (trials, dim, dim))

@@ -7,6 +7,7 @@ from diamond_entropy import (
     PhysicalParams,
     RenyiOrder,
     asymptotics,
+    discretization,
     log_growth_diagnostic,
     offdiagonal_diagnostic,
     sweep,
@@ -203,6 +204,18 @@ class TestLogGrowthDiagnostic:
         monkeypatch.setattr(asymptotics, "assemble_offdiagonal_truncation", perturbed)
         moved = log_growth_diagnostic(0.25, alphas).logq_norms
         assert np.abs(moved / exact - 1.0).max() < 1e-9
+
+    def test_box_tail_checked_once_per_alpha(self, monkeypatch):
+        calls = []
+        tail_fraction = discretization._box_tail_fraction
+
+        def counted(*args):
+            calls.append(args)
+            return tail_fraction(*args)
+
+        monkeypatch.setattr(discretization, "_box_tail_fraction", counted)
+        log_growth_diagnostic(0.5, [1e2, 1e3, 1e4])
+        assert len(calls) == 3
 
     def test_other_q_orders_run(self):
         for q in (1.0 / 3.0, 0.25):

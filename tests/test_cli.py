@@ -318,6 +318,19 @@ class TestVerifyCommand:
         assert code == 4
 
 
+    def test_every_dim_checked_before_any_suite(self, monkeypatch, capsys):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("suite ran before every dim was checked")
+
+        monkeypatch.setattr(cli, "verify_inequalities", no_suite)
+        monkeypatch.setattr(cli, "verify_commutator_lemma", no_suite)
+        code = run_cli(["verify", "--trials", "5", "--dims", "4,64"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dim must lie in [2, 32], got 64" in captured.err
+
+
 class TestDiagCommand:
     def test_offdiag_json(self, capsys):
         code = run_cli(
@@ -373,12 +386,48 @@ class TestDiagCommand:
         assert captured.out == ""
         assert "128" in captured.err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha-grid", "100,1000,inf"], "epsilon must be > 0, got 0.0"),
+        (["--alpha-grid", "100,nan"], "epsilon must be > 0, got nan"),
+        (["--mass", "-1"], "mass must be >= 0, got -1.0"),
+    ], ids=["alpha-inf", "alpha-nan", "negative-mass"])
+    def test_offdiag_bad_alpha_or_mass_exits_2_before_any_spectrum(self, monkeypatch, capsys,
+                                                                   extra, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("spectrum computed before the parameter checks")
+
+        monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
+        monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
+        code = run_cli(["diag", "--diag-type", "offdiag", "--mass", "1", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_log_growth_node_budget_exits_2_before_any_svd(self, monkeypatch, capsys):
+        # 240 nodes cover the 40 and 52 panels at alpha = 100 and 1000, not
+        # the 68 at alpha = 1e4
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD reached with a node budget that is too small")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        code = run_cli(["diag", "--diag-type", "log-growth", "--box-grid-size", "240"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget n=240 too small: need at least 272" in captured.err
+
     @pytest.mark.parametrize("width", ["0", "-8"])
     def test_log_growth_nonpositive_box_exits_2(self, capsys, width):
         code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
                         "--box-half-width", width])
         assert code == 2
         assert "box_half_width must be positive" in capsys.readouterr().err
+
+    def test_log_growth_infinite_box_exits_2(self, capsys):
+        code = run_cli(["diag", "--diag-type", "log-growth", "--box-half-width", "inf"])
+        assert code == 2
+        assert "box_half_width must be positive and finite" in capsys.readouterr().err
 
     def test_log_growth_massless_wide_box_runs(self, capsys):
         code = run_cli(

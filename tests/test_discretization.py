@@ -10,7 +10,6 @@ from diamond_entropy import (
     Grid,
     GridRule,
     PhysicalParams,
-    assemble_offdiagonal_truncation,
     build_grid,
     clear_spectrum_cache,
     discretization,
@@ -323,10 +322,15 @@ def test_packed_spectrum_matches_direct_assembly(n, mass, epsilon):
     assert np.abs(fast - direct_spectrum(params, grid)).max() <= 1e-12
 
 
+def cross_block(params, box_half_width, n):
+    nodes = discretization.cross_block_nodes(params, box_half_width, n)
+    return discretization.assemble_offdiagonal_truncation(params, nodes)
+
+
 class TestOffdiagonalTruncation:
     def test_contraction_largest_singular_value(self):
         params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        M = assemble_offdiagonal_truncation(params, 8.0, 1024, box_tail_tol=0.1)
+        M = cross_block(params, 8.0, 1024)
         s1 = np.linalg.svd(M, compute_uv=False)[0]
         assert 0.0 < s1 < 1.0
 
@@ -339,7 +343,7 @@ class TestOffdiagonalTruncation:
         norms = []
         for a in alphas:
             params = PhysicalParams(mass=0.0, epsilon=1.0 / a, lam=1.0)
-            M = assemble_offdiagonal_truncation(params, 8.0, 1024, box_tail_tol=0.1)
+            M = cross_block(params, 8.0, 1024)
             s = np.linalg.svd(M, compute_uv=False)
             norms.append(float(np.sum(np.sqrt(s))))
         norms = np.array(norms)
@@ -350,31 +354,32 @@ class TestOffdiagonalTruncation:
 
     def test_box_tail_guard_fires_for_fat_tails(self):
         params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        with pytest.raises(ConvergenceError):
-            assemble_offdiagonal_truncation(params, 8.0, 1024)
+        assert discretization.min_box_half_width(params, 8.0) > 8.0
 
     def test_default_tolerance_accepts_massive_symbols(self):
         params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
-        M = assemble_offdiagonal_truncation(params, 8.0, 1024)
+        assert discretization.min_box_half_width(params, 8.0) == 8.0
+        M = cross_block(params, 8.0, 1024)
         assert np.all(np.isfinite(M))
 
     def test_budget_too_small_rejected(self):
         params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
-        with pytest.raises(ValueError):
-            assemble_offdiagonal_truncation(params, 8.0, 32)
+        with pytest.raises(ValueError, match="node budget n=32 too small"):
+            discretization.cross_block_nodes(params, 8.0, 32)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_entries_match_quadrature_kernel(self, monkeypatch, mass):
         # The same graded nodes and weights with the kernel replaced by
         # 2 Re of the (1, 1) entry of the oscillatory-quadrature reference.
         params = PhysicalParams(mass=mass, epsilon=0.5, lam=1.0)
-        M = assemble_offdiagonal_truncation(params, 2.0, 96, box_tail_tol=1.0)
+        nodes = discretization.cross_block_nodes(params, 2.0, 96)
+        M = discretization.assemble_offdiagonal_truncation(params, nodes)
 
         def reference(p, u):
             quad = np.vectorize(lambda v: 2.0 * kernel_quadrature(p, v)[0, 0].real)
             return quad(u)
 
         monkeypatch.setattr(discretization, "_scalar_kernel", reference)
-        M_ref = assemble_offdiagonal_truncation(params, 2.0, 96, box_tail_tol=1.0)
+        M_ref = discretization.assemble_offdiagonal_truncation(params, nodes)
         assert M.shape == M_ref.shape == (32, 64)
         assert np.abs(M - M_ref).max() < 1e-9
