@@ -140,13 +140,12 @@ def sweep(
 
     Points are computed independently (optionally in separate processes)
     and aggregated in decreasing-epsilon order; the fit uses only converged
-    points and requires at least five of them. At most min(jobs, points)
-    worker processes run; ValueError before any point if that many spectra
-    at the cap n_max would exceed physical memory.
+    points and requires at least five of them. The worker processes number
+    min(jobs, points, spectra at the cap n_max that fit in physical memory);
+    ValueError before any point if not even one fits.
     """
     eps = _validate_eps_grid(eps_grid)
-    workers = min(jobs, eps.size)
-    check_spectrum_memory(n_max, workers)
+    workers = min(jobs, eps.size, check_spectrum_memory(n_max))
     point = functools.partial(_sweep_point, order, n_max, rule)
     all_params = [replace(params_base, epsilon=float(e)) for e in eps]
     if workers > 1:
@@ -247,8 +246,7 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
     s <= s_1 * max(block.shape) * eps_machine are left out of the sum.
     ValueError before the first SVD if any alpha's box tail or node budget fails.
     """
-    l = round(1.0 / q)
-    if abs(1.0 / q - l) > 1e-9 or l not in (2, 3, 4):
+    if not (np.isfinite(q) and q > 0 and any(abs(1.0 / q - l) <= 1e-9 for l in (2, 3, 4))):
         raise ValueError(f"q must be 1/l with l in {{2, 3, 4}}, got {q}")
     alphas = np.asarray(alpha_grid, dtype=float)
     if np.any(alphas <= 1.0):

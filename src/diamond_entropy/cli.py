@@ -5,10 +5,11 @@ kernel-dump (kernel matrix on a separation grid), verify (randomized
 Schatten-norm property suite), diag (decomposition diagnostics).
 
 Every subcommand takes --output-format and --output-path; verify also takes
---seed. sweep takes --jobs, the worker count for its epsilon points (default:
-DIAMOND_ENTROPY_JOBS, else the CPU count); entropy accepts it too and
-records it in its configuration when it is given, by flag or environment,
-but starts no worker.
+--seed. sweep takes --jobs, the most worker processes for its epsilon points
+(default 1, so no pool); it runs no more than one per point and no more than
+fit in physical memory at the --grid-size cap. entropy accepts --jobs too
+and records it in its configuration when it is given, but starts no worker.
+No environment variable and no CPU count enters either.
 
 Every subcommand writes through one writer, `_write`: a JSON document, or
 CSV with one row per flat record (bools as true/false, floats to 17
@@ -16,14 +17,13 @@ significant digits). JSON writes NaN, the entropy of a sweep point with no
 admissible grid, as null; CSV as nan.
 
 Exit codes: 0 success; 2 argument errors, found before any work (among them
-a bad --jobs or DIAMOND_ENTROPY_JOBS, a --grid-size whose eigensolver
-buffers exceed physical memory, which entanglement_entropy, sweep and
-offdiagonal_diagnostic check first, and an --output-path that is a directory
-or lacks its parent directory), or an --output-path that fails while being
-written; 3 numerical
-non-convergence; 4 property-suite failure. Outputs embed the resolved
-configuration and the package version and are bit-identical for identical
-configuration.
+a --jobs that is not an integer >= 1, a --grid-size whose eigensolver
+buffers for one spectrum exceed physical memory, which entanglement_entropy,
+sweep and offdiagonal_diagnostic check first, and an --output-path that is a
+directory or lacks its parent directory), or an --output-path that fails
+while being written; 3 numerical non-convergence; 4 property-suite failure.
+Outputs embed the resolved configuration and the package version and are
+bit-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -50,19 +50,14 @@ from .schatten_toolkit import check_suite_args, verify_commutator_lemma, verify_
 _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy's JSON
 
 
-def _resolve_jobs(flag: int | None) -> int | None:
-    """--jobs, else DIAMOND_ENTROPY_JOBS, else None; ValueError unless >= 1."""
-    source, value = "--jobs", flag
-    if flag is None:
-        source, value = "DIAMOND_ENTROPY_JOBS", os.environ.get("DIAMOND_ENTROPY_JOBS")
-        if value is None:
-            return None
+def _worker_count(text: str) -> int:
+    """A --jobs value: an integer >= 1, else argparse exits 2."""
     try:
-        jobs = int(value)
+        jobs = int(text)
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {value!r}") from None
+        jobs = 0
     if jobs < 1:
-        raise ValueError(f"{source} must be >= 1")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return jobs
 
 
@@ -165,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-format", choices=("csv", "json"), default="json")
         p.add_argument("--output-path", default="-", help="file path or - for stdout")
 
-    def add_jobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None, help="worker count (default: CPUs)")
-
     p_entropy = sub.add_parser("entropy", help="single entropy evaluation")
     p_entropy.add_argument("--kappa", type=float, required=True)
     p_entropy.add_argument("--mass", type=float, default=0.0)
@@ -177,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_entropy.add_argument("--rule", choices=[r.value for r in GridRule],
                            default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_entropy)
-    add_jobs(p_entropy)
+    p_entropy.add_argument("--jobs", type=_worker_count,
+                           help="recorded in the configuration; entropy starts no worker")
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with slope fit")
     p_sweep.add_argument("--kappa", type=float, required=True)
@@ -188,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rule", choices=[r.value for r in GridRule],
                          default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_sweep)
-    add_jobs(p_sweep)
+    p_sweep.add_argument("--jobs", type=_worker_count, default=1,
+                         help="most worker processes for the epsilon points (default 1)")
 
     p_kernel = sub.add_parser("kernel-dump", help="kernel matrix on a separation grid")
     p_kernel.add_argument("--mass", type=float, default=0.0)
@@ -242,8 +236,6 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs is None:
-        args.jobs = os.cpu_count() or 1
     eps_grid = _parse_eps_grid(args.eps_grid)
     params = PhysicalParams(mass=args.mass, epsilon=float(eps_grid[0]), lam=args.lam)
     order = RenyiOrder(args.kappa)
@@ -331,8 +323,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_output_path(args.output_path)
-        if "jobs" in args:  # entropy and sweep
-            args.jobs = _resolve_jobs(args.jobs)
         return _DISPATCH[args.command](args)
     except _UnwritableOutput as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -238,19 +238,20 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_spectrum_memory(n: int, processes: int = 1) -> None:
-    """Raise ValueError if `processes` spectra at grid size n at once would
-    need more eigensolver buffers than the machine has physical memory."""
-    need = processes * spectrum_buffer_bytes(n)
+def check_spectrum_memory(n: int) -> int:
+    """How many spectra at grid size n fit in physical memory at once;
+    ValueError if not even one spectrum's eigensolver buffers fit."""
+    need = spectrum_buffer_bytes(n)
     total = physical_memory_bytes()
     if need > total:
-        # largest k with 8 k (k + 1) <= total / processes
-        fits = (math.isqrt(4 * (total // (8 * processes)) + 1) - 1) // 2
+        # largest k with 8 k (k + 1) <= total
+        fits = (math.isqrt(4 * (total // 8) + 1) - 1) // 2
         raise ValueError(
-            f"grid size {n} needs {need:.3g} bytes of eigensolver buffers "
-            f"({processes} process(es)), more than the {total:.3g} bytes "
-            f"of physical memory; the largest grid-size cap that fits is {fits}"
+            f"grid size {n} needs {need:.3g} bytes of eigensolver buffers, "
+            f"more than the {total:.3g} bytes of physical memory; "
+            f"the largest grid-size cap that fits is {fits}"
         )
+    return total // need
 
 
 def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from diamond_entropy import (
     PhysicalParams,
     RenyiOrder,
     asymptotics,
+    cli,
     discretization,
     log_growth_diagnostic,
     offdiagonal_diagnostic,
@@ -75,7 +78,7 @@ class TestSweep:
 class TestSweepWorkers:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Pool sizes and preflight worker counts of the sweeps run in a test."""
+        """Pool sizes and preflight grid sizes of the sweeps run in a test."""
         pool, preflight = [], []
         check = asymptotics.check_spectrum_memory
 
@@ -94,9 +97,9 @@ class TestSweepWorkers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        def recording_check(n, processes=1):
-            preflight.append(processes)
-            check(n, processes)
+        def recording_check(n):
+            preflight.append(n)
+            return check(n)
 
         monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(asymptotics, "check_spectrum_memory", recording_check)
@@ -104,12 +107,45 @@ class TestSweepWorkers:
 
     def test_pool_never_exceeds_points(self, recorded, coarse_sweep):
         result = sweep(base_params(), K1, COARSE_GRID, jobs=64)
-        assert recorded == ([COARSE_GRID.size], [COARSE_GRID.size])
+        assert recorded == ([COARSE_GRID.size], [asymptotics.DEFAULT_N_MAX])
         assert result.points == coarse_sweep.points
 
     def test_one_job_starts_no_pool(self, recorded, coarse_sweep):
         sweep(base_params(), K1, COARSE_GRID, jobs=1)
-        assert recorded == ([], [1])
+        assert recorded == ([], [asymptotics.DEFAULT_N_MAX])
+
+    def test_cli_without_jobs_starts_no_pool(self, recorded, capsys):
+        code = cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
+                         "--grid-size", "256"])
+        assert code == 0
+        assert recorded == ([], [256])
+        assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 1
+
+    def test_cli_pool_capped_by_memory(self, recorded, monkeypatch, capsys):
+        def point_on_theory_line(order, n_max, rule, params):
+            return asymptotics.SweepPoint(epsilon=params.epsilon,
+                                          entropy=np.log(1.0 / params.epsilon) / 3.0,
+                                          converged=True, grid_size=128)
+
+        # room for three spectra at the cap: four jobs run as a pool of three
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096 * 4097)
+        monkeypatch.setattr(asymptotics, "_sweep_point", point_on_theory_line)
+        code = cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
+                         "--grid-size", "4096", "--jobs", "4"])
+        assert code == 0
+        assert recorded == ([3], [4096])
+        assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 4
+
+    def test_cli_exits_2_when_no_spectrum_fits(self, recorded, monkeypatch, capsys):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 4096 * 4097 - 1)
+        monkeypatch.setattr(asymptotics, "_sweep_point", None)  # never reached
+        code = cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
+                         "--grid-size", "4096", "--jobs", "4"])
+        assert code == 2
+        assert recorded == ([], [4096])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the largest grid-size cap that fits is 4095" in captured.err
 
 
 class TestMassIndependence:

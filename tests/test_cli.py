@@ -86,13 +86,15 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "bytes of eigensolver buffers" in err and "largest grid-size cap that fits" in err
 
-    def test_sweep_preflight_counts_workers(self, monkeypatch, capsys):
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096**2)
+    @pytest.mark.parametrize("jobs", ["0", "-4", "abc", "1.5"])
+    def test_bad_sweep_jobs_exits_2_before_work(self, monkeypatch, capsys, jobs):
         monkeypatch.setattr(asymptotics, "_sweep_point", None)  # never reached
         code = run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
-                        "--grid-size", "4096", "--jobs", "4"])
+                        "--jobs", jobs])
         assert code == 2
-        assert "4 process(es)" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in captured.err
 
     def test_offdiag_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys):
         def no_work(*args, **kwargs):
@@ -446,36 +448,34 @@ class TestDiagCommand:
         assert captured.out == ""
         assert "mass" in captured.err
 
+    @pytest.mark.parametrize("q", ["0", "nan", "inf", "-0.5"])
+    def test_log_growth_bad_q_exits_2(self, capsys, q):
+        code = run_cli(["diag", "--diag-type", "log-growth", "--q", q])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q must be 1/l with l in {2, 3, 4}" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestJobsResolution:
-    def test_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", "3")
-        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["jobs"] == 3
-
     def test_no_flag_no_env_records_no_jobs(self, monkeypatch, capsys):
         monkeypatch.delenv("DIAMOND_ENTROPY_JOBS", raising=False)
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5"])
         assert code == 0
         assert "jobs" not in json.loads(capsys.readouterr().out)["config"]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
-    def test_bad_env_exits_2(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", value)
-        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "DIAMOND_ENTROPY_JOBS" in captured.err
-
-    def test_flag_overrides_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", "3")
-        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5", "--jobs", "2"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["config"]["jobs"] == 2
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--kappa", "1", "--epsilon", "0.5"],
+        ["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log", "--grid-size", "256"],
+    ])
+    def test_env_variable_leaves_stdout_unchanged(self, monkeypatch, capsys, command):
+        monkeypatch.delenv("DIAMOND_ENTROPY_JOBS", raising=False)
+        assert run_cli(command) == 0
+        unset = capsys.readouterr().out
+        monkeypatch.setenv("DIAMOND_ENTROPY_JOBS", "abc")
+        assert run_cli(command) == 0
+        assert capsys.readouterr().out == unset
 
     @pytest.mark.parametrize("command", [
         ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],

@@ -191,17 +191,14 @@ class TestAssembleOperator:
         assert peak <= 8 * n * n + 32 * 8 * discretization._FILL_ROWS * n
 
     def test_memory_preflight_scales_with_mass_and_processes(self, monkeypatch):
-        # one N x N buffer and one N-vector per spectrum at every mass
+        # one N x N buffer and one N-vector per spectrum at every mass; the
+        # check returns how many spectra fit at once
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096 * 4097)
-        discretization.check_spectrum_memory(4096, 3)
-        discretization.check_spectrum_memory(7094, 1)
-        discretization.check_spectrum_memory(5016, 2)
-        with pytest.raises(ValueError, match="largest grid-size cap that fits is 5016$"):
-            discretization.check_spectrum_memory(5017, 2)
-        with pytest.raises(ValueError, match="fits is 7094$"):
-            discretization.check_spectrum_memory(7095, 1)
-        with pytest.raises(ValueError, match="fits is 4096$"):
-            discretization.check_spectrum_memory(4097, 3)
+        assert discretization.check_spectrum_memory(4096) == 3
+        assert discretization.check_spectrum_memory(4097) == 2
+        assert discretization.check_spectrum_memory(7094) == 1
+        with pytest.raises(ValueError, match="largest grid-size cap that fits is 7094$"):
+            discretization.check_spectrum_memory(7095)
 
     @pytest.mark.parametrize("upper", [True, False])
     def test_lapack_solves_one_triangle_in_place(self, upper):
