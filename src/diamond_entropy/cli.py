@@ -22,8 +22,9 @@ buffers for one spectrum exceed physical memory, which entanglement_entropy,
 sweep and offdiagonal_diagnostic check first, and an --output-path that is a
 directory or lacks its parent directory), or an --output-path that fails
 while being written; 3 numerical non-convergence; 4 property-suite failure.
-Outputs embed the resolved configuration and the package version and are
-bit-identical for identical configuration.
+Outputs embed the resolved configuration, the BLAS thread count of the
+eigensolve (blas_threads) and the package version, and are bit-identical for
+identical configuration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import GridRule
+from .discretization import GridRule, blas_threads
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
@@ -214,7 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    return {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
+    """The flags given or defaulted, and the BLAS thread count of the solve
+    (null where no in-place solve runs), on which the last digits depend."""
+    config = {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
+    config["blas_threads"] = blas_threads()
+    return config
 
 
 def _cmd_entropy(args) -> int:

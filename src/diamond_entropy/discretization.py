@@ -28,11 +28,15 @@ holds S+ on and above its diagonal and S- below it, with S-'s diagonal
 saved in an N-vector. LAPACK's ?sytrd reads and overwrites only the
 triangle it is told to, so S+ is solved in place, the saved diagonal is
 written back, and S- is solved in place (S+ = S- at mass 0, so only S+ is
-filled and solved). The buffer is the only N x N array, so one spectrum
-peaks at the imports plus 8 N (N + 1) bytes plus O(_FILL_ROWS N);
+filled and solved). The solver is LAPACKE dsyevd from the OpenBLAS that
+numpy bundles, called through ctypes on the library numpy.linalg has already
+loaded. The buffer is the only N x N array, so one spectrum peaks at the
+imports plus 8 N (N + 1) bytes plus O(_FILL_ROWS N); where numpy exports no
+LAPACKE, np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
 check_spectrum_memory compares that figure with the physical memory. The
 Gauss-Legendre rules are built in O(n): Newton's method for n <= 100 and
-Bogaert's asymptotic formulas above.
+Bogaert's asymptotic formulas above, on the zeros of J0 and the values of J1
+there from his FastGL tables and asymptotic series.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -43,6 +47,8 @@ box and cross_block_nodes the node budget, both apart from the assembly.
 
 from __future__ import annotations
 
+import bisect
+import ctypes
 import functools
 import math
 import os
@@ -50,8 +56,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.special import j1, jn_zeros
 
 from .dirac_symbols import PhysicalParams
 from .errors import ConvergenceError
@@ -137,6 +141,64 @@ _BOGAERT_W = (
 )
 # rules with more nodes than this come from the asymptotic formulas
 _NEWTON_MAX_NODES = 100
+# FastGL's Bessel data: the zeros j_{0,k} of J0 for k <= 20 and J1(j_{0,k})^2
+# for k <= 21, then McMahon's expansion of j_{0,k} in r^2, r = 1/(pi (k - 1/4)),
+# and the series of J1(j_{0,k})^2 in x^2, x = 1/(k - 1/4) (highest degree first)
+_J0_ZEROS = (
+    2.40482555769577276862163187933, 5.52007811028631064959660411281,
+    8.65372791291101221695419871266, 11.7915344390142816137430449119,
+    14.9309177084877859477625939974, 18.0710639679109225431478829756,
+    21.2116366298792589590783933505, 24.3524715307493027370579447632,
+    27.4934791320402547958772882346, 30.6346064684319751175495789269,
+    33.7758202135735686842385463467, 36.9170983536640439797694930633,
+    40.0584257646282392947993073740, 43.1997917131767303575240727287,
+    46.3411883716618140186857888791, 49.4826098973978171736027615332,
+    52.6240518411149960292512853804, 55.7655107550199793116834927735,
+    58.9069839260809421328344066346, 62.0484691902271698828525002647,
+)
+_J1_SQUARED = (
+    0.269514123941916926139021992910, 0.115780138582203695807812836182,
+    0.0736863511364082151406476811985, 0.0540375731981162820417749182759,
+    0.0426614290172430912655106063497, 0.0352421034909961013587473033648,
+    0.0300210701030546726750888157688, 0.0261473914953080885904584675399,
+    0.0231591218246913922652676382178, 0.0207838291222678576039808057296,
+    0.0188504506693176678161056800213, 0.0172461575696650082995240053542,
+    0.0158935181059235978027065594287, 0.0147376260964721895895742982591,
+    0.0137384651453871179182880484135, 0.0128661817376151328791406637229,
+    0.0120980515486267975471075438497, 0.0114164712244916085168627222987,
+    0.0108075927911802040115547286831, 0.0102603729262807628110423992789,
+    0.00976589713979105054059846736697,
+)
+_MCMAHON = (
+    5.09225462402226769498681286758e7, -8.49353580299148769921876983660e5,
+    18690.4765282320653831636345064, -567.644412135183381139802038240,
+    25.3364147973439050099206349206, -1.82443876720610119047619047619,
+    0.246028645833333333333333333333, -0.807291666666666666666666666667e-1, 0.125,
+)
+_J1_SQUARED_SERIES = (
+    0.185395398206345628711318848386, -0.266837393702323757700998557826e-1,
+    0.496101423268883102872271417616e-2, -0.123632349727175414724737657367e-2,
+    0.433710719130746277915572905025e-3, -0.228969902772111653038747229723e-3,
+    0.198924364245969295201137972743e-3, -0.303380429711290253026202643516e-3,
+    0.0, 0.202642367284675542887042656181,
+)
+
+
+def _bessel_j0_data(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first count zeros j_{0,k} of J0 and J1(j_{0,k})^2, from FastGL's
+    tables and, past them, its asymptotic series (within 2 ulp of 30-digit
+    values)."""
+    k = np.arange(1.0, count + 1)
+    zeros = np.empty(count)
+    j1_squared = np.empty(count)
+    zeros[:len(_J0_ZEROS)] = _J0_ZEROS[:count]
+    j1_squared[:len(_J1_SQUARED)] = _J1_SQUARED[:count]
+    beta = np.pi * (k[len(_J0_ZEROS):] - 0.25)
+    r = 1.0 / beta
+    zeros[len(_J0_ZEROS):] = beta + r * np.polyval(_MCMAHON, r * r)
+    x = 1.0 / (k[len(_J1_SQUARED):] - 0.25)
+    j1_squared[len(_J1_SQUARED):] = x * np.polyval(_J1_SQUARED_SERIES, x * x)
+    return zeros, j1_squared
 
 
 def _bogaert_half(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +207,10 @@ def _bogaert_half(n: int) -> tuple[np.ndarray, np.ndarray]:
     I. Bogaert, Iteration-free computation of Gauss-Legendre quadrature
     nodes and weights, SIAM J. Sci. Comput. 36 (2014) A1008: the asymptotic
     series in alpha_k = j_{0,k} / (n + 1/2), with the Chebyshev interpolants
-    of his FastGL code (GLPairS). Near machine precision for n > 100.
+    and the Bessel data of his FastGL code (GLPairS, besseljzero and
+    besselj1squared). Near machine precision for n > 100.
     """
-    nu = jn_zeros(0, (n + 1) // 2)
+    nu, j1_squared = _bessel_j0_data((n + 1) // 2)
     rho = 1.0 / (n + 0.5)
     alpha = rho * nu
     a2 = alpha * alpha
@@ -157,7 +220,7 @@ def _bogaert_half(n: int) -> tuple[np.ndarray, np.ndarray]:
     v = rho * rho * nu_sin
     v2 = v * v
     theta = rho * (nu + alpha * v * (f1 + v2 * (f2 + v2 * f3)))
-    weights = 2.0 * rho / (j1(nu) ** 2 * nu_sin * (1.0 + v2 * (w1 + v2 * (w2 + v2 * w3))))
+    weights = 2.0 * rho / (j1_squared * nu_sin * (1.0 + v2 * (w1 + v2 * (w2 + v2 * w3))))
     return np.cos(theta), weights
 
 
@@ -228,9 +291,38 @@ def build_grid(n: int, lam: float, rule: GridRule = GridRule.GAUSS_LEGENDRE) -> 
     return Grid(nodes=nodes, weights=weights, rule=rule, lam=lam)
 
 
+def _openblas_routine(name: str, restype, *argtypes):
+    """A routine of the OpenBLAS bundled with numpy, through the library
+    numpy.linalg has already mapped; None where numpy exports no such symbol."""
+    try:
+        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    routine.restype = restype
+    routine.argtypes = argtypes
+    return routine
+
+
+# LAPACKE_dsyevd with 64-bit integers: (layout, jobz, uplo, n, a, lda, w) -> info
+_DSYEVD = _openblas_routine("scipy_LAPACKE_dsyevd64_", ctypes.c_int64, ctypes.c_int,
+                            ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                            ctypes.c_int64, ctypes.c_void_p)
+_BLAS_THREADS = _openblas_routine("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_LAPACK_COL_MAJOR = 102
+
+
+def blas_threads() -> int | None:
+    """Threads of the OpenBLAS that runs the in-place solve; None on the fallback."""
+    if _DSYEVD is None or _BLAS_THREADS is None:
+        return None
+    return int(_BLAS_THREADS())
+
+
 def spectrum_buffer_bytes(n: int) -> int:
-    """Bytes of the N x N buffer one spectrum holds, plus one N-vector beside it."""
-    return 8 * n * (n + 1)
+    """Bytes of the N x N buffer one spectrum holds, plus one N-vector beside it,
+    plus the N x N copy np.linalg.eigvalsh makes when the fallback solves."""
+    matrices = 1 if _DSYEVD is not None else 2
+    return 8 * n * (matrices * n + 1)
 
 
 def physical_memory_bytes() -> int:
@@ -244,8 +336,9 @@ def check_spectrum_memory(n: int) -> int:
     need = spectrum_buffer_bytes(n)
     total = physical_memory_bytes()
     if need > total:
-        # largest k with 8 k (k + 1) <= total
-        fits = (math.isqrt(4 * (total // 8) + 1) - 1) // 2
+        # the largest k with spectrum_buffer_bytes(k) <= total; 8 k^2 > total past the range
+        sizes = range(math.isqrt(total // 8) + 2)
+        fits = bisect.bisect_right(sizes, total, key=spectrum_buffer_bytes) - 1
         raise ValueError(
             f"grid size {n} needs {need:.3g} bytes of eigensolver buffers, "
             f"more than the {total:.3g} bytes of physical memory; "
@@ -258,13 +351,24 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix in one triangle of the
     C-ordered buf: the upper one (with the diagonal) if upper, else the lower.
 
-    buf.T is the same array in Fortran order, so LAPACK overwrites it instead
-    of copying it, and buf's upper triangle is the lower triangle of buf.T.
-    ?sytrd reads and overwrites only that triangle and the diagonal; the
-    other strict triangle survives the solve bit for bit.
+    LAPACKE dsyevd (eigenvalues only) reads buf's memory in column-major
+    order, as buf.T, whose lower triangle is buf's upper one. ?sytrd reads and
+    overwrites only that triangle and the diagonal; the other strict triangle
+    survives the solve bit for bit. Where numpy exports no LAPACKE, the
+    fallback np.linalg.eigvalsh solves a copy and leaves buf as it was.
     """
-    return eigh(buf.T, lower=upper, eigvals_only=True, driver="evd",
-                overwrite_a=True, check_finite=False)
+    n = buf.shape[0]
+    if (buf.shape != (n, n) or buf.dtype != np.float64 or not buf.flags.c_contiguous
+            or not buf.flags.writeable):
+        raise ValueError("buf must be a square, writeable, C-contiguous float64 array")
+    if _DSYEVD is None:
+        return np.linalg.eigvalsh(buf, UPLO="U" if upper else "L")
+    eigenvalues = np.empty(n)
+    info = _DSYEVD(_LAPACK_COL_MAJOR, b"N", b"L" if upper else b"U", n, buf.ctypes.data, n,
+                   eigenvalues.ctypes.data)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACKE dsyevd failed with info = {info}")
+    return eigenvalues
 
 
 @functools.lru_cache(maxsize=256)

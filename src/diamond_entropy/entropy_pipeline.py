@@ -44,11 +44,18 @@ DEFAULT_REL_CHANGE = 0.005
 BULK_REL_TOL = 1e-8
 # innermost bulk-term panel edge; dyadic panels double from here to x_max
 _BULK_FINE = 2.0**-60
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
 class ClampReport:
-    """How far eigenvalues had to be clipped into [0, 1]."""
+    """How far eigenvalues had to be clipped into [0, 1].
+
+    count takes only the eigenvalues more than N u outside [0, 1] (N of them,
+    u = 2^-53): the rounding band of a dense symmetric eigensolve, within
+    which the sign of an eigenvalue near 0 or 1 is noise. max_distance takes
+    every clipped eigenvalue.
+    """
 
     count: int
     max_distance: float
@@ -73,7 +80,7 @@ def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     clipped = np.clip(ev, 0.0, 1.0)
     distances = np.abs(ev - clipped)
     report = ClampReport(
-        count=int(np.count_nonzero(distances > 0.0)),
+        count=int(np.count_nonzero(distances > ev.size * _UNIT_ROUNDOFF)),
         max_distance=float(distances.max()) if ev.size else 0.0,
     )
     return float(np.sum(eta(order, clipped))), report

@@ -507,11 +507,12 @@ class TestEntryPoint:
 
 
 class TestImportGraph:
-    def test_no_integrate_optimize_or_sparse_loaded(self):
-        # the pipeline needs scipy.linalg and scipy.special only; each of these
-        # subpackages costs a fresh CLI process import time and memory. Its
-        # Gauss-Legendre rules all come from discretization._legendre_rule,
-        # built on first use, never from numpy's leggauss.
+    def test_no_scipy_module_loaded(self):
+        # scipy is a test-only reference: the eigensolve calls numpy's
+        # bundled LAPACK and the Bessel data are series, so no subcommand
+        # imports any scipy module. Every Gauss-Legendre rule comes from
+        # discretization._legendre_rule, built on first use, never from
+        # numpy's leggauss.
         script = textwrap.dedent("""
             import contextlib, io, sys
             import numpy.polynomial.legendre
@@ -525,15 +526,25 @@ class TestImportGraph:
             from diamond_entropy.discretization import _legendre_rule
             assert _legendre_rule.cache_info().currsize == 0
             assert abs(entropy_integral(RenyiOrder(2.0)) - 0.25) < 1e-13
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["entropy", "--kappa", "1", "--epsilon", "0.5",
-                                 "--grid-size", "128", "--jobs", "1"]) == 0
-                assert cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
-                                 "--grid-size", "256", "--jobs", "2"]) == 0
-            heavy = [m for m in sys.modules
-                     if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
-                                             ["scipy", "sparse"])]
-            print(" ".join(sorted(heavy)))
+            commands = [
+                ["entropy", "--kappa", "1", "--epsilon", "0.5", "--grid-size", "128",
+                 "--jobs", "1"],
+                # m r > 2 on most separations: the far-field Bessel series runs
+                ["entropy", "--kappa", "1", "--mass", "20", "--epsilon", "0.5",
+                 "--grid-size", "256"],
+                ["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log", "--grid-size", "256",
+                 "--jobs", "2"],
+                ["kernel-dump", "--mass", "20", "--epsilon", "0.5", "--u-count", "11"],
+                ["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100",
+                 "--grid-size", "128"],
+                ["diag", "--diag-type", "log-growth", "--q", "0.25", "--alpha-grid", "10,1000"],
+                ["verify", "--trials", "5", "--dims", "4"],
+            ]
+            for command in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(command) == 0, command
+                loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+                print(command[0], " ".join(loaded))
         """)
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
@@ -541,7 +552,42 @@ class TestImportGraph:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        assert proc.stdout.split() == ["entropy", "entropy", "sweep", "kernel-dump", "diag",
+                                       "diag", "verify"]
+
+
+class TestBlasThreads:
+    """config records the BLAS thread count, on which the last digits depend."""
+
+    def _entropy(self, threads: str) -> str:
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "diamond_entropy.cli", "entropy", "--kappa", "1",
+             "--epsilon", "0.01", "--grid-size", "1024"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_thread_count_recorded_and_stdout_set_by_config(self):
+        one, two = self._entropy("1"), self._entropy("2")
+        assert json.loads(one)["config"]["blas_threads"] == 1
+        # OpenBLAS runs no more threads than the CPUs it may use
+        assert json.loads(two)["config"]["blas_threads"] == min(2, len(os.sched_getaffinity(0)))
+        if one != two:
+            assert json.loads(one)["config"] != json.loads(two)["config"]
+
+    @pytest.mark.parametrize("command", [
+        ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],
+        ["verify", "--trials", "5", "--dims", "4"],
+    ])
+    def test_every_config_records_it(self, monkeypatch, capsys, command):
+        assert run_cli(command) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["blas_threads"] >= 1
+        monkeypatch.setattr(discretization, "_DSYEVD", None)  # the np.linalg fallback
+        assert run_cli([*command, "--output-format", "csv"]) == 0
+        config = capsys.readouterr().out.splitlines()[1]
+        assert json.loads(config.removeprefix("# config: "))["blas_threads"] is None
 
 
 def _same_value(cell: str, value) -> bool:

@@ -83,6 +83,42 @@ class TestBuildGrid:
         for k in range(min(20, n - 1) + 1):  # exact up to degree 2n - 1
             assert abs(np.sum(w * x ** (2 * k)) - 2.0 / (2 * k + 1)) <= 1e-12
 
+    def test_bessel_data_matches_scipy(self):
+        # FastGL's J0 zeros and J1(j_{0,k})^2 against scipy, a test-only
+        # reference, up to k = 5000: the tables below k = 21 or 22, the
+        # asymptotic series above
+        special = pytest.importorskip("scipy.special")
+        zeros, j1_squared = discretization._bessel_j0_data(5000)
+        ref = special.jn_zeros(0, 5000)
+        assert np.abs(zeros / ref - 1.0).max() <= 2.0 * np.finfo(float).eps
+        assert np.abs(j1_squared / special.j1(ref) ** 2 - 1.0).max() <= 1.5e-15
+
+    def test_bessel_data_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        zeros, j1_squared = discretization._bessel_j0_data(5000)
+        with mp.workdps(30):
+            for k in (1, 2, 20, 21, 22, 23, 50, 101, 1000, 4999, 5000):
+                zero = mp.besseljzero(0, k)
+                assert abs(float(zeros[k - 1] / zero) - 1.0) <= 2.0 * np.finfo(float).eps
+                ref = mp.besselj(1, zero) ** 2
+                assert abs(float(j1_squared[k - 1] / ref) - 1.0) <= 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [101, 102, 255, 256, 1023, 1024, 2048, 4097, 8191, 8192])
+    def test_rules_match_rules_from_scipy_bessel_data(self, monkeypatch, n):
+        special = pytest.importorskip("scipy.special")
+
+        def scipy_data(count):
+            zeros = special.jn_zeros(0, count)
+            return zeros, special.j1(zeros) ** 2
+
+        # over every n in [101, 8192] the two rules differ by at most 6.7e-16
+        # in a node and 2.0e-15 relative in a weight
+        x, w = discretization._legendre_rule.__wrapped__(n)
+        monkeypatch.setattr(discretization, "_bessel_j0_data", scipy_data)
+        ref_x, ref_w = discretization._legendre_rule.__wrapped__(n)
+        assert np.abs(x - ref_x).max() <= 4.0 * np.finfo(float).eps
+        assert np.abs(w / ref_w - 1.0).max() <= 2.5e-15
+
     def test_mirrored_rule_needs_no_symmetrization(self):
         # The mirrored halves are symmetric already: averaging x with -x[::-1]
         # and w with w[::-1] changes no bit but the odd-n centre node (up to
@@ -213,13 +249,70 @@ class TestAssembleOperator:
         symmetric = np.zeros((n, n))
         symmetric[named] = before
         symmetric += np.triu(symmetric, 1).T + np.tril(symmetric, -1).T
-        # LAPACK gets buf.T, the same memory in Fortran order; its lower
-        # triangle (lower=True) is buf's upper one
-        assert np.shares_memory(buf.T, buf) and buf.T.flags.f_contiguous
+        # LAPACKE reads buf's memory in column-major order, as buf.T, whose
+        # lower triangle (uplo 'L') is buf's upper one
         ev = discretization._eigvalsh_in_place(buf, upper=upper)
         assert np.array_equal(buf[other], kept)
         assert not np.array_equal(buf[named], before)  # overwritten, not copied
         assert np.abs(ev - np.linalg.eigvalsh(symmetric)).max() < 1e-10
+
+    def test_fallback_counts_the_copy_numpy_makes(self, monkeypatch):
+        # without LAPACKE in numpy's OpenBLAS, np.linalg.eigvalsh solves an
+        # N x N copy of the buffer, and the memory checks count it
+        monkeypatch.setattr(discretization, "_DSYEVD", None)
+        n = 4096
+        assert discretization.spectrum_buffer_bytes(n) == 16 * n * n + 8 * n
+        assert discretization.blas_threads() is None
+        monkeypatch.setattr(discretization, "physical_memory_bytes",
+                            lambda: 3 * (16 * n * n + 8 * n))
+        assert discretization.check_spectrum_memory(n) == 3
+        assert discretization.check_spectrum_memory(n + 1) == 2
+        total = discretization.physical_memory_bytes()
+        fits = max(k for k in range(7000, 7200) if 16 * k * k + 8 * k <= total)
+        assert discretization.check_spectrum_memory(fits) == 1
+        with pytest.raises(ValueError, match=f"largest grid-size cap that fits is {fits}$"):
+            discretization.check_spectrum_memory(fits + 1)
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_in_place_fallback_and_scipy_solves_agree(self, monkeypatch, mass, n):
+        # S- is solved after S+ in the same buffer at mass 1; scipy is a
+        # test-only reference
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+
+        def scipy_evd(buf, upper):
+            return scipy_linalg.eigh(buf.T, lower=upper, eigvals_only=True, driver="evd",
+                                     overwrite_a=True, check_finite=False)
+
+        params = PhysicalParams(mass=mass, epsilon=0.01, lam=1.0)
+        grid = build_grid(n, 1.0)
+
+        def spectrum():
+            return operator_eigenvalues(params, grid, validate=False, use_cache=False)
+
+        in_place = spectrum()
+        with monkeypatch.context() as patch:
+            patch.setattr(discretization, "_DSYEVD", None)
+            fallback = spectrum()
+        with monkeypatch.context() as patch:
+            patch.setattr(discretization, "_eigvalsh_in_place", scipy_evd)
+            reference = spectrum()
+        assert discretization._DSYEVD is not None  # this machine's numpy exports LAPACKE
+        assert np.abs(in_place - reference).max() <= 1e-14
+        assert np.abs(fallback - reference).max() <= 1e-14
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(discretization, "_DSYEVD", lambda *args: 3)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            discretization._eigvalsh_in_place(np.eye(4), upper=True)
+
+    def test_in_place_solve_takes_only_writeable_square_c_ordered_doubles(self):
+        read_only = np.eye(4)
+        read_only.flags.writeable = False
+        for buf in (np.eye(4)[:, ::2], np.eye(4, dtype=np.float32), np.zeros((4, 3)),
+                    np.asfortranarray(np.arange(16.0).reshape(4, 4)), read_only):
+            with pytest.raises(ValueError, match="writeable, C-contiguous float64"):
+                discretization._eigvalsh_in_place(buf, upper=True)
 
     def test_quadrature_path_matches_closed_forms(self):
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)

@@ -58,12 +58,27 @@ class TestEntropyFromEigenvalues:
         kappa=st.floats(0.05, 20.0),
     )
     def test_clamp_report_matches_out_of_range_entries(self, ev, kappa):
+        # the count leaves out the rounding band of N u; the distance does not
         value, report = entropy_from_eigenvalues(ev, RenyiOrder(kappa))
         distances = np.maximum(-ev, ev - 1.0)
         outside = distances > 0.0
         assert value >= 0.0
-        assert report.count == int(np.count_nonzero(outside))
+        assert report.count == int(np.count_nonzero(distances > ev.size * 2.0**-53))
         assert report.max_distance == (float(distances[outside].max()) if outside.any() else 0.0)
+
+    def test_clamp_count_leaves_out_rounding_noise(self):
+        ev = np.array([-3e-16, -1e-17, 0.3, 1.0 + 2.0**-52, 1.0])  # band 5 u = 5.6e-16
+        assert entropy_from_eigenvalues(ev, K1)[1].count == 0
+        ev[1] = -1e-9
+        _, report = entropy_from_eigenvalues(ev, K1)
+        assert report.count == 1 and report.max_distance == 1e-9
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    def test_clamp_count_is_zero_on_a_resolved_grid(self, mass):
+        # 116-120 eigenvalues of these spectra lie within 2.2e-16 outside [0, 1]
+        params = PhysicalParams(mass=mass, epsilon=0.05, lam=1.0)
+        result = entanglement_entropy(params, K1, n=512)
+        assert result.converged and result.clamp_count == 0
 
 
 class TestTruncatedTrace:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import k0, k1
+from scipy.special import k0, k1  # test-only reference
 
 from diamond_entropy import (
     ConvergenceError,
@@ -135,8 +135,40 @@ class TestBesselSeries:
         assert np.abs(bk0 / k0(z) - 1.0).max() <= 1e-14
         assert np.abs(bk1 / k1(z) - 1.0).max() <= 1e-14
 
+    def test_far_field_matches_scipy(self):
+        # the Chebyshev series for z > 2 on a dense grid out to where K0 and
+        # K1 underflow to 0; in the subnormal range both round alike
+        z = np.concatenate([[np.nextafter(2.0, 3.0)], np.geomspace(2.0, 745.0, 200001)[1:],
+                            np.linspace(700.0, 745.0, 4501)])
+        for ours, ref in ((kernel_eval._bessel_k0(z), k0(z)), (kernel_eval._bessel_k1(z), k1(z))):
+            assert np.all(np.abs(ours - ref) <= 1e-14 * ref)
+            assert np.array_equal(ours == 0.0, ref == 0.0)
+
+    def test_far_field_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for z in (np.nextafter(2.0, 3.0), 2.5, 3.7, 8.0, 20.0, 150.0, 700.0):
+                for ours, nu in ((kernel_eval._bessel_k0, 0), (kernel_eval._bessel_k1, 1)):
+                    value = ours(np.array([z]))[0]
+                    assert abs(value / float(mp.besselk(nu, z)) - 1.0) <= 1e-15
+
+    def test_far_field_coefficients_are_rounded_mpmath_values(self):
+        # the Chebyshev coefficients of exp(z) sqrt(z) K(z) in t = 4/z - 1,
+        # interpolated at 40 digits and rounded once (constant term in full)
+        mp = pytest.importorskip("mpmath")
+        points = 64
+        with mp.workdps(40):
+            theta = [mp.pi * (j + mp.mpf(1) / 2) / points for j in range(points)]
+            z = [4 / (1 + mp.cos(t)) for t in theta]
+            for nu, stored in ((0, kernel_eval._K0_FAR), (1, kernel_eval._K1_FAR)):
+                f = [mp.exp(x) * mp.sqrt(x) * mp.besselk(nu, x) for x in z]
+                coefficients = [2 * mp.fsum(fj * mp.cos(k * t) for fj, t in zip(f, theta)) / points
+                                for k in range(len(stored) + 1)]
+                assert tuple(float(c) for c in coefficients[len(stored) - 1::-1]) == stored
+                assert abs(coefficients[len(stored)]) < 2e-18  # the first term left out
+
     @pytest.mark.parametrize("mass", [1.0, 20.0])
-    def test_scipy_sees_only_arguments_beyond_the_series(self, monkeypatch, mass):
+    def test_far_field_sees_only_arguments_beyond_the_series(self, monkeypatch, mass):
         seen = {"k0": [], "k1": []}
         separations = []
 
@@ -150,8 +182,8 @@ class TestBesselSeries:
             separations.append(np.array(u, copy=True))
             return kernel_blocks(params, u)
 
-        monkeypatch.setattr(kernel_eval, "_bessel_k0", recording("k0", k0))
-        monkeypatch.setattr(kernel_eval, "_bessel_k1", recording("k1", k1))
+        monkeypatch.setattr(kernel_eval, "_bessel_k0", recording("k0", kernel_eval._bessel_k0))
+        monkeypatch.setattr(kernel_eval, "_bessel_k1", recording("k1", kernel_eval._bessel_k1))
         monkeypatch.setattr(discretization, "kernel_blocks", recording_blocks)
         params = PhysicalParams(mass=mass, epsilon=0.05, lam=1.0)
         operator_eigenvalues(params, build_grid(256, 1.0), validate=False, use_cache=False)
