@@ -23,16 +23,16 @@ H+- J = B +- C. On the mirror grid, transposition and the mirror
 (i, j) -> (N-1-i, N-1-j) each map the set of separations onto itself, so the
 kernel is evaluated only on the fundamental domain D = {i <= j <= N-1-i},
 about N^2/4 separations, _FILL_ROWS rows at a time, and each value is added
-into its four images in A and in H+- J. One zero-initialised N x N buffer
-holds S+ on and above its diagonal and S- below it, with S-'s diagonal
-saved in an N-vector. LAPACK's ?sytrd reads and overwrites only the
-triangle it is told to, so S+ is solved in place, the saved diagonal is
-written back, and S- is solved in place (S+ = S- at mass 0, so only S+ is
-filled and solved). The solver is LAPACKE dsyevd from the OpenBLAS that
-numpy bundles, called through ctypes on the library numpy.linalg has already
-loaded. The buffer is the only N x N array, so one spectrum peaks at the
-imports plus 8 N (N + 1) bytes plus O(_FILL_ROWS N); where numpy exports no
-LAPACKE, np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
+into its four images in A and in H+- J. One zero-initialised (N + 1) x N
+buffer holds S+ on and above the diagonal of its first N rows and S- on and
+below the diagonal of its last N rows, two disjoint triangles. LAPACK's
+?sytrd reads and overwrites only the triangle it is told to, so S+ and then
+S- are solved in place (S+ = S- at mass 0, so only S+ is filled and solved).
+The solver is LAPACKE dsyevd from the OpenBLAS that numpy bundles, called
+through ctypes on the library numpy.linalg has already loaded. The buffer is
+the only large array, so one spectrum peaks at the imports plus 8 N (N + 1)
+bytes plus O(_FILL_ROWS N); where numpy exports no LAPACKE,
+np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
 check_spectrum_memory compares that figure with the physical memory. The
 Gauss-Legendre rules are built in O(n): Newton's method for n <= 100 and
 Bogaert's asymptotic formulas above, on the zeros of J0 and the values of J1
@@ -319,8 +319,8 @@ def blas_threads() -> int | None:
 
 
 def spectrum_buffer_bytes(n: int) -> int:
-    """Bytes of the N x N buffer one spectrum holds, plus one N-vector beside it,
-    plus the N x N copy np.linalg.eigvalsh makes when the fallback solves."""
+    """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
+    np.linalg.eigvalsh makes when the fallback solves."""
     matrices = 1 if _DSYEVD is not None else 2
     return 8 * n * (matrices * n + 1)
 
@@ -380,20 +380,22 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
     to (j, i) and (i', j') of S-; one of B +- C goes to (i, j') and (j, i')
     of S+ and to (i', j) and (j', i) of S-, negated where B is reflected.
     Where two images coincide in one matrix (A on the antidiagonal j = i',
-    B +- C on the diagonal j = i) each carries weight 1/2, and the images of
-    S- that land on the diagonal go to its saved N-vector. The only N x N
-    array is the buffer LAPACK solves; the rest is O(_FILL_ROWS N).
+    B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
+    triangle of buf[:N] and S- the lower one of buf[1:], each with its own
+    diagonal; the rest is O(_FILL_ROWS N).
     """
     x = np.frombuffer(nodes) + x_offset
     sw = np.sqrt(np.frombuffer(weights))
     n = x.size
     h = (n + 1) // 2
     massive = params.mass != 0.0
-    buf = np.zeros((n, n))  # S+ on and above the diagonal, S- below it
-    minus_diag = np.zeros(n)
-    mirror = buf[::-1, ::-1]  # mirror[i, j] = buf[i', j']
-    right = buf[:, ::-1]      # right[i, j] = buf[i, j']
-    down = buf[::-1, :]       # down[i, j] = buf[i', j]
+    buf = np.zeros((n + 1, n))
+    plus = buf[:n]   # S+ on and above its diagonal
+    minus = buf[1:]  # S- on and below its diagonal
+    plus_mirror = plus[::-1, ::-1]    # plus_mirror[i, j] = plus[i', j']
+    right = plus[:, ::-1]             # right[i, j] = plus[i, j']
+    minus_mirror = minus[::-1, ::-1]  # minus_mirror[i, j] = minus[i', j']
+    down = minus[::-1, :]             # down[i, j] = minus[i', j]
     for a in range(0, h, _FILL_ROWS):
         b = min(a + _FILL_ROWS, h)
         rows, cols = slice(a, b), slice(a, n - a)
@@ -417,26 +419,20 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
         del T11, T12, W  # not alive while the next strip is evaluated
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X
-        buf[rows, cols] += A
-        mirror[cols, rows] += A.T
+        plus[rows, cols] += A
+        plus_mirror[cols, rows] += A.T
         right[rows, cols] += P
         right[cols, rows] -= Q.T
         if massive:
-            minus_diag[a:b] += A[k, k] + Q[k, anti]
-            minus_diag[n - 1 - a - k] += A[k, k] - P[k, anti]
-            A[k, k] = 0.0
-            P[k, anti] = 0.0
-            Q[k, anti] = 0.0
-            buf[cols, rows] += A.T
-            mirror[rows, cols] += A
+            minus[cols, rows] += A.T
+            minus_mirror[rows, cols] += A
             down[rows, cols] -= P
             down[cols, rows] += Q.T
-    plus = _eigvalsh_in_place(buf, upper=True)
+    eigenvalues = _eigvalsh_in_place(plus, upper=True)
     if massive:
-        np.fill_diagonal(buf, minus_diag)
-        eigenvalues = np.sort(np.concatenate([plus, _eigvalsh_in_place(buf, upper=False)]))
+        eigenvalues = np.sort(np.concatenate([eigenvalues, _eigvalsh_in_place(minus, upper=False)]))
     else:
-        eigenvalues = np.repeat(plus, 2)
+        eigenvalues = np.repeat(eigenvalues, 2)
     eigenvalues.flags.writeable = False  # later rungs and other orders read it back
     return eigenvalues
 
@@ -471,8 +467,10 @@ def operator_eigenvalues(
     The kernel is evaluated on the fundamental domain D = {i <= j <= N-1-i}
     only, in strips of _FILL_ROWS rows; the rest of S+- are its images.
     Results are read-only and cached by the parameters, the grid's nodes and
-    weights, and the offset.
+    weights, and the offset. ValueError if the grid is not on (0, params.lam).
     """
+    if grid.lam != params.lam:
+        raise ValueError(f"grid is on (0, {grid.lam}), but params.lam is {params.lam}")
     key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
     eigenvalues = _spectrum(*key) if use_cache else _spectrum.__wrapped__(*key)
     if validate:

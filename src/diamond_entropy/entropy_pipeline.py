@@ -51,10 +51,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 class ClampReport:
     """How far eigenvalues had to be clipped into [0, 1].
 
-    count takes only the eigenvalues more than N u outside [0, 1] (N of them,
-    u = 2^-53): the rounding band of a dense symmetric eigensolve, within
-    which the sign of an eigenvalue near 0 or 1 is noise. max_distance takes
-    every clipped eigenvalue.
+    count takes only the eigenvalues more than 2N u outside [0, 1] (the 2N
+    eigenvalues of N nodes, u = 2^-53): the rounding band of a dense
+    symmetric eigensolve, within which the sign of an eigenvalue near 0 or 1
+    is noise. max_distance takes every clipped eigenvalue.
     """
 
     count: int
@@ -104,7 +104,8 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
         below = _graded_edges(0.5 * x_star, _BULK_FINE)
         above = x_star + _graded_edges(x_max - x_star, _BULK_FINE)
         # panels narrower than the float spacing at x* collapse and drop out
-        edges = np.unique(np.concatenate([below, x_star - below, above]))
+        edges = np.sort(np.concatenate([below, x_star - below, above]))
+        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     x_fine, w_fine = _panel_nodes(edges, 32)
     x_coarse, w_coarse = _panel_nodes(edges, 16)
     values = _eta_of_log(order, -np.hypot(np.concatenate([x_fine, x_coarse]), a))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import diamond_entropy
-from diamond_entropy import asymptotics, cli, discretization, entropy_pipeline
+from diamond_entropy import (GridRule, PhysicalParams, RenyiOrder, asymptotics, cli,
+                             discretization, entropy_pipeline)
 from diamond_entropy.cli import build_parser, main, _parse_eps_grid
 from diamond_entropy.schatten_toolkit import SchattenReport
 
@@ -205,6 +206,19 @@ class TestEntropyCommand:
         assert np.isfinite(result["entropy"])
         assert np.isfinite(result["subtraction_trace"])
 
+    def test_midpoint_rule_flag(self, capsys):
+        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5", "--grid-size", "1024",
+                        "--rule", "midpoint"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["rule"] == "midpoint"
+        params = PhysicalParams(mass=0.0, epsilon=0.5, lam=1.0)
+        expected = entropy_pipeline.entanglement_entropy(params, RenyiOrder(1.0), n=1024,
+                                                         rule=GridRule.MIDPOINT)
+        gauss = entropy_pipeline.entanglement_entropy(params, RenyiOrder(1.0), n=1024)
+        assert doc["result"]["entropy"] == expected.entropy != gauss.entropy
+        assert doc["result"]["n"] == expected.grid_size
+
     def test_unresolvable_epsilon_exits_3(self, capsys):
         code = run_cli(
             ["entropy", "--kappa", "1", "--epsilon", "1e-5",
@@ -253,6 +267,19 @@ class TestSweepCommand:
         assert len(lines) == 3 + 6
         fit = json.loads(capsys.readouterr().out)
         assert "slope" in fit["fit"]
+
+    def test_midpoint_rule_flag(self, capsys):
+        code = run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
+                        "--grid-size", "1024", "--rule", "midpoint", "--jobs", "1"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["rule"] == "midpoint"
+        expected = asymptotics.sweep(PhysicalParams(mass=0.0, epsilon=0.5, lam=1.0),
+                                     RenyiOrder(1.0), np.geomspace(0.5, 0.01, 6), n_max=1024,
+                                     rule=GridRule.MIDPOINT)
+        assert doc["fit"]["slope"] == expected.slope
+        assert [(p["entropy"], p["n"]) for p in doc["points"]] == [
+            (p.entropy, p.grid_size) for p in expected.points]
 
     def test_failed_point_is_null_in_json_and_nan_in_csv(self, capsys):
         # eps = 0.002 has no admissible grid up to the cap of 256
@@ -554,6 +581,33 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["entropy", "entropy", "sweep", "kernel-dump", "diag",
                                        "diag", "verify"]
+
+
+    def test_entropy_and_sweep_leave_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma (about 15 ms) on first use; the bulk
+        # term's panel edges are deduplicated without it
+        script = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import diamond_entropy.cli as cli
+            commands = [
+                ["entropy", "--kappa", "1", "--epsilon", "0.5", "--grid-size", "256"],
+                ["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log", "--grid-size", "1024",
+                 "--jobs", "1"],
+            ]
+            for command in commands:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(command) == 0, command
+                doc = json.loads(out.getvalue())
+                points = [doc["result"]] if "result" in doc else doc["points"]
+                assert all(p["converged"] for p in points), command
+                assert "numpy.ma" not in sys.modules, command
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBlasThreads:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,7 +74,6 @@ class TestBuildGrid:
     # are off by 1.2e-9 relative at n = 1024.
     @pytest.mark.parametrize("n", [2, 3, 37, 60, 100, 101, 128, 512, 1024, 2048, 8192])
     def test_legendre_rule_matches_leggauss(self, n):
-        pytest.importorskip("mpmath")
         x, w = discretization._legendre_rule(n)
         for i in sorted({0, n // 4, n // 2, n - 1}):  # both ends, a quarter in, the middle
             ref_x, ref_w = exact_legendre_node(n, x[i])
@@ -94,7 +94,6 @@ class TestBuildGrid:
         assert np.abs(j1_squared / special.j1(ref) ** 2 - 1.0).max() <= 1.5e-15
 
     def test_bessel_data_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         zeros, j1_squared = discretization._bessel_j0_data(5000)
         with mp.workdps(30):
             for k in (1, 2, 20, 21, 22, 23, 50, 101, 1000, 4999, 5000):
@@ -222,13 +221,13 @@ class TestAssembleOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one N x N buffer at both masses
+        # one (N + 1) x N buffer at both masses
         assert discretization.spectrum_buffer_bytes(n) == 8 * n * n + 8 * n
         assert peak <= 8 * n * n + 32 * 8 * discretization._FILL_ROWS * n
 
     def test_memory_preflight_scales_with_mass_and_processes(self, monkeypatch):
-        # one N x N buffer and one N-vector per spectrum at every mass; the
-        # check returns how many spectra fit at once
+        # one (N + 1) x N buffer per spectrum at every mass; the check
+        # returns how many spectra fit at once
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096 * 4097)
         assert discretization.check_spectrum_memory(4096) == 3
         assert discretization.check_spectrum_memory(4097) == 2
@@ -255,6 +254,23 @@ class TestAssembleOperator:
         assert np.array_equal(buf[other], kept)
         assert not np.array_equal(buf[named], before)  # overwritten, not copied
         assert np.abs(ev - np.linalg.eigvalsh(symmetric)).max() < 1e-10
+
+    def test_plus_and_minus_views_keep_their_own_diagonals(self):
+        # _spectrum holds S+ on and above the diagonal of buf[:n] and S- on
+        # and below the diagonal of buf[1:]: the two triangles are disjoint,
+        # so the solve of S+ leaves S- bit for bit
+        n = 300
+        buf = np.random.default_rng(12).standard_normal((n + 1, n))
+        plus, minus = buf[:n], buf[1:]
+        s_plus = np.triu(plus)
+        s_plus += np.triu(s_plus, 1).T
+        s_minus = np.tril(minus)
+        s_minus += np.tril(s_minus, -1).T
+        ev_plus = discretization._eigvalsh_in_place(plus, upper=True)
+        assert np.array_equal(np.tril(minus), np.tril(s_minus))
+        ev_minus = discretization._eigvalsh_in_place(minus, upper=False)
+        assert np.abs(ev_plus - np.linalg.eigvalsh(s_plus)).max() < 1e-10
+        assert np.abs(ev_minus - np.linalg.eigvalsh(s_minus)).max() < 1e-10
 
     def test_fallback_counts_the_copy_numpy_makes(self, monkeypatch):
         # without LAPACKE in numpy's OpenBLAS, np.linalg.eigvalsh solves an
@@ -359,6 +375,16 @@ class TestAssembleOperator:
         with pytest.raises(ConvergenceError):
             operator_eigenvalues(params, build_grid(128, 1.0), use_cache=False)
 
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_grid_on_another_interval_is_refused(self, use_cache):
+        # the spectrum is read from the grid alone: a grid on (0, 1) with
+        # params.lam = 2 would give the entropy of the wrong interval
+        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=2.0)
+        with pytest.raises(ValueError, match=r"grid is on \(0, 1.0\), but params.lam is 2.0"):
+            operator_eigenvalues(params, build_grid(512, 1.0), use_cache=use_cache)
+        ev = operator_eigenvalues(params, build_grid(512, 2.0), use_cache=use_cache)
+        assert ev.size == 1024
+
     def test_cache_distinguishes_grids_of_equal_size_and_rule(self):
         params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
         clear_spectrum_cache()
@@ -404,8 +430,8 @@ def test_reduced_spectrum_matches_direct_assembly(mass, epsilon, lam, rule, x_of
     epsilon=st.floats(0.002, 0.5),
 )
 def test_packed_spectrum_matches_direct_assembly(n, mass, epsilon):
-    # both triangles of the shared buffer, the centre row at odd n and the
-    # restored diagonal of S-
+    # both views of the shared buffer, the centre row at odd n and the
+    # diagonal of S-, which it does not share with S+
     params = PhysicalParams(mass=mass, epsilon=epsilon, lam=1.0)
     grid = build_grid(n, 1.0)
     fast = operator_eigenvalues(params, grid, validate=False, use_cache=False)

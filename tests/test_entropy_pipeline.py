@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,7 +118,6 @@ class TestSubtractionTrace:
                                                   (0.3, 1.0, 20.0), (0.69, 1.0, 1000.0),
                                                   (40.0, 1.0, 0.01)])
     def test_matches_30_digit_oracle(self, mass, eps, kappa):
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             a, k = mpmath.mpf(mass) * mpmath.mpf(eps), mpmath.mpf(kappa)
 

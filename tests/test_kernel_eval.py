@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import k0, k1  # test-only reference
@@ -145,7 +146,6 @@ class TestBesselSeries:
             assert np.array_equal(ours == 0.0, ref == 0.0)
 
     def test_far_field_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             for z in (np.nextafter(2.0, 3.0), 2.5, 3.7, 8.0, 20.0, 150.0, 700.0):
                 for ours, nu in ((kernel_eval._bessel_k0, 0), (kernel_eval._bessel_k1, 1)):
@@ -155,7 +155,6 @@ class TestBesselSeries:
     def test_far_field_coefficients_are_rounded_mpmath_values(self):
         # the Chebyshev coefficients of exp(z) sqrt(z) K(z) in t = 4/z - 1,
         # interpolated at 40 digits and rounded once (constant term in full)
-        mp = pytest.importorskip("mpmath")
         points = 64
         with mp.workdps(40):
             theta = [mp.pi * (j + mp.mpf(1) / 2) / points for j in range(points)]

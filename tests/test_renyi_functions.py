@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,7 +98,6 @@ class TestEta:
         # t^kappa + (1-t)^kappa falls to 2^(1-kappa) near t = 1/2 at large
         # kappa; no step of eta may cancel there, next to kappa = 1, or
         # underflow near t = 0
-        mpmath = pytest.importorskip("mpmath")
         ts = np.geomspace(1e-30, 0.5, 120)
         values = eta(RenyiOrder(kappa), ts)
         with mpmath.workdps(90):
@@ -129,7 +129,6 @@ class TestDerivatives:
     @pytest.mark.parametrize("kappa", [1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 1e-11, 1.0001])
     def test_near_one_matches_50_digit_oracle(self, kappa):
         # the closed forms divide by 1 - kappa; next to kappa = 1 nothing may cancel
-        mpmath = pytest.importorskip("mpmath")
         ts = [1e-6, 0.01, 0.3, 0.7, 0.999]
         _, d1, d2 = eta_derivatives(RenyiOrder(kappa), ts)
         with mpmath.workdps(50):
