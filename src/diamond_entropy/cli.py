@@ -66,8 +66,10 @@ def _parse_eps_grid(text: str) -> np.ndarray:
     """Grid mini-language `start:stop:Nlog` (log-spaced, inclusive)."""
     parts = text.split(":")
     if len(parts) == 3 and parts[2].endswith("log"):
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2][:-3])
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2][:-3])
+        except ValueError:
+            raise ValueError(f"bad grid spec {text!r}") from None
         if count < 1 or not all(math.isfinite(v) and v > 0 for v in (start, stop)):
             raise ValueError(f"bad grid spec {text!r}")
         return np.geomspace(start, stop, count)
@@ -161,26 +163,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-format", choices=("csv", "json"), default="json")
         p.add_argument("--output-path", default="-", help="file path or - for stdout")
 
+    def add_physics(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kappa", type=float, required=True)
+        p.add_argument("--mass", type=float, default=0.0)
+        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        p.add_argument("--grid-size", type=int, default=4096)
+        p.add_argument("--rule", choices=[r.value for r in GridRule],
+                       default=GridRule.GAUSS_LEGENDRE.value)
+
     p_entropy = sub.add_parser("entropy", help="single entropy evaluation")
-    p_entropy.add_argument("--kappa", type=float, required=True)
-    p_entropy.add_argument("--mass", type=float, default=0.0)
+    add_physics(p_entropy)
     p_entropy.add_argument("--epsilon", type=float, required=True)
-    p_entropy.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_entropy.add_argument("--grid-size", type=int, default=4096)
-    p_entropy.add_argument("--rule", choices=[r.value for r in GridRule],
-                           default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_entropy)
     p_entropy.add_argument("--jobs", type=_worker_count,
                            help="recorded in the configuration; entropy starts no worker")
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep with slope fit")
-    p_sweep.add_argument("--kappa", type=float, required=True)
-    p_sweep.add_argument("--mass", type=float, default=0.0)
-    p_sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    add_physics(p_sweep)
     p_sweep.add_argument("--eps-grid", type=str, required=True, help="start:stop:Nlog")
-    p_sweep.add_argument("--grid-size", type=int, default=4096)
-    p_sweep.add_argument("--rule", choices=[r.value for r in GridRule],
-                         default=GridRule.GAUSS_LEGENDRE.value)
     add_common(p_sweep)
     p_sweep.add_argument("--jobs", type=_worker_count, default=1,
                          help="most worker processes for the epsilon points (default 1)")

@@ -42,7 +42,8 @@ The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
 diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
 the closed form is written only in kernel_eval. min_box_half_width checks the
-box and cross_block_nodes the node budget, both apart from the assembly.
+box, by the bulk term's checked panel sums of k^2, and cross_block_nodes the
+node budget, both apart from the assembly.
 """
 
 from __future__ import annotations
@@ -485,21 +486,33 @@ def operator_eigenvalues(
 
 def _graded_edges(length: float, fine: float) -> np.ndarray:
     """Dyadic panel edges from a refined endpoint at 0 out to `length`."""
-    fine = min(fine, length)
-    edges = [0.0, fine]
+    edges = [0.0, min(fine, length)]
     while edges[-1] < length:
         edges.append(min(2.0 * edges[-1], length))
     return np.asarray(edges)
 
 
 def _panel_nodes(edges: np.ndarray, per: int):
+    """A per-node Gauss-Legendre rule on each panel between edges, in order."""
     nodes, weights = _legendre_rule(per)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    order = np.argsort(x)
-    return x[order], w[order]
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (mid + half * nodes).ravel(), (half * weights).ravel()
+
+
+def _checked_panel_sum(f, edges: np.ndarray, rel_tol: float, abs_tol: float, what: str) -> float:
+    """32-node Gauss-Legendre sum of f on the panels between edges; ConvergenceError
+    naming `what` if the 16-node sum differs by more than rel_tol |value| + abs_tol
+    and than the least normal float (subnormal sums keep no relative accuracy)."""
+    x_fine, w_fine = _panel_nodes(edges, 32)
+    x_coarse, w_coarse = _panel_nodes(edges, 16)
+    values = f(np.concatenate([x_fine, x_coarse]))
+    value = float(w_fine @ values[:x_fine.size])
+    coarse = float(w_coarse @ values[x_fine.size:])
+    if abs(value - coarse) > max(rel_tol * abs(value) + abs_tol, np.finfo(float).tiny):
+        raise ConvergenceError(f"{what} did not reach rel_tol={rel_tol}: value={value}, "
+                               f"16-node value={coarse}")
+    return value
 
 
 def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
@@ -508,29 +521,25 @@ def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
 
 
 def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
-    """Relative Hilbert-Schmidt mass of the kernel beyond the box cut."""
-    u_lo, u_hi = params.epsilon / 16.0, 50.0 * (box_half_width + params.lam)
-    u = np.geomspace(u_lo, u_hi, 1200)
-    k2 = _scalar_kernel(params, u) ** 2
-    if not np.any(k2 > 0):
-        return 0.0
-    total = np.trapezoid(k2, u) + k2[0] * u_lo  # near field bounded by k(u_lo)
-    tail_mask = u >= box_half_width
-    tail = np.trapezoid(k2[tail_mask], u[tail_mask]) if tail_mask.sum() > 1 else 0.0
-    # power-law extrapolation of the sampled tail end
-    last = slice(-120, None)
-    logs = np.polyfit(np.log(u[last]), np.log(np.maximum(k2[last], 1e-300)), 1)
-    p2 = -logs[0]
-    if p2 > 1.2:
-        tail += k2[-1] * u_hi / (p2 - 1.0)
-    else:
-        tail += k2[-1] * u_hi * 10.0
-    return float(np.sqrt(tail / total))
+    """sqrt(tail / (inside + tail)), with inside and tail int k(u)^2 du over (0, L)
+    and (L, inf), L = box_half_width, each a panel sum checked to BOX_TAIL_TOL:
+    inside on panels doubling from eps/2, the tail on L 2^k, k <= 60 (past them
+    the massless k^2 ~ u^-4 leaves 2^-180 of it). The tail's check also allows
+    BOX_TAIL_TOL^3 of the inside mass, too little to move the gate."""
+    def k2(u):
+        return _scalar_kernel(params, u) ** 2
+
+    inside = _checked_panel_sum(k2, _graded_edges(box_half_width, params.epsilon / 2.0),
+                                BOX_TAIL_TOL, 0.0, "box-tail quadrature")
+    tail = _checked_panel_sum(k2, box_half_width * 2.0 ** np.arange(61.0), BOX_TAIL_TOL,
+                              BOX_TAIL_TOL**3 * inside, "box-tail quadrature")
+    return math.sqrt(tail / (inside + tail)) if tail else 0.0
 
 
 def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
-    """Smallest box_half_width * 2**k (k >= 0) beyond which lies at most
-    BOX_TAIL_TOL of the kernel's mass (more would bias the cross block)."""
+    """Smallest box_half_width * 2**k (k >= 0) beyond which _box_tail_fraction's
+    checked panel sums find at most BOX_TAIL_TOL of the kernel's norm (more
+    would bias the cross block); ConvergenceError if a sum is unresolved."""
     if not 0 < box_half_width < math.inf:
         raise ValueError("box_half_width must be positive and finite")
     width = box_half_width

@@ -10,9 +10,9 @@ the translation-invariant operator (its symbol has eigenvalues
 {exp(-eps*omega), 0} and eta(0) = 0), so it reduces to a one-dimensional
 integral; discretizing it in position space would only add a second,
 avoidable source of error. The integral is a fixed composite Gauss-Legendre
-sum on dyadic panels (the panel helpers of the cross-block diagnostic's
-graded grid), checked by a coarser rule on the same panels. The same sum at
-m = 0 gives the integral behind the slope constant, entropy_integral.
+sum on dyadic panels checked by a coarser rule on the same panels, the one
+the cross-block diagnostic's box gate uses. The same sum at m = 0 gives the
+integral behind the slope constant, entropy_integral.
 
 Grid sizes double from 128 until the entropy changes by less than 0.5%
 or the requested cap is reached.
@@ -28,8 +28,8 @@ from .dirac_symbols import PhysicalParams
 from .discretization import (
     DEFAULT_TOL_DISC,
     GridRule,
+    _checked_panel_sum,
     _graded_edges,
-    _panel_nodes,
     build_grid,
     check_spectrum_memory,
     operator_eigenvalues,
@@ -93,8 +93,8 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
     it underflows well below BULK_REL_TOL. Dyadic panels resolve the x^kappa
     and x log x behaviour at x = 0 and, when a < ln 2, the turn within
     ~1/kappa of t = 1/2 at x* = sqrt(ln^2 2 - a^2), graded toward x* from
-    both sides. The 32-node Gauss-Legendre sum is the value; the 16-node sum
-    on the same panels checks it (ConvergenceError past BULK_REL_TOL). eta is
+    both sides. _checked_panel_sum takes the 32-node Gauss-Legendre sum and
+    checks it by the 16-node one (ConvergenceError past BULK_REL_TOL). eta is
     read from ln t, so the tail stays accurate where exp(-hypot) underflows.
     """
     x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
@@ -106,17 +106,8 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
         # panels narrower than the float spacing at x* collapse and drop out
         edges = np.sort(np.concatenate([below, x_star - below, above]))
         edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
-    x_fine, w_fine = _panel_nodes(edges, 32)
-    x_coarse, w_coarse = _panel_nodes(edges, 16)
-    values = _eta_of_log(order, -np.hypot(np.concatenate([x_fine, x_coarse]), a))
-    value = float(w_fine @ values[:x_fine.size])
-    coarse = float(w_coarse @ values[x_fine.size:])
-    if abs(value - coarse) > BULK_REL_TOL * abs(value) + 1e-13:
-        raise ConvergenceError(
-            f"bulk-term quadrature did not reach rel_tol={BULK_REL_TOL}: value={value}, "
-            f"16-node value={coarse}"
-        )
-    return value
+    return _checked_panel_sum(lambda x: _eta_of_log(order, -np.hypot(x, a)), edges,
+                              BULK_REL_TOL, 1e-13, "bulk-term quadrature")
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:

@@ -9,8 +9,8 @@ class ConvergenceError(DiamondEntropyError):
     """A numerical procedure did not reach its requested tolerance.
 
     Raised by:
-    - the bulk-term panel sum (and the slope constant's) when its 16-node
-      and 32-node results disagree;
+    - the checked panel sums of the bulk term, the slope constant and the
+      box-tail gate when their 16-node and 32-node results disagree;
     - the massive kernel fill when the Bessel values come out non-finite;
     - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance;
     - the grid-doubling entropy ladder when no grid up to the cap yields an

@@ -97,18 +97,29 @@ def eta_derivatives(order: RenyiOrder, t):
         d2 = -1.0 / t_arr - 1.0 / u
     else:
         # eta = ln g / (1 - kappa) with g = t^kappa + u^kappa, d = kappa - 1:
-        # eta' = -kappa D / g and eta'' = (-kappa (t^(kappa-2) + u^(kappa-2)) g
-        # + kappa^2 d D^2) / g^2, where D = (t^d - u^d) / d; within
-        # NEAR_ONE_BAND, D = (expm1(d ln t) - expm1(d ln u)) / d does not cancel
+        # eta' = -kappa D / g with D = (t^d - u^d) / d and
+        # eta'' = (g'' g - g'^2) / ((1 - kappa) g^2). Within NEAR_ONE_BAND,
+        # D = (expm1(d ln t) - expm1(d ln u)) / d does not cancel, and
+        # g'' g - g'^2 = kappa d (t^(kappa-2) + u^(kappa-2)) g - (kappa d D)^2.
+        # Outside it, with c = max(t, u) and r = min(t, u) / c,
+        # g'' g - g'^2 = kappa c^(2 kappa - 2) [expm1((kappa - 2) ln r)
+        # + (kappa - 2) r^(kappa-2) - r^(2 kappa - 2) + d r^kappa + 2 kappa r^d],
+        # which does not cancel near t = 0 or 1 (at kappa = 2 it is 8 t u),
+        # and g = c^kappa (1 + r^kappa).
         kap = order.kappa
         d = kap - 1.0
         g = t_arr**kap + u**kap
         if abs(d) <= NEAR_ONE_BAND:
             D = (np.expm1(d * np.log(t_arr)) - np.expm1(d * np.log(u))) / d
+            d2 = (kap * kap * d * D * D - kap * (t_arr ** (kap - 2.0) + u ** (kap - 2.0)) * g) / (g * g)
         else:
             D = (t_arr**d - u**d) / d
+            c = np.maximum(t_arr, u)
+            r = np.minimum(t_arr, u) / c
+            bracket = (np.expm1((kap - 2.0) * np.log(r)) + (kap - 2.0) * r ** (kap - 2.0)
+                       - r ** (2.0 * kap - 2.0) + d * r**kap + 2.0 * kap * r**d)
+            d2 = kap * bracket / (-d * (c * (1.0 + r**kap)) ** 2)
         d1 = -kap * D / g
-        d2 = (kap * kap * d * D * D - kap * (t_arr ** (kap - 2.0) + u ** (kap - 2.0)) * g) / (g * g)
     return d0, d1, d2
 
 

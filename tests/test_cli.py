@@ -36,6 +36,21 @@ class TestArgumentHandling:
             ["sweep", "--kappa", "1", "--eps-grid", "nonsense"]
         )
         assert code == 2
+        # a count that is no integer is named as a bad spec, not by int()
+        for spec in ("0.1:0.002:8.5log", "0.1:0.002:log"):
+            capsys.readouterr()
+            assert run_cli(["sweep", "--kappa", "1", "--eps-grid", spec]) == 2
+            err = capsys.readouterr().err
+            assert f"bad grid spec {spec!r}" in err and "invalid literal" not in err
+
+    def test_entropy_and_sweep_share_their_physics_flags(self):
+        shared = ["--kappa", "2", "--mass", "0.5", "--lambda", "3", "--grid-size", "512",
+                  "--rule", "midpoint"]
+        entropy = vars(build_parser().parse_args(["entropy", "--epsilon", "0.1", *shared]))
+        sweep = vars(build_parser().parse_args(["sweep", "--eps-grid", "1:0.01:6log", *shared]))
+        keys = ("kappa", "mass", "lam", "grid_size", "rule")
+        assert [entropy[k] for k in keys] == [sweep[k] for k in keys] == [2.0, 0.5, 3.0, 512,
+                                                                          "midpoint"]
 
     @pytest.mark.parametrize("spec", ["inf:0.002:8log", "nan:0.002:8log", "0.1:inf:8log"])
     def test_non_finite_eps_grid_exits_2_without_warnings(self, capsys, spec):

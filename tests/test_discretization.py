@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from diamond_entropy import (
     ConvergenceError,
@@ -478,6 +479,13 @@ class TestOffdiagonalTruncation:
         M = cross_block(params, 8.0, 1024)
         assert np.all(np.isfinite(M))
 
+    @pytest.mark.parametrize("mass, eps, box", [(0.0, 1e-4, 8.0), (1.0, 0.5, 2.0),
+                                                (3.0, 1.0, 0.3)])
+    def test_cross_block_nodes_ascend(self, mass, eps, box):
+        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
+        x_rows, _, y_cols, _ = discretization.cross_block_nodes(params, box, 1024)
+        assert np.all(np.diff(x_rows) > 0) and np.all(np.diff(y_cols) > 0)
+
     def test_budget_too_small_rejected(self):
         params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
         with pytest.raises(ValueError, match="node budget n=32 too small"):
@@ -499,3 +507,55 @@ class TestOffdiagonalTruncation:
         M_ref = discretization.assemble_offdiagonal_truncation(params, nodes)
         assert M.shape == M_ref.shape == (32, 64)
         assert np.abs(M - M_ref).max() < 1e-9
+
+
+class TestBoxTail:
+    """_box_tail_fraction against references that share no code with it."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("box", [0.5, 8.0, 128.0])
+    def test_massless_matches_30_digit_closed_form(self, eps, box):
+        # k(u) = eps / (pi (eps^2 + u^2)): the mass beyond L is the share
+        # (2/pi)(atan x - x/(1 + x^2)), x = eps/L, of the whole
+        with mp.workdps(30):
+            x = mp.mpf(eps) / box
+            share = 2 / mp.pi * (mp.atan(x) - x / (1 + x * x))
+            expected = float(mp.sqrt(share))
+        params = PhysicalParams(mass=0.0, epsilon=eps, lam=1.0)
+        got = discretization._box_tail_fraction(params, box)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mass", [1.0, 3.0])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 1.0])
+    @pytest.mark.parametrize("box", [0.5, 1.0, 8.0])
+    def test_massive_matches_adaptive_quadrature_and_parseval(self, mass, eps, box):
+        # the whole mass int_0^inf k^2 du is (1/4 pi) int exp(-2 eps omega) dk
+        # = (m / 2 pi) K1(2 eps m) by Parseval
+        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
+
+        def k2(u):
+            return float(discretization._scalar_kernel(params, np.array([u]))[0]) ** 2
+
+        tail = sum(integrate.quad(k2, box * 2.0**j, box * 2.0 ** (j + 1), epsabs=0.0,
+                                  epsrel=1e-13, limit=200)[0] for j in range(40))
+        total = mass * special.k1(2.0 * eps * mass) / (2.0 * np.pi)
+        expected = np.sqrt(tail / total)
+        assert expected > 1e-30
+        got = discretization._box_tail_fraction(params, box)
+        assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_subnormal_kernel_cannot_trip_the_check(self):
+        # at m eps = 356 the kernel's square sinks to subnormals, which carry
+        # no relative accuracy for the 16-node check to find
+        params = PhysicalParams(mass=356.0, epsilon=1.0, lam=1.0)
+        for box in (0.25, 1.0, 8.0):
+            assert 0.0 <= discretization._box_tail_fraction(params, box) < 1e-4
+        assert discretization.min_box_half_width(params, 0.25) == 0.5
+
+    def test_unresolved_kernel_signals(self, monkeypatch):
+        # an integrand the 16- and 32-node panel sums disagree on
+        monkeypatch.setattr(discretization, "_scalar_kernel",
+                            lambda params, u: np.sin(1e3 * u))
+        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
+        with pytest.raises(ConvergenceError, match="box-tail quadrature"):
+            discretization.min_box_half_width(params, 8.0)

@@ -144,16 +144,40 @@ class TestSubtractionTrace:
     @pytest.mark.parametrize("kappa", [0.05, 1.0])
     def test_node_count_bounded_at_large_mass_times_eps(self, monkeypatch, kappa):
         sizes = []
+        panel_nodes = discretization._panel_nodes
 
         def recording(edges, per):
-            x, w = discretization._panel_nodes(edges, per)
+            x, w = panel_nodes(edges, per)
             sizes.append(x.size)
             return x, w
 
-        monkeypatch.setattr(entropy_pipeline, "_panel_nodes", recording)
+        monkeypatch.setattr(discretization, "_panel_nodes", recording)
         params = PhysicalParams(mass=1e4, epsilon=1.0, lam=1.0)
         assert np.isfinite(subtraction_trace(params, RenyiOrder(kappa)))
         assert sizes and max(sizes) <= 4096
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.69, 0.7, 2.0, 50.0])
+    def test_panel_nodes_ascend_on_bulk_term_edges(self, monkeypatch, a):
+        # _panel_nodes returns its nodes in panel order, unsorted. Below ln 2
+        # the panels graded toward x* shrink to a few ulps, so neighbouring
+        # nodes there may coincide; they never decrease.
+        edge_sets = []
+        checked_sum = discretization._checked_panel_sum
+
+        def recording(f, edges, *args):
+            edge_sets.append(edges)
+            return checked_sum(f, edges, *args)
+
+        monkeypatch.setattr(entropy_pipeline, "_checked_panel_sum", recording)
+        params = PhysicalParams(mass=a / 0.1, epsilon=0.1, lam=1.0)
+        subtraction_trace(params, K1)
+        (edges,) = edge_sets
+        assert np.all(np.diff(edges) > 0)
+        for per in (16, 32):
+            x, w = discretization._panel_nodes(edges, per)
+            assert x.size == w.size == per * (edges.size - 1)
+            steps = np.diff(x)
+            assert np.all(steps >= 0) if a < np.log(2.0) else np.all(steps > 0)
 
     @pytest.mark.parametrize("kappa", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-11])
     def test_orders_next_to_von_neumann(self, kappa):

@@ -142,6 +142,23 @@ class TestDerivatives:
                 assert got1 == pytest.approx(float(gp / ((1 - k) * g)), rel=1e-12)
                 assert got2 == pytest.approx(float((gpp * g - gp * gp) / ((1 - k) * g * g)), rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [2.0, 2.5, 3.7, 20.0])
+    def test_second_derivative_near_endpoints_matches_60_digit_oracle(self, kappa):
+        # g'' g - g'^2 once subtracted two numbers of size ~kappa^2 to leave
+        # ~t near t = 0 and t = 1 (2.2e-5 relative at kappa = 2, t = 1e-12)
+        ts = [1e-12, 1e-9, 1e-6, 1.0 - 1e-9]
+        _, _, d2 = eta_derivatives(RenyiOrder(kappa), ts)
+        with mpmath.workdps(60):
+            k = mpmath.mpf(kappa)
+            for t, got in zip(ts, d2):
+                t = mpmath.mpf(t)
+                u = 1 - t
+                g = t**k + u**k
+                gp = k * (t ** (k - 1) - u ** (k - 1))
+                gpp = k * (k - 1) * (t ** (k - 2) + u ** (k - 2))
+                expected = float((gpp * g - gp * gp) / ((1 - k) * g * g))
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_rejects_endpoint_input(self):
         with pytest.raises(ValueError):
             eta_derivatives(RenyiOrder(1.0), 0.0)
