@@ -32,6 +32,7 @@ from .discretization import (
     cross_block_nodes,
     min_box_half_width,
     operator_eigenvalues,
+    share_cpus,
 )
 from .entropy_pipeline import (
     DEFAULT_N_MAX,
@@ -142,14 +143,17 @@ def sweep(
     and aggregated in decreasing-epsilon order; the fit uses only converged
     points and requires at least five of them. The worker processes number
     min(jobs, points, spectra at the cap n_max that fit in physical memory);
-    ValueError before any point if not even one fits.
+    ValueError before any point if not even one fits. Each worker is told the
+    pool size (share_cpus), so it solves a massive spectrum's two blocks at
+    once only where it may use at least 2 x workers CPUs.
     """
     eps = _validate_eps_grid(eps_grid)
     workers = min(jobs, eps.size, check_spectrum_memory(n_max))
     point = functools.partial(_sweep_point, order, n_max, rule)
     all_params = [replace(params_base, epsilon=float(e)) for e in eps]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
+                                 initargs=(workers,)) as pool:
             points = list(pool.map(point, all_params))
     else:
         points = [point(params) for params in all_params]

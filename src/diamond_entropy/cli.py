@@ -9,7 +9,11 @@ Every subcommand takes --output-format and --output-path; verify also takes
 (default 1, so no pool); it runs no more than one per point and no more than
 fit in physical memory at the --grid-size cap. entropy accepts --jobs too
 and records it in its configuration when it is given, but starts no worker.
-No environment variable and no CPU count enters either.
+No environment variable and no CPU count enters either. At mass > 0 with
+OpenBLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), entropy still solves
+the two blocks of each spectrum on two threads when it may use two CPUs, and
+a sweep worker does so when its pool leaves two CPUs per worker; stdout is
+the same either way, and `taskset -c 0` keeps the process on one core.
 
 Every subcommand writes through one writer, `_write`: a JSON document, or
 CSV with one row per flat record (bools as true/false, floats to 17

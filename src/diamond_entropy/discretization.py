@@ -26,8 +26,12 @@ about N^2/4 separations, _FILL_ROWS rows at a time, and each value is added
 into its four images in A and in H+- J. One zero-initialised (N + 1) x N
 buffer holds S+ on and above the diagonal of its first N rows and S- on and
 below the diagonal of its last N rows, two disjoint triangles. LAPACK's
-?sytrd reads and overwrites only the triangle it is told to, so S+ and then
-S- are solved in place (S+ = S- at mass 0, so only S+ is filled and solved).
+?sytrd reads and overwrites only the triangle it is told to, so both are
+solved in place (S+ = S- at mass 0, so only S+ is filled and solved). At
+mass > 0 a helper thread solves S- while the calling thread solves S+, where
+each solve runs on one BLAS thread and the process may use two CPUs for each
+process solving spectra (_solve_threads); elsewhere S- follows S+. Each block
+is solved on one thread either way, so the eigenvalues keep their bits.
 The solver is LAPACKE dsyevd from the OpenBLAS that numpy bundles, called
 through ctypes on the library numpy.linalg has already loaded. The buffer is
 the only large array, so one spectrum peaks at the imports plus 8 N (N + 1)
@@ -53,6 +57,7 @@ import ctypes
 import functools
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,6 +69,9 @@ from .kernel_eval import kernel_blocks
 
 DEFAULT_TOL_DISC = 1e-6
 BOX_TAIL_TOL = 1e-6
+# the box tail's last panel edge, L 2^60, stays 16 times below the largest
+# float, so the panel midpoints and 2 pi u in the kernel remain finite
+MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
 # kernel rows evaluated per strip while S+- is filled
 _FILL_ROWS = 64
 
@@ -319,6 +327,27 @@ def blas_threads() -> int | None:
     return int(_BLAS_THREADS())
 
 
+# processes solving spectra side by side, this one included: 1 unless
+# share_cpus, sweep's pool initializer, says otherwise
+_processes = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Record that this process is one of `processes` that solve spectra at once."""
+    global _processes
+    _processes = processes
+
+
+def _solve_threads() -> int:
+    """Threads for the two solves of a massive spectrum: 2 where each solve
+    runs on one BLAS thread and this process's share of the CPUs it may use
+    holds two, else 1. A multithreaded OpenBLAS shares one thread pool among
+    its callers, and the fallback would need a second N x N copy."""
+    if blas_threads() != 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 2 if 2 * _processes <= len(os.sched_getaffinity(0)) else 1
+
+
 def spectrum_buffer_bytes(n: int) -> int:
     """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
     np.linalg.eigvalsh makes when the fallback solves."""
@@ -383,7 +412,9 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
     Where two images coincide in one matrix (A on the antidiagonal j = i',
     B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
     triangle of buf[:N] and S- the lower one of buf[1:], each with its own
-    diagonal; the rest is O(_FILL_ROWS N).
+    diagonal; the rest is O(_FILL_ROWS N). The fill and the solve of S+ run
+    on the calling thread; S- is solved at the same time on a helper thread
+    where _solve_threads gives 2, after S+ otherwise.
     """
     x = np.frombuffer(nodes) + x_offset
     sw = np.sqrt(np.frombuffer(weights))
@@ -429,11 +460,18 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
             minus_mirror[rows, cols] += A
             down[rows, cols] -= P
             down[cols, rows] += Q.T
-    eigenvalues = _eigvalsh_in_place(plus, upper=True)
-    if massive:
-        eigenvalues = np.sort(np.concatenate([eigenvalues, _eigvalsh_in_place(minus, upper=False)]))
+    if not massive:
+        eigenvalues = np.repeat(_eigvalsh_in_place(plus, upper=True), 2)
+    elif _solve_threads() == 2:
+        # the with block joins the helper, so no thread writes to buf once
+        # this returns or raises
+        with ThreadPoolExecutor(1) as helper:
+            minus_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
+            eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus, upper=True),
+                                                  minus_solve.result()]))
     else:
-        eigenvalues = np.repeat(eigenvalues, 2)
+        eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus, upper=True),
+                                              _eigvalsh_in_place(minus, upper=False)]))
     eigenvalues.flags.writeable = False  # later rungs and other orders read it back
     return eigenvalues
 
@@ -539,13 +577,19 @@ def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
 def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
     """Smallest box_half_width * 2**k (k >= 0) beyond which _box_tail_fraction's
     checked panel sums find at most BOX_TAIL_TOL of the kernel's norm (more
-    would bias the cross block); ConvergenceError if a sum is unresolved."""
+    would bias the cross block; a NaN fraction fails too); ConvergenceError if
+    a sum is unresolved, ValueError once a width exceeds MAX_BOX_HALF_WIDTH."""
     if not 0 < box_half_width < math.inf:
         raise ValueError("box_half_width must be positive and finite")
     width = box_half_width
-    while _box_tail_fraction(params, width) > BOX_TAIL_TOL:
+    while True:
+        if width > MAX_BOX_HALF_WIDTH:
+            raise ValueError(f"box half-width {width:g} is too large (at most "
+                             f"{MAX_BOX_HALF_WIDTH:.4g}): the box-tail panels out to "
+                             "2^60 times it would overflow")
+        if _box_tail_fraction(params, width) <= BOX_TAIL_TOL:
+            return width
         width *= 2.0
-    return width
 
 
 def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):

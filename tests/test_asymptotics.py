@@ -78,15 +78,16 @@ class TestSweep:
 class TestSweepWorkers:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Pool sizes and preflight grid sizes of the sweeps run in a test."""
+        """Pools (size, initializer, its arguments) and preflight grid sizes
+        of the sweeps run in a test."""
         pool, preflight = [], []
         check = asymptotics.check_spectrum_memory
 
         class RecordingPool:
             """Stands in for ProcessPoolExecutor and maps in-process."""
 
-            def __init__(self, max_workers):
-                pool.append(max_workers)
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                pool.append((max_workers, initializer, initargs))
 
             def __enter__(self):
                 return self
@@ -107,7 +108,10 @@ class TestSweepWorkers:
 
     def test_pool_never_exceeds_points(self, recorded, coarse_sweep):
         result = sweep(base_params(), K1, COARSE_GRID, jobs=64)
-        assert recorded == ([COARSE_GRID.size], [asymptotics.DEFAULT_N_MAX])
+        # each worker learns how many processes share the CPUs
+        workers = COARSE_GRID.size
+        assert recorded == ([(workers, discretization.share_cpus, (workers,))],
+                            [asymptotics.DEFAULT_N_MAX])
         assert result.points == coarse_sweep.points
 
     def test_one_job_starts_no_pool(self, recorded, coarse_sweep):
@@ -133,7 +137,7 @@ class TestSweepWorkers:
         code = cli.main(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
                          "--grid-size", "4096", "--jobs", "4"])
         assert code == 0
-        assert recorded == ([3], [4096])
+        assert recorded == ([(3, discretization.share_cpus, (3,))], [4096])
         assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 4
 
     def test_cli_exits_2_when_no_spectrum_fits(self, recorded, monkeypatch, capsys):

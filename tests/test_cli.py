@@ -473,6 +473,16 @@ class TestDiagCommand:
         assert code == 2
         assert "box_half_width must be positive and finite" in capsys.readouterr().err
 
+    def test_log_growth_box_beyond_float_range_exits_2(self, capsys):
+        # the box-tail panels would reach past the largest float; any
+        # overflow warning fails the test
+        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
+                        "--alpha-grid", "10,100,1000", "--box-half-width", "1e300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "box half-width 1e+300 is too large" in captured.err
+
     def test_log_growth_massless_wide_box_runs(self, capsys):
         code = run_cli(
             ["diag", "--diag-type", "log-growth", "--mass", "0", "--q", "0.5",

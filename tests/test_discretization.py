@@ -1,3 +1,5 @@
+import ctypes
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -407,6 +409,91 @@ class TestAssembleOperator:
         assert np.array_equal(operator_eigenvalues(params, grid), original)
 
 
+@pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the test, as the benchmark runs it."""
+    set_threads = discretization._openblas_routine("scipy_openblas_set_num_threads64_",
+                                                   None, ctypes.c_int)
+    before = discretization.blas_threads()
+    if set_threads is None or before is None:
+        pytest.skip("numpy exports no OpenBLAS thread setter")
+    set_threads(1)
+    yield
+    set_threads(before)
+
+
+class TestConcurrentSolves:
+    """At mass > 0 S- may be solved on a helper thread while S+ is solved."""
+
+    def _solves(self, monkeypatch, threads, params, grid):
+        """The spectrum with the thread count forced, and the thread of each solve."""
+        solve = discretization._eigvalsh_in_place
+        solved_on = {}
+
+        def recording(buf, upper):
+            solved_on[upper] = threading.get_ident()
+            return solve(buf, upper)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(discretization, "_solve_threads", lambda: threads)
+            patch.setattr(discretization, "_eigvalsh_in_place", recording)
+            ev = operator_eigenvalues(params, grid, validate=False, use_cache=False)
+        return ev, solved_on
+
+    @pytest.mark.parametrize("mass", [0.7, 1.0])
+    @pytest.mark.parametrize("epsilon, n", [(0.002, 255), (0.01, 512), (0.05, 1024)])
+    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread,
+                                                   mass, epsilon, n):
+        params = PhysicalParams(mass=mass, epsilon=epsilon, lam=1.0)
+        grid = build_grid(n, 1.0)
+        threads_before = threading.active_count()
+        serial, serial_on = self._solves(monkeypatch, 1, params, grid)
+        together, together_on = self._solves(monkeypatch, 2, params, grid)
+        assert np.array_equal(serial, together)
+        caller = threading.get_ident()
+        assert serial_on == {True: caller, False: caller}
+        assert together_on[True] == caller and together_on[False] != caller
+        assert threading.active_count() == threads_before
+
+    def test_massless_spectrum_is_one_solve_on_the_calling_thread(self, monkeypatch):
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        _, solved_on = self._solves(monkeypatch, 2, params, build_grid(256, 1.0))
+        assert solved_on == {True: threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failing", [b"L", b"U"])  # the triangle of S+, of S-
+    def test_a_failed_solve_propagates(self, monkeypatch, threads, failing):
+        dsyevd = discretization._DSYEVD
+
+        def failing_dsyevd(layout, jobz, uplo, *args):
+            return 7 if uplo == failing else dsyevd(layout, jobz, uplo, *args)
+
+        monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
+        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
+        threads_before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+            operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.parametrize("blas, cpus, processes, threads", [
+        (None, 2, 1, 1),  # the np.linalg fallback: a second solve would copy the matrix
+        (2, 2, 1, 1),     # callers of a multithreaded OpenBLAS share its threads
+        (1, 1, 1, 1),     # affinity to one CPU
+        (1, 2, 2, 1),     # a pool worker whose sibling takes the other CPU
+        (1, 5, 3, 1),
+        (1, 2, 1, 2),
+        (1, 4, 2, 2),
+    ])
+    def test_thread_count_choice(self, monkeypatch, blas, cpus, processes, threads):
+        monkeypatch.setattr(discretization, "blas_threads", lambda: blas)
+        monkeypatch.setattr(discretization.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(discretization, "_processes", 1)
+        discretization.share_cpus(processes)
+        assert discretization._solve_threads() == threads
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     mass=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
@@ -551,6 +638,28 @@ class TestBoxTail:
         for box in (0.25, 1.0, 8.0):
             assert 0.0 <= discretization._box_tail_fraction(params, box) < 1e-4
         assert discretization.min_box_half_width(params, 0.25) == 0.5
+
+    def test_widths_whose_tail_panels_overflow_are_refused(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        top = discretization.MAX_BOX_HALF_WIDTH
+        assert discretization.min_box_half_width(params, top) == top
+        for width in (np.nextafter(top, np.inf), 1e300):
+            with pytest.raises(ValueError, match="too large"):
+                discretization.min_box_half_width(params, width)
+
+    def test_doubling_stops_before_the_panels_overflow(self, monkeypatch):
+        # a NaN fraction fails the gate, so the box doubles until refused
+        widths = []
+
+        def nan_fraction(params, width):
+            widths.append(width)
+            return float("nan")
+
+        monkeypatch.setattr(discretization, "_box_tail_fraction", nan_fraction)
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        with pytest.raises(ValueError, match="too large"):
+            discretization.min_box_half_width(params, 8.0)
+        assert widths[-1] <= discretization.MAX_BOX_HALF_WIDTH < 2.0 * widths[-1]
 
     def test_unresolved_kernel_signals(self, monkeypatch):
         # an integrand the 16- and 32-node panel sums disagree on

@@ -97,7 +97,8 @@ class TestEta:
     def test_matches_90_digit_oracle(self, kappa):
         # t^kappa + (1-t)^kappa falls to 2^(1-kappa) near t = 1/2 at large
         # kappa; no step of eta may cancel there, next to kappa = 1, or
-        # underflow near t = 0
+        # underflow near t = 0 (abs=0: eta falls below pytest's default 1e-12
+        # absolute tolerance toward t = 1e-30)
         ts = np.geomspace(1e-30, 0.5, 120)
         values = eta(RenyiOrder(kappa), ts)
         with mpmath.workdps(90):
@@ -105,7 +106,7 @@ class TestEta:
             for t, value in zip(ts, values):
                 t = mpmath.mpf(float(t))
                 oracle = float(mpmath.log(t**k + (1 - t) ** k) / (1 - k))
-                assert value == pytest.approx(oracle, rel=1e-14)
+                assert value == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     def test_endpoint_stability_no_nan(self):
         order = RenyiOrder(1.0)
