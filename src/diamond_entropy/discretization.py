@@ -26,21 +26,28 @@ about N^2/4 separations, _FILL_ROWS rows at a time, and each value is added
 into its four images in A and in H+- J. One zero-initialised (N + 1) x N
 buffer holds S+ on and above the diagonal of its first N rows and S- on and
 below the diagonal of its last N rows, two disjoint triangles. LAPACK's
-?sytrd reads and overwrites only the triangle it is told to, so both are
-solved in place (S+ = S- at mass 0, so only S+ is filled and solved). At
-mass > 0 a helper thread solves S- while the calling thread solves S+, where
-each solve runs on one BLAS thread and the process may use two CPUs for each
-process solving spectra (_solve_threads); elsewhere S- follows S+. Each block
-is solved on one thread either way, so the eigenvalues keep their bits.
-The solver is LAPACKE dsyevd from the OpenBLAS that numpy bundles, called
-through ctypes on the library numpy.linalg has already loaded. The buffer is
-the only large array, so one spectrum peaks at the imports plus 8 N (N + 1)
-bytes plus O(_FILL_ROWS N); where numpy exports no LAPACKE,
-np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
-check_spectrum_memory compares that figure with the physical memory. The
-Gauss-Legendre rules are built in O(n): Newton's method for n <= 100 and
-Bogaert's asymptotic formulas above, on the zeros of J0 and the values of J1
-there from his FastGL tables and asymptotic series.
+two-stage reduction (dsytrd_sy2sb to a band, dsytrd_sb2st to tridiagonal
+form, then dsterf) reads and overwrites only the triangle it is told to, so
+both are solved in place (S+ = S- at mass 0, so only S+ is filled and
+solved). At mass > 0 a helper thread solves S- while the calling thread
+solves S+, where each solve runs on one BLAS thread and the process may use
+two CPUs for each process solving spectra (_solve_threads); elsewhere S-
+follows S+. Each block is solved on one thread either way, so the
+eigenvalues keep their bits.
+The solver is LAPACKE dsyevd_2stage from the OpenBLAS that numpy bundles,
+called through ctypes on the library numpy.linalg has already loaded. It
+reduces the matrix to a band with BLAS-3 and then chases the bulges down to
+tridiagonal form (C. Bischof, B. Lang and X. Sun, ACM TOMS 26 (2000) 581;
+A. Haidar, H. Ltaief and J. Dongarra, SC'11); its eigenvalues came out the
+same bit for bit on one and on two OpenBLAS threads, which dsyevd's did not.
+The buffer is the only large array, so one spectrum peaks at the imports
+plus 8 N (N + 1) bytes, LAPACK's workspace of about 105 N doubles, and
+O(_FILL_ROWS N); where numpy exports no LAPACKE, np.linalg.eigvalsh solves
+a copy, adding 8 N^2 bytes. check_spectrum_memory compares the buffers
+(spectrum_buffer_bytes, without the O(N) workspace) with the physical
+memory. The Gauss-Legendre rules are built in O(n): Newton's method for
+n <= 100 and Bogaert's asymptotic formulas above, on the zeros of J0 and the
+values of J1 there from his FastGL tables and asymptotic series.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -312,8 +319,8 @@ def _openblas_routine(name: str, restype, *argtypes):
     return routine
 
 
-# LAPACKE_dsyevd with 64-bit integers: (layout, jobz, uplo, n, a, lda, w) -> info
-_DSYEVD = _openblas_routine("scipy_LAPACKE_dsyevd64_", ctypes.c_int64, ctypes.c_int,
+# LAPACKE_dsyevd_2stage with 64-bit integers: (layout, jobz, uplo, n, a, lda, w) -> info
+_DSYEVD = _openblas_routine("scipy_LAPACKE_dsyevd_2stage64_", ctypes.c_int64, ctypes.c_int,
                             ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
                             ctypes.c_int64, ctypes.c_void_p)
 _BLAS_THREADS = _openblas_routine("scipy_openblas_get_num_threads64_", ctypes.c_int)
@@ -350,7 +357,8 @@ def _solve_threads() -> int:
 
 def spectrum_buffer_bytes(n: int) -> int:
     """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
-    np.linalg.eigvalsh makes when the fallback solves."""
+    np.linalg.eigvalsh makes when the fallback solves. LAPACK's O(N)
+    workspace (about 105 N doubles) is not counted."""
     matrices = 1 if _DSYEVD is not None else 2
     return 8 * n * (matrices * n + 1)
 
@@ -381,11 +389,12 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix in one triangle of the
     C-ordered buf: the upper one (with the diagonal) if upper, else the lower.
 
-    LAPACKE dsyevd (eigenvalues only) reads buf's memory in column-major
-    order, as buf.T, whose lower triangle is buf's upper one. ?sytrd reads and
-    overwrites only that triangle and the diagonal; the other strict triangle
-    survives the solve bit for bit. Where numpy exports no LAPACKE, the
-    fallback np.linalg.eigvalsh solves a copy and leaves buf as it was.
+    LAPACKE dsyevd_2stage (eigenvalues only) reads buf's memory in
+    column-major order, as buf.T, whose lower triangle is buf's upper one.
+    dsytrd_sy2sb and dsytrd_sb2st, then dsterf, read and overwrite only that
+    triangle and the diagonal; the other strict triangle survives the solve
+    bit for bit. Where numpy exports no LAPACKE, the fallback
+    np.linalg.eigvalsh solves a copy and leaves buf as it was.
     """
     n = buf.shape[0]
     if (buf.shape != (n, n) or buf.dtype != np.float64 or not buf.flags.c_contiguous
@@ -397,7 +406,7 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     info = _DSYEVD(_LAPACK_COL_MAJOR, b"N", b"L" if upper else b"U", n, buf.ctypes.data, n,
                    eigenvalues.ctypes.data)
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACKE dsyevd failed with info = {info}")
+        raise np.linalg.LinAlgError(f"LAPACKE dsyevd_2stage failed with info = {info}")
     return eigenvalues
 
 

@@ -93,18 +93,24 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
     it underflows well below BULK_REL_TOL. Dyadic panels resolve the x^kappa
     and x log x behaviour at x = 0 and, when a < ln 2, the turn within
     ~1/kappa of t = 1/2 at x* = sqrt(ln^2 2 - a^2), graded toward x* from
-    both sides. _checked_panel_sum takes the 32-node Gauss-Legendre sum and
-    checks it by the 16-node one (ConvergenceError past BULK_REL_TOL). eta is
-    read from ln t, so the tail stays accurate where exp(-hypot) underflows.
+    both sides down to 1024 ulps of x*. _checked_panel_sum takes the 32-node
+    Gauss-Legendre sum and checks it by the 16-node one (ConvergenceError
+    past BULK_REL_TOL). eta is read from ln t, so the tail stays accurate
+    where exp(-hypot) underflows.
     """
     x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
     edges = _graded_edges(x_max, _BULK_FINE)
     if a < _LN2:
         x_star = np.sqrt(_LN2**2 - a * a)
+        # the grading toward x* stops at 1024 ulps of it: the outermost of 32
+        # Gauss-Legendre nodes sits 0.0028 half-widths inside its panel, so
+        # narrower panels round nodes of neighbouring panels onto one another
+        fine = 1024.0 * np.spacing(x_star)
         below = _graded_edges(0.5 * x_star, _BULK_FINE)
-        above = x_star + _graded_edges(x_max - x_star, _BULK_FINE)
-        # panels narrower than the float spacing at x* collapse and drop out
-        edges = np.sort(np.concatenate([below, x_star - below, above]))
+        toward = _graded_edges(0.5 * x_star, fine)
+        above = x_star + _graded_edges(x_max - x_star, fine)
+        edges = np.sort(np.concatenate([below, x_star - toward, above]))
+        # x*/2 and x* each end two of the gradings; keep one copy of each
         edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     return _checked_panel_sum(lambda x: _eta_of_log(order, -np.hypot(x, a)), edges,
                               BULK_REL_TOL, 1e-13, "bulk-term quadrature")

@@ -239,10 +239,11 @@ class TestAssembleOperator:
             discretization.check_spectrum_memory(7095)
 
     @pytest.mark.parametrize("upper", [True, False])
-    def test_lapack_solves_one_triangle_in_place(self, upper):
+    @pytest.mark.parametrize("n", [300, 1025])
+    def test_lapack_solves_one_triangle_in_place(self, n, upper):
         # _spectrum keeps S+ and S- in the two triangles of one buffer: a
-        # solve must neither copy the buffer nor touch the other triangle
-        n = 300
+        # solve must neither copy the buffer nor touch the other triangle,
+        # also at n = 1025, where the two-stage driver's band reduction runs
         buf = np.random.default_rng(11).standard_normal((n, n))
         named = np.triu_indices(n) if upper else np.tril_indices(n)
         other = np.tril_indices(n, -1) if upper else np.triu_indices(n, 1)
@@ -258,11 +259,11 @@ class TestAssembleOperator:
         assert not np.array_equal(buf[named], before)  # overwritten, not copied
         assert np.abs(ev - np.linalg.eigvalsh(symmetric)).max() < 1e-10
 
-    def test_plus_and_minus_views_keep_their_own_diagonals(self):
+    @pytest.mark.parametrize("n", [300, 1025])
+    def test_plus_and_minus_views_keep_their_own_diagonals(self, n):
         # _spectrum holds S+ on and above the diagonal of buf[:n] and S- on
         # and below the diagonal of buf[1:]: the two triangles are disjoint,
         # so the solve of S+ leaves S- bit for bit
-        n = 300
         buf = np.random.default_rng(12).standard_normal((n + 1, n))
         plus, minus = buf[:n], buf[1:]
         s_plus = np.triu(plus)
