@@ -103,10 +103,10 @@ def _validate_eps_grid(eps_grid: np.ndarray) -> np.ndarray:
     return eps
 
 
-def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule,
-                 params: PhysicalParams) -> SweepPoint:
+def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule, params: PhysicalParams,
+                 partner: PhysicalParams | None = None) -> SweepPoint:
     try:
-        result = entanglement_entropy(params, order, n=n_max, rule=rule)
+        result = entanglement_entropy(params, order, n=n_max, rule=rule, partner=partner)
     except ConvergenceError:
         # no admissible grid up to the cap: an unconverged point, counted
         # against the minimum-converged-points requirement
@@ -145,7 +145,10 @@ def sweep(
     min(jobs, points, spectra at the cap n_max that fit in physical memory);
     ValueError before any point if not even one fits. Each worker is told the
     pool size (share_cpus), so it solves a massive spectrum's two blocks at
-    once only where it may use at least 2 x workers CPUs.
+    once only where it may use at least 2 x workers CPUs. Without a pool,
+    point k is given point k + 1 as its partner (entanglement_entropy), so at
+    mass 0 that point's spectra may come from the other triangle of point
+    k's buffers and differ from a pool's in the last digits.
     """
     eps = _validate_eps_grid(eps_grid)
     workers = min(jobs, eps.size, check_spectrum_memory(n_max))
@@ -156,7 +159,10 @@ def sweep(
                                  initargs=(workers,)) as pool:
             points = list(pool.map(point, all_params))
     else:
-        points = [point(params) for params in all_params]
+        # each ladder also solves the next point's rungs where it can (at
+        # mass 0), two spectra in one buffer
+        partners = [*all_params[1:], None]
+        points = [point(params, partner) for params, partner in zip(all_params, partners)]
 
     fit_points = [p for p in points if p.converged]
     if len(fit_points) < MIN_CONVERGED_POINTS:

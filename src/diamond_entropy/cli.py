@@ -12,8 +12,9 @@ and records it in its configuration when it is given, but starts no worker.
 No environment variable and no CPU count enters either. At mass > 0 with
 OpenBLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), entropy still solves
 the two blocks of each spectrum on two threads when it may use two CPUs, and
-a sweep worker does so when its pool leaves two CPUs per worker; stdout is
-the same either way, and `taskset -c 0` keeps the process on one core.
+a sweep worker does so when its pool leaves two CPUs per worker; at mass 0 a
+sweep without a pool solves two neighbouring points' spectra that way. stdout
+is the same either way, and `taskset -c 0` keeps the process on one core.
 
 Every subcommand writes through one writer, `_write`: a JSON document, or
 CSV with one row per flat record (bools as true/false, floats to 17

@@ -28,12 +28,16 @@ buffer holds S+ on and above the diagonal of its first N rows and S- on and
 below the diagonal of its last N rows, two disjoint triangles. LAPACK's
 two-stage reduction (dsytrd_sy2sb to a band, dsytrd_sb2st to tridiagonal
 form, then dsterf) reads and overwrites only the triangle it is told to, so
-both are solved in place (S+ = S- at mass 0, so only S+ is filled and
-solved). At mass > 0 a helper thread solves S- while the calling thread
-solves S+, where each solve runs on one BLAS thread and the process may use
-two CPUs for each process solving spectra (_solve_threads); elsewhere S-
-follows S+. Each block is solved on one thread either way, so the
-eigenvalues keep their bits.
+both are solved in place. S+ = S- at mass 0, so there S+ alone is filled,
+and the lower triangle is free: given a massless partner, the spectrum a
+caller will ask for next on the same grid (sweep's next epsilon), it holds
+the partner's S+, which the images of S- give at C = 0, and both spectra are
+cached. Two triangles are solved at once, a helper thread taking the lower
+one, where each solve runs on one BLAS thread and the process may use two
+CPUs for each process solving spectra (_solve_threads); elsewhere the lower
+follows the upper. Each triangle is solved on one thread either way, and a
+partner is packed whatever the thread count, so the eigenvalues keep their
+bits; a partner's may differ from its own solve in the last digits.
 The solver is LAPACKE dsyevd_2stage from the OpenBLAS that numpy bundles,
 called through ctypes on the library numpy.linalg has already loaded. It
 reduces the matrix to a band with BLAS-3 and then chases the bulges down to
@@ -41,13 +45,14 @@ tridiagonal form (C. Bischof, B. Lang and X. Sun, ACM TOMS 26 (2000) 581;
 A. Haidar, H. Ltaief and J. Dongarra, SC'11); its eigenvalues came out the
 same bit for bit on one and on two OpenBLAS threads, which dsyevd's did not.
 The buffer is the only large array, so one spectrum peaks at the imports
-plus 8 N (N + 1) bytes, LAPACK's workspace of about 105 N doubles, and
-O(_FILL_ROWS N); where numpy exports no LAPACKE, np.linalg.eigvalsh solves
-a copy, adding 8 N^2 bytes. check_spectrum_memory compares the buffers
-(spectrum_buffer_bytes, without the O(N) workspace) with the physical
-memory. The Gauss-Legendre rules are built in O(n): Newton's method for
-n <= 100 and Bogaert's asymptotic formulas above, on the zeros of J0 and the
-values of J1 there from his FastGL tables and asymptotic series.
+plus 8 N (N + 1) bytes, LAPACK's workspace of about 105 N doubles for each
+triangle solved at once, and O(_FILL_ROWS N); where numpy exports no
+LAPACKE, np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
+check_spectrum_memory compares the buffers (spectrum_buffer_bytes, without
+the O(N) workspaces) with the physical memory. The Gauss-Legendre rules are
+built in O(n): Newton's method for n <= 100 and Bogaert's asymptotic
+formulas above, on the zeros of J0 and the values of J1 there from his
+FastGL tables and asymptotic series.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -64,6 +69,8 @@ import ctypes
 import functools
 import math
 import os
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -346,7 +353,7 @@ def share_cpus(processes: int) -> None:
 
 
 def _solve_threads() -> int:
-    """Threads for the two solves of a massive spectrum: 2 where each solve
+    """Threads for the two triangles of a spectrum buffer: 2 where each solve
     runs on one BLAS thread and this process's share of the CPUs it may use
     holds two, else 1. A multithreaded OpenBLAS shares one thread pool among
     its callers, and the fallback would need a second N x N copy."""
@@ -357,8 +364,10 @@ def _solve_threads() -> int:
 
 def spectrum_buffer_bytes(n: int) -> int:
     """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
-    np.linalg.eigvalsh makes when the fallback solves. LAPACK's O(N)
-    workspace (about 105 N doubles) is not counted."""
+    np.linalg.eigvalsh makes when the fallback solves. The buffer also holds
+    a partner's spectrum at mass 0. LAPACK's O(N) workspaces (about 105 N
+    doubles each, two where both triangles are solved at once) are not
+    counted."""
     matrices = 1 if _DSYEVD is not None else 2
     return 8 * n * (matrices * n + 1)
 
@@ -410,9 +419,34 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     return eigenvalues
 
 
-@functools.lru_cache(maxsize=256)
-def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: float) -> np.ndarray:
-    """Eigenvalues of S+- on the grid given by its node and weight bytes.
+def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, b: int):
+    """A, B + C and B - C of params on the fill strip of rows a:b and columns
+    a:N-a (the nodes x, the square roots sw of the weights), zero off D and
+    with weight 1/2 where two images coincide (A at j = i', B +- C at j = i)."""
+    n = x.size
+    rows, cols = slice(a, b), slice(a, n - a)
+    T11, T12 = kernel_blocks(params, x[rows, None] - x[None, cols])
+    i = np.arange(a, b)[:, None]
+    j = np.arange(a, n - a)[None, :]
+    k = np.arange(b - a)
+    anti = n - 1 - 2 * a - k  # strip columns k and anti hold j = i and j = i'
+    W = sw[rows, None] * sw[None, cols] * ((j >= i) & (j <= n - 1 - i))
+    A = T11.real * W
+    A[k, anti] *= 0.5
+    W[k, k] *= 0.5
+    P = T11.imag * W  # B + C
+    if params.mass == 0.0:
+        return A, P, P
+    C = T12 * W
+    Q = P - C  # B - C
+    P += C
+    return A, P, Q
+
+
+def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
+              partner: PhysicalParams | None = None) -> tuple[np.ndarray, ...]:
+    """Eigenvalues of S+- on the grid: a 1-tuple, or with a massless partner
+    at mass 0, (this spectrum, the partner's) from the two triangles.
 
     The kernel is evaluated on row strips of D = {i <= j <= N-1-i}. With
     i' = N-1-i, a value at (i, j) of A goes to (i, j) and (j', i') of S+ and
@@ -421,15 +455,19 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
     Where two images coincide in one matrix (A on the antidiagonal j = i',
     B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
     triangle of buf[:N] and S- the lower one of buf[1:], each with its own
-    diagonal; the rest is O(_FILL_ROWS N). The fill and the solve of S+ run
-    on the calling thread; S- is solved at the same time on a helper thread
-    where _solve_threads gives 2, after S+ otherwise.
+    diagonal; the rest is O(_FILL_ROWS N). At mass 0 the lower triangle is
+    free: given a partner, each strip also evaluates the partner's kernel and
+    writes it there through the images of S-, which at C = 0 give the
+    partner's S+. The fill and the solve of the upper triangle run on the
+    calling thread; the lower one is solved at the same time on a helper
+    thread where _solve_threads gives 2, after the upper one otherwise.
     """
-    x = np.frombuffer(nodes) + x_offset
-    sw = np.sqrt(np.frombuffer(weights))
+    x = grid.nodes + x_offset
+    sw = np.sqrt(grid.weights)
     n = x.size
     h = (n + 1) // 2
-    massive = params.mass != 0.0
+    # whose S- fills the lower triangle: S- itself, the partner's S+, or none
+    lower = params if params.mass != 0.0 else partner
     buf = np.zeros((n + 1, n))
     plus = buf[:n]   # S+ on and above its diagonal
     minus = buf[1:]  # S- on and below its diagonal
@@ -440,52 +478,77 @@ def _spectrum(params: PhysicalParams, nodes: bytes, weights: bytes, x_offset: fl
     for a in range(0, h, _FILL_ROWS):
         b = min(a + _FILL_ROWS, h)
         rows, cols = slice(a, b), slice(a, n - a)
-        T11, T12 = kernel_blocks(params, x[rows, None] - x[None, cols])
-        i = np.arange(a, b)[:, None]
-        j = np.arange(a, n - a)[None, :]
-        k = np.arange(b - a)
-        anti = n - 1 - 2 * a - k  # strip columns k and anti hold j = i and j = i'
-        W = sw[rows, None] * sw[None, cols] * ((j >= i) & (j <= n - 1 - i))
-        A = T11.real * W
-        A[k, anti] *= 0.5
-        W[k, k] *= 0.5
-        P = T11.imag * W  # B + C
-        if massive:
-            C = T12 * W
-            Q = P - C      # B - C
-            P += C
-            del C
-        else:
-            Q = P
-        del T11, T12, W  # not alive while the next strip is evaluated
+        A, P, Q = _strip_terms(params, x, sw, a, b)
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X
         plus[rows, cols] += A
         plus_mirror[cols, rows] += A.T
         right[rows, cols] += P
         right[cols, rows] -= Q.T
-        if massive:
-            minus[cols, rows] += A.T
-            minus_mirror[rows, cols] += A
-            down[rows, cols] -= P
-            down[cols, rows] += Q.T
-    if not massive:
-        eigenvalues = np.repeat(_eigvalsh_in_place(plus, upper=True), 2)
-    elif _solve_threads() == 2:
-        # the with block joins the helper, so no thread writes to buf once
-        # this returns or raises
-        with ThreadPoolExecutor(1) as helper:
-            minus_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
-            eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus, upper=True),
-                                                  minus_solve.result()]))
+        if lower is None:
+            continue
+        if lower is not params:
+            del A, P, Q  # not alive while the partner's strip is evaluated
+            A, P, Q = _strip_terms(lower, x, sw, a, b)
+        minus[cols, rows] += A.T
+        minus_mirror[rows, cols] += A
+        down[rows, cols] -= P
+        down[cols, rows] += Q.T
+    if lower is None:
+        spectra = (np.repeat(_eigvalsh_in_place(plus, upper=True), 2),)
     else:
-        eigenvalues = np.sort(np.concatenate([_eigvalsh_in_place(plus, upper=True),
-                                              _eigvalsh_in_place(minus, upper=False)]))
-    eigenvalues.flags.writeable = False  # later rungs and other orders read it back
-    return eigenvalues
+        if _solve_threads() == 2:
+            # the with block joins the helper, so no thread writes to buf once
+            # this returns or raises
+            with ThreadPoolExecutor(1) as helper:
+                lower_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
+                halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
+        else:
+            halves = _eigvalsh_in_place(plus, upper=True), _eigvalsh_in_place(minus, upper=False)
+        if lower is params:
+            spectra = (np.sort(np.concatenate(halves)),)
+        else:
+            spectra = tuple(np.repeat(half, 2) for half in halves)
+    for eigenvalues in spectra:
+        eigenvalues.flags.writeable = False  # later rungs and other orders read it back
+    return spectra
 
 
-clear_spectrum_cache = _spectrum.cache_clear
+# spectra solved in this process, least recently used first; the lock keeps
+# each lookup and each store whole where several threads ask for spectra
+_SPECTRUM_CACHE_SIZE = 256
+_spectra: OrderedDict = OrderedDict()
+_spectra_lock = threading.Lock()
+
+
+def clear_spectrum_cache() -> None:
+    """Forget every cached spectrum."""
+    with _spectra_lock:
+        _spectra.clear()
+
+
+def _cached_spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
+                     partner: PhysicalParams | None) -> np.ndarray:
+    """_spectrum through the cache, keyed by the parameters, the grid's node
+    and weight bytes and the offset. A miss at mass 0 also solves a massless
+    partner's spectrum on the grid, unless that one is cached, and keeps both."""
+    key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
+    partner_key = (partner, *key[1:])
+    with _spectra_lock:
+        if key in _spectra:
+            _spectra.move_to_end(key)
+            return _spectra[key]
+        if (partner is None or params.mass != 0.0 or partner.mass != 0.0
+                or partner_key in _spectra):
+            partner = None
+    spectra = _spectrum(params, grid, x_offset, partner)
+    with _spectra_lock:
+        _spectra[key] = spectra[0]
+        if partner is not None:
+            _spectra[partner_key] = spectra[1]
+        while len(_spectra) > _SPECTRUM_CACHE_SIZE:
+            _spectra.popitem(last=False)
+    return spectra[0]
 
 
 def validate_spectrum_range(eigenvalues: np.ndarray) -> None:
@@ -507,6 +570,7 @@ def operator_eigenvalues(
     x_offset: float = 0.0,
     validate: bool = True,
     use_cache: bool = True,
+    partner: PhysicalParams | None = None,
 ) -> np.ndarray:
     """All 2N eigenvalues (ascending) of the symmetrized Nystrom matrix.
 
@@ -514,13 +578,21 @@ def operator_eigenvalues(
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
     The kernel is evaluated on the fundamental domain D = {i <= j <= N-1-i}
     only, in strips of _FILL_ROWS rows; the rest of S+- are its images.
-    Results are read-only and cached by the parameters, the grid's nodes and
-    weights, and the offset. ValueError if the grid is not on (0, params.lam).
+    Results are read-only and cached (the least recently used of more than
+    256 are dropped) by the parameters, the grid's nodes and weights, and the
+    offset. partner names the spectrum to be asked for next on this grid: where
+    both masses are 0, the cache is on and neither spectrum is cached, the
+    partner's is solved in the buffer's free triangle and cached unchecked, and
+    elsewhere it is ignored. It does not change this spectrum's bits; the
+    partner's may differ from its own solve in the last digits. ValueError if
+    the grid is not on (0, params.lam).
     """
     if grid.lam != params.lam:
         raise ValueError(f"grid is on (0, {grid.lam}), but params.lam is {params.lam}")
-    key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
-    eigenvalues = _spectrum(*key) if use_cache else _spectrum.__wrapped__(*key)
+    if use_cache:
+        eigenvalues = _cached_spectrum(params, grid, x_offset, partner)
+    else:
+        eigenvalues = _spectrum(params, grid, x_offset)[0]
     if validate:
         validate_spectrum_range(eigenvalues)
     return eigenvalues

@@ -147,6 +147,7 @@ def entanglement_entropy(
     n: int = DEFAULT_N_MAX,
     *,
     rule: GridRule = GridRule.GAUSS_LEGENDRE,
+    partner: PhysicalParams | None = None,
 ) -> EntropyResult:
     """Entropy with the grid-doubling convergence policy, capped at n.
 
@@ -155,7 +156,9 @@ def entanglement_entropy(
     an admissible spectrum, ConvergenceError is raised. The result is flagged
     converged once doubling the grid changes the entropy by less than
     DEFAULT_REL_CHANGE. ValueError before any work if the cap's eigensolver
-    buffers exceed physical memory.
+    buffers exceed physical memory. partner, the point to be computed next,
+    goes to every rung's operator_eigenvalues, which at mass 0 solves its
+    spectrum on the same grid beside this one's.
     """
     if n < 64:
         raise ValueError(f"n must be >= 64, got {n}")
@@ -168,7 +171,7 @@ def entanglement_entropy(
     for size in _ladder_sizes(DEFAULT_N_START, n):
         grid = build_grid(size, params.lam, rule)
         try:
-            eigenvalues = operator_eigenvalues(params, grid)
+            eigenvalues = operator_eigenvalues(params, grid, partner=partner)
         except ConvergenceError:
             prev_entropy = None  # this resolution is unusable; restart comparison
             continue

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from diamond_entropy import (
     BoxSpec,
     ConvergenceError,
+    EntropyResult,
     PhysicalParams,
     RenyiOrder,
     asymptotics,
@@ -139,6 +144,42 @@ class TestSweepWorkers:
         assert code == 0
         assert recorded == ([(3, discretization.share_cpus, (3,))], [4096])
         assert json.loads(capsys.readouterr().out)["config"]["jobs"] == 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_serial_points_get_the_next_point_as_partner(self, recorded, monkeypatch, jobs):
+        handed = []
+
+        def on_theory_line(params, order, n, *, rule, partner=None):
+            handed.append((params.epsilon, partner and partner.epsilon))
+            return EntropyResult(truncated_trace=0.0, subtraction_trace=0.0,
+                                 entropy=np.log(1.0 / params.epsilon) / 3.0, clamp_count=0,
+                                 grid_size=128, converged=True)
+
+        monkeypatch.setattr(asymptotics, "entanglement_entropy", on_theory_line)
+        sweep(base_params(), K1, COARSE_GRID, jobs=jobs)
+        eps = list(COARSE_GRID)
+        partners = [*eps[1:], None] if jobs == 1 else [None] * len(eps)
+        assert handed == list(zip(eps, partners))
+
+    def test_massless_sweep_with_one_job_matches_the_pool(self):
+        # a point solved as its neighbour's partner comes from the other
+        # triangle of the buffer and may differ in the last digits
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        points = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "diamond_entropy.cli", "sweep", "--kappa", "1",
+                 "--mass", "0", "--eps-grid", "0.1:0.003:6log", "--grid-size", "1024",
+                 "--jobs", jobs],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            points.append(json.loads(proc.stdout)["points"])
+        serial, pool = points
+        assert [(p["n"], p["converged"]) for p in serial] == [
+            (p["n"], p["converged"]) for p in pool]
+        for a, b in zip(serial, pool):
+            assert a["entropy"] == pytest.approx(b["entropy"], rel=1e-12, abs=0.0)
 
     def test_cli_exits_2_when_no_spectrum_fits(self, recorded, monkeypatch, capsys):
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 4096 * 4097 - 1)

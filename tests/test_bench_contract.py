@@ -3,7 +3,8 @@
 perfbench/traced.py binds library functions by name and by their parameters
 (operator_eigenvalues' x_offset and use_cache, sweep's jobs, ...) and calls
 clear_spectrum_cache. This runs it with spans on a tiny workload of each
-kind and checks that it prints every per-layer metric of BENCHMARK.json.
+kind and checks that it prints every per-layer metric of BENCHMARK.json,
+with the ladders and their rungs seen.
 """
 
 import json
@@ -43,3 +44,8 @@ def test_traced_run_prints_every_layer_metric(kind):
     assert len(LAYER_KEYS) == 14
     assert set(metrics) == LAYER_KEYS
     assert all(isinstance(v, (int, float)) for v in metrics.values())
+    # the tracer sees the ladders only while every point runs its own
+    # entanglement_entropy and every rung its own operator_eigenvalues
+    assert metrics["entropy_pipeline.rungs"] > 0
+    if kind != "entropy":
+        assert metrics["asymptotics.point_max_s"] > 0

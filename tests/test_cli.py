@@ -638,19 +638,23 @@ class TestImportGraph:
 class TestBlasThreads:
     """config records the BLAS thread count, on which no other output depends."""
 
-    def _entropy(self, threads: str, mass: str) -> dict:
+    def _run(self, threads: str, command: list[str]) -> dict:
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "diamond_entropy.cli", "entropy", "--kappa", "1",
-             "--mass", mass, "--epsilon", "0.01", "--grid-size", "1024"],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", *command],
+                              capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    @pytest.mark.parametrize("mass", ["0", "1"])
-    def test_thread_count_recorded_and_stdout_set_by_config(self, mass):
-        one, two = self._entropy("1", mass), self._entropy("2", mass)
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--kappa", "1", "--mass", "0", "--epsilon", "0.01", "--grid-size", "1024"],
+        ["entropy", "--kappa", "1", "--mass", "1", "--epsilon", "0.01", "--grid-size", "1024"],
+        # one worker: neighbouring points share a buffer, solved on one thread
+        # or on two (a helper for the partner's triangle) by the BLAS thread count
+        ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "1"],
+    ], ids=["0", "1", "sweep-0"])
+    def test_thread_count_recorded_and_stdout_set_by_config(self, command):
+        one, two = self._run("1", command), self._run("2", command)
         assert one["config"].pop("blas_threads") == 1
         # OpenBLAS runs no more threads than the CPUs it may use
         assert two["config"].pop("blas_threads") == min(2, len(os.sched_getaffinity(0)))

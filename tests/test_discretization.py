@@ -495,6 +495,137 @@ class TestConcurrentSolves:
         assert discretization._solve_threads() == threads
 
 
+def massless(epsilon):
+    return PhysicalParams(mass=0.0, epsilon=epsilon, lam=1.0)
+
+
+def cache_key(params, grid):
+    return (params, grid.nodes.tobytes(), grid.weights.tobytes(), 0.0)
+
+
+class TestPartnerSpectra:
+    """At mass 0 the lower triangle of the buffer holds a partner's spectrum."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The epsilon of every kernel strip and the triangle of every solve."""
+        filled, solved = [], []
+        kernel, solve = discretization.kernel_blocks, discretization._eigvalsh_in_place
+
+        def recording_kernel(params, u):
+            filled.append(params.epsilon)
+            return kernel(params, u)
+
+        def recording_solve(buf, upper):
+            solved.append((upper, threading.get_ident()))
+            return solve(buf, upper)
+
+        monkeypatch.setattr(discretization, "kernel_blocks", recording_kernel)
+        monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording_solve)
+        clear_spectrum_cache()
+        yield filled, solved
+        clear_spectrum_cache()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [255, 256, 1024])
+    def test_partner_matches_its_own_solve_and_the_oracle(self, monkeypatch, recorded,
+                                                          threads, n):
+        filled, solved = recorded
+        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        grid = build_grid(n, 1.0)
+        params, partner = massless(0.02), massless(0.015)
+        ev = operator_eigenvalues(params, grid, partner=partner, validate=False)
+        assert set(filled) == {0.02, 0.015}
+        solved_on = dict(solved)
+        caller = threading.get_ident()
+        assert len(solved) == 2 and solved_on[True] == caller
+        assert (solved_on[False] == caller) == (threads == 1)
+        assert list(discretization._spectra) == [cache_key(params, grid), cache_key(partner, grid)]
+        packed = operator_eigenvalues(partner, grid, validate=False)
+        assert len(solved) == 2  # read back from the cache
+        solo = operator_eigenvalues(partner, grid, validate=False, use_cache=False)
+        # the partner's solve leaves the spectrum that asked for it bit for bit
+        assert np.array_equal(ev, operator_eigenvalues(params, grid, validate=False,
+                                                       use_cache=False))
+        assert np.abs(packed - solo).max() <= 1e-14
+        assert np.abs(packed - direct_spectrum(partner, grid)).max() <= 1e-12
+
+    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread):
+        grid = build_grid(300, 1.0)
+        spectra = []
+        for threads in (1, 2):
+            monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+            clear_spectrum_cache()
+            ev = operator_eigenvalues(massless(0.01), grid, partner=massless(0.008))
+            spectra.append((ev, operator_eigenvalues(massless(0.008), grid)))
+        clear_spectrum_cache()
+        assert all(np.array_equal(a, b) for a, b in zip(*spectra))
+
+    def test_cached_partner_is_not_filled_again(self, recorded):
+        filled, solved = recorded
+        grid = build_grid(256, 1.0)
+        operator_eigenvalues(massless(0.015), grid)
+        filled.clear(), solved.clear()
+        operator_eigenvalues(massless(0.02), grid, partner=massless(0.015))
+        assert set(filled) == {0.02}
+        assert [upper for upper, _ in solved] == [True]
+
+    def test_cached_spectrum_solves_no_partner(self, recorded):
+        filled, solved = recorded
+        grid = build_grid(256, 1.0)
+        operator_eigenvalues(massless(0.02), grid)
+        filled.clear(), solved.clear()
+        operator_eigenvalues(massless(0.02), grid, partner=massless(0.015))
+        assert filled == [] and solved == []
+        assert cache_key(massless(0.015), grid) not in discretization._spectra
+
+    @pytest.mark.parametrize("mass, partner_mass, use_cache", [
+        (1.0, 0.0, True), (0.0, 1.0, True), (1.0, 1.0, True), (0.0, 0.0, False)])
+    def test_partner_ignored_off_the_massless_cached_path(self, recorded, mass, partner_mass,
+                                                          use_cache):
+        filled, _ = recorded
+        grid = build_grid(256, 1.0)
+        params = PhysicalParams(mass=mass, epsilon=0.02, lam=1.0)
+        partner = PhysicalParams(mass=partner_mass, epsilon=0.015, lam=1.0)
+        ev = operator_eigenvalues(params, grid, partner=partner, use_cache=use_cache)
+        assert set(filled) == {0.02}
+        assert cache_key(partner, grid) not in discretization._spectra
+        assert np.array_equal(ev, operator_eigenvalues(params, grid, use_cache=False))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_failed_partner_solve_propagates(self, monkeypatch, threads):
+        dsyevd = discretization._DSYEVD
+
+        def failing_dsyevd(layout, jobz, uplo, *args):
+            # b"U" is the lower triangle of the C-ordered buffer, the partner's
+            return 7 if uplo == b"U" else dsyevd(layout, jobz, uplo, *args)
+
+        monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
+        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        clear_spectrum_cache()
+        threads_before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+            operator_eigenvalues(massless(0.02), build_grid(300, 1.0), partner=massless(0.015))
+        assert threading.active_count() == threads_before
+        assert not discretization._spectra  # neither spectrum is kept
+
+    def test_least_recently_used_spectrum_is_dropped_past_256(self, recorded):
+        filled, _ = recorded
+        grid = build_grid(4, 1.0)
+        params = [massless(0.1 + 0.001 * k) for k in range(257)]
+        for p in params[:256]:
+            operator_eigenvalues(p, grid)
+        operator_eigenvalues(params[0], grid)  # now the most recently used
+        filled.clear()
+        operator_eigenvalues(params[256], grid)
+        assert len(discretization._spectra) == 256
+        assert cache_key(params[1], grid) not in discretization._spectra
+        operator_eigenvalues(params[0], grid)
+        assert filled == [params[256].epsilon]
+        operator_eigenvalues(params[1], grid)
+        assert filled == [params[256].epsilon, params[1].epsilon]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     mass=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
