@@ -24,8 +24,9 @@ admissible grid, as null; CSV as nan.
 Exit codes: 0 success; 2 argument errors, found before any work (among them
 a --jobs that is not an integer >= 1, a --grid-size whose eigensolver
 buffers for one spectrum exceed physical memory, which entanglement_entropy,
-sweep and offdiagonal_diagnostic check first, and an --output-path that is a
-directory or lacks its parent directory), or an --output-path that fails
+sweep and offdiagonal_diagnostic check first, an --alpha-grid entry that is
+not finite and > 0, and an --output-path that is a directory or lacks its
+parent directory), or an --output-path that fails
 while being written; 3 numerical non-convergence; 4 property-suite failure.
 Outputs embed the resolved configuration, the BLAS thread count of the
 eigensolve (blas_threads) and the package version, and are bit-identical for
@@ -82,9 +83,18 @@ def _parse_eps_grid(text: str) -> np.ndarray:
 
 
 def _parse_alpha_grid(text: str) -> np.ndarray:
+    """`start:stop:Nlog` as for --eps-grid, or comma-separated alphas, each
+    finite and > 0."""
     if "log" in text:
         return _parse_eps_grid(text)
-    return np.array([float(tok) for tok in text.split(",")])
+    bad = ValueError(f"bad alpha grid {text!r}: each entry must be finite and > 0")
+    try:
+        alphas = np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise bad from None
+    if not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise bad
+    return alphas
 
 
 class _UnwritableOutput(Exception):

@@ -22,8 +22,8 @@ x_i - x_j alone (A and C even in it, B odd), and S+- = A + H+- with
 H+- J = B +- C. On the mirror grid, transposition and the mirror
 (i, j) -> (N-1-i, N-1-j) each map the set of separations onto itself, so the
 kernel is evaluated only on the fundamental domain D = {i <= j <= N-1-i},
-about N^2/4 separations, _FILL_ROWS rows at a time, and each value is added
-into its four images in A and in H+- J. One zero-initialised (N + 1) x N
+about N^2/4 separations, in strips of about _FILL_ELEMENTS of them, and each
+value is added into its four images in A and in H+- J. One (N + 1) x N
 buffer holds S+ on and above the diagonal of its first N rows and S- on and
 below the diagonal of its last N rows, two disjoint triangles. LAPACK's
 two-stage reduction (dsytrd_sy2sb to a band, dsytrd_sb2st to tridiagonal
@@ -44,13 +44,19 @@ reduces the matrix to a band with BLAS-3 and then chases the bulges down to
 tridiagonal form (C. Bischof, B. Lang and X. Sun, ACM TOMS 26 (2000) 581;
 A. Haidar, H. Ltaief and J. Dongarra, SC'11); its eigenvalues came out the
 same bit for bit on one and on two OpenBLAS threads, which dsyevd's did not.
-The buffer is the only large array, so one spectrum peaks at the imports
-plus 8 N (N + 1) bytes, LAPACK's workspace of about 105 N doubles for each
-triangle solved at once, and O(_FILL_ROWS N); where numpy exports no
-LAPACKE, np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes.
-check_spectrum_memory compares the buffers (spectrum_buffer_bytes, without
-the O(N) workspaces) with the physical memory. The Gauss-Legendre rules are
-built in O(n): Newton's method for n <= 100 and Bogaert's asymptotic
+The buffer is the only large array. It is a private anonymous mapping on
+4 KiB base pages, which read as zero until written, so only the pages the
+fill writes become resident: about half of its 8 N (N + 1) bytes for a
+massless spectrum solved alone, all of them where both triangles are filled.
+The mapping goes back to the OS when the spectrum's last view dies, so no
+buffer outlives its rung in the heap. One spectrum thus peaks at the imports
+plus the buffer's written pages, LAPACK's workspace of about 105 N doubles
+for each triangle solved at once, and the strip's temporaries, a fixed
+budget of a few MB at every N; where numpy exports no LAPACKE,
+np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes. check_spectrum_memory
+compares the whole buffers, written or not (spectrum_buffer_bytes, without
+the O(N) workspaces), with the physical memory. The Gauss-Legendre rules
+are built in O(n): Newton's method for n <= 100 and Bogaert's asymptotic
 formulas above, on the zeros of J0 and the values of J1 there from his
 FastGL tables and asymptotic series.
 
@@ -68,6 +74,7 @@ import bisect
 import ctypes
 import functools
 import math
+import mmap
 import os
 import threading
 from collections import OrderedDict
@@ -86,8 +93,9 @@ BOX_TAIL_TOL = 1e-6
 # the box tail's last panel edge, L 2^60, stays 16 times below the largest
 # float, so the panel midpoints and 2 pi u in the kernel remain finite
 MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
-# kernel rows evaluated per strip while S+- is filled
-_FILL_ROWS = 64
+# separations evaluated per strip while S+- is filled: max(1, _FILL_ELEMENTS // N)
+# rows, so the strip's temporaries take the same few MB at every N
+_FILL_ELEMENTS = 2**15
 
 
 class GridRule(str, Enum):
@@ -365,9 +373,10 @@ def _solve_threads() -> int:
 def spectrum_buffer_bytes(n: int) -> int:
     """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
     np.linalg.eigvalsh makes when the fallback solves. The buffer also holds
-    a partner's spectrum at mass 0. LAPACK's O(N) workspaces (about 105 N
-    doubles each, two where both triangles are solved at once) are not
-    counted."""
+    a partner's spectrum at mass 0. All of it is counted, although only the
+    pages the fill writes become resident (about half at mass 0 without a
+    partner). LAPACK's O(N) workspaces (about 105 N doubles each, two where
+    both triangles are solved at once) are not counted."""
     matrices = 1 if _DSYEVD is not None else 2
     return 8 * n * (matrices * n + 1)
 
@@ -419,6 +428,20 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     return eigenvalues
 
 
+def _zeroed_buffer(n: int) -> np.ndarray:
+    """An (n + 1) x n float64 array on a private anonymous mapping of its own.
+
+    Its pages read as zero and become resident only when written, one 4 KiB
+    base page at a time: numpy advises huge pages for its large arrays, which
+    would make untouched stretches resident too. The mapping is unmapped when
+    its last view dies, so unlike a freed heap block it leaves nothing behind.
+    """
+    mapping = mmap.mmap(-1, 8 * n * (n + 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mapping).reshape(n + 1, n)
+
+
 def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, b: int):
     """A, B + C and B - C of params on the fill strip of rows a:b and columns
     a:N-a (the nodes x, the square roots sw of the weights), zero off D and
@@ -455,8 +478,10 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     Where two images coincide in one matrix (A on the antidiagonal j = i',
     B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
     triangle of buf[:N] and S- the lower one of buf[1:], each with its own
-    diagonal; the rest is O(_FILL_ROWS N). At mass 0 the lower triangle is
-    free: given a partner, each strip also evaluates the partner's kernel and
+    diagonal. buf comes from _zeroed_buffer, so a triangle nothing writes
+    never becomes resident, and strips of max(1, _FILL_ELEMENTS // N) rows
+    keep the rest to a fixed budget. At mass 0 the lower triangle is free:
+    given a partner, each strip also evaluates the partner's kernel and
     writes it there through the images of S-, which at C = 0 give the
     partner's S+. The fill and the solve of the upper triangle run on the
     calling thread; the lower one is solved at the same time on a helper
@@ -468,15 +493,16 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     h = (n + 1) // 2
     # whose S- fills the lower triangle: S- itself, the partner's S+, or none
     lower = params if params.mass != 0.0 else partner
-    buf = np.zeros((n + 1, n))
+    buf = _zeroed_buffer(n)
     plus = buf[:n]   # S+ on and above its diagonal
     minus = buf[1:]  # S- on and below its diagonal
     plus_mirror = plus[::-1, ::-1]    # plus_mirror[i, j] = plus[i', j']
     right = plus[:, ::-1]             # right[i, j] = plus[i, j']
     minus_mirror = minus[::-1, ::-1]  # minus_mirror[i, j] = minus[i', j']
     down = minus[::-1, :]             # down[i, j] = minus[i', j]
-    for a in range(0, h, _FILL_ROWS):
-        b = min(a + _FILL_ROWS, h)
+    strip_rows = max(1, _FILL_ELEMENTS // n)
+    for a in range(0, h, strip_rows):
+        b = min(a + strip_rows, h)
         rows, cols = slice(a, b), slice(a, n - a)
         A, P, Q = _strip_terms(params, x, sw, a, b)
         # a transposed image is written as view[cols, rows] += X.T, which
@@ -502,7 +528,13 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
             # this returns or raises
             with ThreadPoolExecutor(1) as helper:
                 lower_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
-                halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
+                try:
+                    halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
+                finally:
+                    # a failed future holds a traceback that holds this
+                    # frame: dropping it breaks the cycle, so buf dies with
+                    # the exception, not at the next garbage collection
+                    del lower_solve
         else:
             halves = _eigvalsh_in_place(plus, upper=True), _eigvalsh_in_place(minus, upper=False)
         if lower is params:
@@ -577,7 +609,8 @@ def operator_eigenvalues(
     The spectra of the real mirror blocks S+- = A - JB +- CJ (module
     docstring); at mass 0, S+ = S- and one solve gives each eigenvalue twice.
     The kernel is evaluated on the fundamental domain D = {i <= j <= N-1-i}
-    only, in strips of _FILL_ROWS rows; the rest of S+- are its images.
+    only, in strips of about _FILL_ELEMENTS separations; the rest of S+- are
+    its images.
     Results are read-only and cached (the least recently used of more than
     256 are dropped) by the parameters, the grid's nodes and weights, and the
     offset. partner names the spectrum to be asked for next on this grid: where

@@ -87,9 +87,11 @@ class TestArgumentHandling:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the memory preflight")
 
+        # tracemalloc sees numpy's arrays but not a spectrum buffer's mapping
         for module, name in [(entropy_pipeline, "subtraction_trace"),
                              (entropy_pipeline, "build_grid"),
-                             (asymptotics, "_sweep_point")]:
+                             (asymptotics, "_sweep_point"),
+                             (discretization, "_zeroed_buffer")]:
             monkeypatch.setattr(module, name, no_work)
         tracemalloc.start()
         try:
@@ -431,8 +433,8 @@ class TestDiagCommand:
         assert "128" in captured.err
 
     @pytest.mark.parametrize("extra, message", [
-        (["--alpha-grid", "100,1000,inf"], "epsilon must be > 0, got 0.0"),
-        (["--alpha-grid", "100,nan"], "epsilon must be > 0, got nan"),
+        (["--alpha-grid", "100,1000,inf"], "bad alpha grid '100,1000,inf'"),
+        (["--alpha-grid", "100,nan"], "bad alpha grid '100,nan'"),
         (["--mass", "-1"], "mass must be >= 0, got -1.0"),
     ], ids=["alpha-inf", "alpha-nan", "negative-mass"])
     def test_offdiag_bad_alpha_or_mass_exits_2_before_any_spectrum(self, monkeypatch, capsys,
@@ -447,6 +449,21 @@ class TestDiagCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("diag_type", ["offdiag", "log-growth"])
+    @pytest.mark.parametrize("grid", ["10,1e4,inf", "10,nan", "0,100", "10,-5", "10,abc"])
+    def test_alpha_grid_entries_must_be_finite_and_positive(self, monkeypatch, capsys,
+                                                            diag_type, grid):
+        def no_work(*args, **kwargs):
+            raise AssertionError("diagnostic started with a bad alpha grid")
+
+        monkeypatch.setattr(cli, "offdiagonal_diagnostic", no_work)
+        monkeypatch.setattr(cli, "log_growth_diagnostic", no_work)
+        code = run_cli(["diag", "--diag-type", diag_type, f"--alpha-grid={grid}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad alpha grid {grid!r}: each entry must be finite and > 0" in captured.err
 
     def test_log_growth_node_budget_exits_2_before_any_svd(self, monkeypatch, capsys):
         # 240 nodes cover the 40 and 52 panels at alpha = 100 and 1000, not

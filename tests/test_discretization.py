@@ -1,6 +1,10 @@
 import ctypes
+import gc
+import mmap
+import os
 import threading
 import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -189,10 +193,11 @@ class TestAssembleOperator:
         assert np.abs(np.sort(full) - np.sort(fast)).max() < 1e-12
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
-    @pytest.mark.parametrize("n", [4, 5, 256, 257])
+    @pytest.mark.parametrize("n", [4, 5, 256, 257, 1025])
     def test_kernel_filled_on_half_the_rows(self, monkeypatch, mass, n):
         # strips of the fundamental domain {i <= j <= n-1-i}: rows a:b of the
-        # top ceil(n/2), columns a:n-a, so about n^2/4 separations in all
+        # top ceil(n/2), columns a:n-a, so about n^2/4 separations in all;
+        # at n = 1025 a strip holds 31 rows, and the last of 17 holds 17
         grid = build_grid(n, 1.0)
         x = grid.nodes
         calls = []
@@ -205,8 +210,9 @@ class TestAssembleOperator:
         monkeypatch.setattr(discretization, "kernel_blocks", recording)
         params = PhysicalParams(mass=mass, epsilon=0.1, lam=1.0)
         operator_eigenvalues(params, grid, validate=False, use_cache=False)
-        assert all(u.shape[0] <= discretization._FILL_ROWS for u in calls)
-        assert sum(u.size for u in calls) <= n * n / 4 + discretization._FILL_ROWS * n
+        strip_rows = max(1, discretization._FILL_ELEMENTS // n)
+        assert all(u.shape[0] <= strip_rows for u in calls)
+        assert sum(u.size for u in calls) <= n * n / 4 + strip_rows * n
         a = 0
         for u in calls:
             assert np.array_equal(u, x[a:a + u.shape[0], None] - x[None, a:n - a])
@@ -214,8 +220,11 @@ class TestAssembleOperator:
         assert a == (n + 1) // 2
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
-    def test_peak_memory_is_the_eigensolver_buffers(self, mass):
-        n = 2048
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_traced_peak_is_a_fixed_strip_budget(self, mass, n):
+        # tracemalloc sees numpy's allocations but not the buffer's mapping:
+        # what is left, the fill's temporaries and the O(N) vectors, must not
+        # grow with the strip's N, and the in-place solve must copy nothing
         params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
         grid = build_grid(n, 1.0)
         tracemalloc.start()
@@ -224,9 +233,74 @@ class TestAssembleOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (N + 1) x N buffer at both masses
+        # the preflight still counts one whole (N + 1) x N buffer at both masses
         assert discretization.spectrum_buffer_bytes(n) == 8 * n * n + 8 * n
-        assert peak <= 8 * n * n + 32 * 8 * discretization._FILL_ROWS * n
+        assert peak <= 32 * 8 * discretization._FILL_ELEMENTS + 16 * 8 * n
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux smaps")
+    @pytest.mark.parametrize("mass, partner, resident", [
+        (0.0, None, False), (1.0, None, True), (0.0, 0.0025, True),
+    ], ids=["massless-alone", "massive", "massless-partner"])
+    def test_only_the_written_triangles_are_resident(self, monkeypatch, mass, partner,
+                                                     resident):
+        # at mass 0 without a partner the fill writes only the upper triangle:
+        # with 4 KiB pages, 2.5 of a row's 4 pages on average at N = 2048
+        n = 2048
+        total = 8 * n * (n + 1)
+        solve = discretization._eigvalsh_in_place
+        mappings = []
+
+        def recording(buf, upper):
+            mappings.append(resident_mapping(buf.ctypes.data))
+            return solve(buf, upper)
+
+        monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording)
+        clear_spectrum_cache()
+        params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
+        partner = None if partner is None else massless(partner)
+        try:
+            operator_eigenvalues(params, build_grid(n, 1.0), validate=False, partner=partner)
+        finally:
+            clear_spectrum_cache()
+        assert len(mappings) == (2 if resident else 1)
+        pages = -(-total // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert all(size == pages for size, _ in mappings)  # the buffer's mapping alone
+        for _, rss in mappings:
+            assert rss >= 0.95 * total if resident else rss <= 0.65 * total
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_buffer_is_unmapped_when_its_spectrum_returns_or_fails(self, monkeypatch, threads):
+        # no view of the mapping outlives the spectrum, not even in the
+        # traceback of a failed solve, and no cycle waits for the collector
+        solve = discretization._eigvalsh_in_place
+        mappings = []
+
+        def recording(buf, upper):
+            mappings.append(weakref.ref(mapping_of(buf)))
+            return solve(buf, upper)
+
+        monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording)
+        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
+        grid = build_grid(300, 1.0)
+        dsyevd = discretization._DSYEVD
+
+        def failing_dsyevd(layout, jobz, uplo, *args):
+            # b"U" is the lower triangle of the C-ordered buffer, S-'s
+            return 7 if uplo == b"U" else dsyevd(layout, jobz, uplo, *args)
+
+        threads_before = threading.active_count()
+        gc.disable()
+        try:
+            operator_eigenvalues(params, grid, use_cache=False)
+            assert len(mappings) == 2 and mappings[0]() is None
+            monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
+            with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+                operator_eigenvalues(params, grid, use_cache=False)
+            assert len(mappings) == 4 and mappings[2]() is None
+        finally:
+            gc.enable()
+        assert threading.active_count() == threads_before
 
     def test_memory_preflight_scales_with_mass_and_processes(self, monkeypatch):
         # one (N + 1) x N buffer per spectrum at every mass; the check
@@ -497,6 +571,27 @@ class TestConcurrentSolves:
 
 def massless(epsilon):
     return PhysicalParams(mass=0.0, epsilon=epsilon, lam=1.0)
+
+
+def mapping_of(view):
+    """The mmap under a view of a spectrum buffer."""
+    while not isinstance(view, mmap.mmap):
+        view = view.obj if isinstance(view, memoryview) else view.base
+    return view
+
+
+def resident_mapping(address):
+    """(size, Rss) in bytes of this process's mapping that holds address."""
+    with open("/proc/self/smaps") as smaps:
+        size = None
+        for line in smaps:
+            field = line.split()[0]
+            if not field.endswith(":"):  # a mapping's header: start-end perms ...
+                start, end = (int(v, 16) for v in field.split("-"))
+                size = end - start if start <= address < end else None
+            elif size is not None and field == "Rss:":
+                return size, int(line.split()[1]) * 1024
+    raise LookupError(f"no mapping holds {address:#x}")
 
 
 def cache_key(params, grid):
