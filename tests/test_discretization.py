@@ -223,8 +223,8 @@ class TestAssembleOperator:
     @pytest.mark.parametrize("n", [2048, 4096])
     def test_traced_peak_is_a_fixed_strip_budget(self, mass, n):
         # tracemalloc sees numpy's allocations but not the buffer's mapping:
-        # what is left, the fill's temporaries and the O(N) vectors, must not
-        # grow with the strip's N, and the in-place solve must copy nothing
+        # what is left, the fill's strip temporaries and O(N) vectors, stays
+        # under one bound at every N, and the in-place solve copies nothing
         params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
         grid = build_grid(n, 1.0)
         tracemalloc.start()
