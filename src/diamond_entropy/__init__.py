@@ -1,9 +1,9 @@
 """Entanglement entropy of the damped Dirac vacuum restricted to an interval.
 
 Numerical-spectral library: momentum symbols, position-space kernels,
-Nystrom discretization, the Schatten-norm property suite, the entropy
-pipeline, and damping-scale sweeps that verify the logarithmically enhanced
-area law with slope (1/6)(kappa+1)/kappa.
+quadrature rules, Nystrom discretization, the Schatten-norm property suite,
+the entropy pipeline, and damping-scale sweeps that verify the
+logarithmically enhanced area law with slope (1/6)(kappa+1)/kappa.
 """
 
 __version__ = "0.1.0"
@@ -27,9 +27,6 @@ from .dirac_symbols import (
     spectral_projection,
 )
 from .discretization import (
-    Grid,
-    GridRule,
-    build_grid,
     clear_spectrum_cache,
     operator_eigenvalues,
 )
@@ -46,6 +43,11 @@ from .errors import (
     DiamondEntropyError,
 )
 from .kernel_eval import kernel_blocks
+from .quadrature import (
+    Grid,
+    GridRule,
+    build_grid,
+)
 from .renyi_functions import (
     RenyiOrder,
     eta,

@@ -25,9 +25,7 @@ import numpy as np
 from .dirac_symbols import PhysicalParams, limit_symbol, rescaled_symbol
 from .discretization import (
     BOX_TAIL_TOL,
-    GridRule,
     assemble_offdiagonal_truncation,
-    build_grid,
     check_spectrum_memory,
     cross_block_nodes,
     min_box_half_width,
@@ -41,6 +39,7 @@ from .entropy_pipeline import (
     subtraction_trace,
 )
 from .errors import ConvergenceError
+from .quadrature import GridRule, build_grid
 from .renyi_functions import RenyiOrder, theoretical_slope
 
 MIN_SWEEP_POINTS = 6

@@ -24,13 +24,13 @@ admissible grid, as null; CSV as nan.
 Exit codes: 0 success; 2 argument errors, found before any work (among them
 a --jobs that is not an integer >= 1, a --grid-size whose eigensolver
 buffers for one spectrum exceed physical memory, which entanglement_entropy,
-sweep and offdiagonal_diagnostic check first, an --alpha-grid entry that is
-not finite and > 0, and an --output-path that is a directory or lacks its
-parent directory), or an --output-path that fails
+sweep and offdiagonal_diagnostic check first, a kernel-dump --u-count or a
+verify --trials whose rows or matrices exceed physical memory, an
+--alpha-grid entry that is not finite and > 0, and an --output-path that is
+a directory or lacks its parent directory), or an --output-path that fails
 while being written; 3 numerical non-convergence; 4 property-suite failure.
-Outputs embed the resolved configuration, the BLAS thread count of the
-eigensolve (blas_threads) and the package version, and are bit-identical for
-identical configuration.
+Outputs embed the resolved configuration and the package version, and are
+bit-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -47,14 +47,18 @@ import numpy as np
 from . import __version__
 from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import GridRule, blas_threads
+from .discretization import physical_memory_bytes
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
+from .quadrature import GridRule
 from .renyi_functions import RenyiOrder
 from .schatten_toolkit import check_suite_args, verify_commutator_lemma, verify_inequalities
 
 _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy's JSON
+# peak resident bytes per kernel-dump row: 2.8-2.9 KB measured as JSON at mass
+# 0 and 1 (317 MB at 1e5 rows, 1170 MB at 4e5), 1.1 KB as CSV
+_KERNEL_DUMP_ROW_BYTES = 3000
 
 
 def _worker_count(text: str) -> int:
@@ -230,11 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    """The flags given or defaulted, and the BLAS thread count of the solve
-    (null where no in-place solve runs), on which the last digits depend."""
-    config = {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
-    config["blas_threads"] = blas_threads()
-    return config
+    """The flags given or defaulted."""
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
 
 
 def _cmd_entropy(args) -> int:
@@ -277,6 +278,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_kernel_dump(args) -> int:
     if args.u_count < 1 or not (math.isfinite(args.u_max) and args.u_max > 0):
         raise ValueError("u-count must be >= 1 and u-max finite and > 0")
+    total = physical_memory_bytes()
+    if args.u_count * _KERNEL_DUMP_ROW_BYTES > total:
+        raise ValueError(
+            f"--u-count {args.u_count} needs about {_KERNEL_DUMP_ROW_BYTES} bytes per output "
+            f"row, more than the {total:.3g} bytes of physical memory hold; "
+            f"the largest --u-count that fits is {total // _KERNEL_DUMP_ROW_BYTES}"
+        )
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
     K11, K12 = kernel_blocks(params, u_grid)

@@ -25,17 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_symbols import PhysicalParams
-from .discretization import (
-    DEFAULT_TOL_DISC,
-    GridRule,
-    _checked_panel_sum,
-    _graded_edges,
-    build_grid,
-    check_spectrum_memory,
-    operator_eigenvalues,
-)
+from .discretization import DEFAULT_TOL_DISC, check_spectrum_memory, operator_eigenvalues
 from .errors import ConvergenceError
-from .renyi_functions import _LN2, RenyiOrder, _eta_of_log, eta
+from .quadrature import GridRule, build_grid, checked_panel_sum, graded_edges
+from .renyi_functions import LN2, RenyiOrder, eta, eta_of_log
 
 DEFAULT_N_START = 128
 DEFAULT_N_MAX = 4096
@@ -93,27 +86,27 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
     it underflows well below BULK_REL_TOL. Dyadic panels resolve the x^kappa
     and x log x behaviour at x = 0 and, when a < ln 2, the turn within
     ~1/kappa of t = 1/2 at x* = sqrt(ln^2 2 - a^2), graded toward x* from
-    both sides down to 1024 ulps of x*. _checked_panel_sum takes the 32-node
+    both sides down to 1024 ulps of x*. checked_panel_sum takes the 32-node
     Gauss-Legendre sum and checks it by the 16-node one (ConvergenceError
     past BULK_REL_TOL). eta is read from ln t, so the tail stays accurate
     where exp(-hypot) underflows.
     """
     x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
-    edges = _graded_edges(x_max, _BULK_FINE)
-    if a < _LN2:
-        x_star = np.sqrt(_LN2**2 - a * a)
+    edges = graded_edges(x_max, _BULK_FINE)
+    if a < LN2:
+        x_star = np.sqrt(LN2**2 - a * a)
         # the grading toward x* stops at 1024 ulps of it: the outermost of 32
         # Gauss-Legendre nodes sits 0.0028 half-widths inside its panel, so
         # narrower panels round nodes of neighbouring panels onto one another
         fine = 1024.0 * np.spacing(x_star)
-        below = _graded_edges(0.5 * x_star, _BULK_FINE)
-        toward = _graded_edges(0.5 * x_star, fine)
-        above = x_star + _graded_edges(x_max - x_star, fine)
+        below = graded_edges(0.5 * x_star, _BULK_FINE)
+        toward = graded_edges(0.5 * x_star, fine)
+        above = x_star + graded_edges(x_max - x_star, fine)
         edges = np.sort(np.concatenate([below, x_star - toward, above]))
         # x*/2 and x* each end two of the gradings; keep one copy of each
         edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
-    return _checked_panel_sum(lambda x: _eta_of_log(order, -np.hypot(x, a)), edges,
-                              BULK_REL_TOL, 1e-13, "bulk-term quadrature")
+    return checked_panel_sum(lambda x: eta_of_log(order, -np.hypot(x, a)), edges,
+                             BULK_REL_TOL, 1e-13, "bulk-term quadrature")
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:

@@ -22,7 +22,7 @@ NEAR_ONE_BAND = 1e-3
 # t below this is treated as an exact endpoint (IEEE underflow guard).
 _UNDERFLOW_T = 1e-300
 
-_LN2 = np.log(2.0)
+LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,11 @@ def eta(order: RenyiOrder, t):
     return float(out[0]) if scalar else out
 
 
-def _eta_of_log(order: RenyiOrder, log_t: np.ndarray) -> np.ndarray:
+def eta_of_log(order: RenyiOrder, log_t: np.ndarray) -> np.ndarray:
     """eta_kappa(exp(log_t)) for log_t < 0, accurate where t underflows but t^kappa does not."""
     # ln(1 - t), each form where it does not cancel
-    low = log_t <= -_LN2
-    log_u = np.where(low, np.log1p(-np.exp(np.minimum(log_t, -_LN2))), np.log(-np.expm1(log_t)))
+    low = log_t <= -LN2
+    log_u = np.where(low, np.log1p(-np.exp(np.minimum(log_t, -LN2))), np.log(-np.expm1(log_t)))
     log_s, log_c = np.minimum(log_t, log_u), np.maximum(log_t, log_u)
     return _eta_reflected(order, np.exp(log_s), log_s, log_c, np.exp(order.kappa * (log_s - log_c)))
 

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretization import physical_memory_bytes
+
 SLACK_TOLERANCE = 1e-10
+# peak bytes per trial and per matrix entry of the larger suite: about 13
+# complex dim x dim matrices (four draws, the 2 dim x 2 dim block matrix and
+# the copy its SVD takes); measured 200 dim^2 bytes at dims 8 and 16, 177 at 32
+_SUITE_BYTES_PER_ENTRY = 208
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,20 @@ def random_projections(rng: np.random.Generator, trials: int, dim: int, rank: in
 
 
 def check_suite_args(dim: int, trials: int) -> None:
-    """ValueError unless both suites accept dim (2 to 32) and trials (>= 1)."""
+    """ValueError unless both suites accept dim (2 to 32) and trials (>= 1),
+    and their stacked matrices, all trials at once, fit in physical memory."""
     if not (2 <= dim <= 32):
         raise ValueError(f"dim must lie in [2, 32], got {dim}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    per_trial = _SUITE_BYTES_PER_ENTRY * dim * dim
+    total = physical_memory_bytes()
+    if trials * per_trial > total:
+        raise ValueError(
+            f"{trials} trials at dim {dim} need about {per_trial} bytes each, "
+            f"more than the {total:.3g} bytes of physical memory hold; "
+            f"the most trials that fit at dim {dim} is {total // per_trial}"
+        )
 
 
 def _relative_violation(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:

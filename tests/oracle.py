@@ -8,7 +8,7 @@ sqrt(w_i) K(x_i - x_j) sqrt(w_j) from the kernel blocks, with no mirror
 reduction; its eigenvalues are the reference for the real N x N mirror
 blocks in operator_eigenvalues. exact_legendre_node refines one
 Gauss-Legendre node to 50 digits; it is the reference for the rules of
-discretization._legendre_rule.
+quadrature._legendre_rule.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,7 @@ import pytest
 
 import diamond_entropy
 from diamond_entropy import (GridRule, PhysicalParams, RenyiOrder, asymptotics, cli,
-                             discretization, entropy_pipeline)
+                             discretization, entropy_pipeline, schatten_toolkit)
 from diamond_entropy.cli import build_parser, main, _parse_eps_grid
 from diamond_entropy.schatten_toolkit import SchattenReport
 
@@ -344,6 +344,22 @@ class TestKernelDumpCommand:
         value = float(row[1])
         assert format(value, ".17g") == row[1]
 
+    def test_u_count_beyond_memory_exits_2_before_any_kernel(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("kernel evaluated before the memory preflight")
+
+        # 8 MiB holds 2796 rows of cli._KERNEL_DUMP_ROW_BYTES
+        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 8 * 1024**2)
+        with monkeypatch.context() as no_kernel:
+            no_kernel.setattr(cli, "kernel_blocks", no_work)
+            for count in ("2797", "20000000", "1" + "0" * 400):
+                assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", count]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "physical memory hold; the largest --u-count that fits is 2796" in captured.err
+        assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", "2796"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["kernel"]) == 2796
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_reports(self, capsys):
@@ -375,6 +391,24 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dim must lie in [2, 32], got 64" in captured.err
+
+    def test_trials_beyond_memory_exit_2_before_any_suite(self, monkeypatch, capsys):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("suite ran before the memory preflight")
+
+        # 8 MiB holds 39 trials at dim 32 and 2520 at dim 4, at
+        # schatten_toolkit._SUITE_BYTES_PER_ENTRY bytes per matrix entry
+        monkeypatch.setattr(schatten_toolkit, "physical_memory_bytes", lambda: 8 * 1024**2)
+        with monkeypatch.context() as no_suites:
+            no_suites.setattr(cli, "verify_inequalities", no_suite)
+            no_suites.setattr(cli, "verify_commutator_lemma", no_suite)
+            for trials, fits in (("40", "at dim 32 is 39"), ("100000000", "at dim 4 is 2520"),
+                                 ("1" + "0" * 400, "at dim 4 is 2520")):
+                assert run_cli(["verify", "--trials", trials, "--dims", "4,32"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"physical memory hold; the most trials that fit {fits}" in captured.err
+        assert run_cli(["verify", "--trials", "39", "--dims", "4,32"]) == 0
 
 
 class TestDiagCommand:
@@ -580,7 +614,7 @@ class TestImportGraph:
         # scipy is a test-only reference: the eigensolve calls numpy's
         # bundled LAPACK and the Bessel data are series, so no subcommand
         # imports any scipy module. Every Gauss-Legendre rule comes from
-        # discretization._legendre_rule, built on first use, never from
+        # quadrature._legendre_rule, built on first use, never from
         # numpy's leggauss.
         script = textwrap.dedent("""
             import contextlib, io, sys
@@ -592,7 +626,7 @@ class TestImportGraph:
             numpy.polynomial.legendre.leggauss = refuse
             import diamond_entropy.cli as cli
             from diamond_entropy import RenyiOrder, entropy_integral
-            from diamond_entropy.discretization import _legendre_rule
+            from diamond_entropy.quadrature import _legendre_rule
             assert _legendre_rule.cache_info().currsize == 0
             assert abs(entropy_integral(RenyiOrder(2.0)) - 0.25) < 1e-13
             commands = [
@@ -653,15 +687,15 @@ class TestImportGraph:
 
 
 class TestBlasThreads:
-    """config records the BLAS thread count, on which no other output depends."""
+    """No output depends on the BLAS thread count."""
 
-    def _run(self, threads: str, command: list[str]) -> dict:
+    def _run(self, threads: str, command: list[str]) -> str:
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", *command],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout)
+        return proc.stdout
 
     @pytest.mark.parametrize("command", [
         ["entropy", "--kappa", "1", "--mass", "0", "--epsilon", "0.01", "--grid-size", "1024"],
@@ -670,25 +704,9 @@ class TestBlasThreads:
         # or on two (a helper for the partner's triangle) by the BLAS thread count
         ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "1"],
     ], ids=["0", "1", "sweep-0"])
-    def test_thread_count_recorded_and_stdout_set_by_config(self, command):
-        one, two = self._run("1", command), self._run("2", command)
-        assert one["config"].pop("blas_threads") == 1
-        # OpenBLAS runs no more threads than the CPUs it may use
-        assert two["config"].pop("blas_threads") == min(2, len(os.sched_getaffinity(0)))
+    def test_same_stdout_on_one_and_two_threads(self, command):
         # the two-stage solve gives the same bits on one thread as on two
-        assert one == two
-
-    @pytest.mark.parametrize("command", [
-        ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],
-        ["verify", "--trials", "5", "--dims", "4"],
-    ])
-    def test_every_config_records_it(self, monkeypatch, capsys, command):
-        assert run_cli(command) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["blas_threads"] >= 1
-        monkeypatch.setattr(discretization, "_DSYEVD", None)  # the np.linalg fallback
-        assert run_cli([*command, "--output-format", "csv"]) == 0
-        config = capsys.readouterr().out.splitlines()[1]
-        assert json.loads(config.removeprefix("# config: "))["blas_threads"] is None
+        assert self._run("1", command) == self._run("2", command)
 
 
 def _same_value(cell: str, value) -> bool:

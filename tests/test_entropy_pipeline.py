@@ -18,7 +18,7 @@ from diamond_entropy import (
     operator_eigenvalues,
     subtraction_trace,
 )
-from diamond_entropy import discretization, entropy_pipeline
+from diamond_entropy import discretization, entropy_pipeline, quadrature
 from oracle import direct_spectrum
 
 K1 = RenyiOrder(1.0)
@@ -135,7 +135,7 @@ class TestSubtractionTrace:
 
     def test_unresolved_integrand_signals(self, monkeypatch):
         # an integrand the 16- and 32-node panel sums disagree on
-        monkeypatch.setattr(entropy_pipeline, "_eta_of_log",
+        monkeypatch.setattr(entropy_pipeline, "eta_of_log",
                             lambda order, log_t: np.sin(1e3 * np.exp(log_t)))
         params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
         with pytest.raises(ConvergenceError, match="bulk-term quadrature"):
@@ -144,37 +144,37 @@ class TestSubtractionTrace:
     @pytest.mark.parametrize("kappa", [0.05, 1.0])
     def test_node_count_bounded_at_large_mass_times_eps(self, monkeypatch, kappa):
         sizes = []
-        panel_nodes = discretization._panel_nodes
+        panel_nodes = quadrature.panel_nodes
 
         def recording(edges, per):
             x, w = panel_nodes(edges, per)
             sizes.append(x.size)
             return x, w
 
-        monkeypatch.setattr(discretization, "_panel_nodes", recording)
+        monkeypatch.setattr(quadrature, "panel_nodes", recording)
         params = PhysicalParams(mass=1e4, epsilon=1.0, lam=1.0)
         assert np.isfinite(subtraction_trace(params, RenyiOrder(kappa)))
         assert sizes and max(sizes) <= 4096
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.69, 0.6931, 0.7, 2.0, 50.0])
     def test_panel_nodes_ascend_on_bulk_term_edges(self, monkeypatch, a):
-        # _panel_nodes returns its nodes in panel order, unsorted. Below ln 2
+        # panel_nodes returns its nodes in panel order, unsorted. Below ln 2
         # the panels graded toward x* stop at 1024 ulps of it, wide enough
         # that no two nodes, within a panel or across an edge, coincide.
         edge_sets = []
-        checked_sum = discretization._checked_panel_sum
+        checked_sum = quadrature.checked_panel_sum
 
         def recording(f, edges, *args):
             edge_sets.append(edges)
             return checked_sum(f, edges, *args)
 
-        monkeypatch.setattr(entropy_pipeline, "_checked_panel_sum", recording)
+        monkeypatch.setattr(entropy_pipeline, "checked_panel_sum", recording)
         params = PhysicalParams(mass=a / 0.1, epsilon=0.1, lam=1.0)
         subtraction_trace(params, K1)
         (edges,) = edge_sets
         assert np.all(np.diff(edges) > 0)
         for per in (16, 32):
-            x, w = discretization._panel_nodes(edges, per)
+            x, w = quadrature.panel_nodes(edges, per)
             assert x.size == w.size == per * (edges.size - 1)
             assert np.all(np.diff(x) > 0)
 
