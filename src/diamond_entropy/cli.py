@@ -21,14 +21,15 @@ CSV with one row per flat record (bools as true/false, floats to 17
 significant digits). JSON writes NaN, the entropy of a sweep point with no
 admissible grid, as null; CSV as nan.
 
-Exit codes: 0 success; 2 argument errors, found before any work (among them
-a --jobs that is not an integer >= 1, a --grid-size whose eigensolver
-buffers for one spectrum exceed physical memory, which entanglement_entropy,
-sweep and offdiagonal_diagnostic check first, a kernel-dump --u-count or a
-verify --trials whose rows or matrices exceed physical memory, an
---alpha-grid entry that is not finite and > 0, and an --output-path that is
-a directory or lacks its parent directory), or an --output-path that fails
-while being written; 3 numerical non-convergence; 4 property-suite failure.
+Exit codes: 0 success; 2 argument errors, found before any work, or an
+--output-path that fails while being written; 3 numerical non-convergence;
+4 property-suite failure. Among the argument errors are a --jobs that is not
+an integer >= 1, an --alpha-grid entry that is not finite and > 0, an
+--output-path that is a directory or lacks its parent directory, and every
+request beyond physical memory, which names the largest value that fits: the
+--grid-size cap of entropy, sweep and diag --diag-type offdiag (one
+spectrum's eigensolver buffers), kernel-dump's --u-count, verify's --trials
+at each --dims entry, and the count N of an Nlog --eps-grid or --alpha-grid.
 Outputs embed the resolved configuration and the package version, and are
 bit-identical for identical configuration.
 """
@@ -47,7 +48,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import physical_memory_bytes
+from .discretization import check_memory
 from .entropy_pipeline import entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
@@ -59,6 +60,8 @@ _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy'
 # peak resident bytes per kernel-dump row: 2.8-2.9 KB measured as JSON at mass
 # 0 and 1 (317 MB at 1e5 rows, 1170 MB at 4e5), 1.1 KB as CSV
 _KERNEL_DUMP_ROW_BYTES = 3000
+# peak bytes per Nlog grid point: np.geomspace's, by tracemalloc at 1e5 and 1e6 points
+_GRID_POINT_BYTES = 16
 
 
 def _worker_count(text: str) -> int:
@@ -82,6 +85,8 @@ def _parse_eps_grid(text: str) -> np.ndarray:
             raise ValueError(f"bad grid spec {text!r}") from None
         if count < 1 or not all(math.isfinite(v) and v > 0 for v in (start, stop)):
             raise ValueError(f"bad grid spec {text!r}")
+        check_memory(lambda points: _GRID_POINT_BYTES * points, count, "Nlog count",
+                     f" in {text!r}")
         return np.geomspace(start, stop, count)
     raise ValueError(f"grid spec must be start:stop:Nlog, got {text!r}")
 
@@ -278,13 +283,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_kernel_dump(args) -> int:
     if args.u_count < 1 or not (math.isfinite(args.u_max) and args.u_max > 0):
         raise ValueError("u-count must be >= 1 and u-max finite and > 0")
-    total = physical_memory_bytes()
-    if args.u_count * _KERNEL_DUMP_ROW_BYTES > total:
-        raise ValueError(
-            f"--u-count {args.u_count} needs about {_KERNEL_DUMP_ROW_BYTES} bytes per output "
-            f"row, more than the {total:.3g} bytes of physical memory hold; "
-            f"the largest --u-count that fits is {total // _KERNEL_DUMP_ROW_BYTES}"
-        )
+    check_memory(lambda rows: _KERNEL_DUMP_ROW_BYTES * rows, args.u_count, "--u-count")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
     K11, K12 = kernel_blocks(params, u_grid)
@@ -302,8 +301,8 @@ def _cmd_kernel_dump(args) -> int:
 
 def _cmd_verify(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
-    if not dims or args.trials < 1:
-        raise ValueError("need at least one dim and trials >= 1")
+    if not dims:
+        raise ValueError("need at least one dim")
     for dim in dims:
         check_suite_args(dim, args.trials)
     reports = [

@@ -68,7 +68,6 @@ node budget, both apart from the assembly.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import math
 import mmap
@@ -161,21 +160,27 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
+    """How many requests of bytes_for(count) bytes fit in physical memory at
+    once; ValueError naming flag, count and the largest count that fits when
+    not even one does. bytes_for must grow with its count; where qualifies
+    the count in the message."""
+    total = physical_memory_bytes()
+    need = bytes_for(count)
+    if need > total:
+        fits, over = 0, count  # bytes_for(fits) <= total < bytes_for(over)
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            fits, over = (mid, over) if bytes_for(mid) <= total else (fits, mid)
+        raise ValueError(f"{flag} {count}{where} needs more than the {total:.3g} bytes of "
+                         f"physical memory hold; the largest {flag} that fits{where} is {fits}")
+    return total // max(need, 1)
+
+
 def check_spectrum_memory(n: int) -> int:
     """How many spectra at grid size n fit in physical memory at once;
     ValueError if not even one spectrum's eigensolver buffers fit."""
-    need = spectrum_buffer_bytes(n)
-    total = physical_memory_bytes()
-    if need > total:
-        # the largest k with spectrum_buffer_bytes(k) <= total; 8 k^2 > total past the range
-        sizes = range(math.isqrt(total // 8) + 2)
-        fits = bisect.bisect_right(sizes, total, key=spectrum_buffer_bytes) - 1
-        raise ValueError(
-            f"grid size {n} needs {need:.3g} bytes of eigensolver buffers, "
-            f"more than the {total:.3g} bytes of physical memory; "
-            f"the largest grid-size cap that fits is {fits}"
-        )
-    return total // need
+    return check_memory(spectrum_buffer_bytes, n, "grid-size cap")
 
 
 def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import physical_memory_bytes
+from .discretization import check_memory
 
 SLACK_TOLERANCE = 1e-10
 # peak bytes per trial and per matrix entry of the larger suite: about 13
@@ -74,14 +74,8 @@ def check_suite_args(dim: int, trials: int) -> None:
         raise ValueError(f"dim must lie in [2, 32], got {dim}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per_trial = _SUITE_BYTES_PER_ENTRY * dim * dim
-    total = physical_memory_bytes()
-    if trials * per_trial > total:
-        raise ValueError(
-            f"{trials} trials at dim {dim} need about {per_trial} bytes each, "
-            f"more than the {total:.3g} bytes of physical memory hold; "
-            f"the most trials that fit at dim {dim} is {total // per_trial}"
-        )
+    check_memory(lambda count: _SUITE_BYTES_PER_ENTRY * dim * dim * count, trials, "--trials",
+                 f" at dim {dim}")
 
 
 def _relative_violation(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import pytest
 
 import diamond_entropy
 from diamond_entropy import (GridRule, PhysicalParams, RenyiOrder, asymptotics, cli,
-                             discretization, entropy_pipeline, schatten_toolkit)
+                             discretization, entropy_pipeline)
 from diamond_entropy.cli import build_parser, main, _parse_eps_grid
 from diamond_entropy.schatten_toolkit import SchattenReport
 
@@ -31,7 +31,7 @@ class TestArgumentHandling:
     def test_unknown_subcommand_exits_2(self):
         assert run_cli(["frobnicate"]) == 2
 
-    def test_bad_grid_spec_exits_2(self, capsys):
+    def test_bad_grid_spec_exits_2(self, monkeypatch, capsys):
         code = run_cli(
             ["sweep", "--kappa", "1", "--eps-grid", "nonsense"]
         )
@@ -42,6 +42,18 @@ class TestArgumentHandling:
             assert run_cli(["sweep", "--kappa", "1", "--eps-grid", spec]) == 2
             err = capsys.readouterr().err
             assert f"bad grid spec {spec!r}" in err and "invalid literal" not in err
+        # a count beyond memory is refused before any grid is built; 8 MiB
+        # holds 524288 points of cli._GRID_POINT_BYTES
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(np, "geomspace", None)
+        for command, spec in ((["sweep", "--kappa", "1", "--eps-grid"],
+                               "0.1:0.002:1000000000000log"),
+                              (["diag", "--diag-type", "log-growth", "--alpha-grid"],
+                               "100:10000:1000000000000log")):
+            assert run_cli([*command, spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"the largest Nlog count that fits in {spec!r} is 524288" in captured.err
 
     def test_entropy_and_sweep_share_their_physics_flags(self):
         shared = ["--kappa", "2", "--mass", "0.5", "--lambda", "3", "--grid-size", "512",
@@ -79,11 +91,13 @@ class TestArgumentHandling:
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", option, "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("grid_size", ["1000000", "1" + "0" * 400], ids=["1e6", "1e400"])
     @pytest.mark.parametrize("command", [
         ["entropy", "--epsilon", "0.01"],
         ["sweep", "--eps-grid", "0.1:0.002:8log", "--jobs", "2"],
     ])
-    def test_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys, command):
+    def test_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys, command,
+                                                     grid_size):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the memory preflight")
 
@@ -95,14 +109,15 @@ class TestArgumentHandling:
             monkeypatch.setattr(module, name, no_work)
         tracemalloc.start()
         try:
-            code = run_cli([*command, "--kappa", "1", "--grid-size", "1000000"])
+            code = run_cli([*command, "--kappa", "1", "--grid-size", grid_size])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2
         assert peak < 2**20
         err = capsys.readouterr().err
-        assert "bytes of eigensolver buffers" in err and "largest grid-size cap that fits" in err
+        assert f"grid-size cap {grid_size} needs more than" in err
+        assert "largest grid-size cap that fits" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-4", "abc", "1.5"])
     def test_bad_sweep_jobs_exits_2_before_work(self, monkeypatch, capsys, jobs):
@@ -114,7 +129,9 @@ class TestArgumentHandling:
         assert captured.out == ""
         assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in captured.err
 
-    def test_offdiag_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("grid_size", ["4096", "1" + "0" * 400], ids=["4096", "1e400"])
+    def test_offdiag_grid_size_beyond_memory_exits_2_at_once(self, monkeypatch, capsys,
+                                                             grid_size):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the memory preflight")
 
@@ -122,11 +139,20 @@ class TestArgumentHandling:
         monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
         monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
         code = run_cli(["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100",
-                        "--grid-size", "4096"])
+                        "--grid-size", grid_size])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "bytes of eigensolver buffers" in captured.err
+        assert f"grid-size cap {grid_size} needs more than" in captured.err
+        assert "largest grid-size cap that fits" in captured.err
+
+    def test_sweep_grid_size_zero_exits_2(self, capsys):
+        # a cap of no bytes fits any number of times, not a division by zero
+        assert run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
+                        "--grid-size", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be >= 64, got 0" in captured.err
 
     @pytest.mark.parametrize("command, compute, target", [
         (["kernel-dump", "--epsilon", "0.5"], "kernel_blocks", "missing/k.csv"),
@@ -349,7 +375,7 @@ class TestKernelDumpCommand:
             raise AssertionError("kernel evaluated before the memory preflight")
 
         # 8 MiB holds 2796 rows of cli._KERNEL_DUMP_ROW_BYTES
-        monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
         with monkeypatch.context() as no_kernel:
             no_kernel.setattr(cli, "kernel_blocks", no_work)
             for count in ("2797", "20000000", "1" + "0" * 400):
@@ -380,17 +406,22 @@ class TestVerifyCommand:
         assert code == 4
 
 
-    def test_every_dim_checked_before_any_suite(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("trials, dims, message", [
+        ("5", "4,64", "dim must lie in [2, 32], got 64"),
+        ("0", "4", "trials must be >= 1"),
+    ], ids=["dim-64", "trials-0"])
+    def test_every_dim_checked_before_any_suite(self, monkeypatch, capsys, trials, dims,
+                                                message):
         def no_suite(*args, **kwargs):
             raise AssertionError("suite ran before every dim was checked")
 
         monkeypatch.setattr(cli, "verify_inequalities", no_suite)
         monkeypatch.setattr(cli, "verify_commutator_lemma", no_suite)
-        code = run_cli(["verify", "--trials", "5", "--dims", "4,64"])
+        code = run_cli(["verify", "--trials", trials, "--dims", dims])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "dim must lie in [2, 32], got 64" in captured.err
+        assert message in captured.err
 
     def test_trials_beyond_memory_exit_2_before_any_suite(self, monkeypatch, capsys):
         def no_suite(*args, **kwargs):
@@ -398,7 +429,7 @@ class TestVerifyCommand:
 
         # 8 MiB holds 39 trials at dim 32 and 2520 at dim 4, at
         # schatten_toolkit._SUITE_BYTES_PER_ENTRY bytes per matrix entry
-        monkeypatch.setattr(schatten_toolkit, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
         with monkeypatch.context() as no_suites:
             no_suites.setattr(cli, "verify_inequalities", no_suite)
             no_suites.setattr(cli, "verify_commutator_lemma", no_suite)
@@ -407,7 +438,7 @@ class TestVerifyCommand:
                 assert run_cli(["verify", "--trials", trials, "--dims", "4,32"]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert f"physical memory hold; the most trials that fit {fits}" in captured.err
+                assert f"the largest --trials that fits {fits}" in captured.err
         assert run_cli(["verify", "--trials", "39", "--dims", "4,32"]) == 0
 
 

@@ -191,6 +191,17 @@ class TestAssembleOperator:
         with pytest.raises(ValueError, match="largest grid-size cap that fits is 7094$"):
             discretization.check_spectrum_memory(7095)
 
+    @pytest.mark.parametrize("count", [32, 10**400], ids=["32", "1e400"])
+    def test_memory_check_bisects_any_growing_cost(self, monkeypatch, count):
+        # the same search serves quadratic and linear costs, at counts of any size
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 1000)
+        with pytest.raises(ValueError, match=f"^--x {count} needs .* largest --x that fits is 31$"):
+            discretization.check_memory(lambda k: k * k, count, "--x")
+        with pytest.raises(ValueError, match="fits at dim 3 is 333$"):
+            discretization.check_memory(lambda k: 3 * k, count * 11, "--y", " at dim 3")
+        assert discretization.check_memory(lambda k: k * k, 31, "--x") == 1
+        assert discretization.check_memory(lambda k: 3 * k, 111, "--y") == 3
+
     @pytest.mark.parametrize("upper", [True, False])
     @pytest.mark.parametrize("n", [300, 1025])
     def test_lapack_solves_one_triangle_in_place(self, n, upper):

@@ -39,3 +39,36 @@ def test_the_check_sees_relative_and_absolute_private_imports(tmp_path):
         "sample.py:2: from .renyi_functions import _eta_reflected",
         "sample.py:3: from diamond_entropy.quadrature import _legendre_rule",
     ]
+
+
+def _memory_queries(path: Path) -> list[str]:
+    """Calls of physical_memory_bytes or sysconf, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("physical_memory_bytes", "sysconf"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_discretization_asks_for_physical_memory():
+    # every memory preflight goes through discretization.check_memory, so
+    # tests fake the machine's memory in one place
+    found = [line for path in sorted(PACKAGE.glob("*.py")) if path.name != "discretization.py"
+             for line in _memory_queries(path)]
+    assert found == []
+    assert _memory_queries(PACKAGE / "discretization.py") != []
+
+
+def test_the_memory_check_sees_names_and_attributes(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import os\n"
+                      "from . import discretization\n"
+                      "from .discretization import physical_memory_bytes\n"
+                      "a = physical_memory_bytes()\n"
+                      "b = discretization.physical_memory_bytes()\n"
+                      "c = os.sysconf('SC_PAGE_SIZE')\n")
+    assert _memory_queries(source) == ["sample.py:4: physical_memory_bytes",
+                                       "sample.py:5: physical_memory_bytes",
+                                       "sample.py:6: sysconf"]
