@@ -34,6 +34,7 @@ from .discretization import (
 )
 from .entropy_pipeline import (
     DEFAULT_N_MAX,
+    MIN_GRID_SIZE,
     entanglement_entropy,
     entropy_from_eigenvalues,
     subtraction_trace,
@@ -142,14 +143,17 @@ def sweep(
     and aggregated in decreasing-epsilon order; the fit uses only converged
     points and requires at least five of them. The worker processes number
     min(jobs, points, spectra at the cap n_max that fit in physical memory);
-    ValueError before any point if not even one fits. Each worker is told the
-    pool size (share_cpus), so it solves a massive spectrum's two blocks at
-    once only where it may use at least 2 x workers CPUs. Without a pool,
-    point k is given point k + 1 as its partner (entanglement_entropy), so at
-    mass 0 that point's spectra may come from the other triangle of point
-    k's buffers and differ from a pool's in the last digits.
+    ValueError before any point if n_max < MIN_GRID_SIZE or not even one
+    spectrum fits. Each worker is told the pool size (share_cpus), so it
+    solves a massive spectrum's two blocks at once only where it may use at
+    least 2 x workers CPUs. Without a pool, point k is given point k + 1 as
+    its partner (entanglement_entropy), so at mass 0 that point's spectra may
+    come from the other triangle of point k's buffers and differ from a
+    pool's in the last digits.
     """
     eps = _validate_eps_grid(eps_grid)
+    if n_max < MIN_GRID_SIZE:
+        raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n_max}")
     workers = min(jobs, eps.size, check_spectrum_memory(n_max))
     point = functools.partial(_sweep_point, order, n_max, rule)
     all_params = [replace(params_base, epsilon=float(e)) for e in eps]

@@ -2,10 +2,14 @@
 
 Subcommands: entropy (one evaluation), sweep (epsilon sweep with slope fit),
 kernel-dump (kernel matrix on a separation grid), verify (randomized
-Schatten-norm property suite), diag (decomposition diagnostics).
+Schatten-norm property suite), diag offdiag and diag log-growth
+(decomposition diagnostics).
 
-Every subcommand takes --output-format and --output-path; verify also takes
---seed. sweep takes --jobs, the most worker processes for its epsilon points
+Each subcommand takes only the flags it reads, and every one takes
+--output-format and --output-path. verify also takes --seed. diag offdiag
+takes --kappa and --grid-size, diag log-growth --q, --box-half-width,
+--box-grid-size and --l0, and both take --mass, --lambda and --alpha-grid.
+sweep takes --jobs, the most worker processes for its epsilon points
 (default 1, so no pool); it runs no more than one per point and no more than
 fit in physical memory at the --grid-size cap. entropy accepts --jobs too
 and records it in its configuration when it is given, but starts no worker.
@@ -16,22 +20,24 @@ a sweep worker does so when its pool leaves two CPUs per worker; at mass 0 a
 sweep without a pool solves two neighbouring points' spectra that way. stdout
 is the same either way, and `taskset -c 0` keeps the process on one core.
 
-Every subcommand writes through one writer, `_write`: a JSON document, or
-CSV with one row per flat record (bools as true/false, floats to 17
-significant digits). JSON writes NaN, the entropy of a sweep point with no
-admissible grid, as null; CSV as nan.
+Every subcommand writes one document through one writer, `_write`: a JSON
+document, or CSV with `# version:` and `# config:` lines (sweep adds a
+`# fit:` line), a header and one row per flat record (bools as true/false,
+floats to 17 significant digits). JSON writes NaN, the entropy of a sweep
+point with no admissible grid, as null; CSV as nan.
 
 Exit codes: 0 success; 2 argument errors, found before any work, or an
---output-path that fails while being written; 3 numerical non-convergence;
-4 property-suite failure. Among the argument errors are a --jobs that is not
-an integer >= 1, an --alpha-grid entry that is not finite and > 0, an
---output-path that is a directory or lacks its parent directory, and every
-request beyond physical memory, which names the largest value that fits: the
---grid-size cap of entropy, sweep and diag --diag-type offdiag (one
-spectrum's eigensolver buffers), kernel-dump's --u-count, verify's --trials
-at each --dims entry, and the count N of an Nlog --eps-grid or --alpha-grid.
-Outputs embed the resolved configuration and the package version, and are
-bit-identical for identical configuration.
+--output-path that fails while being written; 3 numerical non-convergence,
+an eigensolve or SVD that LAPACK reports as failed among it; 4
+property-suite failure. Among the argument errors are a flag the subcommand
+does not take, a --jobs that is not an integer >= 1, an --alpha-grid entry
+that is not finite and > 0, an --output-path that is a directory or lacks
+its parent directory, and every request beyond physical memory, which names
+the largest value that fits: the --grid-size cap of entropy, sweep and diag
+offdiag (one spectrum's eigensolver buffers), kernel-dump's --u-count,
+verify's --trials at each --dims entry, and the count N of an Nlog
+--eps-grid or --alpha-grid. Outputs embed the resolved configuration and
+the package version, and are bit-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -145,13 +151,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_document(config: dict, records: list[dict]) -> str:
+def _csv_document(config: dict, payload: dict, records: list[dict]) -> str:
     header = list(records[0])
-    lines = [
-        f"# version: {__version__}",
-        "# config: " + json.dumps(config, sort_keys=True),
-        ",".join(header),
-    ]
+    lines = [f"# version: {__version__}", "# config: " + json.dumps(config, sort_keys=True)]
+    if "fit" in payload:  # sweep's fit, which has no row of its own
+        lines.append("# fit: " + json.dumps(payload["fit"], sort_keys=True))
+    lines.append(",".join(header))
     lines.extend(",".join(_cell(record[key]) for key in header) for record in records)
     return "\n".join(lines) + "\n"
 
@@ -163,7 +168,7 @@ def _write(args: argparse.Namespace, payload: dict, records: list[dict]) -> None
     if args.output_format == "json":
         text = _json_document(config, payload)
     else:
-        text = _csv_document(config, records)
+        text = _csv_document(config, payload, records)
     if args.output_path == "-":
         sys.stdout.write(text)
         return
@@ -223,18 +228,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     p_diag = sub.add_parser("diag", help="decomposition diagnostics")
-    p_diag.add_argument("--diag-type", choices=("offdiag", "log-growth"), required=True)
-    p_diag.add_argument("--kappa", type=float, default=1.0)
-    p_diag.add_argument("--mass", type=float, default=1.0)
-    p_diag.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_diag.add_argument("--alpha-grid", type=str, default="100,1000,10000")
-    p_diag.add_argument("--grid-size", type=int, default=4096)
-    p_diag.add_argument("--q", type=float, default=0.5)
-    p_diag.add_argument("--box-half-width", type=float, default=8.0)
-    p_diag.add_argument("--box-grid-size", type=int, default=1024,
-                        help="total node budget of a cross block, <= 24 per panel")
-    p_diag.add_argument("--l0", type=float, default=1.0)
-    add_common(p_diag)
+    diag_types = p_diag.add_subparsers(dest="diag_type", required=True)
+
+    def add_diag(name: str, summary: str) -> argparse.ArgumentParser:
+        p = diag_types.add_parser(name, help=summary)
+        p.add_argument("--mass", type=float, default=1.0)
+        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        p.add_argument("--alpha-grid", type=str, default="100,1000,10000")
+        add_common(p)
+        return p
+
+    p_offdiag = add_diag("offdiag", "mass contribution and high-frequency symbol deviation")
+    p_offdiag.add_argument("--kappa", type=float, default=1.0)
+    p_offdiag.add_argument("--grid-size", type=int, default=4096)
+    p_growth = add_diag("log-growth", "cross-block quasi-norm growth")
+    p_growth.add_argument("--q", type=float, default=0.5)
+    p_growth.add_argument("--box-half-width", type=float, default=8.0)
+    p_growth.add_argument("--box-grid-size", type=int, default=1024,
+                          help="total node budget of a cross block, <= 24 per panel")
+    p_growth.add_argument("--l0", type=float, default=1.0)
     return parser
 
 
@@ -275,8 +287,6 @@ def _cmd_sweep(args) -> int:
         for p in result.points
     ]
     _write(args, {"fit": fit, "points": points}, points)
-    if args.output_format == "csv":  # the rows may go to a file; the fit goes to stdout
-        sys.stdout.write(_json_document(_config_dict(args), {"fit": fit}))
     return 0
 
 
@@ -354,13 +364,13 @@ def main(argv=None) -> int:
     except _UnwritableOutput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        sys.stderr.write(f"non-convergence: {exc}\n")
+        return 3
     except ValueError as exc:
         parser.print_usage(sys.stderr)
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ConvergenceError as exc:
-        sys.stderr.write(f"non-convergence: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

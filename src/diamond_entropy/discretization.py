@@ -192,19 +192,23 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     dsytrd_sy2sb and dsytrd_sb2st, then dsterf, read and overwrite only that
     triangle and the diagonal; the other strict triangle survives the solve
     bit for bit. Where numpy exports no LAPACKE, the fallback
-    np.linalg.eigvalsh solves a copy and leaves buf as it was.
+    np.linalg.eigvalsh solves a copy and leaves buf as it was. A solve that
+    fails (a matrix with a NaN, say) raises ConvergenceError.
     """
     n = buf.shape[0]
     if (buf.shape != (n, n) or buf.dtype != np.float64 or not buf.flags.c_contiguous
             or not buf.flags.writeable):
         raise ValueError("buf must be a square, writeable, C-contiguous float64 array")
     if _DSYEVD is None:
-        return np.linalg.eigvalsh(buf, UPLO="U" if upper else "L")
+        try:
+            return np.linalg.eigvalsh(buf, UPLO="U" if upper else "L")
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"np.linalg.eigvalsh failed: {exc}") from None
     eigenvalues = np.empty(n)
     info = _DSYEVD(_LAPACK_COL_MAJOR, b"N", b"L" if upper else b"U", n, buf.ctypes.data, n,
                    eigenvalues.ctypes.data)
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACKE dsyevd_2stage failed with info = {info}")
+        raise ConvergenceError(f"LAPACKE dsyevd_2stage failed with info = {info}")
     return eigenvalues
 
 
@@ -364,11 +368,12 @@ def _cached_spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
 
 
 def validate_spectrum_range(eigenvalues: np.ndarray) -> None:
-    """Raise ConvergenceError unless the spectrum lies in [-tol, 1 + tol]."""
+    """Raise ConvergenceError unless the spectrum lies in [-tol, 1 + tol]; a
+    NaN fails."""
     lo = float(eigenvalues.min())
     hi = float(eigenvalues.max())
     tol = DEFAULT_TOL_DISC
-    if lo < -tol or hi > 1.0 + tol:
+    if not (lo >= -tol and hi <= 1.0 + tol):
         raise ConvergenceError(
             f"spectrum [{lo:.3e}, {hi:.6f}] leaves [-{tol:.0e}, 1+{tol:.0e}]; "
             "the grid does not resolve the kernel at this epsilon"

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_symbols import PhysicalParams
-from .discretization import DEFAULT_TOL_DISC, check_spectrum_memory, operator_eigenvalues
+from .discretization import check_spectrum_memory, operator_eigenvalues
 from .errors import ConvergenceError
 from .quadrature import GridRule, build_grid, checked_panel_sum, graded_edges
 from .renyi_functions import LN2, RenyiOrder, eta, eta_of_log
 
 DEFAULT_N_START = 128
 DEFAULT_N_MAX = 4096
+MIN_GRID_SIZE = 64  # the smallest grid-size cap
 DEFAULT_REL_CHANGE = 0.005
 # relative accuracy demanded of the bulk-term quadrature
 BULK_REL_TOL = 1e-8
@@ -67,14 +68,18 @@ class EntropyResult:
 def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     """Sum of eta over the clipped spectrum, with a clamp report.
 
-    It applies no range gate (operator_eigenvalues does); it clips what it is given.
+    It applies no range gate (operator_eigenvalues does); it clips what it is
+    given, and raises ConvergenceError on a NaN or infinite eigenvalue.
     """
     ev = np.asarray(eigenvalues, dtype=float)
     clipped = np.clip(ev, 0.0, 1.0)
     distances = np.abs(ev - clipped)
+    max_distance = float(distances.max()) if ev.size else 0.0
+    if not np.isfinite(max_distance):  # max propagates a NaN
+        raise ConvergenceError(f"spectrum holds a non-finite eigenvalue ({max_distance})")
     report = ClampReport(
         count=int(np.count_nonzero(distances > ev.size * _UNIT_ROUNDOFF)),
-        max_distance=float(distances.max()) if ev.size else 0.0,
+        max_distance=max_distance,
     )
     return float(np.sum(eta(order, clipped))), report
 
@@ -145,16 +150,17 @@ def entanglement_entropy(
     """Entropy with the grid-doubling convergence policy, capped at n.
 
     Grids whose spectrum leaves [-DEFAULT_TOL_DISC, 1 + DEFAULT_TOL_DISC]
-    are treated as unresolved and skipped; if no grid up to the cap yields
-    an admissible spectrum, ConvergenceError is raised. The result is flagged
-    converged once doubling the grid changes the entropy by less than
-    DEFAULT_REL_CHANGE. ValueError before any work if the cap's eigensolver
+    (discretization's range gate) or whose eigensolve fails are treated as
+    unresolved and skipped; if no grid up to the cap yields an admissible
+    spectrum, ConvergenceError is raised with the last grid's reason. The
+    result is flagged converged once doubling the grid changes the entropy
+    by less than DEFAULT_REL_CHANGE. ValueError before any work if the cap's eigensolver
     buffers exceed physical memory. partner, the point to be computed next,
     goes to every rung's operator_eigenvalues, which at mass 0 solves its
     spectrum on the same grid beside this one's.
     """
-    if n < 64:
-        raise ValueError(f"n must be >= 64, got {n}")
+    if n < MIN_GRID_SIZE:
+        raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n}")
     check_spectrum_memory(n)
     sub = subtraction_trace(params, order)
 
@@ -165,8 +171,9 @@ def entanglement_entropy(
         grid = build_grid(size, params.lam, rule)
         try:
             eigenvalues = operator_eigenvalues(params, grid, partner=partner)
-        except ConvergenceError:
+        except ConvergenceError as exc:
             prev_entropy = None  # this resolution is unusable; restart comparison
+            rejected = f"n = {size}: {exc}"
             continue
         trace, clamp = entropy_from_eigenvalues(eigenvalues, order)
         entropy_value = trace - sub
@@ -179,8 +186,7 @@ def entanglement_entropy(
 
     if last is None:
         raise ConvergenceError(
-            f"no grid size up to {n} resolves epsilon={params.epsilon} "
-            f"(spectrum keeps leaving [-{DEFAULT_TOL_DISC:.0e}, 1+{DEFAULT_TOL_DISC:.0e}])"
+            f"no grid size up to {n} resolves epsilon={params.epsilon} (last at {rejected})"
         )
     size, trace, entropy_value, clamp = last
     return EntropyResult(

@@ -10,9 +10,11 @@ class ConvergenceError(DiamondEntropyError):
 
     Raised by:
     - the checked panel sums of the bulk term, the slope constant and the
-      box-tail gate when their 16-node and 32-node results disagree;
+      box-tail gate when their 16-node and 32-node results disagree or are NaN;
     - the massive kernel fill when the Bessel values come out non-finite;
-    - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance;
+    - the eigensolve when LAPACK reports a failure;
+    - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance
+      or holds a NaN, and the eta-trace when it holds a NaN or infinity;
     - the grid-doubling entropy ladder when no grid up to the cap yields an
       admissible spectrum;
     - sweeps with fewer converged points than the slope fit's minimum.

@@ -269,13 +269,14 @@ def panel_nodes(edges: np.ndarray, per: int):
 def checked_panel_sum(f, edges: np.ndarray, rel_tol: float, abs_tol: float, what: str) -> float:
     """32-node Gauss-Legendre sum of f on the panels between edges; ConvergenceError
     naming `what` if the 16-node sum differs by more than rel_tol |value| + abs_tol
-    and than the least normal float (subnormal sums keep no relative accuracy)."""
+    and than the least normal float (subnormal sums keep no relative accuracy), or
+    if either sum is NaN."""
     x_fine, w_fine = panel_nodes(edges, 32)
     x_coarse, w_coarse = panel_nodes(edges, 16)
     values = f(np.concatenate([x_fine, x_coarse]))
     value = float(w_fine @ values[:x_fine.size])
     coarse = float(w_coarse @ values[x_fine.size:])
-    if abs(value - coarse) > max(rel_tol * abs(value) + abs_tol, np.finfo(float).tiny):
+    if not abs(value - coarse) <= max(rel_tol * abs(value) + abs_tol, np.finfo(float).tiny):
         raise ConvergenceError(f"{what} did not reach rel_tol={rel_tol}: value={value}, "
                                f"16-node value={coarse}")
     return value

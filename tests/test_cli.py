@@ -48,7 +48,7 @@ class TestArgumentHandling:
         monkeypatch.setattr(np, "geomspace", None)
         for command, spec in ((["sweep", "--kappa", "1", "--eps-grid"],
                                "0.1:0.002:1000000000000log"),
-                              (["diag", "--diag-type", "log-growth", "--alpha-grid"],
+                              (["diag", "log-growth", "--alpha-grid"],
                                "100:10000:1000000000000log")):
             assert run_cli([*command, spec]) == 2
             captured = capsys.readouterr()
@@ -138,7 +138,7 @@ class TestArgumentHandling:
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
         monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
         monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
-        code = run_cli(["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100",
+        code = run_cli(["diag", "offdiag", "--alpha-grid", "10,31.6,100",
                         "--grid-size", grid_size])
         assert code == 2
         captured = capsys.readouterr()
@@ -146,13 +146,54 @@ class TestArgumentHandling:
         assert f"grid-size cap {grid_size} needs more than" in captured.err
         assert "largest grid-size cap that fits" in captured.err
 
-    def test_sweep_grid_size_zero_exits_2(self, capsys):
-        # a cap of no bytes fits any number of times, not a division by zero
+    @pytest.mark.parametrize("grid_size", ["0", "63"])
+    def test_sweep_grid_size_zero_exits_2(self, monkeypatch, capsys, grid_size):
+        # a cap below 64 is refused before a pool is built; a cap of no bytes
+        # is no division by zero either
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool built for a cap below 64")
+
+        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", no_pool)
         assert run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
-                        "--grid-size", "0"]) == 2
+                        "--grid-size", grid_size, "--jobs", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "n must be >= 64, got 0" in captured.err
+        assert f"n must be >= 64, got {grid_size}" in captured.err
+
+    @pytest.mark.parametrize("command, foreign", [
+        (["diag", "log-growth"], ["--kappa", "2"]),
+        (["diag", "log-growth"], ["--grid-size", "64"]),
+        (["diag", "offdiag"], ["--q", "0.25"]),
+        (["diag", "offdiag"], ["--box-grid-size", "512"]),
+        (["diag"], ["--diag-type", "offdiag"]),
+    ])
+    def test_diag_refuses_a_flag_of_the_other_type(self, monkeypatch, capsys, command,
+                                                  foreign):
+        def no_work(*args, **kwargs):
+            raise AssertionError("diagnostic started with a foreign flag")
+
+        monkeypatch.setattr(cli, "offdiagonal_diagnostic", no_work)
+        monkeypatch.setattr(cli, "log_growth_diagnostic", no_work)
+        assert run_cli([*command, *foreign]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert foreign[0] in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--kappa", "1", "--epsilon", "1e-310", "--grid-size", "128"],
+        ["sweep", "--kappa", "1", "--eps-grid", "1e-300:1e-310:6log", "--grid-size", "128"],
+    ], ids=["entropy", "sweep"])
+    def test_failed_eigensolve_exits_3(self, command):
+        # the massless kernel overflows to NaN, which LAPACKE refuses (info =
+        # -5): a numerical failure, so every rung is skipped, not an argument
+        # error. A child process keeps the overflow warnings out of this one.
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", *command],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "non-convergence" in proc.stderr and "usage" not in proc.stderr
 
     @pytest.mark.parametrize("command, compute, target", [
         (["kernel-dump", "--epsilon", "0.5"], "kernel_blocks", "missing/k.csv"),
@@ -298,18 +339,19 @@ class TestSweepCommand:
         assert doc["fit"]["theory_slope"] == pytest.approx(0.3333333333333333, rel=1e-12)
         assert doc["fit"]["rel_error"] < 0.10
 
-    def test_csv_with_fit_on_stdout(self, tmp_path, capsys):
+    def test_csv_file_carries_the_fit(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = run_cli(
             ["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
              "--output-format", "csv", "--output-path", str(out), "--jobs", "1"]
         )
         assert code == 0
+        assert capsys.readouterr().out == ""
         lines = out.read_text().splitlines()
-        assert lines[2] == "epsilon,ln_inv_eps,entropy,n,converged"
-        assert len(lines) == 3 + 6
-        fit = json.loads(capsys.readouterr().out)
-        assert "slope" in fit["fit"]
+        fit = json.loads(lines[2].removeprefix("# fit: "))
+        assert sorted(fit) == ["intercept", "r_squared", "rel_error", "slope", "theory_slope"]
+        assert lines[3] == "epsilon,ln_inv_eps,entropy,n,converged"
+        assert len(lines) == 4 + 6
 
     def test_midpoint_rule_flag(self, capsys):
         code = run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
@@ -338,7 +380,7 @@ class TestSweepCommand:
         assert failed["n"] == 256 and failed["converged"] is False
         assert run_cli([*args, "--output-format", "csv"]) == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[3 + 9] == "0.002,6.2146080984221914,nan,256,false"
+        assert out.splitlines()[4 + 9] == "0.002,6.2146080984221914,nan,256,false"
 
 
 class TestKernelDumpCommand:
@@ -445,7 +487,7 @@ class TestVerifyCommand:
 class TestDiagCommand:
     def test_offdiag_json(self, capsys):
         code = run_cli(
-            ["diag", "--diag-type", "offdiag", "--mass", "1", "--kappa", "1",
+            ["diag", "offdiag", "--mass", "1", "--kappa", "1",
              "--alpha-grid", "10,31.6,100", "--grid-size", "256"]
         )
         assert code == 0
@@ -457,7 +499,7 @@ class TestDiagCommand:
 
     def test_log_growth_json(self, capsys):
         code = run_cli(
-            ["diag", "--diag-type", "log-growth", "--q", "0.5",
+            ["diag", "log-growth", "--q", "0.5",
              "--alpha-grid", "100,1000,10000"]
         )
         assert code == 0
@@ -474,7 +516,7 @@ class TestDiagCommand:
     def test_csv_output(self, tmp_path, capsys, diag_type, extra, header):
         out = tmp_path / "diag.csv"
         code = run_cli(
-            ["diag", "--diag-type", diag_type, "--alpha-grid", "10,100,1000", *extra,
+            ["diag", diag_type, "--alpha-grid", "10,100,1000", *extra,
              "--output-format", "csv", "--output-path", str(out)]
         )
         assert code == 0
@@ -491,7 +533,7 @@ class TestDiagCommand:
             raise AssertionError("SVD reached with a box the tail guard rejects")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0"])
+        code = run_cli(["diag", "log-growth", "--mass", "0"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -509,7 +551,7 @@ class TestDiagCommand:
 
         monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
         monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
-        code = run_cli(["diag", "--diag-type", "offdiag", "--mass", "1", *extra])
+        code = run_cli(["diag", "offdiag", "--mass", "1", *extra])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -524,11 +566,22 @@ class TestDiagCommand:
 
         monkeypatch.setattr(cli, "offdiagonal_diagnostic", no_work)
         monkeypatch.setattr(cli, "log_growth_diagnostic", no_work)
-        code = run_cli(["diag", "--diag-type", diag_type, f"--alpha-grid={grid}"])
+        code = run_cli(["diag", diag_type, f"--alpha-grid={grid}"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"bad alpha grid {grid!r}: each entry must be finite and > 0" in captured.err
+
+    def test_failed_svd_exits_3(self, monkeypatch, capsys):
+        # LinAlgError is a ValueError, but no argument error
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        assert run_cli(["diag", "log-growth", "--alpha-grid", "10,1000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "non-convergence: SVD did not converge\n"
 
     def test_log_growth_node_budget_exits_2_before_any_svd(self, monkeypatch, capsys):
         # 240 nodes cover the 40 and 52 panels at alpha = 100 and 1000, not
@@ -537,7 +590,7 @@ class TestDiagCommand:
             raise AssertionError("SVD reached with a node budget that is too small")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        code = run_cli(["diag", "--diag-type", "log-growth", "--box-grid-size", "240"])
+        code = run_cli(["diag", "log-growth", "--box-grid-size", "240"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -545,20 +598,20 @@ class TestDiagCommand:
 
     @pytest.mark.parametrize("width", ["0", "-8"])
     def test_log_growth_nonpositive_box_exits_2(self, capsys, width):
-        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
+        code = run_cli(["diag", "log-growth", "--mass", "0",
                         "--box-half-width", width])
         assert code == 2
         assert "box_half_width must be positive" in capsys.readouterr().err
 
     def test_log_growth_infinite_box_exits_2(self, capsys):
-        code = run_cli(["diag", "--diag-type", "log-growth", "--box-half-width", "inf"])
+        code = run_cli(["diag", "log-growth", "--box-half-width", "inf"])
         assert code == 2
         assert "box_half_width must be positive and finite" in capsys.readouterr().err
 
     def test_log_growth_box_beyond_float_range_exits_2(self, capsys):
         # the box-tail panels would reach past the largest float; any
         # overflow warning fails the test
-        code = run_cli(["diag", "--diag-type", "log-growth", "--mass", "0",
+        code = run_cli(["diag", "log-growth", "--mass", "0",
                         "--alpha-grid", "10,100,1000", "--box-half-width", "1e300"])
         assert code == 2
         captured = capsys.readouterr()
@@ -567,7 +620,7 @@ class TestDiagCommand:
 
     def test_log_growth_massless_wide_box_runs(self, capsys):
         code = run_cli(
-            ["diag", "--diag-type", "log-growth", "--mass", "0", "--q", "0.5",
+            ["diag", "log-growth", "--mass", "0", "--q", "0.5",
              "--alpha-grid", "100,1000,10000", "--box-half-width", "128"]
         )
         assert code == 0
@@ -575,7 +628,7 @@ class TestDiagCommand:
 
     def test_log_growth_negative_mass_exits_2(self, capsys):
         code = run_cli(
-            ["diag", "--diag-type", "log-growth", "--mass", "-1"]
+            ["diag", "log-growth", "--mass", "-1"]
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -584,7 +637,7 @@ class TestDiagCommand:
 
     @pytest.mark.parametrize("q", ["0", "nan", "inf", "-0.5"])
     def test_log_growth_bad_q_exits_2(self, capsys, q):
-        code = run_cli(["diag", "--diag-type", "log-growth", "--q", q])
+        code = run_cli(["diag", "log-growth", "--q", q])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -614,7 +667,7 @@ class TestJobsResolution:
     @pytest.mark.parametrize("command", [
         ["kernel-dump", "--epsilon", "0.5", "--u-count", "3"],
         ["verify", "--trials", "5", "--dims", "4"],
-        ["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100", "--grid-size", "128"],
+        ["diag", "offdiag", "--alpha-grid", "10,31.6,100", "--grid-size", "128"],
     ])
     def test_jobs_flag_only_on_entropy_and_sweep(self, command):
         assert run_cli([*command, "--jobs", "1"]) == 2
@@ -669,9 +722,9 @@ class TestImportGraph:
                 ["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log", "--grid-size", "256",
                  "--jobs", "2"],
                 ["kernel-dump", "--mass", "20", "--epsilon", "0.5", "--u-count", "11"],
-                ["diag", "--diag-type", "offdiag", "--alpha-grid", "10,31.6,100",
+                ["diag", "offdiag", "--alpha-grid", "10,31.6,100",
                  "--grid-size", "128"],
-                ["diag", "--diag-type", "log-growth", "--q", "0.25", "--alpha-grid", "10,1000"],
+                ["diag", "log-growth", "--q", "0.25", "--alpha-grid", "10,1000"],
                 ["verify", "--trials", "5", "--dims", "4"],
             ]
             for command in commands:
@@ -750,23 +803,26 @@ def _same_value(cell: str, value) -> bool:
 
 
 class TestOutputWriter:
-    """Both output formats of one configuration carry the same numbers."""
+    """Each subcommand writes one document, and both output formats of one
+    configuration carry the same numbers."""
 
     def _both(self, capsys, command):
+        """The JSON document, the CSV rows and the CSV `#` lines of command; the
+        whole of stdout must parse as JSON, and every CSV line after the `#`
+        lines and the header must be a row as wide as the header."""
         assert run_cli([*command, "--output-format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert run_cli([*command, "--output-format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"# version: {diamond_entropy.__version__}"
-        config = json.loads(lines[1].removeprefix("# config: "))
+        comments = [line for line in lines if line.startswith("#")]
+        assert lines[:len(comments)] == comments
+        assert comments[0] == f"# version: {diamond_entropy.__version__}"
+        config = json.loads(comments[1].removeprefix("# config: "))
         assert config == {**doc["config"], "output-format": "csv"}
-        header = lines[2].split(",")
-        rows = []
-        for line in lines[3:]:
-            if line == "{":  # sweep's fit summary follows its rows
-                break
-            rows.append(dict(zip(header, line.split(","), strict=True)))
-        return doc, rows, lines
+        header = lines[len(comments)].split(",")
+        rows = [dict(zip(header, line.split(","), strict=True))
+                for line in lines[len(comments) + 1:]]
+        return doc, rows, comments
 
     def _assert_same(self, records, rows):
         assert len(records) == len(rows) > 0
@@ -785,11 +841,12 @@ class TestOutputWriter:
                                  "subtraction_trace", "entropy", "clamp_count", "converged"]
 
     def test_sweep(self, capsys):
-        doc, rows, lines = self._both(capsys, ["sweep", "--kappa", "1", "--eps-grid",
-                                               "0.5:0.01:6log", "--grid-size", "256",
-                                               "--jobs", "1"])
+        doc, rows, comments = self._both(capsys, ["sweep", "--kappa", "1", "--eps-grid",
+                                                  "0.5:0.01:6log", "--grid-size", "256",
+                                                  "--jobs", "1"])
         self._assert_same(doc["points"], rows)
-        assert json.loads("\n".join(lines[3 + len(rows):]))["fit"] == doc["fit"]
+        assert len(comments) == 3
+        assert json.loads(comments[2].removeprefix("# fit: ")) == doc["fit"]
 
     def test_kernel_dump(self, capsys):
         doc, rows, _ = self._both(capsys, ["kernel-dump", "--mass", "1", "--epsilon", "0.5",
@@ -802,16 +859,21 @@ class TestOutputWriter:
         self._assert_same(doc["reports"], rows)
 
     @pytest.mark.parametrize("command, columns", [
-        (["--diag-type", "offdiag", "--alpha-grid", "10,31.6", "--grid-size", "128"],
+        (["offdiag", "--alpha-grid", "10,31.6", "--grid-size", "128"],
          {"alpha": "alpha_grid", "offdiag_ratio": "offdiag_ratios",
           "sup_deviation": "sup_deviations"}),
-        (["--diag-type", "log-growth", "--alpha-grid", "100,1000,10000",
+        (["log-growth", "--alpha-grid", "100,1000,10000",
           "--box-grid-size", "512"],
          {"alpha": "alpha_grid", "logq_norm": "logq_norms",
           "ratio_to_log_alpha": "ratios_to_log_alpha"}),
     ])
     def test_diag(self, capsys, command, columns):
         doc, rows, _ = self._both(capsys, ["diag", *command])
+        # the configuration holds the flags of this type and no other
+        read = {"offdiag": {"kappa", "grid-size"},
+                "log-growth": {"q", "box-half-width", "box-grid-size", "l0"}}[command[0]]
+        assert set(doc["config"]) == {"command", "diag-type", "mass", "lam", "alpha-grid",
+                                      "output-format", "output-path", *read}
         diagnostics = doc["diagnostics"]
         assert set(diagnostics) == set(columns.values())
         records = [{name: diagnostics[key][i] for name, key in columns.items()}

@@ -174,7 +174,7 @@ class TestAssembleOperator:
             operator_eigenvalues(params, grid, use_cache=False)
             assert len(mappings) == 2 and mappings[0]() is None
             monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
-            with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+            with pytest.raises(ConvergenceError, match="info = 7"):
                 operator_eigenvalues(params, grid, use_cache=False)
             assert len(mappings) == 4 and mappings[2]() is None
         finally:
@@ -287,7 +287,16 @@ class TestAssembleOperator:
 
     def test_failed_solve_raises(self, monkeypatch):
         monkeypatch.setattr(discretization, "_DSYEVD", lambda *args: 3)
-        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+        with pytest.raises(ConvergenceError, match="info = 3"):
+            discretization._eigvalsh_in_place(np.eye(4), upper=True)
+
+    def test_failed_fallback_solve_raises(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(discretization, "_DSYEVD", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        with pytest.raises(ConvergenceError, match="Eigenvalues did not converge"):
             discretization._eigvalsh_in_place(np.eye(4), upper=True)
 
     def test_in_place_solve_takes_only_writeable_square_c_ordered_doubles(self):
@@ -437,7 +446,7 @@ class TestConcurrentSolves:
         monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
         params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
         threads_before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+        with pytest.raises(ConvergenceError, match="info = 7"):
             operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
         assert threading.active_count() == threads_before
 
@@ -589,7 +598,7 @@ class TestPartnerSpectra:
         monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
         clear_spectrum_cache()
         threads_before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="info = 7"):
+        with pytest.raises(ConvergenceError, match="info = 7"):
             operator_eigenvalues(massless(0.02), build_grid(300, 1.0), partner=massless(0.015))
         assert threading.active_count() == threads_before
         assert not discretization._spectra  # neither spectrum is kept

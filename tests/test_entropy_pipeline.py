@@ -44,6 +44,17 @@ class TestEntropyFromEigenvalues:
         with pytest.raises(ConvergenceError):
             discretization.validate_spectrum_range(np.array([0.5, 1.5]))
 
+    def test_nan_fails_the_range_gate(self):
+        with pytest.raises(ConvergenceError, match="leaves"):
+            discretization.validate_spectrum_range(np.array([0.1, np.nan, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_eigenvalue_signals(self, bad):
+        # matched_grid_entropy traces a spectrum no range gate has seen; a NaN
+        # would otherwise count as eta = 0
+        with pytest.raises(ConvergenceError, match="non-finite eigenvalue"):
+            entropy_from_eigenvalues(np.array([0.5, bad]), K1)
+
     @settings(max_examples=300, deadline=None)
     @given(
         ev=arrays(

@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from diamond_entropy import Grid, GridRule, build_grid, quadrature
+from diamond_entropy import ConvergenceError, Grid, GridRule, build_grid, quadrature
 from oracle import exact_legendre_node
 
 
@@ -124,3 +124,12 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="mirror-symmetric"):
             Grid(nodes=[0.1, 0.2, 0.3, 0.9], weights=[0.15, 0.1, 0.35, 0.4],
                  rule=GridRule.GAUSS_LEGENDRE, lam=1.0)
+
+
+class TestCheckedPanelSum:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_integrand_raises(self, bad):
+        # nan - nan and inf - inf compare false against any bound: the check fails closed
+        with pytest.raises(ConvergenceError, match="test sum did not reach"):
+            quadrature.checked_panel_sum(lambda x: np.full_like(x, bad),
+                                         np.array([0.0, 1.0]), 1e-8, 0.0, "test sum")
