@@ -9,7 +9,6 @@ logarithmically enhanced area law with slope (1/6)(kappa+1)/kappa.
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    BoxSpec,
     DiagnosticsResult,
     SweepPoint,
     SweepResult,

@@ -34,7 +34,6 @@ from .discretization import (
 )
 from .entropy_pipeline import (
     DEFAULT_N_MAX,
-    MIN_GRID_SIZE,
     entanglement_entropy,
     entropy_from_eigenvalues,
     subtraction_trace,
@@ -42,6 +41,7 @@ from .entropy_pipeline import (
 from .errors import ConvergenceError
 from .quadrature import GridRule, build_grid
 from .renyi_functions import RenyiOrder, theoretical_slope
+from .schatten_toolkit import power_sum
 
 MIN_SWEEP_POINTS = 6
 MIN_CONVERGED_POINTS = 5
@@ -75,17 +75,6 @@ class DiagnosticsResult:
     offdiag_ratios: np.ndarray | None = None
     sup_deviations: np.ndarray | None = None
     logq_norms: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Finite-box parameters for the cross-block quasi-norm diagnostics."""
-
-    lam: float = 1.0
-    half_width: float = 8.0
-    n: int = 1024
-    mass: float = 1.0
-    l0: float = 1.0
 
 
 def _validate_eps_grid(eps_grid: np.ndarray) -> np.ndarray:
@@ -143,17 +132,15 @@ def sweep(
     and aggregated in decreasing-epsilon order; the fit uses only converged
     points and requires at least five of them. The worker processes number
     min(jobs, points, spectra at the cap n_max that fit in physical memory);
-    ValueError before any point if n_max < MIN_GRID_SIZE or not even one
-    spectrum fits. Each worker is told the pool size (share_cpus), so it
-    solves a massive spectrum's two blocks at once only where it may use at
-    least 2 x workers CPUs. Without a pool, point k is given point k + 1 as
-    its partner (entanglement_entropy), so at mass 0 that point's spectra may
-    come from the other triangle of point k's buffers and differ from a
-    pool's in the last digits.
+    ValueError before any point if check_spectrum_memory refuses n_max: below
+    the smallest cap, or not even one spectrum fits. Each worker is told the
+    pool size (share_cpus), so it solves a massive spectrum's two blocks at
+    once only where it may use at least 2 x workers CPUs. Without a pool,
+    point k is given point k + 1 as its partner (entanglement_entropy), so at
+    mass 0 that point's spectra may come from the other triangle of point k's
+    buffers and differ from a pool's in the last digits.
     """
     eps = _validate_eps_grid(eps_grid)
-    if n_max < MIN_GRID_SIZE:
-        raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n_max}")
     workers = min(jobs, eps.size, check_spectrum_memory(n_max))
     point = functools.partial(_sweep_point, order, n_max, rule)
     all_params = [replace(params_base, epsilon=float(e)) for e in eps]
@@ -225,7 +212,8 @@ def offdiagonal_diagnostic(
     diagonal-symbol term exactly, so the ratio |S(m) - S(0)| / ln(alpha)
     isolates the off-diagonal contribution, which must trend to zero.
     At mass = 0 the difference vanishes identically. ValueError before the
-    first spectrum on bad input or eigensolver buffers beyond physical memory.
+    first spectrum on bad input, n below the smallest grid-size cap included,
+    or eigensolver buffers beyond physical memory.
     """
     check_spectrum_memory(n)
     alphas = np.asarray(alpha_grid, dtype=float)
@@ -250,14 +238,17 @@ def offdiagonal_diagnostic(
     )
 
 
-def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> DiagnosticsResult:
+def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width: float = 8.0,
+                          n: int = 1024, mass: float = 1.0, l0: float = 1.0) -> DiagnosticsResult:
     """q = 1/l quasi-norms of the interval cross blocks along an alpha grid.
 
     Computes ||restrict * Op(a_alpha) * (1 - restrict)||_q^q with
-    a_alpha(k) = exp(-(l0/alpha) omega(k)); the ratio to log(alpha) must stay
-    bounded (an upper-bound property, not an exact rate). Singular values
-    s <= s_1 * max(block.shape) * eps_machine are left out of the sum.
-    ValueError before the first SVD if any alpha's box tail or node budget fails.
+    a_alpha(k) = exp(-(l0/alpha) omega(k)) on the box [-half_width,
+    half_width] with a budget of n nodes per cross block; the ratio to
+    log(alpha) must stay bounded (an upper-bound property, not an exact
+    rate). The sum is power_sum's, which leaves out the singular values at the
+    rounding floor. ValueError before the first SVD if any alpha's box tail or
+    node budget fails.
     """
     if not (np.isfinite(q) and q > 0 and any(abs(1.0 / q - l) <= 1e-9 for l in (2, 3, 4))):
         raise ValueError(f"q must be 1/l with l in {{2, 3, 4}}, got {q}")
@@ -267,21 +258,18 @@ def log_growth_diagnostic(q: float, alpha_grid, box: BoxSpec = BoxSpec()) -> Dia
     if alphas.max() / alphas.min() < 100.0 * (1.0 - 1e-9):
         raise ValueError("alpha_grid must span at least two decades")
 
-    all_params = [PhysicalParams(mass=box.mass, epsilon=box.l0 / alpha, lam=box.lam)
-                  for alpha in alphas]
-    width = max(min_box_half_width(params, box.half_width) for params in all_params)
-    if width > box.half_width:
+    all_params = [PhysicalParams(mass=mass, epsilon=l0 / alpha, lam=lam) for alpha in alphas]
+    width = max(min_box_half_width(params, half_width) for params in all_params)
+    if width > half_width:
         raise ValueError(
-            f"box half-width {box.half_width:g} leaves more than {BOX_TAIL_TOL:g} "
+            f"box half-width {half_width:g} leaves more than {BOX_TAIL_TOL:g} "
             f"of the kernel's mass beyond the box; the smallest width "
-            f"{box.half_width:g} * 2^k that passes on this alpha grid is {width:g}"
+            f"{half_width:g} * 2^k that passes on this alpha grid is {width:g}"
         )
-    node_sets = [cross_block_nodes(params, box.half_width, box.n) for params in all_params]
+    node_sets = [cross_block_nodes(params, half_width, n) for params in all_params]
     norms = []
     for params, nodes in zip(all_params, node_sets):
         block = assemble_offdiagonal_truncation(params, nodes)
         s = np.linalg.svd(block, compute_uv=False)
-        # values at the rounding floor are noise that s**q with q < 1 magnifies
-        s = s[s > s[0] * max(block.shape) * np.finfo(float).eps]
-        norms.append(float(np.sum(s**q)))
+        norms.append(float(power_sum(s, q, max(block.shape))))
     return DiagnosticsResult(alpha_grid=alphas, logq_norms=np.array(norms))

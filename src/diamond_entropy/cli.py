@@ -26,13 +26,19 @@ document, or CSV with `# version:` and `# config:` lines (sweep adds a
 floats to 17 significant digits). JSON writes NaN, the entropy of a sweep
 point with no admissible grid, as null; CSV as nan.
 
+verify's quasi-norm sums, like diag log-growth's, leave out the singular
+values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
+noise that s^q with q < 1 magnifies (schatten_toolkit.power_sum).
+
 Exit codes: 0 success; 2 argument errors, found before any work, or an
 --output-path that fails while being written; 3 numerical non-convergence,
-an eigensolve or SVD that LAPACK reports as failed among it; 4
-property-suite failure. Among the argument errors are a flag the subcommand
-does not take, a --jobs that is not an integer >= 1, an --alpha-grid entry
-that is not finite and > 0, an --output-path that is a directory or lacks
-its parent directory, and every request beyond physical memory, which names
+an eigensolve or SVD that LAPACK reports as failed among it, and an
+epsilon whose bulk term or massless kernel leaves the float range (entropy
+and kernel-dump at 1e-310); 4 property-suite failure. Among the argument
+errors are a --grid-size cap below 64 for entropy, sweep and diag offdiag,
+a flag the subcommand does not take, a --jobs that is not an integer >= 1,
+an --alpha-grid entry that is not finite and > 0, an --output-path that is
+a directory or lacks its parent directory, and every request beyond physical memory, which names
 the largest value that fits: the --grid-size cap of entropy, sweep and diag
 offdiag (one spectrum's eigensolver buffers), kernel-dump's --u-count,
 verify's --trials at each --dims entry, and the count N of an Nlog
@@ -52,7 +58,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .asymptotics import BoxSpec, log_growth_diagnostic, offdiagonal_diagnostic, sweep
+from .asymptotics import log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
 from .discretization import check_memory
 from .entropy_pipeline import entanglement_entropy
@@ -334,9 +340,9 @@ def _cmd_diag(args) -> int:
         columns = [("offdiag_ratios", "offdiag_ratio", result.offdiag_ratios),
                    ("sup_deviations", "sup_deviation", result.sup_deviations)]
     else:
-        box = BoxSpec(lam=args.lam, half_width=args.box_half_width,
-                      n=args.box_grid_size, mass=args.mass, l0=args.l0)
-        result = log_growth_diagnostic(args.q, alphas, box)
+        result = log_growth_diagnostic(args.q, alphas, lam=args.lam,
+                                       half_width=args.box_half_width, n=args.box_grid_size,
+                                       mass=args.mass, l0=args.l0)
         ratios = [v / np.log(a) for v, a in zip(result.logq_norms, result.alpha_grid)]
         columns = [("logq_norms", "logq_norm", result.logq_norms),
                    ("ratios_to_log_alpha", "ratio_to_log_alpha", ratios)]

@@ -87,6 +87,7 @@ from .kernel_eval import kernel_blocks
 from .quadrature import Grid, build_grid, checked_panel_sum, graded_edges, panel_nodes
 
 DEFAULT_TOL_DISC = 1e-6
+MIN_GRID_SIZE = 64  # the smallest grid-size cap
 BOX_TAIL_TOL = 1e-6
 # the box tail's last panel edge, L 2^60, stays 16 times below the largest
 # float, so the panel midpoints and 2 pi u in the kernel remain finite
@@ -178,8 +179,12 @@ def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
 
 
 def check_spectrum_memory(n: int) -> int:
-    """How many spectra at grid size n fit in physical memory at once;
-    ValueError if not even one spectrum's eigensolver buffers fit."""
+    """How many spectra at grid-size cap n fit in physical memory at once;
+    ValueError if n < MIN_GRID_SIZE or not even one spectrum's eigensolver
+    buffers fit. entanglement_entropy, sweep and offdiagonal_diagnostic check
+    their cap here before any spectrum."""
+    if n < MIN_GRID_SIZE:
+        raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n}")
     return check_memory(spectrum_buffer_bytes, n, "grid-size cap")
 
 

@@ -20,6 +20,7 @@ or the requested cap is reached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .renyi_functions import LN2, RenyiOrder, eta, eta_of_log
 
 DEFAULT_N_START = 128
 DEFAULT_N_MAX = 4096
-MIN_GRID_SIZE = 64  # the smallest grid-size cap
 DEFAULT_REL_CHANGE = 0.005
 # relative accuracy demanded of the bulk-term quadrature
 BULK_REL_TOL = 1e-8
@@ -118,9 +118,15 @@ def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
     """Bulk term (lam / 2 pi) int eta(exp(-eps*omega(k))) dk = lam I(eps*m) / (pi eps).
 
     I(a) = int_0^inf eta(exp(-hypot(x, a))) dx is _eta_integral in x = eps*k.
+    ConvergenceError if the term is not finite (eps too small for a double).
     """
     a = params.epsilon * params.mass
-    return params.lam * _eta_integral(order, a) / (np.pi * params.epsilon)
+    # Python float arithmetic: an overflow gives inf, with no warning
+    value = float(params.lam) * float(_eta_integral(order, a)) / (np.pi * float(params.epsilon))
+    if not math.isfinite(value):
+        raise ConvergenceError(f"bulk term is not finite at epsilon={params.epsilon} "
+                               f"(lambda={params.lam})")
+    return value
 
 
 def entropy_integral(order: RenyiOrder) -> float:
@@ -154,13 +160,12 @@ def entanglement_entropy(
     unresolved and skipped; if no grid up to the cap yields an admissible
     spectrum, ConvergenceError is raised with the last grid's reason. The
     result is flagged converged once doubling the grid changes the entropy
-    by less than DEFAULT_REL_CHANGE. ValueError before any work if the cap's eigensolver
-    buffers exceed physical memory. partner, the point to be computed next,
-    goes to every rung's operator_eigenvalues, which at mass 0 solves its
-    spectrum on the same grid beside this one's.
+    by less than DEFAULT_REL_CHANGE. ValueError before any work if
+    check_spectrum_memory refuses the cap: below the smallest cap, or its
+    eigensolver buffers beyond physical memory. partner, the point to be
+    computed next, goes to every rung's operator_eigenvalues, which at mass 0
+    solves its spectrum on the same grid beside this one's.
     """
-    if n < MIN_GRID_SIZE:
-        raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n}")
     check_spectrum_memory(n)
     sub = subtraction_trace(params, order)
 

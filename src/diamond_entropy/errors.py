@@ -11,7 +11,8 @@ class ConvergenceError(DiamondEntropyError):
     Raised by:
     - the checked panel sums of the bulk term, the slope constant and the
       box-tail gate when their 16-node and 32-node results disagree or are NaN;
-    - the massive kernel fill when the Bessel values come out non-finite;
+    - the kernel when the Bessel values come out non-finite (mass > 0) or
+      1/(2 pi eps) overflows (mass 0), and the bulk term when it is not finite;
     - the eigensolve when LAPACK reports a failure;
     - the spectral-range check when a spectrum leaves [0, 1] beyond tolerance
       or holds a NaN, and the eta-trace when it holds a NaN or infinity;

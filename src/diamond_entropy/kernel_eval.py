@@ -183,10 +183,17 @@ def kernel_blocks(params: PhysicalParams, u):
     """Closed-form kernel blocks (K11, K12) at separations u.
 
     K(u) = [[K11, K12], [K12, conj(K11)]] with K11 complex and K12 real,
-    both of the shape of u; K12 is the scalar 0.0 at mass 0.
+    both of the shape of u; K12 is the scalar 0.0 at mass 0. Raises
+    ConvergenceError at mass 0 where K11(0) = 1/(2 pi eps) overflows, as the
+    Bessel evaluation does at mass > 0 when it leaves the finite range.
     """
     u_arr = np.asarray(u, dtype=float)
     if params.mass == 0.0:
+        # Python float arithmetic: an overflow gives inf, with no warning
+        if math.isinf(1.0 / (2.0 * math.pi * float(params.epsilon))):
+            raise ConvergenceError(
+                f"massless kernel 1/(2 pi epsilon) overflows (epsilon={params.epsilon})"
+            )
         return 1.0 / (2.0 * np.pi * (params.epsilon - 1j * u_arr)), 0.0
     F0, F1_imag, Fm = massive_scalar_integrals(params.mass, params.epsilon, u_arr)
     inv4pi = 1.0 / (4.0 * np.pi)

@@ -48,11 +48,29 @@ class SchattenReport:
         return self.informational or self.max_violation <= self.slack_tolerance
 
 
+def power_sum(s: np.ndarray, q: float, size: int | None = None) -> np.ndarray:
+    """Sum of s**q along the last axis of stacked descending singular values.
+
+    Every s <= s_1 * size * eps_machine is left out, size being the larger
+    dimension of the matrices (default s.shape[-1], square ones): values at
+    the rounding floor are noise that s**q with q < 1 magnifies. A row that
+    loses values is summed over the values it keeps, so each sum is np.sum's
+    over its kept values, bit for bit.
+    """
+    size = s.shape[-1] if size is None else size
+    rows = s.reshape(-1, s.shape[-1])
+    keep = rows > rows[:, :1] * size * np.finfo(float).eps
+    sums = np.sum(rows**q, axis=-1)
+    for i in np.flatnonzero(~keep.all(axis=-1)):
+        sums[i] = np.sum(rows[i][keep[i]] ** q)
+    return sums.reshape(s.shape[:-1])
+
+
 def _qnorms(s: np.ndarray, p: float) -> np.ndarray:
     """Stacked Schatten norms from stacked singular values (last axis)."""
     if p == np.inf:
         return s[..., 0]
-    return np.sum(s**p, axis=-1) ** (1.0 / p)
+    return power_sum(s, p) ** (1.0 / p)
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -78,8 +96,17 @@ def check_suite_args(dim: int, trials: int) -> None:
                  f" at dim {dim}")
 
 
-def _relative_violation(lhs: np.ndarray, rhs: np.ndarray, scale: np.ndarray) -> float:
-    return float(np.max((lhs - rhs) / np.maximum(scale, 1e-300)))
+def _worst_violation(cases) -> float:
+    """Worst (lhs - rhs) / scale over the cases (lhs, rhs[, scale]) and their
+    trials; scale defaults to rhs."""
+    return max(float(np.max((lhs - rhs) / np.maximum(scale[0] if scale else rhs, 1e-300)))
+               for lhs, rhs, *scale in cases)
+
+
+def _reports(checks, trials: int, seed: int) -> list[SchattenReport]:
+    """One report per check (name, cases[, SchattenReport keywords])."""
+    return [SchattenReport(name, trials, _worst_violation(cases), seed, **dict(*options))
+            for name, cases, *options in checks]
 
 
 def verify_inequalities(dim: int, trials: int, seed: int) -> list[SchattenReport]:
@@ -95,64 +122,32 @@ def verify_inequalities(dim: int, trials: int, seed: int) -> list[SchattenReport
     sB = np.linalg.svd(B, compute_uv=False)
     sAB = np.linalg.svd(A + B, compute_uv=False)
     sProd = np.linalg.svd(A @ B, compute_uv=False)
-    reports = []
-
-    # s_{2k}(A+B) <= s_{2k-1}(A+B) <= s_k(A) + s_k(B)
-    worst = -np.inf
-    scale0 = sA[:, 0] + sB[:, 0]
-    for k in range(1, dim // 2 + 2):
-        if 2 * k - 1 > dim:
-            break
-        rhs = sA[:, k - 1] + sB[:, k - 1]
-        worst = max(worst, _relative_violation(sAB[:, 2 * k - 2], rhs, scale0))
-        if 2 * k <= dim:
-            worst = max(worst, _relative_violation(sAB[:, 2 * k - 1], rhs, scale0))
-    reports.append(SchattenReport("singular_value_sum", trials, worst, seed))
-
-    # ||A + B||_p^p <= ||A||_p^p + ||B||_p^p for p < 1
-    worst = -np.inf
-    for p in (0.3, 0.5, 0.9):
-        lhs = np.sum(sAB**p, axis=-1)
-        rhs = np.sum(sA**p, axis=-1) + np.sum(sB**p, axis=-1)
-        worst = max(worst, _relative_violation(lhs, rhs, rhs))
-    reports.append(SchattenReport("p_triangle", trials, worst, seed))
-
-    # block matrix: ||M||_p^p <= sum of block norms^p at p = 1/2
-    M = np.concatenate(
-        [np.concatenate([A, B], axis=-1), np.concatenate([C, D], axis=-1)], axis=-2
-    )
-    sM = np.linalg.svd(M, compute_uv=False)
-    p = 0.5
-    lhs = np.sum(sM**p, axis=-1)
-    rhs = sum(np.sum(s**p, axis=-1) for s in (sA, sB, np.linalg.svd(C, compute_uv=False), np.linalg.svd(D, compute_uv=False)))
-    reports.append(
-        SchattenReport("block_subadditivity", trials, _relative_violation(lhs, rhs, rhs), seed)
-    )
-
-    # s_k(A) <= k^(-1/p) ||A||_p
-    worst = -np.inf
+    sM = np.linalg.svd(np.block([[A, B], [C, D]]), compute_uv=False)
+    sC = np.linalg.svd(C, compute_uv=False)
+    sD = np.linalg.svd(D, compute_uv=False)
+    half = np.arange(dim) // 2
     ks = np.arange(1, dim + 1, dtype=float)
-    for p in (0.5, 1.0, 2.0):
-        norm_p = _qnorms(sA, p)[:, None]
-        worst = max(worst, _relative_violation(sA, ks ** (-1.0 / p) * norm_p, norm_p))
-    reports.append(SchattenReport("eigenvalue_decay", trials, worst, seed))
-
-    # ||AB||_p <= ||A||_p1 ||B||_p2 with 1/p = 1/p1 + 1/p2
-    worst = -np.inf
-    for p, p1, p2 in ((1.0, 2.0, 2.0), (0.5, 1.0, 1.0), (2.0 / 3.0, 1.0, 2.0), (1.0, 1.0, np.inf)):
-        lhs = _qnorms(sProd, p)
-        rhs = _qnorms(sA, p1) * _qnorms(sB, p2)
-        worst = max(worst, _relative_violation(lhs, rhs, rhs))
-    reports.append(SchattenReport("hoelder_product", trials, worst, seed))
-
-    # ||A||_p2 <= ||A||_p1 for p1 < p2
-    worst = -np.inf
-    for p1, p2 in ((0.5, 1.0), (1.0, 2.0), (2.0, np.inf), (0.7, 5.0)):
-        lhs = _qnorms(sA, p2)
-        rhs = _qnorms(sA, p1)
-        worst = max(worst, _relative_violation(lhs, rhs, rhs))
-    reports.append(SchattenReport("norm_monotonicity", trials, worst, seed))
-    return reports
+    decay_norms = {p: _qnorms(sA, p)[:, None] for p in (0.5, 1.0, 2.0)}
+    return _reports([
+        # s_{2k}(A+B) <= s_{2k-1}(A+B) <= s_k(A) + s_k(B)
+        ("singular_value_sum", [(sAB, sA[:, half] + sB[:, half], sA[:, :1] + sB[:, :1])]),
+        # ||A + B||_p^p <= ||A||_p^p + ||B||_p^p for p < 1
+        ("p_triangle", [(power_sum(sAB, p), power_sum(sA, p) + power_sum(sB, p))
+                        for p in (0.3, 0.5, 0.9)]),
+        # block matrix: ||M||_p^p <= sum of block norms^p at p = 1/2
+        ("block_subadditivity", [(power_sum(sM, 0.5),
+                                  sum(power_sum(s, 0.5) for s in (sA, sB, sC, sD)))]),
+        # s_k(A) <= k^(-1/p) ||A||_p
+        ("eigenvalue_decay", [(sA, ks ** (-1.0 / p) * norm, norm)
+                              for p, norm in decay_norms.items()]),
+        # ||AB||_p <= ||A||_p1 ||B||_p2 with 1/p = 1/p1 + 1/p2
+        ("hoelder_product", [(_qnorms(sProd, p), _qnorms(sA, p1) * _qnorms(sB, p2))
+                             for p, p1, p2 in ((1.0, 2.0, 2.0), (0.5, 1.0, 1.0),
+                                               (2.0 / 3.0, 1.0, 2.0), (1.0, 1.0, np.inf))]),
+        # ||A||_p2 <= ||A||_p1 for p1 < p2
+        ("norm_monotonicity", [(_qnorms(sA, p2), _qnorms(sA, p1))
+                               for p1, p2 in ((0.5, 1.0), (1.0, 2.0), (2.0, np.inf), (0.7, 5.0))]),
+    ], trials, seed)
 
 
 def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenReport]:
@@ -171,18 +166,9 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
     A_herm = 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
     P = random_projections(rng, trials, dim, max(1, dim // 2))
     one_minus_P = np.eye(dim) - P
-    reports = []
 
-    # (i) ||A||_q = ||A*||_q
     sA = np.linalg.svd(A_general, compute_uv=False)
     sAdag = np.linalg.svd(np.conj(np.swapaxes(A_general, -1, -2)), compute_uv=False)
-    worst = -np.inf
-    for q in (0.7, 1.0, 2.0):
-        na, nd = _qnorms(sA, q), _qnorms(sAdag, q)
-        worst = max(worst, float(np.max(np.abs(na - nd) / na)))
-    reports.append(
-        SchattenReport("conjugation_invariance", trials, worst, seed, slack_tolerance=1e-12)
-    )
 
     def cross_singular_values(A_stack):
         """Singular values of the commutator [A, P] and of the compression PA(1-P)."""
@@ -192,31 +178,19 @@ def verify_commutator_lemma(dim: int, trials: int, seed: int) -> list[SchattenRe
         s_comp = np.linalg.svd(comp, compute_uv=False)
         return s_comm, s_comp
 
-    # (ii) ||[A, B]||_q^q <= 2 ||BA(1-B)||_q^q, Hermitian A, projection B
-    worst = -np.inf
-    worst_display = -np.inf
     s_comm, s_comp = cross_singular_values(A_herm)
-    for q in (0.4, 0.7, 1.0):
-        lhs = np.sum(s_comm**q, axis=-1)
-        rhs = 2.0 * np.sum(s_comp**q, axis=-1)
-        worst = max(worst, _relative_violation(lhs, rhs, rhs))
-        disp_lhs = _qnorms(s_comm, q)
-        disp_rhs = _qnorms(s_comp, q)
-        worst_display = max(worst_display, _relative_violation(disp_lhs, disp_rhs, disp_rhs))
-    reports.append(SchattenReport("commutator_two_sided", trials, worst, seed))
-    reports.append(
-        SchattenReport(
-            "commutator_one_sided_form", trials, worst_display, seed, informational=True
-        )
-    )
-
-    # (iii) ||BA(1-B)||_q <= ||[A, B]||_q for any A, projection B
-    worst = -np.inf
-    s_comm, s_comp = cross_singular_values(A_general)
-    for q in (0.5, 1.0, 2.0):
-        lhs = _qnorms(s_comp, q)
-        rhs = _qnorms(s_comm, q)
-        worst = max(worst, _relative_violation(lhs, rhs, rhs))
-    reports.append(SchattenReport("projection_compression", trials, worst, seed))
-    return reports
-
+    s_comm_general, s_comp_general = cross_singular_values(A_general)
+    return _reports([
+        # (i) ||A||_q = ||A*||_q
+        ("conjugation_invariance", [(np.abs(_qnorms(sA, q) - _qnorms(sAdag, q)), 0.0,
+                                     _qnorms(sA, q)) for q in (0.7, 1.0, 2.0)],
+         {"slack_tolerance": 1e-12}),
+        # (ii) ||[A, B]||_q^q <= 2 ||BA(1-B)||_q^q, Hermitian A, projection B
+        ("commutator_two_sided", [(power_sum(s_comm, q), 2.0 * power_sum(s_comp, q))
+                                  for q in (0.4, 0.7, 1.0)]),
+        ("commutator_one_sided_form", [(_qnorms(s_comm, q), _qnorms(s_comp, q))
+                                       for q in (0.4, 0.7, 1.0)], {"informational": True}),
+        # (iii) ||BA(1-B)||_q <= ||[A, B]||_q for any A, projection B
+        ("projection_compression", [(_qnorms(s_comp_general, q), _qnorms(s_comm_general, q))
+                                    for q in (0.5, 1.0, 2.0)]),
+    ], trials, seed)

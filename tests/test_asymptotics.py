@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from diamond_entropy import (
-    BoxSpec,
     ConvergenceError,
     EntropyResult,
     PhysicalParams,
@@ -264,8 +263,8 @@ class TestLogGrowthDiagnostic:
 
     def test_l0_insensitivity(self):
         alphas = [1e2, 1e3, 1e4]
-        res_a = log_growth_diagnostic(0.5, alphas, BoxSpec(l0=1.0))
-        res_b = log_growth_diagnostic(0.5, alphas, BoxSpec(l0=0.5))
+        res_a = log_growth_diagnostic(0.5, alphas, l0=1.0)
+        res_b = log_growth_diagnostic(0.5, alphas, l0=0.5)
         ratios_a = res_a.logq_norms / np.log(alphas)
         spread = ratios_a.max() - ratios_a.min()
         gap = np.abs(res_a.logq_norms - res_b.logq_norms).max()
@@ -300,5 +299,5 @@ class TestLogGrowthDiagnostic:
 
     def test_other_q_orders_run(self):
         for q in (1.0 / 3.0, 0.25):
-            res = log_growth_diagnostic(q, [1e2, 1e3, 1e4], BoxSpec(n=768))
+            res = log_growth_diagnostic(q, [1e2, 1e3, 1e4], n=768)
             assert np.all(np.isfinite(res.logq_norms))

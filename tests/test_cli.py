@@ -146,6 +146,19 @@ class TestArgumentHandling:
         assert f"grid-size cap {grid_size} needs more than" in captured.err
         assert "largest grid-size cap that fits" in captured.err
 
+    def test_offdiag_grid_size_below_64_exits_2_before_any_spectrum(self, monkeypatch,
+                                                                   capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("spectrum computed below the smallest grid-size cap")
+
+        monkeypatch.setattr(asymptotics, "matched_grid_entropy", no_work)
+        monkeypatch.setattr(asymptotics, "_high_low_sup_deviation", no_work)
+        assert run_cli(["diag", "offdiag", "--mass", "1", "--alpha-grid", "100,1000",
+                        "--grid-size", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n must be >= 64, got 3" in captured.err
+
     @pytest.mark.parametrize("grid_size", ["0", "63"])
     def test_sweep_grid_size_zero_exits_2(self, monkeypatch, capsys, grid_size):
         # a cap below 64 is refused before a pool is built; a cap of no bytes
@@ -183,17 +196,44 @@ class TestArgumentHandling:
         ["entropy", "--kappa", "1", "--epsilon", "1e-310", "--grid-size", "128"],
         ["sweep", "--kappa", "1", "--eps-grid", "1e-300:1e-310:6log", "--grid-size", "128"],
     ], ids=["entropy", "sweep"])
-    def test_failed_eigensolve_exits_3(self, command):
-        # the massless kernel overflows to NaN, which LAPACKE refuses (info =
-        # -5): a numerical failure, so every rung is skipped, not an argument
-        # error. A child process keeps the overflow warnings out of this one.
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", *command],
-                              capture_output=True, text=True, timeout=300,
-                              env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        assert "non-convergence" in proc.stderr and "usage" not in proc.stderr
+    def test_overflowing_epsilon_exits_3(self, capsys, command):
+        # a bulk term or massless kernel beyond the float range, and a sweep
+        # point that no grid resolves, are numerical failures, not argument
+        # errors
+        assert run_cli(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-convergence" in captured.err and "usage" not in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["entropy", "--kappa", "1", "--epsilon", "1e-310", "--grid-size", "4096"],
+        ["entropy", "--kappa", "1", "--mass", "1", "--epsilon", "1e-310"],
+        ["kernel-dump", "--epsilon", "1e-310", "--u-max", "1", "--u-count", "3",
+         "--output-format", "csv"],
+    ], ids=["entropy", "entropy-massive", "kernel-dump"])
+    def test_tiny_epsilon_exits_3_before_any_grid(self, monkeypatch, capsys, command):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for an epsilon beyond the float range")
+
+        monkeypatch.setattr(entropy_pipeline, "build_grid", no_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("non-convergence: ")
+
+    def test_failed_eigensolve_exits_3(self, monkeypatch, capsys):
+        # LAPACKE reporting a failure on every rung is a numerical failure,
+        # not an argument error; a failed solve caches nothing
+        discretization.clear_spectrum_cache()
+        monkeypatch.setattr(discretization, "_DSYEVD", lambda *args: -5)
+        code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", "--grid-size", "256"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "LAPACKE dsyevd_2stage failed with info = -5" in captured.err
+        assert "usage" not in captured.err
 
     @pytest.mark.parametrize("command, compute, target", [
         (["kernel-dump", "--epsilon", "0.5"], "kernel_blocks", "missing/k.csv"),
@@ -437,6 +477,12 @@ class TestVerifyCommand:
         reports = doc["reports"]
         assert {r["dim"] for r in reports} == {4, 8, 16}
         assert all(r["passed"] for r in reports)
+
+    def test_dim_3_exits_zero(self, capsys):
+        # the commutator bound holds with equality; its zero singular value at
+        # dim 3, rounding noise raised to q = 0.4, no longer fails it
+        assert run_cli(["verify", "--dims", "3", "--seed", "1"]) == 0
+        assert all(r["passed"] for r in json.loads(capsys.readouterr().out)["reports"])
 
     def test_failure_exits_4(self, monkeypatch, capsys):
         def fake_verify(dim, trials, seed):
