@@ -131,11 +131,12 @@ def sweep(
     Points are computed independently (optionally in separate processes)
     and aggregated in decreasing-epsilon order; the fit uses only converged
     points and requires at least five of them. The worker processes number
-    min(jobs, points, spectra at the cap n_max that fit in physical memory);
+    min(jobs, points, spectra at the cap n_max that fit in memory at once);
     ValueError before any point if check_spectrum_memory refuses n_max: below
     the smallest cap, or not even one spectrum fits. Each worker is told the
-    pool size (share_cpus), so it solves a massive spectrum's two blocks at
-    once only where it may use at least 2 x workers CPUs. Without a pool,
+    pool size (share_cpus), so its OpenBLAS runs its share of the CPUs, and
+    it solves a massive spectrum's two blocks at once only where that share
+    holds two. Without a pool,
     point k is given point k + 1 as its partner (entanglement_entropy), so at
     mass 0 that point's spectra may come from the other triangle of point k's
     buffers and differ from a pool's in the last digits.
@@ -213,7 +214,7 @@ def offdiagonal_diagnostic(
     isolates the off-diagonal contribution, which must trend to zero.
     At mass = 0 the difference vanishes identically. ValueError before the
     first spectrum on bad input, n below the smallest grid-size cap included,
-    or eigensolver buffers beyond physical memory.
+    or eigensolver buffers beyond the memory check_memory allows.
     """
     check_spectrum_memory(n)
     alphas = np.asarray(alpha_grid, dtype=float)

@@ -11,14 +11,16 @@ takes --kappa and --grid-size, diag log-growth --q, --box-half-width,
 --box-grid-size and --l0, and both take --mass, --lambda and --alpha-grid.
 sweep takes --jobs, the most worker processes for its epsilon points
 (default 1, so no pool); it runs no more than one per point and no more than
-fit in physical memory at the --grid-size cap. entropy accepts --jobs too
-and records it in its configuration when it is given, but starts no worker.
-No environment variable and no CPU count enters either. At mass > 0 with
-OpenBLAS pinned to one thread (OPENBLAS_NUM_THREADS=1), entropy still solves
-the two blocks of each spectrum on two threads when it may use two CPUs, and
-a sweep worker does so when its pool leaves two CPUs per worker; at mass 0 a
-sweep without a pool solves two neighbouring points' spectra that way. stdout
-is the same either way, and `taskset -c 0` keeps the process on one core.
+fit in memory at the --grid-size cap. entropy accepts --jobs too and records
+it in its configuration when it is given, but starts no worker. No
+environment variable and no CPU count enters either. The library sets the
+OpenBLAS thread count where solves run side by side: each sweep worker runs
+its share of the CPUs the process may use, and where a process's share
+holds two, the two blocks of a massive spectrum, or at mass 0 two
+neighbouring points' spectra in a sweep without a pool, are solved at once
+on half the share each. Where the grid size is a power of two, as on every
+rung of the default ladder, stdout does not depend on the thread count the
+process starts with; `taskset -c 0` keeps the process on one core.
 
 Every subcommand writes one document through one writer, `_write`: a JSON
 document, or CSV with `# version:` and `# config:` lines (sweep adds a
@@ -38,11 +40,12 @@ and kernel-dump at 1e-310); 4 property-suite failure. Among the argument
 errors are a --grid-size cap below 64 for entropy, sweep and diag offdiag,
 a flag the subcommand does not take, a --jobs that is not an integer >= 1,
 an --alpha-grid entry that is not finite and > 0, an --output-path that is
-a directory or lacks its parent directory, and every request beyond physical memory, which names
-the largest value that fits: the --grid-size cap of entropy, sweep and diag
-offdiag (one spectrum's eigensolver buffers), kernel-dump's --u-count,
-verify's --trials at each --dims entry, and the count N of an Nlog
---eps-grid or --alpha-grid. Outputs embed the resolved configuration and
+a directory or lacks its parent directory, and every request beyond the
+least of physical memory, the process's cgroup memory limit and its soft
+RLIMIT_AS, which names that limit and the largest value that fits: the
+--grid-size cap of entropy, sweep and diag offdiag (one spectrum's
+eigensolver buffers), kernel-dump's --u-count, verify's --trials at each
+--dims entry, and the count N of an Nlog --eps-grid or --alpha-grid. Outputs embed the resolved configuration and
 the package version, and are bit-identical for identical configuration.
 """
 

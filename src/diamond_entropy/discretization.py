@@ -32,18 +32,20 @@ both are solved in place. S+ = S- at mass 0, so there S+ alone is filled,
 and the lower triangle is free: given a massless partner, the spectrum a
 caller will ask for next on the same grid (sweep's next epsilon), it holds
 the partner's S+, which the images of S- give at C = 0, and both spectra are
-cached. Two triangles are solved at once, a helper thread taking the lower
-one, where each solve runs on one BLAS thread and the process may use two
-CPUs for each process solving spectra (_solve_threads); elsewhere the lower
-follows the upper. Each triangle is solved on one thread either way, and a
-partner is packed whatever the thread count, so the eigenvalues keep their
-bits; a partner's may differ from its own solve in the last digits.
+cached. The library, not the user, sets how many BLAS threads a solve runs
+on where solves run side by side. Where this process's share of the CPUs
+it may use (share_cpus divides them among a sweep's workers) holds two, the
+two triangles are solved at once, a helper thread taking the lower one, each
+on half the share; elsewhere the lower follows the upper on the caller's
+count. A partner is packed whatever the thread count.
 The solver is LAPACKE dsyevd_2stage from the OpenBLAS that numpy bundles,
 called through ctypes on the library numpy.linalg has already loaded. It
 reduces the matrix to a band with BLAS-3 and then chases the bulges down to
 tridiagonal form (C. Bischof, B. Lang and X. Sun, ACM TOMS 26 (2000) 581;
-A. Haidar, H. Ltaief and J. Dongarra, SC'11); its eigenvalues came out the
-same bit for bit on one and on two OpenBLAS threads, which dsyevd's did not.
+A. Haidar, H. Ltaief and J. Dongarra, SC'11). Where N is a power of two,
+every rung of the ladder, its eigenvalues came out the same bit for bit on
+one and on two OpenBLAS threads, which dsyevd's did not; at other N they
+differ in the last digit or two, and so may a partner's from its own solve.
 The buffer is the only large array. It is a private anonymous mapping on
 4 KiB base pages, which read as zero until written, so only the pages the
 fill writes become resident: about half of its 8 N (N + 1) bytes for a
@@ -55,7 +57,7 @@ for each triangle solved at once, and the strip's temporaries, a fixed
 budget of a few MB at every N; where numpy exports no LAPACKE,
 np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes. check_spectrum_memory
 compares the whole buffers, written or not (spectrum_buffer_bytes, without
-the O(N) workspaces), with the physical memory. The grids and their
+the O(N) workspaces), with the memory check_memory allows. The grids and their
 Gauss-Legendre rules come from quadrature.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
@@ -72,6 +74,7 @@ import ctypes
 import math
 import mmap
 import os
+import resource
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +117,7 @@ _DSYEVD = _openblas_routine("scipy_LAPACKE_dsyevd_2stage64_", ctypes.c_int64, ct
                             ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
                             ctypes.c_int64, ctypes.c_void_p)
 _BLAS_THREADS = _openblas_routine("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_SET_BLAS_THREADS = _openblas_routine("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
 _LAPACK_COL_MAJOR = 102
 
 
@@ -127,22 +131,34 @@ def blas_threads() -> int | None:
 # processes solving spectra side by side, this one included: 1 unless
 # share_cpus, sweep's pool initializer, says otherwise
 _processes = 1
+# held from setting the BLAS thread count for two solves at once to restoring it
+_blas_threads_lock = threading.Lock()
+
+
+def _cpu_share() -> int:
+    """This process's share of the CPUs it may use, at least 1; 1 where the
+    platform does not say which CPUs it may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, cpus // _processes)
 
 
 def share_cpus(processes: int) -> None:
-    """Record that this process is one of `processes` that solve spectra at once."""
+    """Record that this process is one of `processes` that solve spectra at
+    once, and set its OpenBLAS to its share of the CPUs for good: sweep's
+    pool runs this in each worker, which belongs to the pool."""
     global _processes
     _processes = processes
+    if _SET_BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(_cpu_share())
 
 
 def _solve_threads() -> int:
-    """Threads for the two triangles of a spectrum buffer: 2 where each solve
-    runs on one BLAS thread and this process's share of the CPUs it may use
-    holds two, else 1. A multithreaded OpenBLAS shares one thread pool among
-    its callers, and the fallback would need a second N x N copy."""
-    if blas_threads() != 1 or not hasattr(os, "sched_getaffinity"):
+    """Threads for the two triangles of a spectrum buffer: 2 where the
+    in-place solve can set its BLAS thread count and this process's share of
+    the CPUs holds two, else 1. The fallback would need a second N x N copy."""
+    if blas_threads() is None or _SET_BLAS_THREADS is None:
         return 1
-    return 2 if 2 * _processes <= len(os.sched_getaffinity(0)) else 1
+    return 2 if _cpu_share() >= 2 else 1
 
 
 def spectrum_buffer_bytes(n: int) -> int:
@@ -161,25 +177,63 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _cgroup_memory_bytes(cgroups: str = "/proc/self/cgroup",
+                         mounts: str = "/sys/fs/cgroup") -> int | None:
+    """The least memory limit set on this process's cgroup or an ancestor
+    (v2 memory.max under mounts, v1 memory.limit_in_bytes under
+    mounts/memory); None where none is set or readable."""
+    try:
+        with open(cgroups) as table:
+            entries = [line.split(":", 2) for line in table.read().splitlines()]
+    except OSError:
+        return None
+    limits = []
+    for _, controllers, path in entries:
+        if controllers and "memory" not in controllers.split(","):
+            continue
+        root, name = ((os.path.join(mounts, "memory"), "memory.limit_in_bytes") if controllers
+                      else (mounts, "memory.max"))
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name)) as limit:
+                    limits.append(int(limit.read()))
+            except (OSError, ValueError):  # no such file, or "max"
+                pass
+    return min(limits, default=None)
+
+
+def _address_space_bytes() -> int | None:
+    """This process's soft RLIMIT_AS; None where it is unlimited."""
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return None if soft == resource.RLIM_INFINITY else soft
+
+
 def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
-    """How many requests of bytes_for(count) bytes fit in physical memory at
-    once; ValueError naming flag, count and the largest count that fits when
-    not even one does. bytes_for must grow with its count; where qualifies
-    the count in the message."""
-    total = physical_memory_bytes()
+    """How many requests of bytes_for(count) bytes fit at once in the least
+    of physical memory, this process's cgroup memory limit and its soft
+    RLIMIT_AS; ValueError naming flag, count, that limit and the largest
+    count that fits when not even one does. bytes_for must grow with its
+    count; where qualifies the count in the message. An unset limit, or
+    one above physical memory, does not apply."""
+    limits = [(physical_memory_bytes(), "physical memory holds"),
+              (_cgroup_memory_bytes(), "this process's cgroup memory limit allows"),
+              (_address_space_bytes(), "this process's soft RLIMIT_AS allows")]
+    total, holds = min((limit for limit in limits if limit[0] is not None),
+                       key=lambda limit: limit[0])
     need = bytes_for(count)
     if need > total:
         fits, over = 0, count  # bytes_for(fits) <= total < bytes_for(over)
         while over - fits > 1:
             mid = (fits + over) // 2
             fits, over = (mid, over) if bytes_for(mid) <= total else (fits, mid)
-        raise ValueError(f"{flag} {count}{where} needs more than the {total:.3g} bytes of "
-                         f"physical memory hold; the largest {flag} that fits{where} is {fits}")
+        raise ValueError(f"{flag} {count}{where} needs more than the {total:.3g} bytes "
+                         f"{holds}; the largest {flag} that fits{where} is {fits}")
     return total // max(need, 1)
 
 
 def check_spectrum_memory(n: int) -> int:
-    """How many spectra at grid-size cap n fit in physical memory at once;
+    """How many spectra at grid-size cap n fit in memory at once (check_memory);
     ValueError if n < MIN_GRID_SIZE or not even one spectrum's eigensolver
     buffers fit. entanglement_entropy, sweep and offdiagonal_diagnostic check
     their cap here before any spectrum."""
@@ -274,7 +328,11 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     writes it there through the images of S-, which at C = 0 give the
     partner's S+. The fill and the solve of the upper triangle run on the
     calling thread; the lower one is solved at the same time on a helper
-    thread where _solve_threads gives 2, after the upper one otherwise.
+    thread where _solve_threads gives 2, after the upper one otherwise. Two
+    at once run on half this process's share of the CPUs as BLAS threads
+    each: the calling thread alone sets that process-wide count, under
+    _blas_threads_lock, and restores the caller's after the helper joins,
+    whether the solves return or raise.
     """
     x = grid.nodes + x_offset
     sw = np.sqrt(grid.weights)
@@ -313,17 +371,24 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
         spectra = (np.repeat(_eigvalsh_in_place(plus, upper=True), 2),)
     else:
         if _solve_threads() == 2:
-            # the with block joins the helper, so no thread writes to buf once
-            # this returns or raises
-            with ThreadPoolExecutor(1) as helper:
-                lower_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
+            with _blas_threads_lock:
+                caller_threads = _BLAS_THREADS()
+                _SET_BLAS_THREADS(max(1, _cpu_share() // 2))
                 try:
-                    halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
+                    # the with block joins the helper, so no thread writes to
+                    # buf once this returns or raises, nor solves after the
+                    # caller's count is back
+                    with ThreadPoolExecutor(1) as helper:
+                        lower_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
+                        try:
+                            halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
+                        finally:
+                            # a failed future holds a traceback that holds this
+                            # frame: dropping it breaks the cycle, so buf dies
+                            # with the exception, not at the next collection
+                            del lower_solve
                 finally:
-                    # a failed future holds a traceback that holds this
-                    # frame: dropping it breaks the cycle, so buf dies with
-                    # the exception, not at the next garbage collection
-                    del lower_solve
+                    _SET_BLAS_THREADS(caller_threads)
         else:
             halves = _eigvalsh_in_place(plus, upper=True), _eigvalsh_in_place(minus, upper=False)
         if lower is params:
@@ -380,8 +445,8 @@ def validate_spectrum_range(eigenvalues: np.ndarray) -> None:
     tol = DEFAULT_TOL_DISC
     if not (lo >= -tol and hi <= 1.0 + tol):
         raise ConvergenceError(
-            f"spectrum [{lo:.3e}, {hi:.6f}] leaves [-{tol:.0e}, 1+{tol:.0e}]; "
-            "the grid does not resolve the kernel at this epsilon"
+            f"spectrum [{lo:.3e}, {hi:.10g}] leaves [-{tol:.0e}, 1+{tol:.0e}]; "
+            "the grid does not resolve this epsilon"
         )
 
 

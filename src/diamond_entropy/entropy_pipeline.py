@@ -162,9 +162,9 @@ def entanglement_entropy(
     result is flagged converged once doubling the grid changes the entropy
     by less than DEFAULT_REL_CHANGE. ValueError before any work if
     check_spectrum_memory refuses the cap: below the smallest cap, or its
-    eigensolver buffers beyond physical memory. partner, the point to be
-    computed next, goes to every rung's operator_eigenvalues, which at mass 0
-    solves its spectrum on the same grid beside this one's.
+    eigensolver buffers beyond the memory check_memory allows. partner, the
+    point to be computed next, goes to every rung's operator_eigenvalues,
+    which at mass 0 solves its spectrum on the same grid beside this one's.
     """
     check_spectrum_memory(n)
     sub = subtraction_trace(params, order)

@@ -87,7 +87,8 @@ def random_projections(rng: np.random.Generator, trials: int, dim: int, rank: in
 
 def check_suite_args(dim: int, trials: int) -> None:
     """ValueError unless both suites accept dim (2 to 32) and trials (>= 1),
-    and their stacked matrices, all trials at once, fit in physical memory."""
+    and their stacked matrices, all trials at once, fit in memory
+    (discretization.check_memory)."""
     if not (2 <= dim <= 32):
         raise ValueError(f"dim must lie in [2, 32], got {dim}")
     if trials < 1:

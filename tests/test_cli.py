@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import shlex
 import shutil
 import subprocess
@@ -204,6 +205,33 @@ class TestArgumentHandling:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-convergence" in captured.err and "usage" not in captured.err
+
+    def test_range_gate_message_stays_short(self, capsys):
+        # no grid resolves epsilon = 1e-300: the largest eigenvalue is about
+        # 2e296, which the message must not write out in full
+        command = ["entropy", "--kappa", "1", "--epsilon", "1e-300", "--grid-size", "1024"]
+        assert run_cli(command) == 3
+        err = capsys.readouterr().err
+        assert "leaves [-1e-06, 1+1e-06]" in err
+        assert all(len(line) < 200 for line in err.splitlines())
+
+    @pytest.mark.skipif(discretization.physical_memory_bytes()
+                        <= discretization.spectrum_buffer_bytes(20000),
+                        reason="needs physical memory above the grid-size cap's buffer")
+    def test_grid_size_beyond_the_address_space_limit_exits_2(self):
+        # a 3.2 GB buffer fits in physical memory but not under a 2 GiB soft
+        # RLIMIT_AS, which the refusal names
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.RLIM_INFINITY))
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", "entropy", "--kappa",
+                               "1", "--epsilon", "0.01", "--grid-size", "20000"],
+                              capture_output=True, text=True, preexec_fn=limit_address_space,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert ("grid-size cap 20000 needs more than the 2.15e+09 bytes this process's soft "
+                "RLIMIT_AS allows; the largest grid-size cap that fits is 16383") in proc.stderr
 
     @pytest.mark.parametrize("command", [
         ["entropy", "--kappa", "1", "--epsilon", "1e-310", "--grid-size", "4096"],
@@ -464,7 +492,7 @@ class TestKernelDumpCommand:
                 assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", count]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert "physical memory hold; the largest --u-count that fits is 2796" in captured.err
+                assert "physical memory holds; the largest --u-count that fits is 2796" in captured.err
         assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", "2796"]) == 0
         assert len(json.loads(capsys.readouterr().out)["kernel"]) == 2796
 
@@ -817,7 +845,8 @@ class TestImportGraph:
 
 
 class TestBlasThreads:
-    """No output depends on the BLAS thread count."""
+    """No output at a power-of-two grid size depends on the BLAS thread count
+    the process starts with."""
 
     def _run(self, threads: str, command: list[str]) -> str:
         src = Path(__file__).resolve().parents[1] / "src"
@@ -830,12 +859,15 @@ class TestBlasThreads:
     @pytest.mark.parametrize("command", [
         ["entropy", "--kappa", "1", "--mass", "0", "--epsilon", "0.01", "--grid-size", "1024"],
         ["entropy", "--kappa", "1", "--mass", "1", "--epsilon", "0.01", "--grid-size", "1024"],
-        # one worker: neighbouring points share a buffer, solved on one thread
-        # or on two (a helper for the partner's triangle) by the BLAS thread count
+        # one worker: neighbouring points share a buffer, whose two triangles
+        # are solved at once where the process may use two CPUs
         ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "1"],
-    ], ids=["0", "1", "sweep-0"])
+        # two workers, each setting its own BLAS thread count
+        ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "2"],
+    ], ids=["0", "1", "sweep-0", "sweep-0-jobs-2"])
     def test_same_stdout_on_one_and_two_threads(self, command):
         # the two-stage solve gives the same bits on one thread as on two
+        # where N is a power of two, as on every ladder rung here
         assert self._run("1", command) == self._run("2", command)
 
 

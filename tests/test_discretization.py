@@ -1,4 +1,3 @@
-import ctypes
 import gc
 import mmap
 import os
@@ -116,7 +115,7 @@ class TestAssembleOperator:
         assert discretization.spectrum_buffer_bytes(n) == 8 * n * n + 8 * n
         assert peak <= 32 * 8 * discretization._FILL_ELEMENTS + 16 * 8 * n
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux smaps")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="needs Linux pagemap")
     @pytest.mark.parametrize("mass, partner, resident", [
         (0.0, None, False), (1.0, None, True), (0.0, 0.0025, True),
     ], ids=["massless-alone", "massive", "massless-partner"])
@@ -127,10 +126,10 @@ class TestAssembleOperator:
         n = 2048
         total = 8 * n * (n + 1)
         solve = discretization._eigvalsh_in_place
-        mappings = []
+        resident_at_solve = []
 
         def recording(buf, upper):
-            mappings.append(resident_mapping(buf.ctypes.data))
+            resident_at_solve.append(resident_bytes(buf))
             return solve(buf, upper)
 
         monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording)
@@ -141,10 +140,8 @@ class TestAssembleOperator:
             operator_eigenvalues(params, build_grid(n, 1.0), validate=False, partner=partner)
         finally:
             clear_spectrum_cache()
-        assert len(mappings) == (2 if resident else 1)
-        pages = -(-total // mmap.PAGESIZE) * mmap.PAGESIZE
-        assert all(size == pages for size, _ in mappings)  # the buffer's mapping alone
-        for _, rss in mappings:
+        assert len(resident_at_solve) == (2 if resident else 1)
+        for rss in resident_at_solve:
             assert rss >= 0.95 * total if resident else rss <= 0.65 * total
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -201,6 +198,50 @@ class TestAssembleOperator:
             discretization.check_memory(lambda k: 3 * k, count * 11, "--y", " at dim 3")
         assert discretization.check_memory(lambda k: k * k, 31, "--x") == 1
         assert discretization.check_memory(lambda k: 3 * k, 111, "--y") == 3
+
+    @pytest.mark.parametrize("source, holds", [
+        ("physical_memory_bytes", "physical memory holds"),
+        ("_cgroup_memory_bytes", "this process's cgroup memory limit allows"),
+        ("_address_space_bytes", "this process's soft RLIMIT_AS allows"),
+    ])
+    def test_memory_check_names_the_least_limit(self, monkeypatch, source, holds):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 10**6)
+        monkeypatch.setattr(discretization, "_cgroup_memory_bytes", lambda: None)  # unset
+        monkeypatch.setattr(discretization, "_address_space_bytes", lambda: 2 * 10**6)
+        monkeypatch.setattr(discretization, source, lambda: 1000)
+        with pytest.raises(ValueError, match=f"^--x 32 needs more than the 1e\\+03 bytes {holds}; "
+                                             "the largest --x that fits is 31$"):
+            discretization.check_memory(lambda k: k * k, 32, "--x")
+        assert discretization.check_memory(lambda k: k * k, 31, "--x") == 1
+
+    def test_cgroup_limit_is_the_least_on_the_cgroups_path(self, tmp_path):
+        # a v1 memory cgroup /a/b and a v2 cgroup /a, mounted under tmp_path;
+        # v1 writes an unlimited cgroup as a huge number, v2 as "max"
+        table = tmp_path / "cgroup"
+        table.write_text("4:memory:/a/b\n3:cpuset:/jobs\n0::/a\n")
+        (tmp_path / "memory" / "a" / "b").mkdir(parents=True)
+        (tmp_path / "memory" / "memory.limit_in_bytes").write_text("9223372036854771712\n")
+        (tmp_path / "memory" / "a" / "memory.limit_in_bytes").write_text("5000\n")
+        (tmp_path / "memory" / "a" / "b" / "memory.limit_in_bytes").write_text("7000\n")
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "memory.max").write_text("max\n")
+        (tmp_path / "jobs").mkdir()
+        (tmp_path / "jobs" / "memory.max").write_text("10\n")  # on the cpuset's path only
+        assert discretization._cgroup_memory_bytes(str(table), str(tmp_path)) == 5000
+        (tmp_path / "a" / "memory.max").write_text("4096\n")
+        assert discretization._cgroup_memory_bytes(str(table), str(tmp_path)) == 4096
+        table.write_text("0::/jobs/x\n")  # v2 alone: /jobs/x sets no limit, /jobs does
+        assert discretization._cgroup_memory_bytes(str(table), str(tmp_path)) == 10
+        table.write_text("0::/\n")
+        assert discretization._cgroup_memory_bytes(str(table), str(tmp_path)) is None
+        assert discretization._cgroup_memory_bytes(str(tmp_path / "none"), str(tmp_path)) is None
+
+    def test_address_space_limit_is_the_soft_rlimit(self, monkeypatch):
+        rlimit = discretization.resource
+        monkeypatch.setattr(rlimit, "getrlimit", lambda which: (1234, rlimit.RLIM_INFINITY))
+        assert discretization._address_space_bytes() == 1234
+        monkeypatch.setattr(rlimit, "getrlimit", lambda which: (rlimit.RLIM_INFINITY, 1234))
+        assert discretization._address_space_bytes() is None
 
     @pytest.mark.parametrize("upper", [True, False])
     @pytest.mark.parametrize("n", [300, 1025])
@@ -384,16 +425,29 @@ class TestAssembleOperator:
 
 
 @pytest.fixture
-def one_blas_thread():
-    """numpy's OpenBLAS on one thread for the test, as the benchmark runs it."""
-    set_threads = discretization._openblas_routine("scipy_openblas_set_num_threads64_",
-                                                   None, ctypes.c_int)
+def set_blas_threads():
+    """The setter of numpy's OpenBLAS thread count, which the test may call;
+    the count before the test comes back after it."""
+    set_threads = discretization._SET_BLAS_THREADS
     before = discretization.blas_threads()
     if set_threads is None or before is None:
         pytest.skip("numpy exports no OpenBLAS thread setter")
-    set_threads(1)
-    yield
+    yield set_threads
     set_threads(before)
+
+
+@pytest.fixture
+def one_blas_thread(set_blas_threads):
+    """numpy's OpenBLAS on one thread for the test, as the benchmark runs it."""
+    set_blas_threads(1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """This process alone on two CPUs, whatever the machine has, so two
+    triangles solved at once run on one BLAS thread each."""
+    monkeypatch.setattr(discretization.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(discretization, "_processes", 1)
 
 
 class TestConcurrentSolves:
@@ -416,7 +470,7 @@ class TestConcurrentSolves:
 
     @pytest.mark.parametrize("mass", [0.7, 1.0])
     @pytest.mark.parametrize("epsilon, n", [(0.002, 255), (0.01, 512), (0.05, 1024)])
-    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread,
+    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread, two_cpus,
                                                    mass, epsilon, n):
         params = PhysicalParams(mass=mass, epsilon=epsilon, lam=1.0)
         grid = build_grid(n, 1.0)
@@ -450,22 +504,76 @@ class TestConcurrentSolves:
             operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
         assert threading.active_count() == threads_before
 
-    @pytest.mark.parametrize("blas, cpus, processes, threads", [
-        (None, 2, 1, 1),  # the np.linalg fallback: a second solve would copy the matrix
-        (2, 2, 1, 1),     # callers of a multithreaded OpenBLAS share its threads
-        (1, 1, 1, 1),     # affinity to one CPU
-        (1, 2, 2, 1),     # a pool worker whose sibling takes the other CPU
-        (1, 5, 3, 1),
-        (1, 2, 1, 2),
-        (1, 4, 2, 2),
+    @pytest.mark.parametrize("fails", [None, b"L", b"U"])  # none, S+'s triangle, S-'s
+    def test_each_solve_on_one_blas_thread_then_the_callers_count(self, monkeypatch,
+                                                                 set_blas_threads, two_cpus,
+                                                                 fails):
+        # the caller's OpenBLAS runs two threads; the two solves share the two
+        # CPUs, one thread each, and the caller gets its two back on success
+        # and on failure
+        set_blas_threads(2)
+        dsyevd = discretization._DSYEVD
+        seen = {}
+
+        def recording_dsyevd(layout, jobz, uplo, *args):
+            seen[uplo] = threading.get_ident(), discretization.blas_threads()
+            return 7 if uplo == fails else dsyevd(layout, jobz, uplo, *args)
+
+        monkeypatch.setattr(discretization, "_DSYEVD", recording_dsyevd)
+        params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
+        if fails is None:
+            operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
+        else:
+            with pytest.raises(ConvergenceError, match="info = 7"):
+                operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
+        caller = threading.get_ident()
+        assert seen[b"L"] == (caller, 1)
+        assert seen[b"U"][0] != caller and seen[b"U"][1] == 1
+        assert discretization.blas_threads() == 2
+
+    def test_massive_bits_do_not_depend_on_the_callers_blas_threads(self, set_blas_threads,
+                                                                    two_cpus):
+        # at n = 300, unlike at a power of two, dsyevd_2stage's bits depend
+        # on its thread count, but both solves run on one thread whatever
+        # the caller's count
+        params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
+        grid = build_grid(300, 1.0)
+        spectra = []
+        for threads in (1, 2):
+            set_blas_threads(threads)
+            spectra.append(operator_eigenvalues(params, grid, validate=False, use_cache=False))
+            assert discretization.blas_threads() == threads
+        assert np.array_equal(*spectra)
+
+    @pytest.mark.parametrize("missing, cpus, processes, threads", [
+        ("_DSYEVD", 2, 1, 1),  # the np.linalg fallback: a second solve would copy the matrix
+        ("_SET_BLAS_THREADS", 2, 1, 1),  # no way to share the CPUs between the solves
+        (None, 1, 1, 1),       # affinity to one CPU
+        (None, 2, 2, 1),       # a pool worker whose sibling takes the other CPU
+        (None, 5, 3, 1),
+        (None, 2, 1, 2),
+        (None, 4, 2, 2),
     ])
-    def test_thread_count_choice(self, monkeypatch, blas, cpus, processes, threads):
-        monkeypatch.setattr(discretization, "blas_threads", lambda: blas)
+    def test_thread_count_choice(self, monkeypatch, missing, cpus, processes, threads):
+        monkeypatch.setattr(discretization, "_SET_BLAS_THREADS", lambda count: None)
+        if missing is not None:
+            monkeypatch.setattr(discretization, missing, None)
         monkeypatch.setattr(discretization.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         monkeypatch.setattr(discretization, "_processes", 1)
         discretization.share_cpus(processes)
         assert discretization._solve_threads() == threads
+
+    @pytest.mark.parametrize("cpus, workers, threads", [(2, 2, 1), (2, 1, 2), (8, 3, 2),
+                                                        (2, 5, 1)])
+    def test_pool_worker_runs_its_share_of_the_cpus(self, monkeypatch, cpus, workers, threads):
+        set_to = []
+        monkeypatch.setattr(discretization, "_SET_BLAS_THREADS", set_to.append)
+        monkeypatch.setattr(discretization.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(discretization, "_processes", 1)
+        discretization.share_cpus(workers)
+        assert set_to == [threads]
 
 
 def massless(epsilon):
@@ -479,18 +587,19 @@ def mapping_of(view):
     return view
 
 
-def resident_mapping(address):
-    """(size, Rss) in bytes of this process's mapping that holds address."""
-    with open("/proc/self/smaps") as smaps:
-        size = None
-        for line in smaps:
-            field = line.split()[0]
-            if not field.endswith(":"):  # a mapping's header: start-end perms ...
-                start, end = (int(v, 16) for v in field.split("-"))
-                size = end - start if start <= address < end else None
-            elif size is not None and field == "Rss:":
-                return size, int(line.split()[1]) * 1024
-    raise LookupError(f"no mapping holds {address:#x}")
+def resident_bytes(view):
+    """Bytes of the pages of a spectrum buffer's mapping that are in memory
+    and mapped by this process alone, from the present (63) and exclusive
+    (56) bits of their /proc/self/pagemap entries: the buffer's own pages,
+    not a neighbour the kernel merged into its mapping, nor the shared zero
+    page that reading an unwritten page maps."""
+    mapping = mapping_of(view)
+    start = np.frombuffer(mapping, dtype=np.uint8).ctypes.data
+    with open("/proc/self/pagemap", "rb") as pagemap:
+        pagemap.seek(8 * (start // mmap.PAGESIZE))
+        entries = np.frombuffer(pagemap.read(8 * -(-len(mapping) // mmap.PAGESIZE)), np.uint64)
+    owned = (entries >> np.uint64(63)) & (entries >> np.uint64(56)) & np.uint64(1)
+    return int(np.count_nonzero(owned)) * mmap.PAGESIZE
 
 
 def cache_key(params, grid):
@@ -523,7 +632,9 @@ class TestPartnerSpectra:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [255, 256, 1024])
     def test_partner_matches_its_own_solve_and_the_oracle(self, monkeypatch, recorded,
-                                                          threads, n):
+                                                          one_blas_thread, two_cpus, threads, n):
+        # the solo solves below run on the one BLAS thread that each of two
+        # solves at once gets, so the bits compare at every n
         filled, solved = recorded
         monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
         grid = build_grid(n, 1.0)
@@ -544,7 +655,7 @@ class TestPartnerSpectra:
         assert np.abs(packed - solo).max() <= 1e-14
         assert np.abs(packed - direct_spectrum(partner, grid)).max() <= 1e-12
 
-    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread):
+    def test_same_bits_with_and_without_the_helper(self, monkeypatch, one_blas_thread, two_cpus):
         grid = build_grid(300, 1.0)
         spectra = []
         for threads in (1, 2):

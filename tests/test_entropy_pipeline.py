@@ -44,6 +44,11 @@ class TestEntropyFromEigenvalues:
         with pytest.raises(ConvergenceError):
             discretization.validate_spectrum_range(np.array([0.5, 1.5]))
 
+    def test_range_gate_message_shows_the_excess_over_one(self):
+        # 1 + 2e-6 fails the gate, so the message must not round it to 1
+        with pytest.raises(ConvergenceError, match=r"spectrum \[0\.000e\+00, 1\.000002\] leaves"):
+            discretization.validate_spectrum_range(np.array([0.0, 1.0 + 2e-6]))
+
     def test_nan_fails_the_range_gate(self):
         with pytest.raises(ConvergenceError, match="leaves"):
             discretization.validate_spectrum_range(np.array([0.1, np.nan, 0.5]))

@@ -41,15 +41,21 @@ def test_the_check_sees_relative_and_absolute_private_imports(tmp_path):
     ]
 
 
-def _memory_queries(path: Path) -> list[str]:
-    """Calls of physical_memory_bytes or sysconf, by bare name or as an attribute."""
+def _calls(path: Path, names) -> list[str]:
+    """Calls of any of names, by bare name or as an attribute."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in ("physical_memory_bytes", "sysconf"):
+            if name in names:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     return found
+
+
+def _memory_queries(path: Path) -> list[str]:
+    """Calls that read a memory limit: physical memory, the cgroup's, RLIMIT_AS."""
+    return _calls(path, ("physical_memory_bytes", "sysconf", "_cgroup_memory_bytes",
+                         "_address_space_bytes", "getrlimit"))
 
 
 def test_only_discretization_asks_for_physical_memory():
@@ -72,3 +78,14 @@ def test_the_memory_check_sees_names_and_attributes(tmp_path):
     assert _memory_queries(source) == ["sample.py:4: physical_memory_bytes",
                                        "sample.py:5: physical_memory_bytes",
                                        "sample.py:6: sysconf"]
+
+
+def test_only_discretization_sets_blas_threads():
+    # the OpenBLAS thread count is process-wide: discretization alone binds
+    # the setter and calls it, for two solves at once and for a pool
+    # worker's share of the CPUs
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in sources if "set_num_threads" in path.read_text()] == [
+        "discretization.py"]
+    calls = {path.name: _calls(path, ("_SET_BLAS_THREADS",)) for path in sources}
+    assert [name for name, found in calls.items() if found] == ["discretization.py"]
