@@ -134,9 +134,9 @@ def sweep(
     min(jobs, points, spectra at the cap n_max that fit in memory at once);
     ValueError before any point if check_spectrum_memory refuses n_max: below
     the smallest cap, or not even one spectrum fits. Each worker is told the
-    pool size (share_cpus), so its OpenBLAS runs its share of the CPUs, and
-    it solves a massive spectrum's two blocks at once only where that share
-    holds two. Without a pool,
+    pool size (share_cpus), so its OpenBLAS runs no more than its share of
+    the CPUs, and it solves a massive spectrum's two blocks at once only
+    where that share holds two. Without a pool,
     point k is given point k + 1 as its partner (entanglement_entropy), so at
     mass 0 that point's spectra may come from the other triangle of point k's
     buffers and differ from a pool's in the last digits.

@@ -14,13 +14,14 @@ sweep takes --jobs, the most worker processes for its epsilon points
 fit in memory at the --grid-size cap. entropy accepts --jobs too and records
 it in its configuration when it is given, but starts no worker. No
 environment variable and no CPU count enters either. The library sets the
-OpenBLAS thread count where solves run side by side: each sweep worker runs
-its share of the CPUs the process may use, and where a process's share
-holds two, the two blocks of a massive spectrum, or at mass 0 two
-neighbouring points' spectra in a sweep without a pool, are solved at once
-on half the share each. Where the grid size is a power of two, as on every
-rung of the default ladder, stdout does not depend on the thread count the
-process starts with; `taskset -c 0` keeps the process on one core.
+OpenBLAS thread count where solves run side by side, never above the count
+the process starts with: each sweep worker runs its share of the CPUs the
+process may use, and where a process's share holds two, the two blocks of a
+massive spectrum, or at mass 0 two neighbouring points' spectra in a sweep
+without a pool, are solved at once on half the share each. Where the grid
+size is a power of two, as on every rung of the default ladder, stdout does
+not depend on the thread count the process starts with; `taskset -c 0`
+keeps the process on one core.
 
 Every subcommand writes one document through one writer, `_write`: a JSON
 document, or CSV with `# version:` and `# config:` lines (sweep adds a
@@ -41,8 +42,8 @@ errors are a --grid-size cap below 64 for entropy, sweep and diag offdiag,
 a flag the subcommand does not take, a --jobs that is not an integer >= 1,
 an --alpha-grid entry that is not finite and > 0, an --output-path that is
 a directory or lacks its parent directory, and every request beyond the
-least of physical memory, the process's cgroup memory limit and its soft
-RLIMIT_AS, which names that limit and the largest value that fits: the
+lesser of physical memory and the process's cgroup memory limit, which
+names that limit and the largest value that fits: the
 --grid-size cap of entropy, sweep and diag offdiag (one spectrum's
 eigensolver buffers), kernel-dump's --u-count, verify's --trials at each
 --dims entry, and the count N of an Nlog --eps-grid or --alpha-grid. Outputs embed the resolved configuration and

@@ -33,10 +33,11 @@ and the lower triangle is free: given a massless partner, the spectrum a
 caller will ask for next on the same grid (sweep's next epsilon), it holds
 the partner's S+, which the images of S- give at C = 0, and both spectra are
 cached. The library, not the user, sets how many BLAS threads a solve runs
-on where solves run side by side. Where this process's share of the CPUs
-it may use (share_cpus divides them among a sweep's workers) holds two, the
-two triangles are solved at once, a helper thread taking the lower one, each
-on half the share; elsewhere the lower follows the upper on the caller's
+on where solves run side by side, never more than the count the caller's
+OpenBLAS runs. Where this process's share of the CPUs it may use
+(share_cpus divides them among a sweep's workers) holds two, the two
+triangles are solved at once, a helper thread taking the lower one, each on
+half the share; elsewhere the lower follows the upper on the caller's
 count. A partner is packed whatever the thread count.
 The solver is LAPACKE dsyevd_2stage from the OpenBLAS that numpy bundles,
 called through ctypes on the library numpy.linalg has already loaded. It
@@ -74,7 +75,6 @@ import ctypes
 import math
 import mmap
 import os
-import resource
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -144,12 +144,12 @@ def _cpu_share() -> int:
 
 def share_cpus(processes: int) -> None:
     """Record that this process is one of `processes` that solve spectra at
-    once, and set its OpenBLAS to its share of the CPUs for good: sweep's
+    once, and cap its OpenBLAS at its share of the CPUs for good: sweep's
     pool runs this in each worker, which belongs to the pool."""
     global _processes
     _processes = processes
-    if _SET_BLAS_THREADS is not None:
-        _SET_BLAS_THREADS(_cpu_share())
+    if _SET_BLAS_THREADS is not None and _BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(min(_cpu_share(), _BLAS_THREADS()))
 
 
 def _solve_threads() -> int:
@@ -203,24 +203,17 @@ def _cgroup_memory_bytes(cgroups: str = "/proc/self/cgroup",
     return min(limits, default=None)
 
 
-def _address_space_bytes() -> int | None:
-    """This process's soft RLIMIT_AS; None where it is unlimited."""
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    return None if soft == resource.RLIM_INFINITY else soft
-
-
 def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
-    """How many requests of bytes_for(count) bytes fit at once in the least
-    of physical memory, this process's cgroup memory limit and its soft
-    RLIMIT_AS; ValueError naming flag, count, that limit and the largest
-    count that fits when not even one does. bytes_for must grow with its
-    count; where qualifies the count in the message. An unset limit, or
-    one above physical memory, does not apply."""
-    limits = [(physical_memory_bytes(), "physical memory holds"),
-              (_cgroup_memory_bytes(), "this process's cgroup memory limit allows"),
-              (_address_space_bytes(), "this process's soft RLIMIT_AS allows")]
-    total, holds = min((limit for limit in limits if limit[0] is not None),
-                       key=lambda limit: limit[0])
+    """How many requests of bytes_for(count) bytes fit at once in the lesser
+    of physical memory and this process's cgroup memory limit, which every
+    process of a sweep's pool shares; ValueError naming flag, count, that
+    limit and the largest count that fits when not even one does. bytes_for
+    must grow with its count; where qualifies the count in the message. An
+    unset cgroup limit, or one above physical memory, does not apply."""
+    total, holds = physical_memory_bytes(), "physical memory holds"
+    cgroup = _cgroup_memory_bytes()
+    if cgroup is not None and cgroup < total:
+        total, holds = cgroup, "this process's cgroup memory limit allows"
     need = bytes_for(count)
     if need > total:
         fits, over = 0, count  # bytes_for(fits) <= total < bytes_for(over)
@@ -330,9 +323,9 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     calling thread; the lower one is solved at the same time on a helper
     thread where _solve_threads gives 2, after the upper one otherwise. Two
     at once run on half this process's share of the CPUs as BLAS threads
-    each: the calling thread alone sets that process-wide count, under
-    _blas_threads_lock, and restores the caller's after the helper joins,
-    whether the solves return or raise.
+    each, at most the caller's count: the calling thread alone sets that
+    process-wide count, under _blas_threads_lock, and restores the caller's
+    after the helper joins, whether the solves return or raise.
     """
     x = grid.nodes + x_offset
     sw = np.sqrt(grid.weights)
@@ -373,7 +366,7 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
         if _solve_threads() == 2:
             with _blas_threads_lock:
                 caller_threads = _BLAS_THREADS()
-                _SET_BLAS_THREADS(max(1, _cpu_share() // 2))
+                _SET_BLAS_THREADS(max(1, min(_cpu_share() // 2, caller_threads)))
                 try:
                     # the with block joins the helper, so no thread writes to
                     # buf once this returns or raises, nor solves after the

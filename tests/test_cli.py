@@ -1,6 +1,5 @@
 import json
 import os
-import resource
 import shlex
 import shutil
 import subprocess
@@ -214,24 +213,6 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "leaves [-1e-06, 1+1e-06]" in err
         assert all(len(line) < 200 for line in err.splitlines())
-
-    @pytest.mark.skipif(discretization.physical_memory_bytes()
-                        <= discretization.spectrum_buffer_bytes(20000),
-                        reason="needs physical memory above the grid-size cap's buffer")
-    def test_grid_size_beyond_the_address_space_limit_exits_2(self):
-        # a 3.2 GB buffer fits in physical memory but not under a 2 GiB soft
-        # RLIMIT_AS, which the refusal names
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.RLIM_INFINITY))
-
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-m", "diamond_entropy.cli", "entropy", "--kappa",
-                               "1", "--epsilon", "0.01", "--grid-size", "20000"],
-                              capture_output=True, text=True, preexec_fn=limit_address_space,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert ("grid-size cap 20000 needs more than the 2.15e+09 bytes this process's soft "
-                "RLIMIT_AS allows; the largest grid-size cap that fits is 16383") in proc.stderr
 
     @pytest.mark.parametrize("command", [
         ["entropy", "--kappa", "1", "--epsilon", "1e-310", "--grid-size", "4096"],

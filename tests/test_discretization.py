@@ -199,16 +199,14 @@ class TestAssembleOperator:
         assert discretization.check_memory(lambda k: k * k, 31, "--x") == 1
         assert discretization.check_memory(lambda k: 3 * k, 111, "--y") == 3
 
-    @pytest.mark.parametrize("source, holds", [
-        ("physical_memory_bytes", "physical memory holds"),
-        ("_cgroup_memory_bytes", "this process's cgroup memory limit allows"),
-        ("_address_space_bytes", "this process's soft RLIMIT_AS allows"),
+    @pytest.mark.parametrize("physical, cgroup, holds", [
+        (1000, None, "physical memory holds"),  # no cgroup limit set
+        (1000, 2 * 10**6, "physical memory holds"),  # a cgroup limit above physical memory
+        (10**6, 1000, "this process's cgroup memory limit allows"),
     ])
-    def test_memory_check_names_the_least_limit(self, monkeypatch, source, holds):
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 10**6)
-        monkeypatch.setattr(discretization, "_cgroup_memory_bytes", lambda: None)  # unset
-        monkeypatch.setattr(discretization, "_address_space_bytes", lambda: 2 * 10**6)
-        monkeypatch.setattr(discretization, source, lambda: 1000)
+    def test_memory_check_names_the_least_limit(self, monkeypatch, physical, cgroup, holds):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: physical)
+        monkeypatch.setattr(discretization, "_cgroup_memory_bytes", lambda: cgroup)
         with pytest.raises(ValueError, match=f"^--x 32 needs more than the 1e\\+03 bytes {holds}; "
                                              "the largest --x that fits is 31$"):
             discretization.check_memory(lambda k: k * k, 32, "--x")
@@ -235,13 +233,6 @@ class TestAssembleOperator:
         table.write_text("0::/\n")
         assert discretization._cgroup_memory_bytes(str(table), str(tmp_path)) is None
         assert discretization._cgroup_memory_bytes(str(tmp_path / "none"), str(tmp_path)) is None
-
-    def test_address_space_limit_is_the_soft_rlimit(self, monkeypatch):
-        rlimit = discretization.resource
-        monkeypatch.setattr(rlimit, "getrlimit", lambda which: (1234, rlimit.RLIM_INFINITY))
-        assert discretization._address_space_bytes() == 1234
-        monkeypatch.setattr(rlimit, "getrlimit", lambda which: (rlimit.RLIM_INFINITY, 1234))
-        assert discretization._address_space_bytes() is None
 
     @pytest.mark.parametrize("upper", [True, False])
     @pytest.mark.parametrize("n", [300, 1025])
@@ -504,14 +495,20 @@ class TestConcurrentSolves:
             operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
         assert threading.active_count() == threads_before
 
+    @pytest.mark.parametrize("caller, cpus", [(2, 2), (1, 4)],
+                             ids=["two-threads-on-2-cpus", "one-thread-on-4-cpus"])
     @pytest.mark.parametrize("fails", [None, b"L", b"U"])  # none, S+'s triangle, S-'s
     def test_each_solve_on_one_blas_thread_then_the_callers_count(self, monkeypatch,
-                                                                 set_blas_threads, two_cpus,
-                                                                 fails):
-        # the caller's OpenBLAS runs two threads; the two solves share the two
-        # CPUs, one thread each, and the caller gets its two back on success
-        # and on failure
-        set_blas_threads(2)
+                                                                 set_blas_threads, caller,
+                                                                 cpus, fails):
+        # the two solves share the CPUs, one thread each: two CPUs hold one
+        # each, and a caller pinned to one thread stays on one however many
+        # CPUs there are; the caller gets its count back on success and on
+        # failure
+        monkeypatch.setattr(discretization.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(discretization, "_processes", 1)
+        set_blas_threads(caller)
         dsyevd = discretization._DSYEVD
         seen = {}
 
@@ -526,10 +523,10 @@ class TestConcurrentSolves:
         else:
             with pytest.raises(ConvergenceError, match="info = 7"):
                 operator_eigenvalues(params, build_grid(300, 1.0), use_cache=False)
-        caller = threading.get_ident()
-        assert seen[b"L"] == (caller, 1)
-        assert seen[b"U"][0] != caller and seen[b"U"][1] == 1
-        assert discretization.blas_threads() == 2
+        calling_thread = threading.get_ident()
+        assert seen[b"L"] == (calling_thread, 1)
+        assert seen[b"U"][0] != calling_thread and seen[b"U"][1] == 1
+        assert discretization.blas_threads() == caller
 
     def test_massive_bits_do_not_depend_on_the_callers_blas_threads(self, set_blas_threads,
                                                                     two_cpus):
@@ -564,11 +561,16 @@ class TestConcurrentSolves:
         discretization.share_cpus(processes)
         assert discretization._solve_threads() == threads
 
-    @pytest.mark.parametrize("cpus, workers, threads", [(2, 2, 1), (2, 1, 2), (8, 3, 2),
-                                                        (2, 5, 1)])
-    def test_pool_worker_runs_its_share_of_the_cpus(self, monkeypatch, cpus, workers, threads):
+    @pytest.mark.parametrize("cpus, workers, starting, threads", [
+        (2, 2, 2, 1), (2, 1, 2, 2), (8, 3, 8, 2), (2, 5, 2, 1),
+        (8, 2, 1, 1),  # a worker pinned to one thread stays there
+        (8, 2, 3, 3),
+    ])
+    def test_pool_worker_runs_its_share_of_the_cpus(self, monkeypatch, cpus, workers, starting,
+                                                    threads):
         set_to = []
         monkeypatch.setattr(discretization, "_SET_BLAS_THREADS", set_to.append)
+        monkeypatch.setattr(discretization, "_BLAS_THREADS", lambda: starting)
         monkeypatch.setattr(discretization.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         monkeypatch.setattr(discretization, "_processes", 1)

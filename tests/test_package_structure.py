@@ -53,9 +53,8 @@ def _calls(path: Path, names) -> list[str]:
 
 
 def _memory_queries(path: Path) -> list[str]:
-    """Calls that read a memory limit: physical memory, the cgroup's, RLIMIT_AS."""
-    return _calls(path, ("physical_memory_bytes", "sysconf", "_cgroup_memory_bytes",
-                         "_address_space_bytes", "getrlimit"))
+    """Calls that read a memory limit: physical memory or the cgroup's."""
+    return _calls(path, ("physical_memory_bytes", "sysconf", "_cgroup_memory_bytes"))
 
 
 def test_only_discretization_asks_for_physical_memory():
