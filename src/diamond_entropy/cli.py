@@ -14,14 +14,10 @@ sweep takes --jobs, the most worker processes for its epsilon points
 fit in memory at the --grid-size cap. entropy accepts --jobs too and records
 it in its configuration when it is given, but starts no worker. No
 environment variable and no CPU count enters either. The library sets the
-OpenBLAS thread count where solves run side by side, never above the count
-the process starts with: each sweep worker runs its share of the CPUs the
-process may use, and where a process's share holds two, the two blocks of a
-massive spectrum, or at mass 0 two neighbouring points' spectra in a sweep
-without a pool, are solved at once on half the share each. Where the grid
-size is a power of two, as on every rung of the default ladder, stdout does
-not depend on the thread count the process starts with; `taskset -c 0`
-keeps the process on one core.
+OpenBLAS thread count of every solve by the one rule in the discretization
+module docstring, never above the count the process starts with. Where the
+grid size is a power of two, as on every rung of the default ladder, stdout
+does not depend on the thread count the process starts with.
 
 Every subcommand writes one document through one writer, `_write`: a JSON
 document, or CSV with `# version:` and `# config:` lines (sweep adds a
@@ -33,21 +29,24 @@ verify's quasi-norm sums, like diag log-growth's, leave out the singular
 values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
 noise that s^q with q < 1 magnifies (schatten_toolkit.power_sum).
 
-Exit codes: 0 success; 2 argument errors, found before any work, or an
---output-path that fails while being written; 3 numerical non-convergence,
-an eigensolve or SVD that LAPACK reports as failed among it, and an
-epsilon whose bulk term or massless kernel leaves the float range (entropy
-and kernel-dump at 1e-310); 4 property-suite failure. Among the argument
-errors are a --grid-size cap below 64 for entropy, sweep and diag offdiag,
-a flag the subcommand does not take, a --jobs that is not an integer >= 1,
-an --alpha-grid entry that is not finite and > 0, an --output-path that is
-a directory or lacks its parent directory, and every request beyond the
-lesser of physical memory and the process's cgroup memory limit, which
-names that limit and the largest value that fits: the
---grid-size cap of entropy, sweep and diag offdiag (one spectrum's
-eigensolver buffers), kernel-dump's --u-count, verify's --trials at each
---dims entry, and the count N of an Nlog --eps-grid or --alpha-grid. Outputs embed the resolved configuration and
-the package version, and are bit-identical for identical configuration.
+Exit codes: 0 success; 2 argument errors, found before any work, or, in one
+line each, an --output-path that fails while being written and a spectrum
+buffer that cannot be mapped (under a soft RLIMIT_AS, say) or another
+allocation that fails (MemoryError); 3 numerical non-convergence, an
+eigensolve or SVD that LAPACK reports as failed among it, and an epsilon
+whose bulk term or massless kernel leaves the float range (entropy and
+kernel-dump at 1e-310); 4 property-suite failure. Among the argument errors
+are a --grid-size cap below 64 for entropy, sweep and diag offdiag, a flag
+the subcommand does not take, a --jobs that is not an integer >= 1, an
+--alpha-grid entry that is not finite and > 0, a kernel-dump --u-max that is
+not > 0 or exceeds the largest float over 2 pi, an --output-path that is a
+directory or lacks its parent directory, and every request beyond the lesser
+of physical memory and the process's cgroup memory limit, which names that
+limit and the largest value that fits: the --grid-size cap of entropy, sweep
+and diag offdiag (one spectrum's eigensolver buffers), kernel-dump's
+--u-count, verify's --trials at each --dims entry, and the count N of an
+Nlog --eps-grid or --alpha-grid. Outputs embed the resolved configuration
+and the package version, and are bit-identical for identical configuration.
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy'
 # peak resident bytes per kernel-dump row: 2.8-2.9 KB measured as JSON at mass
 # 0 and 1 (317 MB at 1e5 rows, 1170 MB at 4e5), 1.1 KB as CSV
 _KERNEL_DUMP_ROW_BYTES = 3000
+# the largest --u-max: 2 pi u, in the massless kernel, and linspace's span
+# 2 u both stay finite
+_MAX_U = np.finfo(float).max / (2.0 * math.pi)
 # peak bytes per Nlog grid point: np.geomspace's, by tracemalloc at 1e5 and 1e6 points
 _GRID_POINT_BYTES = 16
 
@@ -301,8 +303,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernel_dump(args) -> int:
-    if args.u_count < 1 or not (math.isfinite(args.u_max) and args.u_max > 0):
-        raise ValueError("u-count must be >= 1 and u-max finite and > 0")
+    if args.u_count < 1 or not 0 < args.u_max <= _MAX_U:
+        raise ValueError(f"u-count must be >= 1 and u-max > 0 and at most {_MAX_U:.4g}")
     check_memory(lambda rows: _KERNEL_DUMP_ROW_BYTES * rows, args.u_count, "--u-count")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
@@ -371,7 +373,7 @@ def main(argv=None) -> int:
     try:
         _check_output_path(args.output_path)
         return _DISPATCH[args.command](args)
-    except _UnwritableOutput as exc:
+    except (_UnwritableOutput, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError

@@ -32,13 +32,14 @@ both are solved in place. S+ = S- at mass 0, so there S+ alone is filled,
 and the lower triangle is free: given a massless partner, the spectrum a
 caller will ask for next on the same grid (sweep's next epsilon), it holds
 the partner's S+, which the images of S- give at C = 0, and both spectra are
-cached. The library, not the user, sets how many BLAS threads a solve runs
-on where solves run side by side, never more than the count the caller's
-OpenBLAS runs. Where this process's share of the CPUs it may use
-(share_cpus divides them among a sweep's workers) holds two, the two
-triangles are solved at once, a helper thread taking the lower one, each on
-half the share; elsewhere the lower follows the upper on the caller's
-count. A partner is packed whatever the thread count.
+cached. A partner is packed whatever the thread count. One thread rule,
+in _solve, covers every solve. A process's share of the CPUs is those it
+may use (sched_getaffinity) divided among the sweep workers that solve
+beside it (share_cpus). Where the share holds two, the two triangles of a
+buffer are solved at once, the lower on a helper thread; elsewhere one after
+the other. Each solve runs on max(1, min(share // at once, the caller's
+count)) OpenBLAS threads, so the library never raises the count the caller
+runs, and a process started on one thread stays on one.
 The solver is LAPACKE dsyevd_2stage from the OpenBLAS that numpy bundles,
 called through ctypes on the library numpy.linalg has already loaded. It
 reduces the matrix to a band with BLAS-3 and then chases the bulges down to
@@ -100,38 +101,30 @@ MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
 _FILL_ELEMENTS = 2**15
 
 
-def _openblas_routine(name: str, restype, *argtypes):
-    """A routine of the OpenBLAS bundled with numpy, through the library
-    numpy.linalg has already mapped; None where numpy exports no such symbol."""
+def _openblas_routines(*signatures):
+    """Routines of the OpenBLAS bundled with numpy, each signature a (name,
+    restype, *argtypes), through the library numpy.linalg has already mapped;
+    all None where numpy exports any one of them not."""
     try:
-        routine = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return [ctypes.CFUNCTYPE(*types)((name, library)) for name, *types in signatures]
     except (AttributeError, OSError):
-        return None
-    routine.restype = restype
-    routine.argtypes = argtypes
-    return routine
+        return (None,) * len(signatures)
 
 
-# LAPACKE_dsyevd_2stage with 64-bit integers: (layout, jobz, uplo, n, a, lda, w) -> info
-_DSYEVD = _openblas_routine("scipy_LAPACKE_dsyevd_2stage64_", ctypes.c_int64, ctypes.c_int,
-                            ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
-                            ctypes.c_int64, ctypes.c_void_p)
-_BLAS_THREADS = _openblas_routine("scipy_openblas_get_num_threads64_", ctypes.c_int)
-_SET_BLAS_THREADS = _openblas_routine("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+# LAPACKE_dsyevd_2stage with 64-bit integers, (layout, jobz, uplo, n, a, lda, w)
+# -> info, and the OpenBLAS thread count's getter and setter: all three or none
+_DSYEVD, _BLAS_THREADS, _SET_BLAS_THREADS = _openblas_routines(
+    ("scipy_LAPACKE_dsyevd_2stage64_", ctypes.c_int64, ctypes.c_int, ctypes.c_char,
+     ctypes.c_char, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p),
+    ("scipy_openblas_get_num_threads64_", ctypes.c_int),
+    ("scipy_openblas_set_num_threads64_", None, ctypes.c_int))
 _LAPACK_COL_MAJOR = 102
-
-
-def blas_threads() -> int | None:
-    """Threads of the OpenBLAS that runs the in-place solve; None on the fallback."""
-    if _DSYEVD is None or _BLAS_THREADS is None:
-        return None
-    return int(_BLAS_THREADS())
-
 
 # processes solving spectra side by side, this one included: 1 unless
 # share_cpus, sweep's pool initializer, says otherwise
 _processes = 1
-# held from setting the BLAS thread count for two solves at once to restoring it
+# held by _solve from setting the BLAS thread count to restoring it
 _blas_threads_lock = threading.Lock()
 
 
@@ -144,21 +137,9 @@ def _cpu_share() -> int:
 
 def share_cpus(processes: int) -> None:
     """Record that this process is one of `processes` that solve spectra at
-    once, and cap its OpenBLAS at its share of the CPUs for good: sweep's
-    pool runs this in each worker, which belongs to the pool."""
+    once: sweep's pool runs this in each worker."""
     global _processes
     _processes = processes
-    if _SET_BLAS_THREADS is not None and _BLAS_THREADS is not None:
-        _SET_BLAS_THREADS(min(_cpu_share(), _BLAS_THREADS()))
-
-
-def _solve_threads() -> int:
-    """Threads for the two triangles of a spectrum buffer: 2 where the
-    in-place solve can set its BLAS thread count and this process's share of
-    the CPUs holds two, else 1. The fallback would need a second N x N copy."""
-    if blas_threads() is None or _SET_BLAS_THREADS is None:
-        return 1
-    return 2 if _cpu_share() >= 2 else 1
 
 
 def spectrum_buffer_bytes(n: int) -> int:
@@ -264,6 +245,40 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     return eigenvalues
 
 
+def _solve(triangles) -> tuple[np.ndarray, ...]:
+    """Ascending eigenvalues of each (view, upper) triangle of one spectrum
+    buffer, one or two, under the module docstring's thread rule. The BLAS
+    count is process-wide, so it is set and restored under _blas_threads_lock
+    (threads that ask for spectra at once solve in turn; no caller in the
+    package does), and it comes back after the helper joins, whether the
+    solves return or raise. The np.linalg fallback sets no count and solves
+    one triangle at a time."""
+    if _DSYEVD is None:
+        return tuple(_eigvalsh_in_place(view, upper) for view, upper in triangles)
+    share = _cpu_share()
+    at_once = 2 if len(triangles) == 2 and share >= 2 else 1
+    with _blas_threads_lock:
+        caller_threads = _BLAS_THREADS()
+        _SET_BLAS_THREADS(max(1, min(share // at_once, caller_threads)))
+        try:
+            if at_once == 1:
+                return tuple(_eigvalsh_in_place(view, upper) for view, upper in triangles)
+            # the with block joins the helper, so no thread writes to the
+            # buffer once this returns or raises, nor solves after the
+            # caller's count is back
+            with ThreadPoolExecutor(1) as helper:
+                second = helper.submit(_eigvalsh_in_place, *triangles[1])
+                try:
+                    return _eigvalsh_in_place(*triangles[0]), second.result()
+                finally:
+                    # a failed future holds a traceback that holds this frame:
+                    # dropping it breaks the cycle, so the buffer dies with the
+                    # exception, not at the next collection
+                    del second
+        finally:
+            _SET_BLAS_THREADS(caller_threads)
+
+
 def _zeroed_buffer(n: int) -> np.ndarray:
     """An (n + 1) x n float64 array on a private anonymous mapping of its own.
 
@@ -271,8 +286,15 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     base page at a time: numpy advises huge pages for its large arrays, which
     would make untouched stretches resident too. The mapping is unmapped when
     its last view dies, so unlike a freed heap block it leaves nothing behind.
+    MemoryError, naming n and the bytes, where the mapping cannot be made
+    (under a soft RLIMIT_AS, say).
     """
-    mapping = mmap.mmap(-1, 8 * n * (n + 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    size = 8 * n * (n + 1)
+    try:
+        mapping = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        raise MemoryError(f"the spectrum buffer at N = {n} ({size} bytes) cannot be mapped: "
+                          f"{exc.strerror}") from None
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         mapping.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(mapping).reshape(n + 1, n)
@@ -319,13 +341,8 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     keep the rest to a fixed budget. At mass 0 the lower triangle is free:
     given a partner, each strip also evaluates the partner's kernel and
     writes it there through the images of S-, which at C = 0 give the
-    partner's S+. The fill and the solve of the upper triangle run on the
-    calling thread; the lower one is solved at the same time on a helper
-    thread where _solve_threads gives 2, after the upper one otherwise. Two
-    at once run on half this process's share of the CPUs as BLAS threads
-    each, at most the caller's count: the calling thread alone sets that
-    process-wide count, under _blas_threads_lock, and restores the caller's
-    after the helper joins, whether the solves return or raise.
+    partner's S+. The fill runs on the calling thread, and _solve solves the
+    filled triangles under the module's thread rule.
     """
     x = grid.nodes + x_offset
     sw = np.sqrt(grid.weights)
@@ -360,34 +377,11 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
         minus_mirror[rows, cols] += A
         down[rows, cols] -= P
         down[cols, rows] += Q.T
-    if lower is None:
-        spectra = (np.repeat(_eigvalsh_in_place(plus, upper=True), 2),)
+    halves = _solve(((plus, True),) if lower is None else ((plus, True), (minus, False)))
+    if lower is params:
+        spectra = (np.sort(np.concatenate(halves)),)
     else:
-        if _solve_threads() == 2:
-            with _blas_threads_lock:
-                caller_threads = _BLAS_THREADS()
-                _SET_BLAS_THREADS(max(1, min(_cpu_share() // 2, caller_threads)))
-                try:
-                    # the with block joins the helper, so no thread writes to
-                    # buf once this returns or raises, nor solves after the
-                    # caller's count is back
-                    with ThreadPoolExecutor(1) as helper:
-                        lower_solve = helper.submit(_eigvalsh_in_place, minus, upper=False)
-                        try:
-                            halves = _eigvalsh_in_place(plus, upper=True), lower_solve.result()
-                        finally:
-                            # a failed future holds a traceback that holds this
-                            # frame: dropping it breaks the cycle, so buf dies
-                            # with the exception, not at the next collection
-                            del lower_solve
-                finally:
-                    _SET_BLAS_THREADS(caller_threads)
-        else:
-            halves = _eigvalsh_in_place(plus, upper=True), _eigvalsh_in_place(minus, upper=False)
-        if lower is params:
-            spectra = (np.sort(np.concatenate(halves)),)
-        else:
-            spectra = tuple(np.repeat(half, 2) for half in halves)
+        spectra = tuple(np.repeat(half, 2) for half in halves)
     for eigenvalues in spectra:
         eigenvalues.flags.writeable = False  # later rungs and other orders read it back
     return spectra
@@ -494,9 +488,12 @@ def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
     and (L, inf), L = box_half_width, each a panel sum checked to BOX_TAIL_TOL:
     inside on panels doubling from eps/2, the tail on L 2^k, k <= 60 (past them
     the massless k^2 ~ u^-4 leaves 2^-180 of it). The tail's check also allows
-    BOX_TAIL_TOL^3 of the inside mass, too little to move the gate."""
+    BOX_TAIL_TOL^3 of the inside mass, too little to move the gate. The
+    fraction does not see the kernel's scale, so k is taken times pi eps, one
+    over the massless k(0), which bounds |k| at every mass: its square stays
+    finite where k(0)^2 would overflow (eps below about 1e-154)."""
     def k2(u):
-        return _scalar_kernel(params, u) ** 2
+        return (math.pi * params.epsilon * _scalar_kernel(params, u)) ** 2
 
     inside = checked_panel_sum(k2, graded_edges(box_half_width, params.epsilon / 2.0),
                                BOX_TAIL_TOL, 0.0, "box-tail quadrature")

@@ -167,9 +167,10 @@ def massive_scalar_integrals(mass: float, epsilon: float, u):
     u_arr = np.asarray(u, dtype=float)
     r = np.hypot(epsilon, u_arr)
     bk0, bk1 = _bessel_k0_k1(mass * r)
-    F0 = 2.0 * mass * epsilon * bk1 / r
-    F1_imag = 2.0 * mass * u_arr * bk1 / r
-    Fm = 2.0 * mass * bk0
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        F0 = 2.0 * mass * epsilon * bk1 / r
+        F1_imag = 2.0 * mass * u_arr * bk1 / r
+        Fm = 2.0 * mass * bk0
     for name, arr in (("F0", F0), ("F1", F1_imag), ("Fm", Fm)):
         if not np.all(np.isfinite(arr)):
             raise ConvergenceError(

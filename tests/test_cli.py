@@ -82,6 +82,51 @@ class TestArgumentHandling:
         assert captured.out == ""
         assert "u-max" in captured.err
 
+    @pytest.mark.parametrize("command, code, message", [
+        # np.linspace's span, then 2 pi u in the massless kernel, would overflow
+        (["kernel-dump", "--u-max", "1e308"], 2, "u-max > 0 and at most 2.861e+307"),
+        (["kernel-dump", "--u-max", "3e307"], 2, "u-max > 0 and at most 2.861e+307"),
+        (["kernel-dump", "--mass", "10", "--u-max", "1e307"], 3,
+         "Bessel evaluation of F1 left the finite range"),
+        # k(0)^2 overflows below eps = 1e-154; the box tail does not see it
+        (["diag", "log-growth", "--alpha-grid", "1e154,1e157"], 2,
+         "node budget n=1024 too small"),
+    ], ids=["u-1e308", "u-3e307", "mass-10-u-1e307", "log-growth-1e157"])
+    def test_float_range_edges_exit_without_warnings(self, capsys, command, code, message):
+        if command[0] == "kernel-dump":
+            command = [*command, "--epsilon", "0.1", "--u-count", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(command) == code
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+
+    def test_unmappable_spectrum_buffer_exits_2_in_one_line(self):
+        # the child caps its own address space at 2 GiB: the N = 17000
+        # buffer, 2.3 GB, passes the memory check and then cannot be mapped
+        try:
+            discretization.check_spectrum_memory(17000)
+        except ValueError:
+            pytest.skip("the memory check refuses N = 17000 on this machine")
+        script = ("import resource, sys\n"
+                  "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, hard))\n"
+                  "from diamond_entropy.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script, "diag", "offdiag", "--mass", "1",
+                               "--alpha-grid", "100,1000", "--grid-size", "17000"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: the spectrum buffer at N = 17000 (2312136000 bytes) "
+                               "cannot be mapped: ")
+
     def test_bad_jobs_exits_2(self, capsys):
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.1", "--jobs", "0"])
         assert code == 2
@@ -843,7 +888,7 @@ class TestBlasThreads:
         # one worker: neighbouring points share a buffer, whose two triangles
         # are solved at once where the process may use two CPUs
         ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "1"],
-        # two workers, each setting its own BLAS thread count
+        # two workers, each solving on its share of the CPUs
         ["sweep", "--kappa", "1", "--mass", "0", "--eps-grid", "0.5:0.01:6log", "--jobs", "2"],
     ], ids=["0", "1", "sweep-0", "sweep-0-jobs-2"])
     def test_same_stdout_on_one_and_two_threads(self, command):

@@ -156,7 +156,7 @@ class TestAssembleOperator:
             return solve(buf, upper)
 
         monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording)
-        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        monkeypatch.setattr(discretization, "_cpu_share", lambda: threads)
         params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
         grid = build_grid(300, 1.0)
         dsyevd = discretization._DSYEVD
@@ -278,7 +278,6 @@ class TestAssembleOperator:
         monkeypatch.setattr(discretization, "_DSYEVD", None)
         n = 4096
         assert discretization.spectrum_buffer_bytes(n) == 16 * n * n + 8 * n
-        assert discretization.blas_threads() is None
         monkeypatch.setattr(discretization, "physical_memory_bytes",
                             lambda: 3 * (16 * n * n + 8 * n))
         assert discretization.check_spectrum_memory(n) == 3
@@ -420,9 +419,9 @@ def set_blas_threads():
     """The setter of numpy's OpenBLAS thread count, which the test may call;
     the count before the test comes back after it."""
     set_threads = discretization._SET_BLAS_THREADS
-    before = discretization.blas_threads()
-    if set_threads is None or before is None:
+    if set_threads is None:
         pytest.skip("numpy exports no OpenBLAS thread setter")
+    before = discretization._BLAS_THREADS()
     yield set_threads
     set_threads(before)
 
@@ -454,7 +453,7 @@ class TestConcurrentSolves:
             return solve(buf, upper)
 
         with monkeypatch.context() as patch:
-            patch.setattr(discretization, "_solve_threads", lambda: threads)
+            patch.setattr(discretization, "_cpu_share", lambda: threads)
             patch.setattr(discretization, "_eigvalsh_in_place", recording)
             ev = operator_eigenvalues(params, grid, validate=False, use_cache=False)
         return ev, solved_on
@@ -488,7 +487,7 @@ class TestConcurrentSolves:
             return 7 if uplo == failing else dsyevd(layout, jobz, uplo, *args)
 
         monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
-        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        monkeypatch.setattr(discretization, "_cpu_share", lambda: threads)
         params = PhysicalParams(mass=1.0, epsilon=0.01, lam=1.0)
         threads_before = threading.active_count()
         with pytest.raises(ConvergenceError, match="info = 7"):
@@ -513,7 +512,7 @@ class TestConcurrentSolves:
         seen = {}
 
         def recording_dsyevd(layout, jobz, uplo, *args):
-            seen[uplo] = threading.get_ident(), discretization.blas_threads()
+            seen[uplo] = threading.get_ident(), discretization._BLAS_THREADS()
             return 7 if uplo == fails else dsyevd(layout, jobz, uplo, *args)
 
         monkeypatch.setattr(discretization, "_DSYEVD", recording_dsyevd)
@@ -526,7 +525,7 @@ class TestConcurrentSolves:
         calling_thread = threading.get_ident()
         assert seen[b"L"] == (calling_thread, 1)
         assert seen[b"U"][0] != calling_thread and seen[b"U"][1] == 1
-        assert discretization.blas_threads() == caller
+        assert discretization._BLAS_THREADS() == caller
 
     def test_massive_bits_do_not_depend_on_the_callers_blas_threads(self, set_blas_threads,
                                                                     two_cpus):
@@ -539,43 +538,77 @@ class TestConcurrentSolves:
         for threads in (1, 2):
             set_blas_threads(threads)
             spectra.append(operator_eigenvalues(params, grid, validate=False, use_cache=False))
-            assert discretization.blas_threads() == threads
+            assert discretization._BLAS_THREADS() == threads
         assert np.array_equal(*spectra)
 
-    @pytest.mark.parametrize("missing, cpus, processes, threads", [
-        ("_DSYEVD", 2, 1, 1),  # the np.linalg fallback: a second solve would copy the matrix
-        ("_SET_BLAS_THREADS", 2, 1, 1),  # no way to share the CPUs between the solves
-        (None, 1, 1, 1),       # affinity to one CPU
-        (None, 2, 2, 1),       # a pool worker whose sibling takes the other CPU
-        (None, 5, 3, 1),
-        (None, 2, 1, 2),
-        (None, 4, 2, 2),
-    ])
-    def test_thread_count_choice(self, monkeypatch, missing, cpus, processes, threads):
-        monkeypatch.setattr(discretization, "_SET_BLAS_THREADS", lambda count: None)
-        if missing is not None:
-            monkeypatch.setattr(discretization, missing, None)
-        monkeypatch.setattr(discretization.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        monkeypatch.setattr(discretization, "_processes", 1)
-        discretization.share_cpus(processes)
-        assert discretization._solve_threads() == threads
-
-    @pytest.mark.parametrize("cpus, workers, starting, threads", [
-        (2, 2, 2, 1), (2, 1, 2, 2), (8, 3, 8, 2), (2, 5, 2, 1),
-        (8, 2, 1, 1),  # a worker pinned to one thread stays there
-        (8, 2, 3, 3),
-    ])
-    def test_pool_worker_runs_its_share_of_the_cpus(self, monkeypatch, cpus, workers, starting,
-                                                    threads):
+    def test_fallback_sets_no_thread_count(self, monkeypatch):
+        # np.linalg.eigvalsh solves a copy, one triangle after the other, on
+        # the caller's thread and BLAS count
         set_to = []
         monkeypatch.setattr(discretization, "_SET_BLAS_THREADS", set_to.append)
-        monkeypatch.setattr(discretization, "_BLAS_THREADS", lambda: starting)
+        monkeypatch.setattr(discretization, "_DSYEVD", None)
+        params = PhysicalParams(mass=1.0, epsilon=0.05, lam=1.0)
+        _, solved_on = self._solves(monkeypatch, 2, params, build_grid(64, 1.0))
+        assert set_to == []
+        assert solved_on == {True: threading.get_ident(), False: threading.get_ident()}
+
+    # (CPUs the process may use, pool size, starting BLAS count, triangles,
+    # BLAS threads each solve runs on, whether the second is on the helper)
+    THREAD_RULE = [
+        (2, 1, 2, 2, 1, True),   # two at once on two CPUs, one thread each
+        (1, 1, 2, 2, 1, False),  # one CPU: one after the other on one thread
+        (4, 1, 1, 2, 1, True),   # a caller pinned to one thread stays there
+        (8, 1, 8, 2, 4, True),
+        (8, 1, 3, 2, 3, True),   # never above the starting count
+        (5, 3, 5, 2, 1, False),  # a pool worker whose share is one CPU
+        (8, 3, 8, 2, 1, True),   # a worker's share of two, split between the solves
+        (2, 1, 2, 1, 2, False),  # a lone solve on its share
+        (2, 1, 4, 1, 2, False),  # a lone solve capped at its share
+        (2, 2, 2, 1, 1, False),  # a lone solve in a pool worker of two
+        (8, 3, 8, 1, 2, False),
+        (8, 2, 3, 1, 3, False),  # a worker's share of four, capped at the starting count
+        (8, 2, 1, 1, 1, False),  # a pinned pool worker stays on one thread
+        (2, 5, 2, 1, 1, False),  # more workers than CPUs
+    ]
+
+    @pytest.mark.parametrize("cpus, pool, starting, triangles, threads, helper, fails", [
+        (*row, fails) for row in THREAD_RULE for fails in (None, b"L", b"U")[:row[3] + 1]])
+    def test_thread_rule(self, monkeypatch, cpus, pool, starting, triangles, threads, helper,
+                         fails):
+        # every solve, lone or beside another, runs on max(1, min(share // at
+        # once, starting count)) BLAS threads, and the count is back at its
+        # starting value after the spectrum returns or raises; fails names
+        # the triangle whose solve returns info 7 (b"L" is S+'s)
+        count = [starting]
+        monkeypatch.setattr(discretization, "_BLAS_THREADS", lambda: count[0])
+        monkeypatch.setattr(discretization, "_SET_BLAS_THREADS",
+                            lambda threads: count.__setitem__(0, threads))
         monkeypatch.setattr(discretization.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         monkeypatch.setattr(discretization, "_processes", 1)
-        discretization.share_cpus(workers)
-        assert set_to == [threads]
+        discretization.share_cpus(pool)
+        dsyevd = discretization._DSYEVD
+        seen = {}
+
+        def recording_dsyevd(layout, jobz, uplo, *args):
+            seen[uplo] = threading.get_ident(), count[0]
+            return 7 if uplo == fails else dsyevd(layout, jobz, uplo, *args)
+
+        monkeypatch.setattr(discretization, "_DSYEVD", recording_dsyevd)
+        params = PhysicalParams(mass=1.0 if triangles == 2 else 0.0, epsilon=0.05, lam=1.0)
+        try:
+            operator_eigenvalues(params, build_grid(64, 1.0), validate=False, use_cache=False)
+        except ConvergenceError as exc:
+            assert fails is not None and "info = 7" in str(exc)
+        else:
+            assert fails is None
+        caller = threading.get_ident()
+        solved = [b"L"] if triangles == 1 or (fails == b"L" and not helper) else [b"L", b"U"]
+        assert sorted(seen) == solved
+        assert seen[b"L"] == (caller, threads)
+        if b"U" in seen:
+            assert seen[b"U"][1] == threads and (seen[b"U"][0] != caller) == helper
+        assert count == [starting]
 
 
 def massless(epsilon):
@@ -638,7 +671,7 @@ class TestPartnerSpectra:
         # the solo solves below run on the one BLAS thread that each of two
         # solves at once gets, so the bits compare at every n
         filled, solved = recorded
-        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        monkeypatch.setattr(discretization, "_cpu_share", lambda: threads)
         grid = build_grid(n, 1.0)
         params, partner = massless(0.02), massless(0.015)
         ev = operator_eigenvalues(params, grid, partner=partner, validate=False)
@@ -661,7 +694,7 @@ class TestPartnerSpectra:
         grid = build_grid(300, 1.0)
         spectra = []
         for threads in (1, 2):
-            monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+            monkeypatch.setattr(discretization, "_cpu_share", lambda: threads)
             clear_spectrum_cache()
             ev = operator_eigenvalues(massless(0.01), grid, partner=massless(0.008))
             spectra.append((ev, operator_eigenvalues(massless(0.008), grid)))
@@ -708,7 +741,7 @@ class TestPartnerSpectra:
             return 7 if uplo == b"U" else dsyevd(layout, jobz, uplo, *args)
 
         monkeypatch.setattr(discretization, "_DSYEVD", failing_dsyevd)
-        monkeypatch.setattr(discretization, "_solve_threads", lambda: threads)
+        monkeypatch.setattr(discretization, "_cpu_share", lambda: threads)
         clear_spectrum_cache()
         threads_before = threading.active_count()
         with pytest.raises(ConvergenceError, match="info = 7"):

@@ -79,12 +79,43 @@ def test_the_memory_check_sees_names_and_attributes(tmp_path):
                                        "sample.py:6: sysconf"]
 
 
+def _callers(path: Path, names) -> list[str]:
+    """The function around each call of any of names, as _calls finds them;
+    "<module>" for a call outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in names:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
 def test_only_discretization_sets_blas_threads():
     # the OpenBLAS thread count is process-wide: discretization alone binds
-    # the setter and calls it, for two solves at once and for a pool
-    # worker's share of the CPUs
+    # the setter, and only _solve, which holds the one thread rule, calls it
     sources = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in sources if "set_num_threads" in path.read_text()] == [
         "discretization.py"]
-    calls = {path.name: _calls(path, ("_SET_BLAS_THREADS",)) for path in sources}
-    assert [name for name, found in calls.items() if found] == ["discretization.py"]
+    callers = {path.name: _callers(path, ("_SET_BLAS_THREADS",)) for path in sources}
+    assert {name: found for name, found in callers.items() if found} == {
+        "discretization.py": ["_solve", "_solve"]}
+
+
+def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("_SET_BLAS_THREADS(1)\n"
+                      "def _solve():\n"
+                      "    _SET_BLAS_THREADS(max(1, 2))\n"
+                      "def share():\n"
+                      "    def inner():\n"
+                      "        mod._SET_BLAS_THREADS(1)\n")
+    assert _callers(source, ("_SET_BLAS_THREADS",)) == ["<module>", "_solve", "inner"]
