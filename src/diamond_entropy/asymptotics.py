@@ -17,7 +17,6 @@ log(alpha) up to a bounded constant.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,6 +108,17 @@ def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule, params: Physical
     )
 
 
+def _process_pool(max_workers: int, initializer, initargs):
+    """concurrent.futures.ProcessPoolExecutor, imported here so that only a
+    sweep that builds a pool loads the process machinery (multiprocessing,
+    socket, subprocess, logging), which every other run would pay for at
+    import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers, initializer=initializer,
+                               initargs=initargs)
+
+
 def _fit_line(x: np.ndarray, y: np.ndarray):
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
@@ -135,7 +145,9 @@ def sweep(
     ValueError before any point if check_spectrum_memory refuses n_max: below
     the smallest cap, or not even one spectrum fits. Each worker is told the
     pool size (share_cpus), which the thread rule of the discretization
-    module docstring divides the CPUs by. Without a pool,
+    module docstring divides the CPUs by. The pool is handed the points
+    smallest epsilon first, so the costliest spectra do not start last, and
+    its results are put back in decreasing-epsilon order. Without a pool,
     point k is given point k + 1 as its partner (entanglement_entropy), so at
     mass 0 that point's spectra may come from the other triangle of point k's
     buffers and differ from a pool's in the last digits.
@@ -145,9 +157,9 @@ def sweep(
     point = functools.partial(_sweep_point, order, n_max, rule)
     all_params = [replace(params_base, epsilon=float(e)) for e in eps]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=share_cpus,
-                                 initargs=(workers,)) as pool:
-            points = list(pool.map(point, all_params))
+        with _process_pool(max_workers=workers, initializer=share_cpus,
+                           initargs=(workers,)) as pool:
+            points = list(pool.map(point, all_params[::-1]))[::-1]
     else:
         # each ladder also solves the next point's rungs where it can (at
         # mass 0), two spectra in one buffer
@@ -266,7 +278,8 @@ def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width:
             f"of the kernel's mass beyond the box; the smallest width "
             f"{half_width:g} * 2^k that passes on this alpha grid is {width:g}"
         )
-    node_sets = [cross_block_nodes(params, half_width, n) for params in all_params]
+    node_sets = [cross_block_nodes(params, half_width, n, f" at alpha = {alpha:g}")
+                 for alpha, params in zip(alphas, all_params)]
     norms = []
     for params, nodes in zip(all_params, node_sets):
         block = assemble_offdiagonal_truncation(params, nodes)

@@ -52,11 +52,17 @@ The buffer is the only large array. It is a private anonymous mapping on
 4 KiB base pages, which read as zero until written, so only the pages the
 fill writes become resident: about half of its 8 N (N + 1) bytes for a
 massless spectrum solved alone, all of them where both triangles are filled.
-The mapping goes back to the OS when the spectrum's last view dies, so no
-buffer outlives its rung in the heap. One spectrum thus peaks at the imports
-plus the buffer's written pages, LAPACK's workspace of about 105 N doubles
-for each triangle solved at once, and the strip's temporaries, a fixed
-budget of a few MB at every N; where numpy exports no LAPACKE,
+Each page the fill writes takes a plain store of 0 first (every page before
+the strips where both triangles are filled, and strip by strip for S+
+alone, so residency grows as the fill goes), so it faults once, not first
+on the read of a += and again on its write. The mapping goes back to the
+OS when the spectrum's last view dies, so no buffer outlives its rung in
+the heap. One spectrum thus peaks at the imports plus the buffer's written
+pages, LAPACK's workspace of about 105 N doubles for each triangle solved at
+once, and the strip's temporaries, a fixed budget of a few MB at every N.
+Before the solve, glibc's malloc_trim hands the heap pages those
+temporaries freed back to the OS, which the allocator would otherwise keep;
+where numpy exports no LAPACKE,
 np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes. check_spectrum_memory
 compares the whole buffers, written or not (spectrum_buffer_bytes, without
 the O(N) workspaces), with the memory check_memory allows. The grids and their
@@ -67,7 +73,7 @@ of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
 diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
 the closed form is written only in kernel_eval. min_box_half_width checks the
 box, by the bulk term's checked panel sums of k^2, and cross_block_nodes the
-node budget, both apart from the assembly.
+node budget and the block's memory, both apart from the assembly.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ import mmap
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,6 +101,11 @@ BOX_TAIL_TOL = 1e-6
 # the box tail's last panel edge, L 2^60, stays 16 times below the largest
 # float, so the panel midpoints and 2 pi u in the kernel remain finite
 MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
+# peak bytes per element of a log-growth cross block, its assembly and SVD
+# together: 40 at mass 0 and 82-86 at mass 1 (tracemalloc, and ru_maxrss in a
+# fresh process, on blocks of 330 x 660 to 1968 x 2496), up to 90 where the
+# previous alpha's block is still held while the next is assembled
+_CROSS_BLOCK_BYTES = 96
 # separations evaluated per strip while S+- is filled: max(1, _FILL_ELEMENTS // N)
 # rows, so the strip's temporaries take the same few MB at every N
 _FILL_ELEMENTS = 2**15
@@ -120,6 +130,13 @@ _DSYEVD, _BLAS_THREADS, _SET_BLAS_THREADS = _openblas_routines(
     ("scipy_openblas_get_num_threads64_", ctypes.c_int),
     ("scipy_openblas_set_num_threads64_", None, ctypes.c_int))
 _LAPACK_COL_MAJOR = 102
+# glibc's malloc_trim(pad) -> int, None where the C library has none: _solve
+# returns the heap's free pages to the OS before LAPACK's workspace comes
+try:
+    _MALLOC_TRIM = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_size_t)(
+        ("malloc_trim", ctypes.CDLL(None)))
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
 
 # processes solving spectra side by side, this one included: 1 unless
 # share_cpus, sweep's pool initializer, says otherwise
@@ -184,17 +201,24 @@ def _cgroup_memory_bytes(cgroups: str = "/proc/self/cgroup",
     return min(limits, default=None)
 
 
-def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
-    """How many requests of bytes_for(count) bytes fit at once in the lesser
-    of physical memory and this process's cgroup memory limit, which every
-    process of a sweep's pool shares; ValueError naming flag, count, that
-    limit and the largest count that fits when not even one does. bytes_for
-    must grow with its count; where qualifies the count in the message. An
-    unset cgroup limit, or one above physical memory, does not apply."""
+def _memory_limit() -> tuple[int, str]:
+    """The lesser of physical memory and this process's cgroup memory limit,
+    which every process of a sweep's pool shares, and the words that name it
+    in a message. An unset cgroup limit, or one above physical memory, does
+    not apply."""
     total, holds = physical_memory_bytes(), "physical memory holds"
     cgroup = _cgroup_memory_bytes()
     if cgroup is not None and cgroup < total:
         total, holds = cgroup, "this process's cgroup memory limit allows"
+    return total, holds
+
+
+def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
+    """How many requests of bytes_for(count) bytes fit at once in the memory
+    _memory_limit allows; ValueError naming flag, count, that limit and the
+    largest count that fits when not even one does. bytes_for must grow with
+    its count; where qualifies the count in the message."""
+    total, holds = _memory_limit()
     need = bytes_for(count)
     if need > total:
         fits, over = 0, count  # bytes_for(fits) <= total < bytes_for(over)
@@ -245,14 +269,35 @@ def _eigvalsh_in_place(buf: np.ndarray, upper: bool) -> np.ndarray:
     return eigenvalues
 
 
+def _solve_into(outcome: list, view: np.ndarray, upper: bool) -> None:
+    """Append the eigenvalues of one triangle, or the error its solve raised,
+    to outcome: the helper thread's work in _solve, which raises that error
+    in the calling thread."""
+    try:
+        outcome.append(_eigvalsh_in_place(view, upper))
+    except BaseException as exc:
+        outcome.append(exc)
+        # the error's traceback holds this frame: without outcome in it, no
+        # cycle keeps the buffer mapped after the error is dropped
+        outcome = None
+
+
 def _solve(triangles) -> tuple[np.ndarray, ...]:
     """Ascending eigenvalues of each (view, upper) triangle of one spectrum
-    buffer, one or two, under the module docstring's thread rule. The BLAS
-    count is process-wide, so it is set and restored under _blas_threads_lock
-    (threads that ask for spectra at once solve in turn; no caller in the
-    package does), and it comes back after the helper joins, whether the
-    solves return or raise. The np.linalg fallback sets no count and solves
-    one triangle at a time."""
+    buffer, one or two, under the module docstring's thread rule. Two solved
+    at once run the second on a bare helper thread, which is joined before
+    this returns or raises, so no thread writes to the buffer afterwards nor
+    solves after the caller's count is back. Where both solves fail, the
+    first triangle's error propagates. The BLAS count is process-wide, so it
+    is set and restored under _blas_threads_lock (threads that ask for
+    spectra at once solve in turn; no caller in the package does), and it
+    comes back after the helper joins, whether the solves return or raise.
+    The np.linalg fallback sets no count and solves one triangle at a time.
+    First the heap's free pages, most of them the fill's strip temporaries,
+    go back to the OS (_MALLOC_TRIM), so that the spectrum's peak is not
+    those pages and LAPACK's workspace on top of the filled buffer."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     if _DSYEVD is None:
         return tuple(_eigvalsh_in_place(view, upper) for view, upper in triangles)
     share = _cpu_share()
@@ -263,18 +308,18 @@ def _solve(triangles) -> tuple[np.ndarray, ...]:
         try:
             if at_once == 1:
                 return tuple(_eigvalsh_in_place(view, upper) for view, upper in triangles)
-            # the with block joins the helper, so no thread writes to the
-            # buffer once this returns or raises, nor solves after the
-            # caller's count is back
-            with ThreadPoolExecutor(1) as helper:
-                second = helper.submit(_eigvalsh_in_place, *triangles[1])
-                try:
-                    return _eigvalsh_in_place(*triangles[0]), second.result()
-                finally:
-                    # a failed future holds a traceback that holds this frame:
-                    # dropping it breaks the cycle, so the buffer dies with the
-                    # exception, not at the next collection
-                    del second
+            outcome = []
+            helper = threading.Thread(target=_solve_into, args=(outcome, *triangles[1]))
+            helper.start()
+            try:
+                first = _eigvalsh_in_place(*triangles[0])
+            finally:
+                helper.join()
+            # raised or returned straight from the list, so no local of this
+            # frame holds the helper's error in a cycle through its traceback
+            if isinstance(outcome[0], BaseException):
+                raise outcome.pop()
+            return first, outcome.pop()
         finally:
             _SET_BLAS_THREADS(caller_threads)
 
@@ -298,6 +343,17 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         mapping.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(mapping).reshape(n + 1, n)
+
+
+def _write_pages(block: np.ndarray) -> None:
+    """Write 0 to one element of each page that any row of block, a 2-D view
+    of a spectrum buffer with contiguous rows, lies on: every page_size-th
+    element of each row and its last. The caller makes sure that block holds
+    nothing yet. A page the fill will write then faults once, on this write;
+    the strips' first access is +=, whose read would map the shared zero page
+    and whose write would fault a second time."""
+    block[:, ::mmap.PAGESIZE // block.itemsize] = 0.0
+    block[:, -1] = 0.0
 
 
 def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, b: int):
@@ -337,12 +393,14 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
     triangle of buf[:N] and S- the lower one of buf[1:], each with its own
     diagonal. buf comes from _zeroed_buffer, so a triangle nothing writes
-    never becomes resident, and strips of max(1, _FILL_ELEMENTS // N) rows
-    keep the rest to a fixed budget. At mass 0 the lower triangle is free:
-    given a partner, each strip also evaluates the partner's kernel and
-    writes it there through the images of S-, which at C = 0 give the
-    partner's S+. The fill runs on the calling thread, and _solve solves the
-    filled triangles under the module's thread rule.
+    never becomes resident (_write_pages first stores to each page the
+    strips will write, so each faults once), and strips of
+    max(1, _FILL_ELEMENTS // N) rows keep the rest to a fixed budget. At
+    mass 0 the lower triangle is free: given a partner, each strip also
+    evaluates the partner's kernel and writes it there through the images
+    of S-, which at C = 0 give the partner's S+. The fill runs on the calling
+    thread, and _solve solves the filled triangles under the module's thread
+    rule.
     """
     x = grid.nodes + x_offset
     sw = np.sqrt(grid.weights)
@@ -358,9 +416,18 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     minus_mirror = minus[::-1, ::-1]  # minus_mirror[i, j] = minus[i', j']
     down = minus[::-1, :]             # down[i, j] = minus[i', j]
     strip_rows = max(1, _FILL_ELEMENTS // n)
+    if lower is not None:
+        _write_pages(buf)  # every page
     for a in range(0, h, strip_rows):
         b = min(a + strip_rows, h)
         rows, cols = slice(a, b), slice(a, n - a)
+        if lower is None:
+            # S+ alone: this strip writes rows a:b x columns a:N-a and rows
+            # b:N-a x columns N-b:N-a of it for the first time; the earlier
+            # strips wrote rows above a and columns from N-a on. So only the
+            # pages it writes become resident, as the strips go
+            _write_pages(plus[rows, cols])
+            _write_pages(plus[b:n - a, n - b:n - a])
         A, P, Q = _strip_terms(params, x, sw, a, b)
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X
@@ -520,12 +587,16 @@ def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
         width *= 2.0
 
 
-def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):
+def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int, where: str = ""):
     """(rows, row weights, columns, column weights) of the cross block: rows
     inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
 
     Panels grade dyadically toward the interval endpoints down to eps/2. n is
-    the total node budget, used up to 24 nodes per panel; below 4, ValueError.
+    the total node budget (the CLI's --box-grid-size), used up to 24 nodes per
+    panel; below 4, ValueError. ValueError too, before the block is built,
+    where its assembly and SVD (_CROSS_BLOCK_BYTES per element) do not fit in
+    the memory check_memory allows: naming the largest budget that fits, or
+    saying that 4 nodes per panel do not fit; where qualifies the budget.
     """
     lam = params.lam
     fine = params.epsilon / 2.0
@@ -538,6 +609,19 @@ def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):
             f"node budget n={n} too small: need at least {4 * n_panels} for "
             f"{n_panels} graded panels"
         )
+
+    # row panels times column panels, each panel a side x side block of nodes
+    panel_pairs = 4 * (row_half.size - 1) * (col_edges.size - 1)
+
+    def block_bytes(budget: int) -> int:
+        side = min(24, budget // n_panels)
+        return _CROSS_BLOCK_BYTES * panel_pairs * side * side
+
+    total, holds = _memory_limit()
+    if block_bytes(4 * n_panels) > total:
+        raise ValueError(f"the cross block{where} needs {block_bytes(4 * n_panels):.3g} bytes "
+                         f"even at 4 nodes per panel, more than the {total:.3g} bytes {holds}")
+    check_memory(block_bytes, n, "--box-grid-size", where)
 
     x_l, w_l = panel_nodes(row_half, per)
     x_rows = np.concatenate([x_l, lam - x_l[::-1]])

@@ -81,14 +81,20 @@ class TestSweep:
 
 class TestSweepWorkers:
     @pytest.fixture
-    def recorded(self, monkeypatch):
+    def handed(self):
+        """The epsilons of the points handed to the pools of a test, in order."""
+        return []
+
+    @pytest.fixture
+    def recorded(self, monkeypatch, handed):
         """Pools (size, initializer, its arguments) and preflight grid sizes
         of the sweeps run in a test."""
         pool, preflight = [], []
         check = asymptotics.check_spectrum_memory
 
         class RecordingPool:
-            """Stands in for ProcessPoolExecutor and maps in-process."""
+            """Stands in for ProcessPoolExecutor, records the order of the
+            points it is handed and maps in-process."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
                 pool.append((max_workers, initializer, initargs))
@@ -100,23 +106,28 @@ class TestSweepWorkers:
                 return False
 
             def map(self, fn, items):
+                items = list(items)
+                handed.extend(params.epsilon for params in items)
                 return map(fn, items)
 
         def recording_check(n):
             preflight.append(n)
             return check(n)
 
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(asymptotics, "_process_pool", RecordingPool)
         monkeypatch.setattr(asymptotics, "check_spectrum_memory", recording_check)
         return pool, preflight
 
-    def test_pool_never_exceeds_points(self, recorded, coarse_sweep):
+    def test_pool_never_exceeds_points(self, recorded, handed, coarse_sweep):
         result = sweep(base_params(), K1, COARSE_GRID, jobs=64)
         # each worker learns how many processes share the CPUs
         workers = COARSE_GRID.size
         assert recorded == ([(workers, discretization.share_cpus, (workers,))],
                             [asymptotics.DEFAULT_N_MAX])
         assert result.points == coarse_sweep.points
+        # the costliest spectra start first, and the points come back in
+        # decreasing-epsilon order
+        assert handed == sorted(COARSE_GRID)
 
     def test_one_job_starts_no_pool(self, recorded, coarse_sweep):
         sweep(base_params(), K1, COARSE_GRID, jobs=1)
@@ -157,8 +168,10 @@ class TestSweepWorkers:
         monkeypatch.setattr(asymptotics, "entanglement_entropy", on_theory_line)
         sweep(base_params(), K1, COARSE_GRID, jobs=jobs)
         eps = list(COARSE_GRID)
-        partners = [*eps[1:], None] if jobs == 1 else [None] * len(eps)
-        assert handed == list(zip(eps, partners))
+        # the pool is handed the smallest epsilon first
+        expected = (list(zip(eps, [*eps[1:], None])) if jobs == 1
+                    else [(e, None) for e in eps[::-1]])
+        assert handed == expected
 
     def test_massless_sweep_with_one_job_matches_the_pool(self):
         # a point solved as its neighbour's partner comes from the other

@@ -211,7 +211,7 @@ class TestArgumentHandling:
         def no_pool(*args, **kwargs):
             raise AssertionError("pool built for a cap below 64")
 
-        monkeypatch.setattr(asymptotics, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(asymptotics, "_process_pool", no_pool)
         assert run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.1:0.002:8log",
                         "--grid-size", grid_size, "--jobs", "2"]) == 2
         captured = capsys.readouterr()
@@ -695,6 +695,24 @@ class TestDiagCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "node budget n=240 too small: need at least 272" in captured.err
+
+    def test_log_growth_box_grid_beyond_memory_exits_2_before_any_block(self, monkeypatch,
+                                                                        capsys):
+        # 8 MiB hold the alpha = 100 block of 16 x 24 panels at 15 nodes per
+        # panel (96 bytes an element), not at the 24 the default budget gives
+        def no_work(*args, **kwargs):
+            raise AssertionError("cross block built beyond the memory check")
+
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(asymptotics, "assemble_offdiagonal_truncation", no_work)
+        monkeypatch.setattr(np.linalg, "svd", no_work)
+        code = run_cli(["diag", "log-growth", "--alpha-grid", "100,1000,10000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "error: --box-grid-size 1024 at alpha = 100 needs more than the 8.39e+06 bytes "
+            "physical memory holds; the largest --box-grid-size that fits at alpha = 100 is 639")
 
     @pytest.mark.parametrize("width", ["0", "-8"])
     def test_log_growth_nonpositive_box_exits_2(self, capsys, width):

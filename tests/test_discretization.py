@@ -1,6 +1,8 @@
 import gc
 import mmap
 import os
+import platform
+import resource
 import threading
 import tracemalloc
 import weakref
@@ -143,6 +145,37 @@ class TestAssembleOperator:
         assert len(resident_at_solve) == (2 if resident else 1)
         for rss in resident_at_solve:
             assert rss >= 0.95 * total if resident else rss <= 0.65 * total
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="needs Linux pagemap")
+    @pytest.mark.parametrize("n", [300, 1023, 2048])
+    @pytest.mark.parametrize("mass, partner", [(0.0, None), (1.0, None), (0.0, 0.0025)],
+                             ids=["massless-alone", "massive", "massless-partner"])
+    def test_each_page_the_fill_writes_faults_once(self, monkeypatch, n, mass, partner):
+        # a plain store of 0 reaches each page before the fill's +=, whose
+        # read would map the zero page and whose write would fault again:
+        # about one fault fewer per written page, and no other page resident
+        at_solve = []
+
+        def recording(triangles):
+            at_solve.append(resident_pages(triangles[0][0]))
+            return tuple(np.zeros(view.shape[0]) for view, _ in triangles)
+
+        monkeypatch.setattr(discretization, "_solve", recording)
+        params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
+        partner = None if partner is None else massless(partner)
+        grid = build_grid(n, 1.0)
+
+        def fill_faults():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            discretization._spectrum(params, grid, 0.0, partner)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        stored_first = min(fill_faults() for _ in range(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(discretization, "_write_pages", lambda block: None)
+            plain = min(fill_faults() for _ in range(3))
+        assert all(np.array_equal(mask, at_solve[0]) for mask in at_solve)
+        assert plain - stored_first >= 0.9 * np.count_nonzero(at_solve[0])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_buffer_is_unmapped_when_its_spectrum_returns_or_fails(self, monkeypatch, threads):
@@ -473,6 +506,25 @@ class TestConcurrentSolves:
         assert together_on[True] == caller and together_on[False] != caller
         assert threading.active_count() == threads_before
 
+    def test_free_heap_pages_go_back_before_the_solves(self, monkeypatch):
+        # the pages the fill's temporaries freed are not held under LAPACK's
+        # workspace; glibc has malloc_trim, so it is bound there
+        if platform.libc_ver()[0] == "glibc":
+            assert discretization._MALLOC_TRIM is not None
+        calls = []
+        solve = discretization._eigvalsh_in_place
+
+        def recording(buf, upper):
+            calls.append(("solve", upper))
+            return solve(buf, upper)
+
+        monkeypatch.setattr(discretization, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
+        monkeypatch.setattr(discretization, "_eigvalsh_in_place", recording)
+        monkeypatch.setattr(discretization, "_cpu_share", lambda: 1)
+        params = PhysicalParams(mass=1.0, epsilon=0.05, lam=1.0)
+        operator_eigenvalues(params, build_grid(64, 1.0), validate=False, use_cache=False)
+        assert calls == [("trim", 0), ("solve", True), ("solve", False)]
+
     def test_massless_spectrum_is_one_solve_on_the_calling_thread(self, monkeypatch):
         params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
         _, solved_on = self._solves(monkeypatch, 2, params, build_grid(256, 1.0))
@@ -622,19 +674,23 @@ def mapping_of(view):
     return view
 
 
-def resident_bytes(view):
-    """Bytes of the pages of a spectrum buffer's mapping that are in memory
-    and mapped by this process alone, from the present (63) and exclusive
-    (56) bits of their /proc/self/pagemap entries: the buffer's own pages,
-    not a neighbour the kernel merged into its mapping, nor the shared zero
-    page that reading an unwritten page maps."""
+def resident_pages(view):
+    """Whether each page of a spectrum buffer's mapping is in memory and
+    mapped by this process alone, from the present (63) and exclusive (56)
+    bits of its /proc/self/pagemap entry: the buffer's own pages, not a
+    neighbour the kernel merged into its mapping, nor the shared zero page
+    that reading an unwritten page maps."""
     mapping = mapping_of(view)
     start = np.frombuffer(mapping, dtype=np.uint8).ctypes.data
     with open("/proc/self/pagemap", "rb") as pagemap:
         pagemap.seek(8 * (start // mmap.PAGESIZE))
         entries = np.frombuffer(pagemap.read(8 * -(-len(mapping) // mmap.PAGESIZE)), np.uint64)
-    owned = (entries >> np.uint64(63)) & (entries >> np.uint64(56)) & np.uint64(1)
-    return int(np.count_nonzero(owned)) * mmap.PAGESIZE
+    return ((entries >> np.uint64(63)) & (entries >> np.uint64(56)) & np.uint64(1)).astype(bool)
+
+
+def resident_bytes(view):
+    """Bytes of the resident_pages of a spectrum buffer's mapping."""
+    return int(np.count_nonzero(resident_pages(view))) * mmap.PAGESIZE
 
 
 def cache_key(params, grid):
@@ -849,6 +905,27 @@ class TestOffdiagonalTruncation:
         params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
         with pytest.raises(ValueError, match="node budget n=32 too small"):
             discretization.cross_block_nodes(params, 8.0, 32)
+
+    def test_cross_block_memory_is_checked_before_the_block(self, monkeypatch):
+        # memory faked to hold the block at 12 nodes per panel: the check
+        # names the largest budget that keeps 12, and 4 nodes per panel that
+        # do not fit are named as such
+        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
+        rows, _, cols, _ = discretization.cross_block_nodes(params, 8.0, 10**6)
+        panels = (rows.size + cols.size) // 24
+        at_12 = discretization._CROSS_BLOCK_BYTES * rows.size * cols.size // 4
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12)
+        rows, _, cols, _ = discretization.cross_block_nodes(params, 8.0, 13 * panels - 1)
+        assert (rows.size + cols.size) // panels == 12
+        with pytest.raises(ValueError, match=f"^--box-grid-size {13 * panels} at alpha = 1e4 "
+                                             "needs more than .* physical memory holds; the largest "
+                                             f"--box-grid-size that fits at alpha = 1e4 is "
+                                             f"{13 * panels - 1}$"):
+            discretization.cross_block_nodes(params, 8.0, 13 * panels, " at alpha = 1e4")
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12 // 9 - 1)
+        with pytest.raises(ValueError, match="^the cross block needs .* bytes even at 4 nodes "
+                                             "per panel, more than the .* physical memory holds$"):
+            discretization.cross_block_nodes(params, 8.0, 4 * panels)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_entries_match_quadrature_kernel(self, monkeypatch, mass):

@@ -1,6 +1,9 @@
 """Package layout rules that no behavioural test would notice breaking."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "diamond_entropy"
@@ -119,3 +122,15 @@ def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
                       "    def inner():\n"
                       "        mod._SET_BLAS_THREADS(1)\n")
     assert _callers(source, ("_SET_BLAS_THREADS",)) == ["<module>", "_solve", "inner"]
+
+
+def test_the_cli_imports_no_process_or_futures_machinery():
+    # only a sweep with a pool needs concurrent.futures, and with it
+    # multiprocessing and logging: no other run pays for their import
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = ("import sys, diamond_entropy.cli\n"
+             "print(sorted(name for name in ('concurrent.futures', 'multiprocessing', 'logging')"
+             " if name in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
