@@ -25,6 +25,7 @@ from .dirac_symbols import PhysicalParams, limit_symbol, rescaled_symbol
 from .discretization import (
     BOX_TAIL_TOL,
     assemble_offdiagonal_truncation,
+    check_cross_block_budget,
     check_spectrum_memory,
     cross_block_nodes,
     min_box_half_width,
@@ -259,8 +260,8 @@ def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width:
     half_width] with a budget of n nodes per cross block; the ratio to
     log(alpha) must stay bounded (an upper-bound property, not an exact
     rate). The sum is power_sum's, which leaves out the singular values at the
-    rounding floor. ValueError before the first SVD if any alpha's box tail or
-    node budget fails.
+    rounding floor. ValueError before the first node set if any alpha's box
+    tail, node budget or block memory (check_cross_block_budget) fails.
     """
     if not (np.isfinite(q) and q > 0 and any(abs(1.0 / q - l) <= 1e-9 for l in (2, 3, 4))):
         raise ValueError(f"q must be 1/l with l in {{2, 3, 4}}, got {q}")
@@ -278,11 +279,11 @@ def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width:
             f"of the kernel's mass beyond the box; the smallest width "
             f"{half_width:g} * 2^k that passes on this alpha grid is {width:g}"
         )
-    node_sets = [cross_block_nodes(params, half_width, n, f" at alpha = {alpha:g}")
-                 for alpha, params in zip(alphas, all_params)]
+    check_cross_block_budget(all_params, half_width, n)
     norms = []
-    for params, nodes in zip(all_params, node_sets):
-        block = assemble_offdiagonal_truncation(params, nodes)
+    for params in all_params:
+        block = assemble_offdiagonal_truncation(params, cross_block_nodes(params, half_width, n))
         s = np.linalg.svd(block, compute_uv=False)
         norms.append(float(power_sum(s, q, max(block.shape))))
+        del block  # so the next assembly does not peak on top of this block
     return DiagnosticsResult(alpha_grid=alphas, logq_norms=np.array(norms))

@@ -43,10 +43,11 @@ not > 0 or exceeds the largest float over 2 pi, an --output-path that is a
 directory or lacks its parent directory, and every request beyond the lesser
 of physical memory and the process's cgroup memory limit, which names that
 limit and the largest value that fits: the --grid-size cap of entropy, sweep
-and diag offdiag (one spectrum's eigensolver buffers), kernel-dump's
---u-count, verify's --trials at each --dims entry, and the count N of an
-Nlog --eps-grid or --alpha-grid. Outputs embed the resolved configuration
-and the package version, and are bit-identical for identical configuration.
+and diag offdiag (one spectrum's eigensolver buffers), diag log-growth's
+--box-grid-size over its alpha grid, kernel-dump's --u-count, verify's
+--trials at each --dims entry, and the count N of an Nlog --eps-grid or
+--alpha-grid. Outputs embed the resolved configuration and the package
+version, and are bit-identical for identical configuration.
 """
 
 from __future__ import annotations

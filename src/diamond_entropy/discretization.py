@@ -72,8 +72,8 @@ The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
 diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
 the closed form is written only in kernel_eval. min_box_half_width checks the
-box, by the bulk term's checked panel sums of k^2, and cross_block_nodes the
-node budget and the block's memory, both apart from the assembly.
+box, by the bulk term's checked panel sums of k^2, and check_cross_block_budget
+the node budget and block memory of a whole alpha grid, apart from the assembly.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ BOX_TAIL_TOL = 1e-6
 MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
 # peak bytes per element of a log-growth cross block, its assembly and SVD
 # together: 40 at mass 0 and 82-86 at mass 1 (tracemalloc, and ru_maxrss in a
-# fresh process, on blocks of 330 x 660 to 1968 x 2496), up to 90 where the
-# previous alpha's block is still held while the next is assembled
+# fresh process, on blocks of 330 x 660 to 1968 x 2496)
 _CROSS_BLOCK_BYTES = 96
 # separations evaluated per strip while S+- is filled: max(1, _FILL_ELEMENTS // N)
 # rows, so the strip's temporaries take the same few MB at every N
@@ -201,24 +200,16 @@ def _cgroup_memory_bytes(cgroups: str = "/proc/self/cgroup",
     return min(limits, default=None)
 
 
-def _memory_limit() -> tuple[int, str]:
-    """The lesser of physical memory and this process's cgroup memory limit,
-    which every process of a sweep's pool shares, and the words that name it
-    in a message. An unset cgroup limit, or one above physical memory, does
-    not apply."""
+def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
+    """How many requests of bytes_for(count) bytes fit at once in the lesser of
+    physical memory and this process's cgroup memory limit (a sweep's pool
+    shares both; an unset cgroup limit does not apply); ValueError naming flag,
+    count, that limit and the largest count that fits when not even one does.
+    bytes_for must grow with its count; where qualifies the count in the message."""
     total, holds = physical_memory_bytes(), "physical memory holds"
     cgroup = _cgroup_memory_bytes()
     if cgroup is not None and cgroup < total:
         total, holds = cgroup, "this process's cgroup memory limit allows"
-    return total, holds
-
-
-def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
-    """How many requests of bytes_for(count) bytes fit at once in the memory
-    _memory_limit allows; ValueError naming flag, count, that limit and the
-    largest count that fits when not even one does. bytes_for must grow with
-    its count; where qualifies the count in the message."""
-    total, holds = _memory_limit()
     need = bytes_for(count)
     if need > total:
         fits, over = 0, count  # bytes_for(fits) <= total < bytes_for(over)
@@ -328,11 +319,12 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     """An (n + 1) x n float64 array on a private anonymous mapping of its own.
 
     Its pages read as zero and become resident only when written, one 4 KiB
-    base page at a time: numpy advises huge pages for its large arrays, which
-    would make untouched stretches resident too. The mapping is unmapped when
-    its last view dies, so unlike a freed heap block it leaves nothing behind.
-    MemoryError, naming n and the bytes, where the mapping cannot be made
-    (under a soft RLIMIT_AS, say).
+    base page at a time. Where the kernel's transparent-huge-page mode is
+    "always", huge pages would make untouched stretches resident too, so
+    MADV_NOHUGEPAGE is set; under "madvise" nothing asks for them and the
+    call changes nothing. The mapping is unmapped when its last view dies, so
+    unlike a freed heap block it leaves nothing behind. MemoryError, naming n
+    and the bytes, where the mapping cannot be made (under a soft RLIMIT_AS).
     """
     size = 8 * n * (n + 1)
     try:
@@ -587,48 +579,53 @@ def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
         width *= 2.0
 
 
-def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int, where: str = ""):
-    """(rows, row weights, columns, column weights) of the cross block: rows
-    inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
-
-    Panels grade dyadically toward the interval endpoints down to eps/2. n is
-    the total node budget (the CLI's --box-grid-size), used up to 24 nodes per
-    panel; below 4, ValueError. ValueError too, before the block is built,
-    where its assembly and SVD (_CROSS_BLOCK_BYTES per element) do not fit in
-    the memory check_memory allows: naming the largest budget that fits, or
-    saying that 4 nodes per panel do not fit; where qualifies the budget.
-    """
-    lam = params.lam
+def _cross_block_panels(params: PhysicalParams, box_half_width: float):
+    """Panel edges over [0, lam/2] (per half of the rows) and [0, box_half_width]
+    (per side of the columns), graded down to eps/2, and the panel count."""
     fine = params.epsilon / 2.0
-    row_half = graded_edges(lam / 2.0, fine)
+    row_half = graded_edges(params.lam / 2.0, fine)
     col_edges = graded_edges(box_half_width, fine)
-    n_panels = 2 * (row_half.size - 1) + 2 * (col_edges.size - 1)
-    per = min(24, n // n_panels)
-    if per < 4:
-        raise ValueError(
-            f"node budget n={n} too small: need at least {4 * n_panels} for "
-            f"{n_panels} graded panels"
-        )
+    return row_half, col_edges, 2 * (row_half.size - 1) + 2 * (col_edges.size - 1)
 
-    # row panels times column panels, each panel a side x side block of nodes
-    panel_pairs = 4 * (row_half.size - 1) * (col_edges.size - 1)
+
+def _nodes_per_panel(n: int, n_panels: int) -> int:
+    """Nodes per panel of a budget of n nodes, up to 24; ValueError below 4."""
+    if n < 4 * n_panels:
+        raise ValueError(f"node budget n={n} too small: need at least {4 * n_panels} for "
+                         f"{n_panels} graded panels")
+    return min(24, n // n_panels)
+
+
+def check_cross_block_budget(all_params, box_half_width: float, n: int) -> None:
+    """ValueError unless n nodes give each cross block of all_params 4 nodes per
+    panel and its assembly and SVD (_CROSS_BLOCK_BYTES per element) fit in the
+    memory check_memory allows. Nodes per panel are floored per block, so the
+    largest block at a budget need not be the one with the most panels."""
+    layouts = [_cross_block_panels(params, box_half_width) for params in all_params]
+    _nodes_per_panel(n, max(n_panels for *_, n_panels in layouts))
 
     def block_bytes(budget: int) -> int:
-        side = min(24, budget // n_panels)
-        return _CROSS_BLOCK_BYTES * panel_pairs * side * side
+        # below 4 nodes per panel a budget costs what 4 cost: if those do not fit, none does
+        return max(_CROSS_BLOCK_BYTES * 4 * (row_half.size - 1) * (col_edges.size - 1)
+                   * min(24, max(4, budget // n_panels)) ** 2
+                   for row_half, col_edges, n_panels in layouts)
 
-    total, holds = _memory_limit()
-    if block_bytes(4 * n_panels) > total:
-        raise ValueError(f"the cross block{where} needs {block_bytes(4 * n_panels):.3g} bytes "
-                         f"even at 4 nodes per panel, more than the {total:.3g} bytes {holds}")
-    check_memory(block_bytes, n, "--box-grid-size", where)
+    check_memory(block_bytes, n, "--box-grid-size")
 
+
+def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):
+    """(rows, row weights, columns, column weights) of the cross block: rows
+    inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
+    n is the total node budget (the CLI's --box-grid-size), used up to 24
+    nodes per panel; below 4, ValueError. Its memory is not checked here."""
+    row_half, col_edges, n_panels = _cross_block_panels(params, box_half_width)
+    per = _nodes_per_panel(n, n_panels)
     x_l, w_l = panel_nodes(row_half, per)
-    x_rows = np.concatenate([x_l, lam - x_l[::-1]])
+    x_rows = np.concatenate([x_l, params.lam - x_l[::-1]])
     w_rows = np.concatenate([w_l, w_l[::-1]])
 
     y_out, w_out = panel_nodes(col_edges, per)
-    y_cols = np.concatenate([-y_out[::-1], lam + y_out])
+    y_cols = np.concatenate([-y_out[::-1], params.lam + y_out])
     w_cols = np.concatenate([w_out[::-1], w_out])
     return x_rows, w_rows, y_cols, w_cols
 

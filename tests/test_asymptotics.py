@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,28 @@ class TestLogGrowthDiagnostic:
         monkeypatch.setattr(discretization, "_box_tail_fraction", counted)
         log_growth_diagnostic(0.5, [1e2, 1e3, 1e4])
         assert len(calls) == 3
+
+    def test_one_cross_block_alive_at_a_time(self):
+        # the alpha = 1e4 block is assembled after the alpha = 100 one is
+        # released, so the run peaks as that larger block does alone
+        alphas, n = [1e2, 1e4], 480
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log_growth_diagnostic(0.5, alphas, n=n)
+            both = tracemalloc.get_traced_memory()[1] - base
+            alone = []
+            for alpha in alphas:
+                params = PhysicalParams(mass=1.0, epsilon=1.0 / alpha, lam=1.0)
+                nodes = discretization.cross_block_nodes(params, 8.0, n)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                np.linalg.svd(discretization.assemble_offdiagonal_truncation(params, nodes),
+                              compute_uv=False)
+                alone.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert both <= 1.02 * max(alone)
 
     def test_other_q_orders_run(self):
         for q in (1.0 / 3.0, 0.25):

@@ -683,36 +683,45 @@ class TestDiagCommand:
         assert captured.out == ""
         assert captured.err == "non-convergence: SVD did not converge\n"
 
-    def test_log_growth_node_budget_exits_2_before_any_svd(self, monkeypatch, capsys):
-        # 240 nodes cover the 40 and 52 panels at alpha = 100 and 1000, not
-        # the 68 at alpha = 1e4
+    @pytest.mark.parametrize("budget", ["240", "200"])
+    def test_log_growth_node_budget_exits_2_before_any_svd(self, monkeypatch, capsys, budget):
+        # 240 nodes cover the 40 and 52 panels at alpha = 100 and 1000, 200
+        # only the 40; the grid's refusal names the 68 panels at alpha = 1e4
         def no_svd(*args, **kwargs):
             raise AssertionError("SVD reached with a node budget that is too small")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        code = run_cli(["diag", "log-growth", "--box-grid-size", "240"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "node budget n=240 too small: need at least 272" in captured.err
-
-    def test_log_growth_box_grid_beyond_memory_exits_2_before_any_block(self, monkeypatch,
-                                                                        capsys):
-        # 8 MiB hold the alpha = 100 block of 16 x 24 panels at 15 nodes per
-        # panel (96 bytes an element), not at the 24 the default budget gives
-        def no_work(*args, **kwargs):
-            raise AssertionError("cross block built beyond the memory check")
-
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
-        monkeypatch.setattr(asymptotics, "assemble_offdiagonal_truncation", no_work)
-        monkeypatch.setattr(np.linalg, "svd", no_work)
-        code = run_cli(["diag", "log-growth", "--alpha-grid", "100,1000,10000"])
+        code = run_cli(["diag", "log-growth", "--box-grid-size", budget])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            "error: --box-grid-size 1024 at alpha = 100 needs more than the 8.39e+06 bytes "
-            "physical memory holds; the largest --box-grid-size that fits at alpha = 100 is 639")
+            f"error: node budget n={budget} too small: need at least 272 for 68 graded panels")
+
+    def test_log_growth_box_grid_beyond_memory_exits_2_before_any_block(self, monkeypatch,
+                                                                        capsys):
+        # 8 MiB (96 bytes an element) hold each block of the grid at a budget
+        # of 611, not at 612 nor at the default 1024; the budget named then runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("cross block built beyond the memory check")
+
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
+        command = ["diag", "log-growth", "--alpha-grid", "100,1000,10000"]
+        with monkeypatch.context() as stubs:
+            stubs.setattr(asymptotics, "cross_block_nodes", no_work)
+            stubs.setattr(asymptotics, "assemble_offdiagonal_truncation", no_work)
+            stubs.setattr(np.linalg, "svd", no_work)
+            for budget in ([], ["--box-grid-size", "612"]):
+                code = run_cli([*command, *budget])
+                assert code == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines()[-1] == (
+                    f"error: --box-grid-size {budget[-1] if budget else 1024} needs more than "
+                    "the 8.39e+06 bytes physical memory holds; the largest --box-grid-size "
+                    "that fits is 611")
+        assert run_cli([*command, "--box-grid-size", "611"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["diagnostics"]["logq_norms"]) == 3
 
     @pytest.mark.parametrize("width", ["0", "-8"])
     def test_log_growth_nonpositive_box_exits_2(self, capsys, width):

@@ -908,24 +908,39 @@ class TestOffdiagonalTruncation:
 
     def test_cross_block_memory_is_checked_before_the_block(self, monkeypatch):
         # memory faked to hold the block at 12 nodes per panel: the check
-        # names the largest budget that keeps 12, and 4 nodes per panel that
-        # do not fit are named as such
+        # names the largest budget that keeps 12, and where not even 4 nodes
+        # per panel fit, it names 0
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("node set built by the budget check")
+
         params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
         rows, _, cols, _ = discretization.cross_block_nodes(params, 8.0, 10**6)
         panels = (rows.size + cols.size) // 24
         at_12 = discretization._CROSS_BLOCK_BYTES * rows.size * cols.size // 4
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12)
-        rows, _, cols, _ = discretization.cross_block_nodes(params, 8.0, 13 * panels - 1)
-        assert (rows.size + cols.size) // panels == 12
-        with pytest.raises(ValueError, match=f"^--box-grid-size {13 * panels} at alpha = 1e4 "
-                                             "needs more than .* physical memory holds; the largest "
-                                             f"--box-grid-size that fits at alpha = 1e4 is "
-                                             f"{13 * panels - 1}$"):
-            discretization.cross_block_nodes(params, 8.0, 13 * panels, " at alpha = 1e4")
+        monkeypatch.setattr(discretization, "panel_nodes", no_nodes)
+        discretization.check_cross_block_budget([params], 8.0, 13 * panels - 1)
+        with pytest.raises(ValueError, match=f"^--box-grid-size {13 * panels} needs more than "
+                                             ".* physical memory holds; the largest "
+                                             f"--box-grid-size that fits is {13 * panels - 1}$"):
+            discretization.check_cross_block_budget([params], 8.0, 13 * panels)
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12 // 9 - 1)
-        with pytest.raises(ValueError, match="^the cross block needs .* bytes even at 4 nodes "
-                                             "per panel, more than the .* physical memory holds$"):
-            discretization.cross_block_nodes(params, 8.0, 4 * panels)
+        with pytest.raises(ValueError, match="the largest --box-grid-size that fits is 0$"):
+            discretization.check_cross_block_budget([params], 8.0, 4 * panels)
+
+    def test_cross_block_memory_is_the_largest_block_of_the_grid(self, monkeypatch):
+        # at a budget of 280 the alpha = 100 block (7 nodes on each of its 40
+        # panels) outgrows the alpha = 1e4 one (4 on each of 68): memory that
+        # holds the one but not the other refuses the budget
+        grid = [PhysicalParams(mass=1.0, epsilon=1.0 / alpha, lam=1.0) for alpha in (1e2, 1e4)]
+        sizes = [np.prod([nodes.size for nodes in discretization.cross_block_nodes(
+            params, 8.0, 280)[::2]]) for params in grid]
+        assert sizes == [18816, 18240]
+        monkeypatch.setattr(discretization, "physical_memory_bytes",
+                            lambda: discretization._CROSS_BLOCK_BYTES * 18816 - 1)
+        discretization.check_cross_block_budget(grid[1:], 8.0, 280)
+        with pytest.raises(ValueError, match="^--box-grid-size 280 needs more than"):
+            discretization.check_cross_block_budget(grid, 8.0, 280)
 
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     def test_entries_match_quadrature_kernel(self, monkeypatch, mass):

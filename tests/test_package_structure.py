@@ -113,6 +113,13 @@ def test_only_discretization_sets_blas_threads():
         "discretization.py": ["_solve", "_solve"]}
 
 
+def test_only_check_memory_reads_the_memory_limits():
+    # every memory refusal comes from check_memory, so each one names its
+    # limit the same way and no second refusal path can name another value
+    assert _callers(PACKAGE / "discretization.py",
+                    ("physical_memory_bytes", "_cgroup_memory_bytes")) == ["check_memory"] * 2
+
+
 def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("_SET_BLAS_THREADS(1)\n"
