@@ -50,23 +50,22 @@ one and on two OpenBLAS threads, which dsyevd's did not; at other N they
 differ in the last digit or two, and so may a partner's from its own solve.
 The buffer is the only large array. It is a private anonymous mapping on
 4 KiB base pages, which read as zero until written, so only the pages the
-fill writes become resident: about half of its 8 N (N + 1) bytes for a
-massless spectrum solved alone, all of them where both triangles are filled.
-Each page the fill writes takes a plain store of 0 first (every page before
-the strips where both triangles are filled, and strip by strip for S+
-alone, so residency grows as the fill goes), so it faults once, not first
-on the read of a += and again on its write. The mapping goes back to the
-OS when the spectrum's last view dies, so no buffer outlives its rung in
-the heap. One spectrum thus peaks at the imports plus the buffer's written
-pages, LAPACK's workspace of about 105 N doubles for each triangle solved at
-once, and the strip's temporaries, a fixed budget of a few MB at every N.
-Before the solve, glibc's malloc_trim hands the heap pages those
-temporaries freed back to the OS, which the allocator would otherwise keep;
-where numpy exports no LAPACKE,
-np.linalg.eigvalsh solves a copy, adding 8 N^2 bytes. check_spectrum_memory
-compares the whole buffers, written or not (spectrum_buffer_bytes, without
-the O(N) workspaces), with the memory check_memory allows. The grids and their
-Gauss-Legendre rules come from quadrature.
+fill writes become resident: all of its 8 N (N + 1) bytes where both
+triangles are filled, and for a massless spectrum solved alone the upper
+triangle's pages and those the strips reach up to strip_rows - 1 columns
+left of the diagonal, from all of them where a row lies on one page
+(N <= 512) down toward half at large powers of two (0.62 at N = 2048). The
+mapping goes back to the OS when the spectrum's last view dies, so no buffer
+outlives its rung in the heap. One spectrum thus peaks at the imports plus
+the buffer's written pages, LAPACK's workspace of about 105 N doubles for
+each triangle solved at once, and the strip's temporaries, a fixed budget of
+a few MB at every N. Before the solve, glibc's malloc_trim hands the heap
+pages those temporaries freed back to the OS, which the allocator would
+otherwise keep; where numpy exports no LAPACKE, np.linalg.eigvalsh solves a
+copy, adding 8 N^2 bytes. check_spectrum_memory compares the whole buffers,
+written or not (spectrum_buffer_bytes, without the O(N) workspaces), with
+the memory check_memory allows. The grids and their Gauss-Legendre rules
+come from quadrature.
 
 The module also builds, on a graded grid, the cross block (inside x outside)
 of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
@@ -162,9 +161,10 @@ def spectrum_buffer_bytes(n: int) -> int:
     """Bytes of the (N + 1) x N buffer one spectrum holds, plus the N x N copy
     np.linalg.eigvalsh makes when the fallback solves. The buffer also holds
     a partner's spectrum at mass 0. All of it is counted, although only the
-    pages the fill writes become resident (about half at mass 0 without a
-    partner). LAPACK's O(N) workspaces (about 105 N doubles each, two where
-    both triangles are solved at once) are not counted."""
+    pages the fill writes become resident: at mass 0 without a partner, all
+    at N <= 512 and 0.56 to 0.99 of them from N = 1000 to 4096 (README).
+    LAPACK's O(N) workspaces (about 105 N doubles each, two where both
+    triangles are solved at once) are not counted."""
     matrices = 1 if _DSYEVD is not None else 2
     return 8 * n * (matrices * n + 1)
 
@@ -337,17 +337,6 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     return np.frombuffer(mapping).reshape(n + 1, n)
 
 
-def _write_pages(block: np.ndarray) -> None:
-    """Write 0 to one element of each page that any row of block, a 2-D view
-    of a spectrum buffer with contiguous rows, lies on: every page_size-th
-    element of each row and its last. The caller makes sure that block holds
-    nothing yet. A page the fill will write then faults once, on this write;
-    the strips' first access is +=, whose read would map the shared zero page
-    and whose write would fault a second time."""
-    block[:, ::mmap.PAGESIZE // block.itemsize] = 0.0
-    block[:, -1] = 0.0
-
-
 def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, b: int):
     """A, B + C and B - C of params on the fill strip of rows a:b and columns
     a:N-a (the nodes x, the square roots sw of the weights), zero off D and
@@ -385,14 +374,12 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     B +- C on the diagonal j = i) each carries weight 1/2. S+ fills the upper
     triangle of buf[:N] and S- the lower one of buf[1:], each with its own
     diagonal. buf comes from _zeroed_buffer, so a triangle nothing writes
-    never becomes resident (_write_pages first stores to each page the
-    strips will write, so each faults once), and strips of
-    max(1, _FILL_ELEMENTS // N) rows keep the rest to a fixed budget. At
-    mass 0 the lower triangle is free: given a partner, each strip also
-    evaluates the partner's kernel and writes it there through the images
-    of S-, which at C = 0 give the partner's S+. The fill runs on the calling
-    thread, and _solve solves the filled triangles under the module's thread
-    rule.
+    never becomes resident, and strips of max(1, _FILL_ELEMENTS // N) rows
+    keep the rest to a fixed budget. At mass 0 the lower triangle is free:
+    given a partner, each strip also evaluates the partner's kernel and writes
+    it there through the images of S-, which at C = 0 give the partner's S+.
+    The fill runs on the calling thread, and _solve solves the filled
+    triangles under the module's thread rule.
     """
     x = grid.nodes + x_offset
     sw = np.sqrt(grid.weights)
@@ -408,18 +395,9 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     minus_mirror = minus[::-1, ::-1]  # minus_mirror[i, j] = minus[i', j']
     down = minus[::-1, :]             # down[i, j] = minus[i', j]
     strip_rows = max(1, _FILL_ELEMENTS // n)
-    if lower is not None:
-        _write_pages(buf)  # every page
     for a in range(0, h, strip_rows):
         b = min(a + strip_rows, h)
         rows, cols = slice(a, b), slice(a, n - a)
-        if lower is None:
-            # S+ alone: this strip writes rows a:b x columns a:N-a and rows
-            # b:N-a x columns N-b:N-a of it for the first time; the earlier
-            # strips wrote rows above a and columns from N-a on. So only the
-            # pages it writes become resident, as the strips go
-            _write_pages(plus[rows, cols])
-            _write_pages(plus[b:n - a, n - b:n - a])
         A, P, Q = _strip_terms(params, x, sw, a, b)
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X

@@ -120,6 +120,15 @@ def test_only_check_memory_reads_the_memory_limits():
                     ("physical_memory_bytes", "_cgroup_memory_bytes")) == ["check_memory"] * 2
 
 
+def test_only_zeroed_buffer_maps_and_advises_memory():
+    # the spectrum buffer's page policy (base pages, which pages become
+    # resident) lives in one function, so changing it touches only that one
+    callers = {path.name: _callers(path, ("mmap", "madvise"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in callers.items() if found} == {
+        "discretization.py": ["_zeroed_buffer", "_zeroed_buffer"]}
+
+
 def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("_SET_BLAS_THREADS(1)\n"
