@@ -12,23 +12,29 @@ exactly the diagonal-symbol term), the high-frequency part of the rescaled
 symbol must converge uniformly to the limit symbol, and the q = 1/l
 quasi-norms of the interval cross blocks must grow no faster than
 log(alpha) up to a bounded constant.
+
+The cross block (inside x outside) of the damped scalar symbol
+exp(-eps omega(k)) is built here on a graded grid. Its kernel,
+F0 / 2pi = 2 Re K11, comes from kernel_blocks, so the closed form is written
+only in kernel_eval. min_box_half_width checks the box, by the bulk term's
+checked panel sums of k^2. CrossBlockLayout holds one alpha's panels and
+nodes per panel at a budget; check_cross_block_budget reads it for the node
+budget and block memory of a whole alpha grid, apart from the assembly, and
+cross_block_nodes for the nodes.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dirac_symbols import PhysicalParams, limit_symbol, rescaled_symbol
 from .discretization import (
-    BOX_TAIL_TOL,
-    assemble_offdiagonal_truncation,
-    check_cross_block_budget,
+    check_memory,
     check_spectrum_memory,
-    cross_block_nodes,
-    min_box_half_width,
     operator_eigenvalues,
     share_cpus,
 )
@@ -39,13 +45,22 @@ from .entropy_pipeline import (
     subtraction_trace,
 )
 from .errors import ConvergenceError
-from .quadrature import GridRule, build_grid
+from .kernel_eval import kernel_blocks
+from .quadrature import GridRule, build_grid, checked_panel_sum, graded_edges, panel_nodes
 from .renyi_functions import RenyiOrder, theoretical_slope
 from .schatten_toolkit import power_sum
 
 MIN_SWEEP_POINTS = 6
 MIN_CONVERGED_POINTS = 5
 MIN_GRID_RATIO = 30.0
+BOX_TAIL_TOL = 1e-6
+# the box tail's last panel edge, L 2^60, stays 16 times below the largest
+# float, so the panel midpoints and 2 pi u in the kernel remain finite
+MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
+# peak bytes per element of a log-growth cross block, its assembly and SVD
+# together: 40 at mass 0 and 82-86 at mass 1 (tracemalloc, and ru_maxrss in a
+# fresh process, on blocks of 330 x 660 to 1968 x 2496)
+_CROSS_BLOCK_BYTES = 96
 
 
 @dataclass(frozen=True)
@@ -251,6 +266,109 @@ def offdiagonal_diagnostic(
     )
 
 
+def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
+    """Position kernel of exp(-eps omega(k)): F0 / 2pi = 2 Re K11."""
+    return 2.0 * kernel_blocks(params, u)[0].real
+
+
+def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
+    """sqrt(tail / (inside + tail)), with inside and tail int k(u)^2 du over (0, L)
+    and (L, inf), L = box_half_width, each a panel sum checked to BOX_TAIL_TOL:
+    inside on panels doubling from eps/2, the tail on L 2^k, k <= 60 (past them
+    the massless k^2 ~ u^-4 leaves 2^-180 of it). The tail's check also allows
+    BOX_TAIL_TOL^3 of the inside mass, too little to move the gate. The
+    fraction does not see the kernel's scale, so k is taken times pi eps, one
+    over the massless k(0), which bounds |k| at every mass: its square stays
+    finite where k(0)^2 would overflow (eps below about 1e-154)."""
+    def k2(u):
+        return (math.pi * params.epsilon * _scalar_kernel(params, u)) ** 2
+
+    inside = checked_panel_sum(k2, graded_edges(box_half_width, params.epsilon / 2.0),
+                               BOX_TAIL_TOL, 0.0, "box-tail quadrature")
+    tail = checked_panel_sum(k2, box_half_width * 2.0 ** np.arange(61.0), BOX_TAIL_TOL,
+                             BOX_TAIL_TOL**3 * inside, "box-tail quadrature")
+    return math.sqrt(tail / (inside + tail)) if tail else 0.0
+
+
+def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
+    """Smallest box_half_width * 2**k (k >= 0) beyond which _box_tail_fraction's
+    checked panel sums find at most BOX_TAIL_TOL of the kernel's norm (more
+    would bias the cross block; a NaN fraction fails too); ConvergenceError if
+    a sum is unresolved, ValueError once a width exceeds MAX_BOX_HALF_WIDTH."""
+    if not 0 < box_half_width < math.inf:
+        raise ValueError("box_half_width must be positive and finite")
+    width = box_half_width
+    while True:
+        if width > MAX_BOX_HALF_WIDTH:
+            raise ValueError(f"box half-width {width:g} is too large (at most "
+                             f"{MAX_BOX_HALF_WIDTH:.4g}): the box-tail panels out to "
+                             "2^60 times it would overflow")
+        if _box_tail_fraction(params, width) <= BOX_TAIL_TOL:
+            return width
+        width *= 2.0
+
+
+class CrossBlockLayout:
+    """The panels of one cross block: row_half over [0, lam/2] (each half of
+    the rows) and col_edges over [0, box_half_width] (each side of the
+    columns), graded down to eps/2, and their count, panels."""
+
+    def __init__(self, params: PhysicalParams, box_half_width: float):
+        fine = params.epsilon / 2.0
+        self.lam = params.lam
+        self.row_half = graded_edges(params.lam / 2.0, fine)
+        self.col_edges = graded_edges(box_half_width, fine)
+        self.panels = 2 * (self.row_half.size - 1) + 2 * (self.col_edges.size - 1)
+
+    def per(self, n: int) -> int:
+        """Nodes per panel of a budget of n nodes, up to 24; ValueError below 4."""
+        if n < 4 * self.panels:
+            raise ValueError(f"node budget n={n} too small: need at least {4 * self.panels} "
+                             f"for {self.panels} graded panels")
+        return min(24, n // self.panels)
+
+    def elements(self, n: int) -> int:
+        """Rows times columns of the block cross_block_nodes builds at budget n.
+        Below 4 nodes per panel a budget costs what 4 cost: if those do not
+        fit, none does."""
+        per = self.per(max(n, 4 * self.panels))
+        return 4 * (self.row_half.size - 1) * (self.col_edges.size - 1) * per**2
+
+
+def check_cross_block_budget(layouts, n: int) -> None:
+    """ValueError unless n nodes give each cross block of layouts 4 nodes per
+    panel and its assembly and SVD (_CROSS_BLOCK_BYTES per element) fit in the
+    memory check_memory allows. Nodes per panel are floored per block, so the
+    largest block at a budget need not be the one with the most panels."""
+    max(layouts, key=lambda layout: layout.panels).per(n)  # names the most panels
+    check_memory(lambda budget: max(_CROSS_BLOCK_BYTES * layout.elements(budget)
+                                    for layout in layouts), n, "--box-grid-size")
+
+
+def cross_block_nodes(layout: CrossBlockLayout, n: int):
+    """(rows, row weights, columns, column weights) of the cross block: rows
+    inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
+    n is the total node budget (the CLI's --box-grid-size), used up to 24
+    nodes per panel; below 4, ValueError. Its memory is not checked here."""
+    per = layout.per(n)
+    x_l, w_l = panel_nodes(layout.row_half, per)
+    x_rows = np.concatenate([x_l, layout.lam - x_l[::-1]])
+    w_rows = np.concatenate([w_l, w_l[::-1]])
+
+    y_out, w_out = panel_nodes(layout.col_edges, per)
+    y_cols = np.concatenate([-y_out[::-1], layout.lam + y_out])
+    w_cols = np.concatenate([w_out[::-1], w_out])
+    return x_rows, w_rows, y_cols, w_cols
+
+
+def assemble_offdiagonal_truncation(params: PhysicalParams, nodes) -> np.ndarray:
+    """Weight-symmetrized cross block of the damped symbol exp(-eps omega(k))
+    on the nodes from cross_block_nodes."""
+    x_rows, w_rows, y_cols, w_cols = nodes
+    kvals = _scalar_kernel(params, x_rows[:, None] - y_cols[None, :])
+    return np.sqrt(w_rows)[:, None] * kvals * np.sqrt(w_cols)[None, :]
+
+
 def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width: float = 8.0,
                           n: int = 1024, mass: float = 1.0, l0: float = 1.0) -> DiagnosticsResult:
     """q = 1/l quasi-norms of the interval cross blocks along an alpha grid.
@@ -279,10 +397,11 @@ def log_growth_diagnostic(q: float, alpha_grid, *, lam: float = 1.0, half_width:
             f"of the kernel's mass beyond the box; the smallest width "
             f"{half_width:g} * 2^k that passes on this alpha grid is {width:g}"
         )
-    check_cross_block_budget(all_params, half_width, n)
+    layouts = [CrossBlockLayout(params, half_width) for params in all_params]
+    check_cross_block_budget(layouts, n)
     norms = []
-    for params in all_params:
-        block = assemble_offdiagonal_truncation(params, cross_block_nodes(params, half_width, n))
+    for params, layout in zip(all_params, layouts):
+        block = assemble_offdiagonal_truncation(params, cross_block_nodes(layout, n))
         s = np.linalg.svd(block, compute_uv=False)
         norms.append(float(power_sum(s, q, max(block.shape))))
         del block  # so the next assembly does not peak on top of this block

@@ -66,19 +66,11 @@ copy, adding 8 N^2 bytes. check_spectrum_memory compares the whole buffers,
 written or not (spectrum_buffer_bytes, without the O(N) workspaces), with
 the memory check_memory allows. The grids and their Gauss-Legendre rules
 come from quadrature.
-
-The module also builds, on a graded grid, the cross block (inside x outside)
-of the damped scalar symbol exp(-eps omega(k)) for the quasi-norm growth
-diagnostic. Its kernel, F0 / 2pi = 2 Re K11, comes from kernel_blocks, so
-the closed form is written only in kernel_eval. min_box_half_width checks the
-box, by the bulk term's checked panel sums of k^2, and check_cross_block_budget
-the node budget and block memory of a whole alpha grid, apart from the assembly.
 """
 
 from __future__ import annotations
 
 import ctypes
-import math
 import mmap
 import os
 import threading
@@ -92,18 +84,10 @@ from .kernel_eval import kernel_blocks
 # build_grid is re-exported: perfbench/traced.py binds and calls
 # discretization.build_grid, and tests/test_bench_contract.py guards that
 # binding. Grid annotates the spectrum functions below.
-from .quadrature import Grid, build_grid, checked_panel_sum, graded_edges, panel_nodes
+from .quadrature import Grid, build_grid
 
 DEFAULT_TOL_DISC = 1e-6
 MIN_GRID_SIZE = 64  # the smallest grid-size cap
-BOX_TAIL_TOL = 1e-6
-# the box tail's last panel edge, L 2^60, stays 16 times below the largest
-# float, so the panel midpoints and 2 pi u in the kernel remain finite
-MAX_BOX_HALF_WIDTH = np.finfo(float).max / 2.0**64
-# peak bytes per element of a log-growth cross block, its assembly and SVD
-# together: 40 at mass 0 and 82-86 at mass 1 (tracemalloc, and ru_maxrss in a
-# fresh process, on blocks of 330 x 660 to 1968 x 2496)
-_CROSS_BLOCK_BYTES = 96
 # separations evaluated per strip while S+- is filled: max(1, _FILL_ELEMENTS // N)
 # rows, so the strip's temporaries take the same few MB at every N
 _FILL_ELEMENTS = 2**15
@@ -509,108 +493,3 @@ def operator_eigenvalues(
         validate_spectrum_range(eigenvalues)
     return eigenvalues
 
-
-# ---------------------------------------------------------------------------
-# Cross block of the damped scalar symbol (inside x outside an interval)
-# ---------------------------------------------------------------------------
-
-
-def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
-    """Position kernel of exp(-eps omega(k)): F0 / 2pi = 2 Re K11."""
-    return 2.0 * kernel_blocks(params, u)[0].real
-
-
-def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:
-    """sqrt(tail / (inside + tail)), with inside and tail int k(u)^2 du over (0, L)
-    and (L, inf), L = box_half_width, each a panel sum checked to BOX_TAIL_TOL:
-    inside on panels doubling from eps/2, the tail on L 2^k, k <= 60 (past them
-    the massless k^2 ~ u^-4 leaves 2^-180 of it). The tail's check also allows
-    BOX_TAIL_TOL^3 of the inside mass, too little to move the gate. The
-    fraction does not see the kernel's scale, so k is taken times pi eps, one
-    over the massless k(0), which bounds |k| at every mass: its square stays
-    finite where k(0)^2 would overflow (eps below about 1e-154)."""
-    def k2(u):
-        return (math.pi * params.epsilon * _scalar_kernel(params, u)) ** 2
-
-    inside = checked_panel_sum(k2, graded_edges(box_half_width, params.epsilon / 2.0),
-                               BOX_TAIL_TOL, 0.0, "box-tail quadrature")
-    tail = checked_panel_sum(k2, box_half_width * 2.0 ** np.arange(61.0), BOX_TAIL_TOL,
-                             BOX_TAIL_TOL**3 * inside, "box-tail quadrature")
-    return math.sqrt(tail / (inside + tail)) if tail else 0.0
-
-
-def min_box_half_width(params: PhysicalParams, box_half_width: float) -> float:
-    """Smallest box_half_width * 2**k (k >= 0) beyond which _box_tail_fraction's
-    checked panel sums find at most BOX_TAIL_TOL of the kernel's norm (more
-    would bias the cross block; a NaN fraction fails too); ConvergenceError if
-    a sum is unresolved, ValueError once a width exceeds MAX_BOX_HALF_WIDTH."""
-    if not 0 < box_half_width < math.inf:
-        raise ValueError("box_half_width must be positive and finite")
-    width = box_half_width
-    while True:
-        if width > MAX_BOX_HALF_WIDTH:
-            raise ValueError(f"box half-width {width:g} is too large (at most "
-                             f"{MAX_BOX_HALF_WIDTH:.4g}): the box-tail panels out to "
-                             "2^60 times it would overflow")
-        if _box_tail_fraction(params, width) <= BOX_TAIL_TOL:
-            return width
-        width *= 2.0
-
-
-def _cross_block_panels(params: PhysicalParams, box_half_width: float):
-    """Panel edges over [0, lam/2] (per half of the rows) and [0, box_half_width]
-    (per side of the columns), graded down to eps/2, and the panel count."""
-    fine = params.epsilon / 2.0
-    row_half = graded_edges(params.lam / 2.0, fine)
-    col_edges = graded_edges(box_half_width, fine)
-    return row_half, col_edges, 2 * (row_half.size - 1) + 2 * (col_edges.size - 1)
-
-
-def _nodes_per_panel(n: int, n_panels: int) -> int:
-    """Nodes per panel of a budget of n nodes, up to 24; ValueError below 4."""
-    if n < 4 * n_panels:
-        raise ValueError(f"node budget n={n} too small: need at least {4 * n_panels} for "
-                         f"{n_panels} graded panels")
-    return min(24, n // n_panels)
-
-
-def check_cross_block_budget(all_params, box_half_width: float, n: int) -> None:
-    """ValueError unless n nodes give each cross block of all_params 4 nodes per
-    panel and its assembly and SVD (_CROSS_BLOCK_BYTES per element) fit in the
-    memory check_memory allows. Nodes per panel are floored per block, so the
-    largest block at a budget need not be the one with the most panels."""
-    layouts = [_cross_block_panels(params, box_half_width) for params in all_params]
-    _nodes_per_panel(n, max(n_panels for *_, n_panels in layouts))
-
-    def block_bytes(budget: int) -> int:
-        # below 4 nodes per panel a budget costs what 4 cost: if those do not fit, none does
-        return max(_CROSS_BLOCK_BYTES * 4 * (row_half.size - 1) * (col_edges.size - 1)
-                   * min(24, max(4, budget // n_panels)) ** 2
-                   for row_half, col_edges, n_panels in layouts)
-
-    check_memory(block_bytes, n, "--box-grid-size")
-
-
-def cross_block_nodes(params: PhysicalParams, box_half_width: float, n: int):
-    """(rows, row weights, columns, column weights) of the cross block: rows
-    inside (0, lam), columns in [-L, 0) and (lam, lam + L], L = box_half_width.
-    n is the total node budget (the CLI's --box-grid-size), used up to 24
-    nodes per panel; below 4, ValueError. Its memory is not checked here."""
-    row_half, col_edges, n_panels = _cross_block_panels(params, box_half_width)
-    per = _nodes_per_panel(n, n_panels)
-    x_l, w_l = panel_nodes(row_half, per)
-    x_rows = np.concatenate([x_l, params.lam - x_l[::-1]])
-    w_rows = np.concatenate([w_l, w_l[::-1]])
-
-    y_out, w_out = panel_nodes(col_edges, per)
-    y_cols = np.concatenate([-y_out[::-1], params.lam + y_out])
-    w_cols = np.concatenate([w_out[::-1], w_out])
-    return x_rows, w_rows, y_cols, w_cols
-
-
-def assemble_offdiagonal_truncation(params: PhysicalParams, nodes) -> np.ndarray:
-    """Weight-symmetrized cross block of the damped symbol exp(-eps omega(k))
-    on the nodes from cross_block_nodes."""
-    x_rows, w_rows, y_cols, w_cols = nodes
-    kvals = _scalar_kernel(params, x_rows[:, None] - y_cols[None, :])
-    return np.sqrt(w_rows)[:, None] * kvals * np.sqrt(w_cols)[None, :]

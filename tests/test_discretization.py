@@ -6,12 +6,10 @@ import threading
 import tracemalloc
 import weakref
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
 
 from diamond_entropy import (
     ConvergenceError,
@@ -857,183 +855,3 @@ def test_packed_spectrum_matches_direct_assembly(n, mass, epsilon):
     grid = build_grid(n, 1.0)
     fast = operator_eigenvalues(params, grid, validate=False, use_cache=False)
     assert np.abs(fast - direct_spectrum(params, grid)).max() <= 1e-12
-
-
-def cross_block(params, box_half_width, n):
-    nodes = discretization.cross_block_nodes(params, box_half_width, n)
-    return discretization.assemble_offdiagonal_truncation(params, nodes)
-
-
-class TestOffdiagonalTruncation:
-    def test_contraction_largest_singular_value(self):
-        params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        M = cross_block(params, 8.0, 1024)
-        s1 = np.linalg.svd(M, compute_uv=False)[0]
-        assert 0.0 < s1 < 1.0
-
-    def test_quasi_norm_saturates_along_alpha(self):
-        # The q = 1/2 quasi-norm of the cross block tends to a constant: the
-        # boundary-localized kernel structure is scale invariant, so the
-        # stated upper bound ~ log(alpha) is not attained as a growth rate.
-        # Frozen against a brute-force uniform-grid oracle (agrees to 1e-3).
-        alphas = np.array([10.0, 100.0, 1000.0, 10000.0])
-        norms = []
-        for a in alphas:
-            params = PhysicalParams(mass=0.0, epsilon=1.0 / a, lam=1.0)
-            M = cross_block(params, 8.0, 1024)
-            s = np.linalg.svd(M, compute_uv=False)
-            norms.append(float(np.sum(np.sqrt(s))))
-        norms = np.array(norms)
-        assert np.all(np.diff(norms) > 0)          # increasing toward the limit
-        assert 1.4 < norms[0] < norms[-1] < 1.9     # bounded, frozen band
-        exponent = np.polyfit(np.log(np.log(alphas)), np.log(norms), 1)[0]
-        assert 0.0 < exponent < 0.4                 # far from genuine log growth
-
-    def test_box_tail_guard_fires_for_fat_tails(self):
-        params = PhysicalParams(mass=0.0, epsilon=1.0, lam=1.0)
-        assert discretization.min_box_half_width(params, 8.0) > 8.0
-
-    def test_default_tolerance_accepts_massive_symbols(self):
-        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
-        assert discretization.min_box_half_width(params, 8.0) == 8.0
-        M = cross_block(params, 8.0, 1024)
-        assert np.all(np.isfinite(M))
-
-    @pytest.mark.parametrize("mass, eps, box", [(0.0, 1e-4, 8.0), (1.0, 0.5, 2.0),
-                                                (3.0, 1.0, 0.3)])
-    def test_cross_block_nodes_ascend(self, mass, eps, box):
-        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
-        x_rows, _, y_cols, _ = discretization.cross_block_nodes(params, box, 1024)
-        assert np.all(np.diff(x_rows) > 0) and np.all(np.diff(y_cols) > 0)
-
-    def test_budget_too_small_rejected(self):
-        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
-        with pytest.raises(ValueError, match="node budget n=32 too small"):
-            discretization.cross_block_nodes(params, 8.0, 32)
-
-    def test_cross_block_memory_is_checked_before_the_block(self, monkeypatch):
-        # memory faked to hold the block at 12 nodes per panel: the check
-        # names the largest budget that keeps 12, and where not even 4 nodes
-        # per panel fit, it names 0
-        def no_nodes(*args, **kwargs):
-            raise AssertionError("node set built by the budget check")
-
-        params = PhysicalParams(mass=1.0, epsilon=1e-4, lam=1.0)
-        rows, _, cols, _ = discretization.cross_block_nodes(params, 8.0, 10**6)
-        panels = (rows.size + cols.size) // 24
-        at_12 = discretization._CROSS_BLOCK_BYTES * rows.size * cols.size // 4
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12)
-        monkeypatch.setattr(discretization, "panel_nodes", no_nodes)
-        discretization.check_cross_block_budget([params], 8.0, 13 * panels - 1)
-        with pytest.raises(ValueError, match=f"^--box-grid-size {13 * panels} needs more than "
-                                             ".* physical memory holds; the largest "
-                                             f"--box-grid-size that fits is {13 * panels - 1}$"):
-            discretization.check_cross_block_budget([params], 8.0, 13 * panels)
-        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: at_12 // 9 - 1)
-        with pytest.raises(ValueError, match="the largest --box-grid-size that fits is 0$"):
-            discretization.check_cross_block_budget([params], 8.0, 4 * panels)
-
-    def test_cross_block_memory_is_the_largest_block_of_the_grid(self, monkeypatch):
-        # at a budget of 280 the alpha = 100 block (7 nodes on each of its 40
-        # panels) outgrows the alpha = 1e4 one (4 on each of 68): memory that
-        # holds the one but not the other refuses the budget
-        grid = [PhysicalParams(mass=1.0, epsilon=1.0 / alpha, lam=1.0) for alpha in (1e2, 1e4)]
-        sizes = [np.prod([nodes.size for nodes in discretization.cross_block_nodes(
-            params, 8.0, 280)[::2]]) for params in grid]
-        assert sizes == [18816, 18240]
-        monkeypatch.setattr(discretization, "physical_memory_bytes",
-                            lambda: discretization._CROSS_BLOCK_BYTES * 18816 - 1)
-        discretization.check_cross_block_budget(grid[1:], 8.0, 280)
-        with pytest.raises(ValueError, match="^--box-grid-size 280 needs more than"):
-            discretization.check_cross_block_budget(grid, 8.0, 280)
-
-    @pytest.mark.parametrize("mass", [0.0, 1.0])
-    def test_entries_match_quadrature_kernel(self, monkeypatch, mass):
-        # The same graded nodes and weights with the kernel replaced by
-        # 2 Re of the (1, 1) entry of the oscillatory-quadrature reference.
-        params = PhysicalParams(mass=mass, epsilon=0.5, lam=1.0)
-        nodes = discretization.cross_block_nodes(params, 2.0, 96)
-        M = discretization.assemble_offdiagonal_truncation(params, nodes)
-
-        def reference(p, u):
-            quad = np.vectorize(lambda v: 2.0 * kernel_quadrature(p, v)[0, 0].real)
-            return quad(u)
-
-        monkeypatch.setattr(discretization, "_scalar_kernel", reference)
-        M_ref = discretization.assemble_offdiagonal_truncation(params, nodes)
-        assert M.shape == M_ref.shape == (32, 64)
-        assert np.abs(M - M_ref).max() < 1e-9
-
-
-class TestBoxTail:
-    """_box_tail_fraction against references that share no code with it."""
-
-    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 1.0])
-    @pytest.mark.parametrize("box", [0.5, 8.0, 128.0])
-    def test_massless_matches_30_digit_closed_form(self, eps, box):
-        # k(u) = eps / (pi (eps^2 + u^2)): the mass beyond L is the share
-        # (2/pi)(atan x - x/(1 + x^2)), x = eps/L, of the whole
-        with mp.workdps(30):
-            x = mp.mpf(eps) / box
-            share = 2 / mp.pi * (mp.atan(x) - x / (1 + x * x))
-            expected = float(mp.sqrt(share))
-        params = PhysicalParams(mass=0.0, epsilon=eps, lam=1.0)
-        got = discretization._box_tail_fraction(params, box)
-        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("mass", [1.0, 3.0])
-    @pytest.mark.parametrize("eps", [1e-4, 1e-2, 1.0])
-    @pytest.mark.parametrize("box", [0.5, 1.0, 8.0])
-    def test_massive_matches_adaptive_quadrature_and_parseval(self, mass, eps, box):
-        # the whole mass int_0^inf k^2 du is (1/4 pi) int exp(-2 eps omega) dk
-        # = (m / 2 pi) K1(2 eps m) by Parseval
-        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
-
-        def k2(u):
-            return float(discretization._scalar_kernel(params, np.array([u]))[0]) ** 2
-
-        tail = sum(integrate.quad(k2, box * 2.0**j, box * 2.0 ** (j + 1), epsabs=0.0,
-                                  epsrel=1e-13, limit=200)[0] for j in range(40))
-        total = mass * special.k1(2.0 * eps * mass) / (2.0 * np.pi)
-        expected = np.sqrt(tail / total)
-        assert expected > 1e-30
-        got = discretization._box_tail_fraction(params, box)
-        assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
-
-    def test_subnormal_kernel_cannot_trip_the_check(self):
-        # at m eps = 356 the kernel's square sinks to subnormals, which carry
-        # no relative accuracy for the 16-node check to find
-        params = PhysicalParams(mass=356.0, epsilon=1.0, lam=1.0)
-        for box in (0.25, 1.0, 8.0):
-            assert 0.0 <= discretization._box_tail_fraction(params, box) < 1e-4
-        assert discretization.min_box_half_width(params, 0.25) == 0.5
-
-    def test_widths_whose_tail_panels_overflow_are_refused(self):
-        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
-        top = discretization.MAX_BOX_HALF_WIDTH
-        assert discretization.min_box_half_width(params, top) == top
-        for width in (np.nextafter(top, np.inf), 1e300):
-            with pytest.raises(ValueError, match="too large"):
-                discretization.min_box_half_width(params, width)
-
-    def test_doubling_stops_before_the_panels_overflow(self, monkeypatch):
-        # a NaN fraction fails the gate, so the box doubles until refused
-        widths = []
-
-        def nan_fraction(params, width):
-            widths.append(width)
-            return float("nan")
-
-        monkeypatch.setattr(discretization, "_box_tail_fraction", nan_fraction)
-        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
-        with pytest.raises(ValueError, match="too large"):
-            discretization.min_box_half_width(params, 8.0)
-        assert widths[-1] <= discretization.MAX_BOX_HALF_WIDTH < 2.0 * widths[-1]
-
-    def test_unresolved_kernel_signals(self, monkeypatch):
-        # an integrand the 16- and 32-node panel sums disagree on
-        monkeypatch.setattr(discretization, "_scalar_kernel",
-                            lambda params, u: np.sin(1e3 * u))
-        params = PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0)
-        with pytest.raises(ConvergenceError, match="box-tail quadrature"):
-            discretization.min_box_half_width(params, 8.0)

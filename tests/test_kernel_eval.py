@@ -141,15 +141,16 @@ class TestBesselSeries:
         # K1 underflow to 0; in the subnormal range both round alike
         z = np.concatenate([[np.nextafter(2.0, 3.0)], np.geomspace(2.0, 745.0, 200001)[1:],
                             np.linspace(700.0, 745.0, 4501)])
-        for ours, ref in ((kernel_eval._bessel_k0(z), k0(z)), (kernel_eval._bessel_k1(z), k1(z))):
+        for ours, ref in ((kernel_eval._far_field(kernel_eval._K0_FAR, z), k0(z)),
+                          (kernel_eval._far_field(kernel_eval._K1_FAR, z), k1(z))):
             assert np.all(np.abs(ours - ref) <= 1e-14 * ref)
             assert np.array_equal(ours == 0.0, ref == 0.0)
 
     def test_far_field_matches_mpmath(self):
         with mp.workdps(30):
             for z in (np.nextafter(2.0, 3.0), 2.5, 3.7, 8.0, 20.0, 150.0, 700.0):
-                for ours, nu in ((kernel_eval._bessel_k0, 0), (kernel_eval._bessel_k1, 1)):
-                    value = ours(np.array([z]))[0]
+                for coefficients, nu in ((kernel_eval._K0_FAR, 0), (kernel_eval._K1_FAR, 1)):
+                    value = kernel_eval._far_field(coefficients, np.array([z]))[0]
                     assert abs(value / float(mp.besselk(nu, z)) - 1.0) <= 1e-15
 
     def test_far_field_coefficients_are_rounded_mpmath_values(self):
@@ -171,18 +172,18 @@ class TestBesselSeries:
         seen = {"k0": [], "k1": []}
         separations = []
 
-        def recording(name, bessel):
-            def record(z):
-                seen[name].append(np.array(z, copy=True))
-                return bessel(z)
-            return record
+        names = {kernel_eval._K0_FAR: "k0", kernel_eval._K1_FAR: "k1"}
+        far_field = kernel_eval._far_field
+
+        def recording(coefficients, z):
+            seen[names[coefficients]].append(np.array(z, copy=True))
+            return far_field(coefficients, z)
 
         def recording_blocks(params, u):
             separations.append(np.array(u, copy=True))
             return kernel_blocks(params, u)
 
-        monkeypatch.setattr(kernel_eval, "_bessel_k0", recording("k0", kernel_eval._bessel_k0))
-        monkeypatch.setattr(kernel_eval, "_bessel_k1", recording("k1", kernel_eval._bessel_k1))
+        monkeypatch.setattr(kernel_eval, "_far_field", recording)
         monkeypatch.setattr(discretization, "kernel_blocks", recording_blocks)
         params = PhysicalParams(mass=mass, epsilon=0.05, lam=1.0)
         operator_eigenvalues(params, build_grid(256, 1.0), validate=False, use_cache=False)

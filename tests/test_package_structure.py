@@ -129,6 +129,15 @@ def test_only_zeroed_buffer_maps_and_advises_memory():
         "discretization.py": ["_zeroed_buffer", "_zeroed_buffer"]}
 
 
+def test_only_cross_block_nodes_lays_panel_nodes():
+    # outside quadrature, panel nodes are laid only for the cross block, from
+    # its CrossBlockLayout, so its memory check and its assembly read one layout
+    callers = {path.name: _callers(path, ("panel_nodes",))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "quadrature.py"}
+    assert {name: found for name, found in callers.items() if found} == {
+        "asymptotics.py": ["cross_block_nodes", "cross_block_nodes"]}
+
+
 def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("_SET_BLAS_THREADS(1)\n"
