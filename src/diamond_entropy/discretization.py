@@ -48,13 +48,23 @@ A. Haidar, H. Ltaief and J. Dongarra, SC'11). Where N is a power of two,
 every rung of the ladder, its eigenvalues came out the same bit for bit on
 one and on two OpenBLAS threads, which dsyevd's did not; at other N they
 differ in the last digit or two, and so may a partner's from its own solve.
+LAPACK's two sides are not equally fast, and S+ is solved on the faster,
+Fortran 'L': dsytrd_sy2sb took 0.28-0.31 s on 'L' against 0.39-0.43 s on
+'U' (a random symmetric matrix, N = 2048, band width 32), a whole solve of
+the real massive S+- 0.40 s against 0.46-0.53 s, and the pair solved at
+once 0.50-0.69 s. No layout gives S- the fast side without more memory: two
+Fortran-lower triangles both have columns that shorten as the address
+grows, so only a lower and an upper one interleave in one buffer, and a
+mapping of its own for S- costs about 8 MiB more at N = 2048. The band
+width dsyevd_2stage picks, 32, stays: the three stages called one by one at
+32 give the same bits, and 48 is 3 % faster on 'L' only.
 The buffer is the only large array. It is a private anonymous mapping on
 4 KiB base pages, which read as zero until written, so only the pages the
 fill writes become resident: all of its 8 N (N + 1) bytes where both
-triangles are filled, and for a massless spectrum solved alone the upper
-triangle's pages and those the strips reach up to strip_rows - 1 columns
-left of the diagonal, from all of them where a row lies on one page
-(N <= 512) down toward half at large powers of two (0.62 at N = 2048). The
+triangles are filled, and for a massless spectrum solved alone only the
+pages that hold part of the upper triangle, since no strip writes a zero
+below its diagonal: all of them where a row lies on one page (N <= 512),
+down toward half at large N (0.62 at N = 2047 and 2048). The
 mapping goes back to the OS when the spectrum's last view dies, so no buffer
 outlives its rung in the heap. One spectrum thus peaks at the imports plus
 the buffer's written pages, LAPACK's workspace of about 105 N doubles for
@@ -83,7 +93,7 @@ from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 # build_grid is re-exported: perfbench/traced.py binds and calls
 # discretization.build_grid, and tests/test_bench_contract.py guards that
-# binding. Grid annotates the spectrum functions below.
+# binding. Grid annotates operator_eigenvalues.
 from .quadrature import Grid, build_grid
 
 DEFAULT_TOL_DISC = 1e-6
@@ -146,7 +156,7 @@ def spectrum_buffer_bytes(n: int) -> int:
     np.linalg.eigvalsh makes when the fallback solves. The buffer also holds
     a partner's spectrum at mass 0. All of it is counted, although only the
     pages the fill writes become resident: at mass 0 without a partner, all
-    at N <= 512 and 0.56 to 0.99 of them from N = 1000 to 4096 (README).
+    at N <= 512 and 0.56 to 0.88 of them from N = 1000 to 4096 (README).
     LAPACK's O(N) workspaces (about 105 N doubles each, two where both
     triangles are solved at once) are not counted."""
     matrices = 1 if _DSYEVD is not None else 2
@@ -306,9 +316,13 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     base page at a time. Where the kernel's transparent-huge-page mode is
     "always", huge pages would make untouched stretches resident too, so
     MADV_NOHUGEPAGE is set; under "madvise" nothing asks for them and the
-    call changes nothing. The mapping is unmapped when its last view dies, so
-    unlike a freed heap block it leaves nothing behind. MemoryError, naming n
-    and the bytes, where the mapping cannot be made (under a soft RLIMIT_AS).
+    call changes nothing. MADV_HUGEPAGE where both triangles are filled
+    was slower end to end: the entropy-massive benchmark went from 0.959 to
+    1.036 s median wall (faster in 3 of 12 alternating runs), orders from
+    1.691 to 1.782 s (0 of 8), and peak RSS rose by 0.14-0.24 MB. The
+    mapping is unmapped when its last view dies, so unlike a freed heap
+    block it leaves nothing behind. MemoryError, naming n and the bytes,
+    where the mapping cannot be made (under a soft RLIMIT_AS).
     """
     size = 8 * n * (n + 1)
     try:
@@ -345,10 +359,11 @@ def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, 
     return A, P, Q
 
 
-def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
+def _spectrum(params: PhysicalParams, x: np.ndarray, weights: np.ndarray,
               partner: PhysicalParams | None = None) -> tuple[np.ndarray, ...]:
-    """Eigenvalues of S+- on the grid: a 1-tuple, or with a massless partner
-    at mass 0, (this spectrum, the partner's) from the two triangles.
+    """Eigenvalues of S+- on the nodes x with the quadrature weights: a
+    1-tuple, or with a massless partner at mass 0, (this spectrum, the
+    partner's) from the two triangles.
 
     The kernel is evaluated on row strips of D = {i <= j <= N-1-i}. With
     i' = N-1-i, a value at (i, j) of A goes to (i, j) and (j', i') of S+ and
@@ -365,8 +380,7 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     The fill runs on the calling thread, and _solve solves the filled
     triangles under the module's thread rule.
     """
-    x = grid.nodes + x_offset
-    sw = np.sqrt(grid.weights)
+    sw = np.sqrt(weights)
     n = x.size
     h = (n + 1) // 2
     # whose S- fills the lower triangle: S- itself, the partner's S+, or none
@@ -379,16 +393,37 @@ def _spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
     minus_mirror = minus[::-1, ::-1]  # minus_mirror[i, j] = minus[i', j']
     down = minus[::-1, :]             # down[i, j] = minus[i', j]
     strip_rows = max(1, _FILL_ELEMENTS // n)
+    corner = np.arange(min(strip_rows, h))
+    on_or_right = corner[:, None] <= corner
     for a in range(0, h, strip_rows):
         b = min(a + strip_rows, h)
         rows, cols = slice(a, b), slice(a, n - a)
         A, P, Q = _strip_terms(params, x, sw, a, b)
+        # in the strip's first k columns A is zero left of the diagonal, and
+        # in its last k columns P and Q are zero past column N-1-i: there
+        # only the cells on and right of the diagonal (tri) and on and left
+        # of the antidiagonal (anti) are added, so S+'s images fault in no
+        # page below its diagonal (w >= k always). Masked ufuncs allocate
+        # nothing per strip: index arrays for the same cells cost the
+        # benchmarks about 0.1 MB of peak RSS
+        k, w = b - a, n - 2 * a
+        head, tail = slice(a, a + k), slice(n - a - k, n - a)
+        tri = on_or_right[:k, :k]
+        anti = tri[:, ::-1]
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X
-        plus[rows, cols] += A
-        plus_mirror[cols, rows] += A.T
-        right[rows, cols] += P
-        right[cols, rows] -= Q.T
+        view = plus[rows, head]
+        np.add(view, A[:, :k], out=view, where=tri)
+        plus[rows, a + k:n - a] += A[:, k:]
+        view = plus_mirror[head, rows]
+        np.add(view, A[:, :k].T, out=view, where=tri.T)
+        plus_mirror[a + k:n - a, rows] += A[:, k:].T
+        view = right[rows, tail]
+        np.add(view, P[:, w - k:], out=view, where=anti)
+        right[rows, a:n - a - k] += P[:, :w - k]
+        view = right[tail, rows]
+        np.subtract(view, Q[:, w - k:].T, out=view, where=anti.T)
+        right[a:n - a - k, rows] -= Q[:, :w - k].T
         if lower is None:
             continue
         if lower is not params:
@@ -421,12 +456,12 @@ def clear_spectrum_cache() -> None:
         _spectra.clear()
 
 
-def _cached_spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
+def _cached_spectrum(params: PhysicalParams, x: np.ndarray, weights: np.ndarray,
                      partner: PhysicalParams | None) -> np.ndarray:
-    """_spectrum through the cache, keyed by the parameters, the grid's node
-    and weight bytes and the offset. A miss at mass 0 also solves a massless
-    partner's spectrum on the grid, unless that one is cached, and keeps both."""
-    key = (params, grid.nodes.tobytes(), grid.weights.tobytes(), x_offset)
+    """_spectrum through the cache, keyed by the parameters and the bytes of
+    the nodes and weights. A miss at mass 0 also solves a massless partner's
+    spectrum on them, unless that one is cached, and keeps both."""
+    key = (params, x.tobytes(), weights.tobytes())
     partner_key = (partner, *key[1:])
     with _spectra_lock:
         if key in _spectra:
@@ -435,7 +470,7 @@ def _cached_spectrum(params: PhysicalParams, grid: Grid, x_offset: float,
         if (partner is None or params.mass != 0.0 or partner.mass != 0.0
                 or partner_key in _spectra):
             partner = None
-    spectra = _spectrum(params, grid, x_offset, partner)
+    spectra = _spectrum(params, x, weights, partner)
     with _spectra_lock:
         _spectra[key] = spectra[0]
         if partner is not None:
@@ -475,8 +510,9 @@ def operator_eigenvalues(
     only, in strips of about _FILL_ELEMENTS separations; the rest of S+- are
     its images.
     Results are read-only and cached (the least recently used of more than
-    256 are dropped) by the parameters, the grid's nodes and weights, and the
-    offset. partner names the spectrum to be asked for next on this grid: where
+    256 are dropped) by the parameters and the nodes solved on, grid.nodes +
+    x_offset, and grid.weights, so inputs that solve one matrix share an
+    entry. partner names the spectrum to be asked for next on this grid: where
     both masses are 0, the cache is on and neither spectrum is cached, the
     partner's is solved in the buffer's free triangle and cached unchecked, and
     elsewhere it is ignored. It does not change this spectrum's bits; the
@@ -485,10 +521,11 @@ def operator_eigenvalues(
     """
     if grid.lam != params.lam:
         raise ValueError(f"grid is on (0, {grid.lam}), but params.lam is {params.lam}")
+    x = grid.nodes + x_offset
     if use_cache:
-        eigenvalues = _cached_spectrum(params, grid, x_offset, partner)
+        eigenvalues = _cached_spectrum(params, x, grid.weights, partner)
     else:
-        eigenvalues = _spectrum(params, grid, x_offset)[0]
+        eigenvalues = _spectrum(params, x, grid.weights)[0]
     if validate:
         validate_spectrum_range(eigenvalues)
     return eigenvalues

@@ -116,16 +116,16 @@ class TestAssembleOperator:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/pagemap"), reason="needs Linux pagemap")
     @pytest.mark.parametrize("n, mass, partner, most", [
-        (1024, 0.0, None, 0.80), (2047, 0.0, None, 0.85), (2048, 0.0, None, 0.65),
-        (2048, 1.0, None, None), (2048, 0.0, 0.0025, None),
-    ], ids=["massless-alone-1024", "massless-alone-2047", "massless-alone-2048", "massive",
-            "massless-partner"])
+        (1023, 0.0, None, 0.76), (1024, 0.0, None, 0.80), (2047, 0.0, None, 0.65),
+        (2048, 0.0, None, 0.65), (2048, 1.0, None, None), (2048, 0.0, 0.0025, None),
+    ], ids=["massless-alone-1023", "massless-alone-1024", "massless-alone-2047",
+            "massless-alone-2048", "massive", "massless-partner"])
     def test_only_the_written_triangles_are_resident(self, monkeypatch, n, mass, partner, most):
         # at mass 0 without a partner the fill writes only the upper triangle
-        # and the strips' reach left of the diagonal (most is the largest
-        # resident fraction allowed): with 4 KiB pages, 0.75 of the buffer at
-        # N = 1024, 0.80 at 2047, where the strips reach up to 15 columns
-        # past the diagonal, and 0.62 at 2048; all of it where both are filled
+        # (most is the largest resident fraction allowed): with 4 KiB pages,
+        # 0.75 of the buffer at N = 1023 and 1024 and 0.62 at 2047 and 2048,
+        # where no strip writes a zero on a page below the diagonal; all of it
+        # where both are filled
         total = 8 * n * (n + 1)
         solve = discretization._eigvalsh_in_place
         resident_at_solve = []
@@ -175,7 +175,8 @@ class TestAssembleOperator:
         monkeypatch.setattr(discretization, "_solve", recording)
         params = PhysicalParams(mass=mass, epsilon=0.002, lam=1.0)
         partner = None if partner is None else massless(partner)
-        discretization._spectrum(params, build_grid(n, 1.0), 0.0, partner)
+        grid = build_grid(n, 1.0)
+        discretization._spectrum(params, grid.nodes, grid.weights, partner)
         [(resident, written)] = at_solve
         assert written.any()
         assert np.array_equal(resident, written)
@@ -439,6 +440,31 @@ class TestAssembleOperator:
         assert np.array_equal(cached, operator_eigenvalues(params, grid, use_cache=False))
         assert np.abs(cached - direct_spectrum(params, grid)).max() < 1e-12
 
+    def test_cache_is_keyed_by_the_nodes_solved_on(self, monkeypatch):
+        # an offset moves the nodes the spectrum is solved on: one entry per
+        # offset, and a repeated offset is read back without a solve
+        spectrum = discretization._spectrum
+        solved = []
+
+        def recording(params, x, weights, partner=None):
+            solved.append(x[0])
+            return spectrum(params, x, weights, partner)
+
+        monkeypatch.setattr(discretization, "_spectrum", recording)
+        params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
+        grid = build_grid(16, 1.0)
+        clear_spectrum_cache()
+        try:
+            first = operator_eigenvalues(params, grid, x_offset=5.0)
+            assert operator_eigenvalues(params, grid, x_offset=5.0) is first
+            assert solved == [grid.nodes[0] + 5.0]
+            operator_eigenvalues(params, grid, x_offset=0.0)
+            assert solved == [grid.nodes[0] + 5.0, grid.nodes[0]]
+            assert list(discretization._spectra) == [cache_key(params, grid, 5.0),
+                                                     cache_key(params, grid)]
+        finally:
+            clear_spectrum_cache()
+
     def test_cached_spectrum_is_read_only(self):
         params = PhysicalParams(mass=0.0, epsilon=0.2, lam=1.0)
         grid = build_grid(16, 1.0)
@@ -696,8 +722,8 @@ def resident_bytes(view):
     return int(np.count_nonzero(resident_pages(view))) * mmap.PAGESIZE
 
 
-def cache_key(params, grid):
-    return (params, grid.nodes.tobytes(), grid.weights.tobytes(), 0.0)
+def cache_key(params, grid, x_offset=0.0):
+    return (params, (grid.nodes + x_offset).tobytes(), grid.weights.tobytes())
 
 
 class TestPartnerSpectra:
