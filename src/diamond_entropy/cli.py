@@ -19,11 +19,13 @@ module docstring, never above the count the process starts with. Where the
 grid size is a power of two, as on every rung of the default ladder, stdout
 does not depend on the thread count the process starts with.
 
-Every subcommand writes one document through one writer, `_write`: a JSON
-document, or CSV with `# version:` and `# config:` lines (sweep adds a
-`# fit:` line), a header and one row per flat record (bools as true/false,
-floats to 17 significant digits). JSON writes NaN, the entropy of a sweep
-point with no admissible grid, as null; CSV as nan.
+Every subcommand writes one document through one writer, `_write`, which
+encodes it straight into stdout or the --output-path file: a JSON document,
+or CSV with `# version:` and `# config:` lines (sweep adds a `# fit:` line),
+a header and one row per flat record (bools as true/false, floats to 17
+significant digits). The entropy of a sweep point with no admissible grid,
+NaN, is null in JSON and nan in CSV; JSON refuses every other non-finite
+float.
 
 verify's quasi-norm sums, like diag log-growth's, leave out the singular
 values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
@@ -73,9 +75,10 @@ from .renyi_functions import RenyiOrder
 from .schatten_toolkit import check_suite_args, verify_commutator_lemma, verify_inequalities
 
 _PARAM_KEYS = ("mass", "epsilon", "lambda")  # nested under "params" in entropy's JSON
-# peak resident bytes per kernel-dump row: 2.8-2.9 KB measured as JSON at mass
-# 0 and 1 (317 MB at 1e5 rows, 1170 MB at 4e5), 1.1 KB as CSV
-_KERNEL_DUMP_ROW_BYTES = 3000
+# peak resident bytes per kernel-dump row, the row's dict of 9 floats: 605-631
+# bytes measured in both formats at mass 0 and 1 (max RSS over a --u-count 1
+# run, 5e4 and 2e5 rows)
+_KERNEL_DUMP_ROW_BYTES = 700
 # the largest --u-max: 2 pi u, in the massless kernel, and linspace's span
 # 2 u both stay finite
 _MAX_U = np.finfo(float).max / (2.0 * math.pi)
@@ -139,22 +142,6 @@ def _check_output_path(path: str) -> None:
         raise _UnwritableOutput(f"cannot write --output-path {path!r}: no such directory")
 
 
-def _json_safe(value):
-    """The value with every NaN or infinity, which JSON cannot carry, as None."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
-
-
-def _json_document(config: dict, payload: dict) -> str:
-    doc = {"version": __version__, "config": config, **payload}
-    return json.dumps(_json_safe(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _cell(value) -> str:
     """One CSV cell: bools as true/false, floats to 17 digits, the rest as str."""
     if isinstance(value, bool):
@@ -164,30 +151,31 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_document(config: dict, payload: dict, records: list[dict]) -> str:
-    header = list(records[0])
-    lines = [f"# version: {__version__}", "# config: " + json.dumps(config, sort_keys=True)]
+def _encode(out, args: argparse.Namespace, payload: dict, records: list[dict]) -> None:
+    config = _config_dict(args)
+    if args.output_format == "json":
+        json.dump({"version": __version__, "config": config, **payload}, out,
+                  sort_keys=True, indent=2, allow_nan=False)
+        out.write("\n")
+        return
+    out.write(f"# version: {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n")
     if "fit" in payload:  # sweep's fit, which has no row of its own
-        lines.append("# fit: " + json.dumps(payload["fit"], sort_keys=True))
-    lines.append(",".join(header))
-    lines.extend(",".join(_cell(record[key]) for key in header) for record in records)
-    return "\n".join(lines) + "\n"
+        out.write(f"# fit: {json.dumps(payload['fit'], sort_keys=True)}\n")
+    header = list(records[0])
+    out.write(",".join(header) + "\n")
+    for record in records:
+        out.write(",".join(_cell(record[key]) for key in header) + "\n")
 
 
 def _write(args: argparse.Namespace, payload: dict, records: list[dict]) -> None:
     """The one output path: `payload` as a JSON document or `records` as CSV
-    rows, to stdout or to --output-path."""
-    config = _config_dict(args)
-    if args.output_format == "json":
-        text = _json_document(config, payload)
-    else:
-        text = _csv_document(config, payload, records)
+    rows, encoded straight into stdout or --output-path."""
     if args.output_path == "-":
-        sys.stdout.write(text)
+        _encode(sys.stdout, args, payload, records)
         return
     try:
         with open(args.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            _encode(handle, args, payload, records)
     except OSError as exc:
         raise _UnwritableOutput(f"cannot write --output-path {args.output_path!r}: "
                                 f"{exc.strerror or exc}") from None
@@ -294,12 +282,14 @@ def _cmd_sweep(args) -> int:
                    rule=GridRule(args.rule), jobs=args.jobs)
     fit = {key: getattr(result, key)
            for key in ("slope", "intercept", "r_squared", "theory_slope", "rel_error")}
-    points = [
+    rows = [
         {"epsilon": p.epsilon, "ln_inv_eps": float(np.log(1.0 / p.epsilon)),
          "entropy": p.entropy, "n": p.grid_size, "converged": p.converged}
         for p in result.points
     ]
-    _write(args, {"fit": fit, "points": points}, points)
+    # a point with no admissible grid has a NaN entropy, which JSON writes as null
+    points = [{**row, "entropy": None} if math.isnan(row["entropy"]) else row for row in rows]
+    _write(args, {"fit": fit, "points": points}, rows)
     return 0
 
 

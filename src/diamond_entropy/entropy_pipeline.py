@@ -14,8 +14,12 @@ sum on dyadic panels checked by a coarser rule on the same panels, the one
 the cross-block diagnostic's box gate uses. The same sum at m = 0 gives the
 integral behind the slope constant, entropy_integral.
 
-Grid sizes double from 128 until the entropy changes by less than 0.5%
-or the requested cap is reached.
+The ladder's grid sizes are the requested cap and its halvings down to the
+smallest one of at least 128, or down to half the cap below a cap of 256.
+Each size is 2N or 2N + 1 after the size N before it, so each 0.5% test
+compares N with about 2N: a cap of 128 * 2^k (k >= 1) climbs 128, 256, ...,
+the cap. The ladder stops once the entropy changes by less than 0.5% or at
+the cap.
 """
 
 from __future__ import annotations
@@ -139,10 +143,10 @@ def entropy_integral(order: RenyiOrder) -> float:
 
 
 def _ladder_sizes(n_start: int, n_cap: int) -> list[int]:
-    sizes = [min(n_start, n_cap)]
-    while sizes[-1] < n_cap:
-        sizes.append(min(2 * sizes[-1], n_cap))
-    return sizes
+    """n_cap halved k = max(1, floor(log2(n_cap / n_start))) times, smallest
+    first: each rung is 2N or 2N + 1 for the one before it."""
+    k = max(1, (n_cap // n_start).bit_length() - 1)
+    return [n_cap >> i for i in range(k, -1, -1)]
 
 
 def entanglement_entropy(

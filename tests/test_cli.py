@@ -510,17 +510,40 @@ class TestKernelDumpCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("kernel evaluated before the memory preflight")
 
-        # 8 MiB holds 2796 rows of cli._KERNEL_DUMP_ROW_BYTES
+        # the most rows of cli._KERNEL_DUMP_ROW_BYTES that 8 MiB holds
+        fits = 8 * 1024**2 // cli._KERNEL_DUMP_ROW_BYTES
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
         with monkeypatch.context() as no_kernel:
             no_kernel.setattr(cli, "kernel_blocks", no_work)
-            for count in ("2797", "20000000", "1" + "0" * 400):
+            for count in (str(fits + 1), "20000000", "1" + "0" * 400):
                 assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", count]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert "physical memory holds; the largest --u-count that fits is 2796" in captured.err
-        assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", "2796"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["kernel"]) == 2796
+                assert (f"physical memory holds; the largest --u-count that fits is {fits}"
+                        in captured.err)
+        assert run_cli(["kernel-dump", "--epsilon", "0.5", "--u-count", str(fits)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["kernel"]) == fits
+
+    @pytest.mark.parametrize("mass", ["0", "1"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_memory_per_row_within_the_preflight_budget(self, tmp_path, fmt, mass):
+        # max RSS of a child process at 50 000 rows over that at one row
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+        def peak_rss(count: int) -> int:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "diamond_entropy.cli", "kernel-dump", "--mass", mass,
+                 "--epsilon", "0.5", "--u-count", str(count), "--output-format", fmt,
+                 "--output-path", str(tmp_path / f"kernel.{fmt}")], env=env)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by proc
+            assert proc.returncode == 0
+            return usage.ru_maxrss * 1024  # Linux reports KiB
+
+        rows = 50_000
+        per_row = (peak_rss(rows) - peak_rss(1)) / (rows - 1)
+        assert per_row <= cli._KERNEL_DUMP_ROW_BYTES
 
 
 class TestVerifyCommand:
@@ -939,10 +962,14 @@ class TestOutputWriter:
 
     def _both(self, capsys, command):
         """The JSON document, the CSV rows and the CSV `#` lines of command; the
-        whole of stdout must parse as JSON, and every CSV line after the `#`
-        lines and the header must be a row as wide as the header."""
+        whole of stdout must be the JSON document in its one layout, and every
+        CSV line after the `#` lines and the header must be a row as wide as
+        the header."""
         assert run_cli([*command, "--output-format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        # sorted keys, two-space indent, one closing newline
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
         assert run_cli([*command, "--output-format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         comments = [line for line in lines if line.startswith("#")]

@@ -310,3 +310,43 @@ class TestEntanglementEntropy:
         params = PhysicalParams(mass=0.0, epsilon=1e-5, lam=1.0)
         with pytest.raises(ConvergenceError):
             entanglement_entropy(params, K1, n=128)
+
+
+class TestLadder:
+    def test_every_rung_doubles_the_one_before(self):
+        for cap in range(64, 8193):
+            sizes = entropy_pipeline._ladder_sizes(entropy_pipeline.DEFAULT_N_START, cap)
+            assert sizes[-1] == cap and len(sizes) >= 2, cap
+            assert all(after in (2 * before, 2 * before + 1)
+                       for before, after in zip(sizes, sizes[1:])), (cap, sizes)
+            # the smallest rung is the smallest halving of at least 128, or
+            # half the cap below 256
+            smallest = (cap // 2, cap // 2 + 1) if cap < 256 else (128, 256)
+            assert smallest[0] <= sizes[0] < smallest[1], (cap, sizes)
+        # a cap of 128 * 2^k doubles from 128, as the default cap does
+        for k in range(1, 7):
+            assert entropy_pipeline._ladder_sizes(128, 128 * 2**k) == [
+                128 * 2**i for i in range(k + 1)]
+
+    def test_a_cap_just_past_a_power_of_two_compares_n_with_2n(self):
+        # the entropy moves by more than 0.5% from n = 128 to 256, so the
+        # ladder capped at 257 must not be confirmed by a rung at 256
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        for cap in (256, 257):
+            result = entanglement_entropy(params, K1, n=cap)
+            assert (result.grid_size, result.converged) == (cap, False)
+
+    def test_a_cap_below_128_can_converge(self):
+        # n = 50 and n = 100 agree far within 0.5% at eps = 0.1
+        result = entanglement_entropy(PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0), K1,
+                                      n=100)
+        assert (result.grid_size, result.converged) == (100, True)
+
+    def test_converged_value_matches_a_high_n_reference(self):
+        # m = 0, kappa = 1, eps = 0.0035 on fixed Gauss-Legendre grids: 2.1163822199
+        # at N = 2048, 4096 and 8192, moving 3e-10 between them
+        reference = 2.1163822199
+        result = entanglement_entropy(PhysicalParams(mass=0.0, epsilon=0.0035, lam=1.0), K1,
+                                      n=4096)
+        assert result.converged
+        assert abs(result.entropy - reference) <= entropy_pipeline.DEFAULT_REL_CHANGE * reference

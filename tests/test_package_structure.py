@@ -82,9 +82,9 @@ def test_the_memory_check_sees_names_and_attributes(tmp_path):
                                        "sample.py:6: sysconf"]
 
 
-def _callers(path: Path, names) -> list[str]:
-    """The function around each call of any of names, as _calls finds them;
-    "<module>" for a call outside every function."""
+def _owners(path: Path, matches) -> list[str]:
+    """The function around each node for which matches(node) holds; "<module>"
+    for a node outside every function."""
     found = []
 
     def visit(node, owner):
@@ -92,14 +92,32 @@ def _callers(path: Path, names) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name in names:
-                    found.append(owner)
+            if matches(child):
+                found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     return found
+
+
+def _callers(path: Path, names) -> list[str]:
+    """The function around each call of any of names, as _calls finds them."""
+    def is_call(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names
+
+    return _owners(path, is_call)
+
+
+def _stdout_users(path: Path) -> list[str]:
+    """The function around each print call and each mention of stdout: an
+    attribute (sys.stdout), a name or an imported name."""
+    def uses_stdout(node):
+        named = (getattr(node, "attr", None), getattr(node, "id", None),
+                 getattr(node, "name", None))
+        return "stdout" in named
+
+    return _callers(path, ("print",)) + _owners(path, uses_stdout)
 
 
 def test_only_discretization_sets_blas_threads():
@@ -111,6 +129,26 @@ def test_only_discretization_sets_blas_threads():
     callers = {path.name: _callers(path, ("_SET_BLAS_THREADS",)) for path in sources}
     assert {name: found for name, found in callers.items() if found} == {
         "discretization.py": ["_solve", "_solve"]}
+
+
+def test_only_the_writer_writes_to_stdout():
+    # stdout holds the one document _write encodes, so it stays bit-identical
+    # for identical configuration (argparse's --help and --version aside)
+    users = {path.name: _stdout_users(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in users.items() if found} == {"cli.py": ["_write"]}
+
+
+def test_the_stdout_check_sees_print_and_every_spelling_of_stdout(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import sys\n"
+                      "from sys import stdout\n"
+                      "def show():\n"
+                      "    print('x')\n"
+                      "def emit():\n"
+                      "    sys.stdout.write('x')\n"
+                      "    stdout.flush()\n"
+                      "    sys.stderr.write('x')\n")
+    assert _stdout_users(source) == ["show", "<module>", "emit", "emit"]
 
 
 def test_only_check_memory_reads_the_memory_limits():
