@@ -13,14 +13,14 @@ symbol must converge uniformly to the limit symbol, and the q = 1/l
 quasi-norms of the interval cross blocks must grow no faster than
 log(alpha) up to a bounded constant.
 
-The cross block (inside x outside) of the damped scalar symbol
-exp(-eps omega(k)) is built here on a graded grid. Its kernel,
-F0 / 2pi = 2 Re K11, comes from kernel_blocks, so the closed form is written
-only in kernel_eval. min_box_half_width checks the box, by the bulk term's
-checked panel sums of k^2. CrossBlockLayout holds one alpha's panels and
-nodes per panel at a budget; check_cross_block_budget reads it for the node
-budget and block memory of a whole alpha grid, apart from the assembly, and
-cross_block_nodes for the nodes.
+The cross block (inside x outside) of the damped scalar symbol exp(-eps
+omega(k)) is built here on a graded grid. Its kernel, F0 / 2pi = 2 Re K11,
+twice the first part kernel_blocks returns, comes from there, so the closed
+form is written only in kernel_eval. min_box_half_width checks the box, by
+the bulk term's checked panel sums of k^2. CrossBlockLayout holds one
+alpha's panels and nodes per panel at a budget; check_cross_block_budget
+reads it for the node budget and block memory of a whole alpha grid, apart
+from the assembly, and cross_block_nodes for the nodes.
 """
 
 from __future__ import annotations
@@ -112,8 +112,9 @@ def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule, params: Physical
     try:
         result = entanglement_entropy(params, order, n=n_max, rule=rule, partner=partner)
     except ConvergenceError:
-        # no admissible grid up to the cap: an unconverged point, counted
-        # against the minimum-converged-points requirement
+        # no admissible grid up to the cap, or a result below the floor: an
+        # unconverged point, counted against the minimum-converged-points
+        # requirement
         return SweepPoint(epsilon=params.epsilon, entropy=float("nan"), converged=False,
                           grid_size=n_max)
     return SweepPoint(
@@ -267,8 +268,8 @@ def offdiagonal_diagnostic(
 
 
 def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:
-    """Position kernel of exp(-eps omega(k)): F0 / 2pi = 2 Re K11."""
-    return 2.0 * kernel_blocks(params, u)[0].real
+    """Position kernel of exp(-eps omega(k)): F0 / 2pi = 2 Re K11 = 2a."""
+    return 2.0 * kernel_blocks(params, u)[0]
 
 
 def _box_tail_fraction(params: PhysicalParams, box_half_width: float) -> float:

@@ -35,11 +35,14 @@ Exit codes: 0 success; 2 argument errors, found before any work, or, in one
 line each, an --output-path that fails while being written and a spectrum
 buffer that cannot be mapped (under a soft RLIMIT_AS, say) or another
 allocation that fails (MemoryError); 3 numerical non-convergence, an
-eigensolve or SVD that LAPACK reports as failed among it, and an epsilon
-whose bulk term or massless kernel leaves the float range (entropy and
-kernel-dump at 1e-310); 4 property-suite failure. Among the argument errors
-are a --grid-size cap below 64 for entropy, sweep and diag offdiag, a flag
-the subcommand does not take, a --jobs that is not an integer >= 1, an
+eigensolve or SVD that LAPACK reports as failed among it, an epsilon whose
+bulk term or massless kernel leaves the float range (entropy and
+kernel-dump at 1e-310), and an order below 1 whose converged rung lies
+within its floor bound, the bulk mass below the solver's rounding band
+(entropy --kappa 0.3 --epsilon 0.01 --grid-size 2048); 4 property-suite
+failure. Among the argument errors are a --grid-size cap below 64 for
+entropy, sweep and diag offdiag, a flag the subcommand does not take, a
+--jobs that is not an integer >= 1, an
 --alpha-grid entry that is not finite and > 0, a kernel-dump --u-max that is
 not > 0 or exceeds the largest float over 2 pi, an --output-path that is a
 directory or lacks its parent directory, and every request beyond the lesser
@@ -299,14 +302,12 @@ def _cmd_kernel_dump(args) -> int:
     check_memory(lambda rows: _KERNEL_DUMP_ROW_BYTES * rows, args.u_count, "--u-count")
     params = PhysicalParams(mass=args.mass, epsilon=args.epsilon, lam=1.0)
     u_grid = np.linspace(-args.u_max, args.u_max, args.u_count)
-    K11, K12 = kernel_blocks(params, u_grid)
-    K12 = np.broadcast_to(K12, u_grid.shape)
-    im22 = 0.0 - K11.imag  # Im conj(K11), with 0 rather than -0 at u = 0
+    re11, im11, k12 = kernel_blocks(params, u_grid)
+    im22 = 0.0 - im11  # Im conj(K11), with 0 rather than -0 at u = 0
     columns = ("u", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22")
     points = [
-        dict(zip(columns, map(float, (u, k11.real, k11.imag, k12, 0, k12, 0,
-                                      k11.real, k22_imag))))
-        for u, k11, k12, k22_imag in zip(u_grid, K11, K12, im22)
+        dict(zip(columns, map(float, (u, re, im, k, 0, k, 0, re, im2))))
+        for u, re, im, k, im2 in zip(u_grid, re11, im11, np.broadcast_to(k12, u_grid.shape), im22)
     ]
     _write(args, {"kernel": points}, points)
     return 0

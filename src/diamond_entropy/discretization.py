@@ -335,25 +335,25 @@ def _zeroed_buffer(n: int) -> np.ndarray:
     return np.frombuffer(mapping).reshape(n + 1, n)
 
 
-def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, a: int, b: int):
-    """A, B + C and B - C of params on the fill strip of rows a:b and columns
-    a:N-a (the nodes x, the square roots sw of the weights), zero off D and
-    with weight 1/2 where two images coincide (A at j = i', B +- C at j = i)."""
-    n = x.size
-    rows, cols = slice(a, b), slice(a, n - a)
-    T11, T12 = kernel_blocks(params, x[rows, None] - x[None, cols])
-    i = np.arange(a, b)[:, None]
-    j = np.arange(a, n - a)[None, :]
-    k = np.arange(b - a)
-    anti = n - 1 - 2 * a - k  # strip columns k and anti hold j = i and j = i'
-    W = sw[rows, None] * sw[None, cols] * ((j >= i) & (j <= n - 1 - i))
-    A = T11.real * W
-    A[k, anti] *= 0.5
-    W[k, k] *= 0.5
-    P = T11.imag * W  # B + C
+def _strip_terms(params: PhysicalParams, x: np.ndarray, sw: np.ndarray, rows, cols, tri):
+    """A, B + C and B - C of params on the fill strip rows x cols (the nodes
+    x, the square roots sw of the weights), zero off D and with weight 1/2
+    where two images coincide (A at j = i', B +- C at j = i). D cuts a strip of
+    k rows only in its first k columns, by tri (j >= i), and its last k, by
+    tri mirrored; where the two overlap, both apply."""
+    a, b, c = kernel_blocks(params, x[rows, None] - x[None, cols])
+    W = sw[rows, None] * sw[None, cols]
+    k, w = W.shape
+    W[:, :k] *= tri
+    W[:, w - k:] *= tri[:, ::-1]
+    r = np.arange(k)
+    A = a * W
+    A[r, w - 1 - r] *= 0.5  # j = i'
+    W[r, r] *= 0.5          # j = i
+    P = b * W  # B + C
     if params.mass == 0.0:
         return A, P, P
-    C = T12 * W
+    C = c * W
     Q = P - C  # B - C
     P += C
     return A, P, Q
@@ -398,7 +398,9 @@ def _spectrum(params: PhysicalParams, x: np.ndarray, weights: np.ndarray,
     for a in range(0, h, strip_rows):
         b = min(a + strip_rows, h)
         rows, cols = slice(a, b), slice(a, n - a)
-        A, P, Q = _strip_terms(params, x, sw, a, b)
+        k, w = b - a, n - 2 * a
+        tri = on_or_right[:k, :k]
+        A, P, Q = _strip_terms(params, x, sw, rows, cols, tri)
         # in the strip's first k columns A is zero left of the diagonal, and
         # in its last k columns P and Q are zero past column N-1-i: there
         # only the cells on and right of the diagonal (tri) and on and left
@@ -406,9 +408,7 @@ def _spectrum(params: PhysicalParams, x: np.ndarray, weights: np.ndarray,
         # page below its diagonal (w >= k always). Masked ufuncs allocate
         # nothing per strip: index arrays for the same cells cost the
         # benchmarks about 0.1 MB of peak RSS
-        k, w = b - a, n - 2 * a
         head, tail = slice(a, a + k), slice(n - a - k, n - a)
-        tri = on_or_right[:k, :k]
         anti = tri[:, ::-1]
         # a transposed image is written as view[cols, rows] += X.T, which
         # numpy runs about 3x faster than view.T[rows, cols] += X
@@ -428,7 +428,7 @@ def _spectrum(params: PhysicalParams, x: np.ndarray, weights: np.ndarray,
             continue
         if lower is not params:
             del A, P, Q  # not alive while the partner's strip is evaluated
-            A, P, Q = _strip_terms(lower, x, sw, a, b)
+            A, P, Q = _strip_terms(lower, x, sw, rows, cols, tri)
         minus[cols, rows] += A.T
         minus_mirror[rows, cols] += A
         down[rows, cols] -= P

@@ -19,7 +19,10 @@ smallest one of at least 128, or down to half the cap below a cap of 256.
 Each size is 2N or 2N + 1 after the size N before it, so each 0.5% test
 compares N with about 2N: a cap of 128 * 2^k (k >= 1) climbs 128, 256, ...,
 the cap. The ladder stops once the entropy changes by less than 0.5% or at
-the cap.
+the cap. Below kappa = 1 a rung that passes the 0.5% test must also pass the
+floor bound: the bulk mass of the modes below the eigensolver's rounding
+band may not exceed the tolerance, or double precision, not the spectrum,
+sets the digit, and ConvergenceError says so.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     return float(np.sum(eta(order, clipped))), report
 
 
+def _x_max(order: RenyiOrder, a: float) -> float:
+    """Where the bulk integrand is cut: it has underflowed well below
+    BULK_REL_TOL there."""
+    return max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
+
+
 def _eta_integral(order: RenyiOrder, a: float) -> float:
     """int_0^inf eta(exp(-hypot(x, a))) dx by a checked panel sum.
 
@@ -100,7 +109,7 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
     past BULK_REL_TOL). eta is read from ln t, so the tail stays accurate
     where exp(-hypot) underflows.
     """
-    x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
+    x_max = _x_max(order, a)
     edges = graded_edges(x_max, _BULK_FINE)
     if a < LN2:
         x_star = np.sqrt(LN2**2 - a * a)
@@ -116,6 +125,24 @@ def _eta_integral(order: RenyiOrder, a: float) -> float:
         edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     return checked_panel_sum(lambda x: eta_of_log(order, -np.hypot(x, a)), edges,
                              BULK_REL_TOL, 1e-13, "bulk-term quadrature")
+
+
+def _floor_bound(params: PhysicalParams, order: RenyiOrder, n: int) -> float:
+    """(lam / (pi eps)) int_{x_d}^{x_max} eta(exp(-hypot(x, eps m))) dx: the
+    bulk mass of the modes whose eigenvalue lies below delta = 2N u, the
+    rounding band of ClampReport, where x_d = sqrt(max(0, ln^2(1/delta) -
+    (eps m)^2)). An N-node spectrum carries rounding noise in place of those
+    modes, so no entropy at N is known to better than this. It grows with N,
+    and it matters only where kappa < 1: eta(t) ~ t^kappa / (1 - kappa) at 0.
+    The integrand decays smoothly from x_d, so one checked panel sum on
+    panels doubling from 1 takes it."""
+    a = params.epsilon * params.mass
+    log_inv_delta = -math.log(2 * n * _UNIT_ROUNDOFF)
+    x_d = math.sqrt(max(0.0, log_inv_delta**2 - a * a))
+    edges = x_d + graded_edges(_x_max(order, a) - x_d, 1.0)
+    tail = checked_panel_sum(lambda x: eta_of_log(order, -np.hypot(x, a)), edges,
+                             BULK_REL_TOL, 0.0, "floor-bound quadrature")
+    return float(params.lam) * tail / (math.pi * float(params.epsilon))
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
@@ -164,11 +191,13 @@ def entanglement_entropy(
     unresolved and skipped; if no grid up to the cap yields an admissible
     spectrum, ConvergenceError is raised with the last grid's reason. The
     result is flagged converged once doubling the grid changes the entropy
-    by less than DEFAULT_REL_CHANGE. ValueError before any work if
-    check_spectrum_memory refuses the cap: below the smallest cap, or its
-    eigensolver buffers beyond the memory check_memory allows. partner, the
-    point to be computed next, goes to every rung's operator_eigenvalues,
-    which at mass 0 solves its spectrum on the same grid beside this one's.
+    by less than DEFAULT_REL_CHANGE; where kappa < 1, ConvergenceError
+    instead if that rung's _floor_bound exceeds the change allowed.
+    ValueError before any work if check_spectrum_memory refuses the cap:
+    below the smallest cap, or its eigensolver buffers beyond the memory
+    check_memory allows. partner, the point to be computed next, goes to
+    every rung's operator_eigenvalues, which at mass 0 solves its spectrum on
+    the same grid beside this one's.
     """
     check_spectrum_memory(n)
     sub = subtraction_trace(params, order)
@@ -190,6 +219,11 @@ def entanglement_entropy(
         tol = DEFAULT_REL_CHANGE * max(abs(entropy_value), 1e-12)
         if prev_entropy is not None and abs(entropy_value - prev_entropy) < tol:
             converged = True
+            if order.kappa < 1.0 and (floor := _floor_bound(params, order, size)) > tol:
+                raise ConvergenceError(
+                    f"n = {size} converged, but its floor bound B = {floor:.3g}, the bulk "
+                    f"mass below the rounding band, exceeds the tolerance {tol:.3g}: "
+                    "double precision cannot give this entropy")
             break
         prev_entropy = entropy_value
 

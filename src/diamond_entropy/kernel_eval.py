@@ -10,8 +10,9 @@ built from three scalar momentum integrals of the damped symbol:
     F1(u)  = int (k/omega) exp(-eps*omega + i k u) dk       (imaginary, odd)
     Fm(u)  = m int (1/omega) exp(-eps*omega + i k u) dk     (real, even)
 
-The closed form is written once, in kernel_blocks: diag(1/(2pi(eps -+ i u)))
-at mass 0, and at mass > 0 the modified Bessel functions
+The closed form is written once, in kernel_blocks, as the real parts a, b, c
+of K11 = a + ib and K12 = c: diag(1/(2pi(eps -+ i u))) at mass 0, and at
+mass > 0 the modified Bessel functions
 
     F0 = 2 m eps K1(m r)/r,  Fm = 2 m K0(m r),  F1 = 2 i m u K1(m r)/r,
 
@@ -173,12 +174,12 @@ def massive_scalar_integrals(mass: float, epsilon: float, u):
 
 
 def kernel_blocks(params: PhysicalParams, u):
-    """Closed-form kernel blocks (K11, K12) at separations u.
+    """Closed-form kernel blocks at separations u as three real parts (a, b, c).
 
-    K(u) = [[K11, K12], [K12, conj(K11)]] with K11 complex and K12 real,
-    both of the shape of u; K12 is the scalar 0.0 at mass 0. Raises
-    ConvergenceError at mass 0 where K11(0) = 1/(2 pi eps) overflows, as the
-    Bessel evaluation does at mass > 0 when it leaves the finite range.
+    K(u) = [[K11, K12], [K12, conj(K11)]] with K11 = a + ib and K12 = c, all
+    of the shape of u but c = 0.0 at mass 0, where a + ib = 1/(2 pi (eps - iu)).
+    Raises ConvergenceError at mass 0 where K11(0) = 1/(2 pi eps) overflows, as
+    the Bessel evaluation does at mass > 0 when it leaves the finite range.
     """
     u_arr = np.asarray(u, dtype=float)
     if params.mass == 0.0:
@@ -187,10 +188,8 @@ def kernel_blocks(params: PhysicalParams, u):
             raise ConvergenceError(
                 f"massless kernel 1/(2 pi epsilon) overflows (epsilon={params.epsilon})"
             )
-        return 1.0 / (2.0 * np.pi * (params.epsilon - 1j * u_arr)), 0.0
+        k11 = 1.0 / (2.0 * np.pi * (params.epsilon - 1j * u_arr))
+        return k11.real, k11.imag, 0.0
     F0, F1_imag, Fm = massive_scalar_integrals(params.mass, params.epsilon, u_arr)
     inv4pi = 1.0 / (4.0 * np.pi)
-    K11 = np.empty(u_arr.shape, dtype=complex)
-    K11.real = inv4pi * F0
-    K11.imag = inv4pi * F1_imag
-    return K11, -inv4pi * Fm
+    return inv4pi * F0, inv4pi * F1_imag, -inv4pi * Fm

@@ -144,17 +144,17 @@ def kernel_quadrature(
 
 def kernel_matrix(params, u):
     """The 2x2 kernel matrix at one separation u."""
-    K11, K12 = kernel_blocks(params, u)
-    return np.array([[K11, K12], [K12, np.conj(K11)]])
+    a, b, c = kernel_blocks(params, u)
+    return np.array([[a + 1j * b, c], [c, a - 1j * b]])
 
 
 def direct_matrix(params, grid, x_offset=0.0):
     """The weight-symmetrized 2N x 2N matrix as assembled, before hermitization."""
     x = grid.nodes + x_offset
-    K11, K12 = kernel_blocks(params, x[:, None] - x[None, :])
+    a, b, c = kernel_blocks(params, x[:, None] - x[None, :])
     sw = np.sqrt(grid.weights)
     W = sw[:, None] * sw[None, :]
-    return np.block([[K11 * W, K12 * W], [K12 * W, np.conj(K11) * W]])
+    return np.block([[(a + 1j * b) * W, c * W], [c * W, (a - 1j * b) * W]])
 
 
 def direct_operator(params, grid, x_offset=0.0):

@@ -1,12 +1,16 @@
-"""The benchmark's trace mode still runs against the library.
+"""The benchmark still runs against the library and still reads its numbers.
 
 perfbench/traced.py binds library functions by name and by their parameters
 (operator_eigenvalues' x_offset and use_cache, sweep's jobs, ...) and calls
 clear_spectrum_cache. This runs it with spans on a tiny workload of each
 kind and checks that it prints every per-layer metric of BENCHMARK.json,
-with the ladders and their rungs seen.
+with the ladders and their rungs seen. It also runs each frozen workload
+once on one BLAS thread and applies the workload's own output check
+against perfbench/references.json, so a changed entropy, n or converged flag
+shows here and not first in a benchmark run.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,6 +21,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules["workloads"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+WORKLOADS = workloads.load_workloads()
 # perfbench/run.py derives trace.overhead_s from a second, untraced run
 LAYER_KEYS = {m["name"] for m in BENCHMARK["per_layer"]} - {"trace.overhead_s"}
 
@@ -29,15 +37,19 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(TINY))
-def test_traced_run_prints_every_layer_metric(kind):
+def _pinned_env():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     env.pop("DIAMOND_ENTROPY_JOBS", None)
+    return env
+
+
+@pytest.mark.parametrize("kind", sorted(TINY))
+def test_traced_run_prints_every_layer_metric(kind):
     job = json.dumps({"kind": kind, "spec": TINY[kind]})
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), job, "--spans"],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=_pinned_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout)["metrics"]
@@ -49,3 +61,12 @@ def test_traced_run_prints_every_layer_metric(kind):
     assert metrics["entropy_pipeline.rungs"] > 0
     if kind != "entropy":
         assert metrics["asymptotics.point_max_s"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_output_matches_its_reference(name):
+    workload = WORKLOADS[name]
+    proc = subprocess.run(workload.command(), capture_output=True, text=True, cwd=ROOT,
+                          env=_pinned_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert workload.check(workloads.parse_output(workload.kind, workload.spec, proc.stdout)) == []

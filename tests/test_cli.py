@@ -250,6 +250,16 @@ class TestArgumentHandling:
         assert captured.out == ""
         assert "non-convergence" in captured.err and "usage" not in captured.err
 
+    def test_a_small_order_below_the_floor_exits_3(self, capsys):
+        # kappa = 0.3 converges at n = 2048 by the 0.5% test, but its floor
+        # bound B, 0.030 there, is twice the tolerance of 0.0151: rounding
+        # noise, not the spectrum, would set that digit
+        command = ["entropy", "--kappa", "0.3", "--epsilon", "0.01", "--grid-size", "2048"]
+        assert run_cli(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n = 2048" in captured.err and "floor bound B = 0.03" in captured.err
+
     def test_range_gate_message_stays_short(self, capsys):
         # no grid resolves epsilon = 1e-300: the largest eigenvalue is about
         # 2e296, which the message must not write out in full

@@ -96,6 +96,37 @@ class TestAssembleOperator:
             a += u.shape[0]
         assert a == (n + 1) // 2
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 300, 2047])
+    def test_strip_weights_are_the_fundamental_domain(self, monkeypatch, n):
+        # with a kernel of ones, A is sw_i sw_j on D = {i <= j <= n-1-i},
+        # halved on the antidiagonal j = i', B + C the same halved on the
+        # diagonal j = i, and both are exactly 0 off D. Odd n, a partial last
+        # strip (n = 300, 2047) and a last strip whose first and last k
+        # columns overlap (n = 63, 65, 127, 2047) are all covered
+        strip_terms = discretization._strip_terms
+        strips = []
+
+        def recording(params, x, sw, rows, cols, tri):
+            strips.append((rows, cols, *strip_terms(params, x, sw, rows, cols, tri)))
+            return strips[-1][2:]
+
+        monkeypatch.setattr(discretization, "kernel_blocks",
+                            lambda params, u: (np.ones(u.shape), np.ones(u.shape), 0.0))
+        monkeypatch.setattr(discretization, "_strip_terms", recording)
+        monkeypatch.setattr(discretization, "_solve",
+                            lambda triangles: tuple(np.zeros(v.shape[0]) for v, _ in triangles))
+        grid = build_grid(n, 1.0)
+        discretization._spectrum(PhysicalParams(0.0, 0.1, 1.0), grid.nodes, grid.weights)
+        sw = np.sqrt(grid.weights)
+        assert sum(rows.stop - rows.start for rows, *_ in strips) == (n + 1) // 2
+        for rows, cols, A, P, Q in strips:
+            i = np.arange(n)[rows, None]
+            j = np.arange(n)[None, cols]
+            W = np.where((j >= i) & (j <= n - 1 - i), sw[rows, None] * sw[None, cols], 0.0)
+            assert np.array_equal(A, np.where(j == n - 1 - i, 0.5 * W, W))
+            assert np.array_equal(P, np.where(j == i, 0.5 * W, W))
+            assert Q is P
+
     @pytest.mark.parametrize("mass", [0.0, 1.0])
     @pytest.mark.parametrize("n", [2048, 4096])
     def test_traced_peak_is_a_fixed_strip_budget(self, mass, n):
@@ -379,10 +410,11 @@ class TestAssembleOperator:
         params = PhysicalParams(mass=0.8, epsilon=0.5, lam=1.0)
         x = build_grid(8, 1.0).nodes
         diff = x[:, None] - x[None, :]
-        K11, K12 = kernel_blocks(params, diff)
+        a, b, c = kernel_blocks(params, diff)
         for idx in np.ndindex(diff.shape):
             quad = kernel_quadrature(params, float(diff[idx]))
-            closed = np.array([[K11[idx], K12[idx]], [K12[idx], np.conj(K11[idx])]])
+            k11 = a[idx] + 1j * b[idx]
+            closed = np.array([[k11, c[idx]], [c[idx], np.conj(k11)]])
             assert np.abs(closed - quad).max() < 1e-12
 
     def test_translation_invariance_of_spectrum(self):

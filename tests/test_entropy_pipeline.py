@@ -18,7 +18,7 @@ from diamond_entropy import (
     operator_eigenvalues,
     subtraction_trace,
 )
-from diamond_entropy import discretization, entropy_pipeline, quadrature
+from diamond_entropy import asymptotics, discretization, entropy_pipeline, quadrature
 from oracle import direct_spectrum
 
 K1 = RenyiOrder(1.0)
@@ -350,3 +350,44 @@ class TestLadder:
                                       n=4096)
         assert result.converged
         assert abs(result.entropy - reference) <= entropy_pipeline.DEFAULT_REL_CHANGE * reference
+
+
+class TestFloorBound:
+    """B_N, the bulk mass of the modes below the rounding band 2N u."""
+
+    @pytest.mark.parametrize("mass, eps, kappa, n", [(0.0, 0.01, 0.3, 2048),
+                                                     (20.0, 0.5, 0.5, 1024)])
+    def test_matches_an_independent_quadrature(self, mass, eps, kappa, n):
+        # (1/(pi eps)) int eta(exp(-hypot(x, a))) dx from x_d to infinity in
+        # 30 digits; a = eps m = 10 sits inside ln(1/delta) = 36.0
+        with mpmath.workdps(30):
+            a, k = mpmath.mpf(mass) * mpmath.mpf(eps), mpmath.mpf(kappa)
+            x_d = mpmath.sqrt(mpmath.log(mpmath.mpf(2) ** 53 / (2 * n)) ** 2 - a * a)
+
+            def integrand(x):
+                r = mpmath.sqrt(x * x + a * a)
+                return mpmath.log(mpmath.exp(-k * r) + (-mpmath.expm1(-r)) ** k) / (1 - k)
+
+            oracle = float(mpmath.quad(integrand, [x_d, x_d + 8, x_d + 64, mpmath.inf])
+                           / (mpmath.pi * eps))
+        params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
+        bound = entropy_pipeline._floor_bound(params, RenyiOrder(kappa), n)
+        assert bound == pytest.approx(oracle, rel=1e-10)
+
+    def test_grows_with_n(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        bounds = [entropy_pipeline._floor_bound(params, RenyiOrder(0.3), n)
+                  for n in (128, 256, 512, 1024, 2048, 4096)]
+        assert all(b < c for b, c in zip(bounds, bounds[1:]))
+
+    def test_leaves_the_acceptance_orders_far_inside_their_tolerance(self):
+        # kappa = 1/2 at eps = 0.002 and the 4096 cap, the smallest order
+        # and epsilon the acceptance sweeps and benchmarks reach, against a
+        # tolerance of about 0.0147
+        params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
+        assert entropy_pipeline._floor_bound(params, RenyiOrder(0.5), 4096) < 1e-3
+
+    def test_a_sweep_point_below_the_floor_fails(self):
+        point = asymptotics._sweep_point(RenyiOrder(0.3), 2048, GridRule.GAUSS_LEGENDRE,
+                                         PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0))
+        assert np.isnan(point.entropy) and not point.converged and point.grid_size == 2048

@@ -200,17 +200,32 @@ class TestKernelBlocks:
     def test_vectorized_matches_pointwise(self, mass):
         params = PhysicalParams(mass=mass, epsilon=0.3, lam=1.0)
         u = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
-        K11, K12 = kernel_blocks(params, u)
-        assert K11.shape == u.shape and K11.dtype == complex
+        parts = kernel_blocks(params, u)
+        for part in parts[:2]:
+            assert part.shape == u.shape and part.dtype == np.float64
         for idx in np.ndindex(u.shape):
-            k11, k12 = kernel_blocks(params, u[idx])
-            assert K11[idx] == k11
-            assert np.broadcast_to(K12, u.shape)[idx] == k12
+            for part, value in zip(parts, kernel_blocks(params, u[idx])):
+                assert np.broadcast_to(part, u.shape)[idx] == value
 
     def test_massless_coupling_is_scalar_zero(self):
         params = PhysicalParams(mass=0.0, epsilon=0.3, lam=1.0)
-        _, K12 = kernel_blocks(params, np.linspace(-1.0, 1.0, 5))
-        assert K12 == 0.0 and np.ndim(K12) == 0
+        _, _, c = kernel_blocks(params, np.linspace(-1.0, 1.0, 5))
+        assert c == 0.0 and np.ndim(c) == 0
+
+    def test_massless_parts_are_those_of_the_one_quotient(self):
+        params = PhysicalParams(mass=0.0, epsilon=0.3, lam=1.0)
+        u = np.linspace(-3.0, 3.0, 41)
+        a, b, _ = kernel_blocks(params, u)
+        k11 = 1.0 / (2.0 * np.pi * (params.epsilon - 1j * u))
+        assert np.array_equal(a, k11.real) and np.array_equal(b, k11.imag)
+
+    def test_massive_parts_are_the_scalar_integrals_over_4pi(self):
+        params = PhysicalParams(mass=1.0, epsilon=0.3, lam=1.0)
+        u = np.linspace(-3.0, 3.0, 41)
+        F0, F1_imag, Fm = massive_scalar_integrals(1.0, 0.3, u)
+        inv4pi = 1.0 / (4.0 * np.pi)
+        for part, expected in zip(kernel_blocks(params, u), (F0, F1_imag, -Fm)):
+            assert np.array_equal(part, inv4pi * expected)
 
 
 class TestKernelProperties:
