@@ -65,10 +65,14 @@ _CROSS_BLOCK_BYTES = 96
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One epsilon's entropy; reason holds the ConvergenceError that left it
+    NaN, and is empty otherwise."""
+
     epsilon: float
     entropy: float
     converged: bool
     grid_size: int
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,12 @@ def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule, params: Physical
                  partner: PhysicalParams | None = None) -> SweepPoint:
     try:
         result = entanglement_entropy(params, order, n=n_max, rule=rule, partner=partner)
-    except ConvergenceError:
+    except ConvergenceError as exc:
         # no admissible grid up to the cap, or a result below the floor: an
         # unconverged point, counted against the minimum-converged-points
         # requirement
         return SweepPoint(epsilon=params.epsilon, entropy=float("nan"), converged=False,
-                          grid_size=n_max)
+                          grid_size=n_max, reason=str(exc))
     return SweepPoint(
         epsilon=params.epsilon,
         entropy=result.entropy,
@@ -209,7 +213,9 @@ def matched_grid_entropy(params: PhysicalParams, order: RenyiOrder, n: int) -> f
     Meant for matched-grid differences: at fixed n the discretization error
     largely cancels between two kernels that differ by a smooth (mass)
     perturbation, even at epsilon too small for the grid to resolve alone.
+    ValueError before the spectrum if check_spectrum_memory refuses n.
     """
+    check_spectrum_memory(n)
     grid = build_grid(n, params.lam)
     eigenvalues = operator_eigenvalues(params, grid, validate=False)
     trace, _ = entropy_from_eigenvalues(eigenvalues, order)

@@ -25,7 +25,9 @@ or CSV with `# version:` and `# config:` lines (sweep adds a `# fit:` line),
 a header and one row per flat record (bools as true/false, floats to 17
 significant digits). The entropy of a sweep point with no admissible grid,
 NaN, is null in JSON and nan in CSV; JSON refuses every other non-finite
-float.
+float. entropy warns on stderr when it reports an unconverged rung, and sweep
+writes one warning line per null or unconverged point, naming its epsilon
+and why.
 
 verify's quasi-norm sums, like diag log-growth's, leave out the singular
 values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
@@ -37,13 +39,12 @@ buffer that cannot be mapped (under a soft RLIMIT_AS, say) or another
 allocation that fails (MemoryError); 3 numerical non-convergence, an
 eigensolve or SVD that LAPACK reports as failed among it, an epsilon whose
 bulk term or massless kernel leaves the float range (entropy and
-kernel-dump at 1e-310), and an order below 1 whose converged rung lies
-within its floor bound, the bulk mass below the solver's rounding band
-(entropy --kappa 0.3 --epsilon 0.01 --grid-size 2048); 4 property-suite
-failure. Among the argument errors are a --grid-size cap below 64 for
-entropy, sweep and diag offdiag, a flag the subcommand does not take, a
---jobs that is not an integer >= 1, an
---alpha-grid entry that is not finite and > 0, a kernel-dump --u-max that is
+kernel-dump at 1e-310), and an order below 1 whose reported rung, converged
+or not, does not clear its floor bound, the bulk mass below the solver's
+rounding band (entropy --kappa 0.3 and 0.1 --epsilon 0.01 --grid-size 2048);
+4 property-suite failure. Among the argument errors are a --grid-size cap
+below 64 for entropy, sweep and diag offdiag, a flag the subcommand does not
+take, a --jobs that is not an integer >= 1, an --alpha-grid entry that is not finite and > 0, a kernel-dump --u-max that is
 not > 0 or exceeds the largest float over 2 pi, an --output-path that is a
 directory or lacks its parent directory, and every request beyond the lesser
 of physical memory and the process's cgroup memory limit, which names that
@@ -70,7 +71,7 @@ from . import __version__
 from .asymptotics import log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
 from .discretization import check_memory
-from .entropy_pipeline import entanglement_entropy
+from .entropy_pipeline import DEFAULT_N_MAX, entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
 from .quadrature import GridRule
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=float, required=True)
         p.add_argument("--mass", type=float, default=0.0)
         p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        p.add_argument("--grid-size", type=int, default=4096)
+        p.add_argument("--grid-size", type=int, default=DEFAULT_N_MAX)
         p.add_argument("--rule", choices=[r.value for r in GridRule],
                        default=GridRule.GAUSS_LEGENDRE.value)
 
@@ -244,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_offdiag = add_diag("offdiag", "mass contribution and high-frequency symbol deviation")
     p_offdiag.add_argument("--kappa", type=float, default=1.0)
-    p_offdiag.add_argument("--grid-size", type=int, default=4096)
+    p_offdiag.add_argument("--grid-size", type=int, default=DEFAULT_N_MAX)
     p_growth = add_diag("log-growth", "cross-block quasi-norm growth")
     p_growth.add_argument("--q", type=float, default=0.5)
     p_growth.add_argument("--box-half-width", type=float, default=8.0)
@@ -283,6 +284,11 @@ def _cmd_sweep(args) -> int:
     order = RenyiOrder(args.kappa)
     result = sweep(params, order, eps_grid, n_max=args.grid_size,
                    rule=GridRule(args.rule), jobs=args.jobs)
+    for p in result.points:
+        if not p.converged:
+            why = p.reason or (f"not converged at the grid-size cap {args.grid_size}; "
+                               f"reporting n={p.grid_size}")
+            sys.stderr.write(f"warning: sweep point epsilon={p.epsilon:.6g}: {why}\n")
     fit = {key: getattr(result, key)
            for key in ("slope", "intercept", "r_squared", "theory_slope", "rel_error")}
     rows = [

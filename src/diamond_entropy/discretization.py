@@ -218,8 +218,8 @@ def check_memory(bytes_for, count: int, flag: str, where: str = "") -> int:
 def check_spectrum_memory(n: int) -> int:
     """How many spectra at grid-size cap n fit in memory at once (check_memory);
     ValueError if n < MIN_GRID_SIZE or not even one spectrum's eigensolver
-    buffers fit. entanglement_entropy, sweep and offdiagonal_diagnostic check
-    their cap here before any spectrum."""
+    buffers fit. entanglement_entropy, sweep, offdiagonal_diagnostic and
+    matched_grid_entropy check their cap here before any spectrum."""
     if n < MIN_GRID_SIZE:
         raise ValueError(f"n must be >= {MIN_GRID_SIZE}, got {n}")
     return check_memory(spectrum_buffer_bytes, n, "grid-size cap")

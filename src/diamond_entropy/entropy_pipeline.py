@@ -19,10 +19,10 @@ smallest one of at least 128, or down to half the cap below a cap of 256.
 Each size is 2N or 2N + 1 after the size N before it, so each 0.5% test
 compares N with about 2N: a cap of 128 * 2^k (k >= 1) climbs 128, 256, ...,
 the cap. The ladder stops once the entropy changes by less than 0.5% or at
-the cap. Below kappa = 1 a rung that passes the 0.5% test must also pass the
-floor bound: the bulk mass of the modes below the eigensolver's rounding
-band may not exceed the tolerance, or double precision, not the spectrum,
-sets the digit, and ConvergenceError says so.
+the cap. Below kappa = 1 the rung it reports, converged or not, must also
+pass the floor bound: the bulk mass of the modes below the eigensolver's
+rounding band may not exceed that rung's tolerance, or double precision, not
+the spectrum, sets the digit, and ConvergenceError says so.
 """
 
 from __future__ import annotations
@@ -190,9 +190,11 @@ def entanglement_entropy(
     (discretization's range gate) or whose eigensolve fails are treated as
     unresolved and skipped; if no grid up to the cap yields an admissible
     spectrum, ConvergenceError is raised with the last grid's reason. The
-    result is flagged converged once doubling the grid changes the entropy
-    by less than DEFAULT_REL_CHANGE; where kappa < 1, ConvergenceError
-    instead if that rung's _floor_bound exceeds the change allowed.
+    ladder builds one result per admissible rung, flagged converged when the
+    entropy moved by less than DEFAULT_REL_CHANGE from the rung just before
+    it, if that one was admissible, and reports the first converged result or
+    else the last. Where kappa < 1, ConvergenceError instead if the reported
+    rung's _floor_bound exceeds its tolerance, converged or not.
     ValueError before any work if check_spectrum_memory refuses the cap:
     below the smallest cap, or its eigensolver buffers beyond the memory
     check_memory allows. partner, the point to be computed next, goes to
@@ -202,9 +204,7 @@ def entanglement_entropy(
     check_spectrum_memory(n)
     sub = subtraction_trace(params, order)
 
-    prev_entropy = None
-    last = None
-    converged = False
+    prev_entropy = result = None
     for size in _ladder_sizes(DEFAULT_N_START, n):
         grid = build_grid(size, params.lam, rule)
         try:
@@ -215,28 +215,27 @@ def entanglement_entropy(
             continue
         trace, clamp = entropy_from_eigenvalues(eigenvalues, order)
         entropy_value = trace - sub
-        last = (size, trace, entropy_value, clamp)
+        # only an admissible rung sets tol, so after the loop it is the reported rung's
         tol = DEFAULT_REL_CHANGE * max(abs(entropy_value), 1e-12)
-        if prev_entropy is not None and abs(entropy_value - prev_entropy) < tol:
-            converged = True
-            if order.kappa < 1.0 and (floor := _floor_bound(params, order, size)) > tol:
-                raise ConvergenceError(
-                    f"n = {size} converged, but its floor bound B = {floor:.3g}, the bulk "
-                    f"mass below the rounding band, exceeds the tolerance {tol:.3g}: "
-                    "double precision cannot give this entropy")
+        result = EntropyResult(
+            truncated_trace=trace,
+            subtraction_trace=sub,
+            entropy=entropy_value,
+            clamp_count=clamp.count,
+            grid_size=size,
+            converged=prev_entropy is not None and abs(entropy_value - prev_entropy) < tol,
+        )
+        if result.converged:
             break
         prev_entropy = entropy_value
 
-    if last is None:
+    if result is None:
         raise ConvergenceError(
             f"no grid size up to {n} resolves epsilon={params.epsilon} (last at {rejected})"
         )
-    size, trace, entropy_value, clamp = last
-    return EntropyResult(
-        truncated_trace=trace,
-        subtraction_trace=sub,
-        entropy=entropy_value,
-        clamp_count=clamp.count,
-        grid_size=size,
-        converged=converged,
-    )
+    if order.kappa < 1.0 and (floor := _floor_bound(params, order, result.grid_size)) > tol:
+        raise ConvergenceError(
+            f"n = {result.grid_size}: its floor bound B = {floor:.3g}, the bulk mass below "
+            f"the rounding band, exceeds the tolerance {tol:.3g}: double precision cannot "
+            "give this entropy")
+    return result

@@ -253,6 +253,13 @@ class TestOffdiagonalDiagnostic:
         assert np.all(res.sup_deviations <= bound)
         assert np.all(np.diff(res.sup_deviations) < 0)
 
+    def test_matched_grid_entropy_checks_memory_before_the_buffer(self, monkeypatch):
+        monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 8 * 1024**2)
+        monkeypatch.setattr(discretization, "_zeroed_buffer", None)  # never reached
+        params = PhysicalParams(mass=1.0, epsilon=0.0123, lam=1.0)
+        with pytest.raises(ValueError, match="the largest grid-size cap that fits is"):
+            asymptotics.matched_grid_entropy(params, K1, 2048)
+
     def test_alpha_grid_validation(self):
         with pytest.raises(ValueError):
             offdiagonal_diagnostic(1.0, K1, 1.0, [100.0, 10.0])

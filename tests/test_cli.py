@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shlex
@@ -63,6 +64,31 @@ class TestArgumentHandling:
         keys = ("kappa", "mass", "lam", "grid_size", "rule")
         assert [entropy[k] for k in keys] == [sweep[k] for k in keys] == [2.0, 0.5, 3.0, 512,
                                                                           "midpoint"]
+
+    @pytest.mark.parametrize("command, dest, function, name", [
+        (["entropy", "--kappa", "1", "--epsilon", "0.1"], "grid_size",
+         entropy_pipeline.entanglement_entropy, "n"),
+        (["entropy", "--kappa", "1", "--epsilon", "0.1"], "rule",
+         entropy_pipeline.entanglement_entropy, "rule"),
+        (["sweep", "--kappa", "1", "--eps-grid", "1:0.01:6log"], "grid_size",
+         asymptotics.sweep, "n_max"),
+        (["sweep", "--kappa", "1", "--eps-grid", "1:0.01:6log"], "rule",
+         asymptotics.sweep, "rule"),
+        (["diag", "offdiag"], "grid_size", asymptotics.offdiagonal_diagnostic, "n"),
+        (["diag", "log-growth"], "box_grid_size", asymptotics.log_growth_diagnostic, "n"),
+        (["diag", "log-growth"], "box_half_width", asymptotics.log_growth_diagnostic,
+         "half_width"),
+        (["diag", "log-growth"], "l0", asymptotics.log_growth_diagnostic, "l0"),
+        (["diag", "log-growth"], "mass", asymptotics.log_growth_diagnostic, "mass"),
+        (["diag", "log-growth"], "lam", asymptotics.log_growth_diagnostic, "lam"),
+    ], ids=["entropy-grid-size", "entropy-rule", "sweep-grid-size", "sweep-rule",
+            "offdiag-grid-size", "log-growth-box-grid-size", "log-growth-box-half-width",
+            "log-growth-l0", "log-growth-mass", "log-growth-lambda"])
+    def test_parser_default_is_the_library_default(self, command, dest, function, name):
+        value = getattr(build_parser().parse_args(command), dest)
+        if dest == "rule":
+            value = GridRule(value)
+        assert value == inspect.signature(function).parameters[name].default
 
     @pytest.mark.parametrize("spec", ["inf:0.002:8log", "nan:0.002:8log", "0.1:inf:8log"])
     def test_non_finite_eps_grid_exits_2_without_warnings(self, capsys, spec):
@@ -385,7 +411,7 @@ class TestEntropyCommand:
         assert len(warning) == 1
         assert "not converged" in warning[0] and "n=256" in warning[0]
 
-    @pytest.mark.parametrize("kappa", ["0.02", "20", "100"])
+    @pytest.mark.parametrize("kappa", ["20", "100"])
     def test_extreme_orders_finite(self, capsys, kappa):
         code = run_cli(["entropy", "--kappa", kappa, "--epsilon", "0.1",
                         "--grid-size", "256", "--jobs", "1"])
@@ -393,6 +419,17 @@ class TestEntropyCommand:
         result = json.loads(capsys.readouterr().out)["result"]
         assert np.isfinite(result["entropy"])
         assert np.isfinite(result["subtraction_trace"])
+
+    def test_an_extreme_small_order_unconverged_at_the_cap_is_refused(self, capsys):
+        # kappa = 0.02 reaches the cap unconverged with S = 15.99 at n = 256,
+        # where the floor bound B = 78.5 exceeds S itself
+        code = run_cli(["entropy", "--kappa", "0.02", "--epsilon", "0.1",
+                        "--grid-size", "256", "--jobs", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "n = 256" in captured.err and "floor bound B = 78.5" in captured.err
 
     def test_midpoint_rule_flag(self, capsys):
         code = run_cli(["entropy", "--kappa", "1", "--epsilon", "0.5", "--grid-size", "1024",
@@ -485,6 +522,23 @@ class TestSweepCommand:
         assert run_cli([*args, "--output-format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[4 + 9] == "0.002,6.2146080984221914,nan,256,false"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_each_unconverged_point_is_named_on_stderr(self, jobs):
+        # the reason of a null point comes back through the pool too
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "diamond_entropy.cli", "sweep", "--kappa", "1",
+             "--eps-grid", "2:0.002:10log", "--grid-size", "256", "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        cap = "not converged at the grid-size cap 256; reporting n=256"
+        *unconverged, null = proc.stderr.splitlines()
+        assert unconverged == [f"warning: sweep point epsilon=0.00928318: {cap}",
+                               f"warning: sweep point epsilon=0.00430887: {cap}"]
+        assert null.startswith("warning: sweep point epsilon=0.002: no grid size up to 256 "
+                               "resolves epsilon=0.002")
 
 
 class TestKernelDumpCommand:

@@ -342,12 +342,16 @@ class TestLadder:
                                       n=100)
         assert (result.grid_size, result.converged) == (100, True)
 
-    def test_converged_value_matches_a_high_n_reference(self):
-        # m = 0, kappa = 1, eps = 0.0035 on fixed Gauss-Legendre grids: 2.1163822199
-        # at N = 2048, 4096 and 8192, moving 3e-10 between them
-        reference = 2.1163822199
-        result = entanglement_entropy(PhysicalParams(mass=0.0, epsilon=0.0035, lam=1.0), K1,
-                                      n=4096)
+    # m = 0, eps = 0.0035 on fixed Gauss-Legendre grids. kappa = 1: 2.1163822199
+    # at N = 2048, 4096 and 8192, moving 3e-10 between them. kappa = 2:
+    # 1.6935230239 at N = 4096, 6144 and 8192, moving 9e-14. kappa = 1/2:
+    # 2.7591828, 2.7591938 and 2.7592039 at the same N, drifting 1e-5 a step
+    # with the floor bound B (3.5e-4 at N = 4096, 4.9e-4 at 8192)
+    @pytest.mark.parametrize("kappa, reference", [(1.0, 2.1163822199), (2.0, 1.6935230239),
+                                                  (0.5, 2.7592039)])
+    def test_converged_value_matches_a_high_n_reference(self, kappa, reference):
+        result = entanglement_entropy(PhysicalParams(mass=0.0, epsilon=0.0035, lam=1.0),
+                                      RenyiOrder(kappa), n=4096)
         assert result.converged
         assert abs(result.entropy - reference) <= entropy_pipeline.DEFAULT_REL_CHANGE * reference
 
@@ -391,3 +395,16 @@ class TestFloorBound:
         point = asymptotics._sweep_point(RenyiOrder(0.3), 2048, GridRule.GAUSS_LEGENDRE,
                                          PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0))
         assert np.isnan(point.entropy) and not point.converged and point.grid_size == 2048
+        assert point.reason.startswith("n = 2048: its floor bound B = 0.0301")
+
+    def test_an_unconverged_rung_at_the_cap_is_checked_too(self):
+        # kappa = 0.1 never converges up to 2048; S = 30.65 there is noise
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        with pytest.raises(ConvergenceError, match="n = 2048: its floor bound B = 20.3"):
+            entanglement_entropy(params, RenyiOrder(0.1), n=2048)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_is_never_evaluated_from_order_1_up(self, monkeypatch, kappa):
+        monkeypatch.setattr(entropy_pipeline, "_floor_bound", None)  # never called
+        params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
+        assert entanglement_entropy(params, RenyiOrder(kappa), n=256).grid_size == 256
