@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     DiagnosticsResult,
-    SweepPoint,
     SweepResult,
     log_growth_diagnostic,
     matched_grid_entropy,

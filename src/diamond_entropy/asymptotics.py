@@ -40,6 +40,7 @@ from .discretization import (
 )
 from .entropy_pipeline import (
     DEFAULT_N_MAX,
+    EntropyResult,
     entanglement_entropy,
     entropy_from_eigenvalues,
     subtraction_trace,
@@ -64,27 +65,15 @@ _CROSS_BLOCK_BYTES = 96
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One epsilon's entropy; reason holds the ConvergenceError that left it
-    NaN, and is empty otherwise."""
-
-    epsilon: float
-    entropy: float
-    converged: bool
-    grid_size: int
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    points: tuple
+    points: tuple  # one EntropyResult per epsilon, failed points included
     slope: float
     intercept: float
     r_squared: float
     theory_slope: float
     rel_error: float
 
-    def converged_points(self) -> list[SweepPoint]:
+    def converged_points(self) -> list[EntropyResult]:
         return [p for p in self.points if p.converged]
 
 
@@ -93,6 +82,7 @@ class DiagnosticsResult:
     alpha_grid: np.ndarray
     offdiag_ratios: np.ndarray | None = None
     sup_deviations: np.ndarray | None = None
+    clamp_distances: np.ndarray | None = None
     logq_norms: np.ndarray | None = None
 
 
@@ -112,21 +102,16 @@ def _validate_eps_grid(eps_grid: np.ndarray) -> np.ndarray:
 
 
 def _sweep_point(order: RenyiOrder, n_max: int, rule: GridRule, params: PhysicalParams,
-                 partner: PhysicalParams | None = None) -> SweepPoint:
+                 partner: PhysicalParams | None = None) -> EntropyResult:
     try:
-        result = entanglement_entropy(params, order, n=n_max, rule=rule, partner=partner)
+        return entanglement_entropy(params, order, n=n_max, rule=rule, partner=partner)
     except ConvergenceError as exc:
         # no admissible grid up to the cap, or a result below the floor: an
         # unconverged point, counted against the minimum-converged-points
         # requirement
-        return SweepPoint(epsilon=params.epsilon, entropy=float("nan"), converged=False,
-                          grid_size=n_max, reason=str(exc))
-    return SweepPoint(
-        epsilon=params.epsilon,
-        entropy=result.entropy,
-        converged=result.converged,
-        grid_size=result.grid_size,
-    )
+        return EntropyResult(params=params, truncated_trace=np.nan, subtraction_trace=np.nan,
+                             entropy=np.nan, clamp_count=0, grid_size=n_max, converged=False,
+                             reason=str(exc))
 
 
 def _process_pool(max_workers: int, initializer, initargs):
@@ -160,8 +145,9 @@ def sweep(
     """Entropy over a log-spaced epsilon grid with an OLS slope fit.
 
     Points are computed independently (optionally in separate processes)
-    and aggregated in decreasing-epsilon order; the fit uses only converged
-    points and requires at least five of them. The worker processes number
+    and aggregated in decreasing-epsilon order, one EntropyResult each; the
+    fit uses only converged points and requires at least five of them, or
+    raises ConvergenceError holding the points. The worker processes number
     min(jobs, points, spectra at the cap n_max that fit in memory at once);
     ValueError before any point if check_spectrum_memory refuses n_max: below
     the smallest cap, or not even one spectrum fits. Each worker is told the
@@ -189,11 +175,9 @@ def sweep(
 
     fit_points = [p for p in points if p.converged]
     if len(fit_points) < MIN_CONVERGED_POINTS:
-        raise ConvergenceError(
-            f"only {len(fit_points)} of {len(points)} sweep points converged; "
-            f"need {MIN_CONVERGED_POINTS}"
-        )
-    x = np.array([np.log(1.0 / p.epsilon) for p in fit_points])
+        raise ConvergenceError(f"only {len(fit_points)} of {len(points)} sweep points "
+                               f"converged; need {MIN_CONVERGED_POINTS}", points=tuple(points))
+    x = np.array([np.log(1.0 / p.params.epsilon) for p in fit_points])
     y = np.array([p.entropy for p in fit_points])
     slope, intercept, r_squared = _fit_line(x, y)
     theory = theoretical_slope(order)
@@ -207,19 +191,20 @@ def sweep(
     )
 
 
-def matched_grid_entropy(params: PhysicalParams, order: RenyiOrder, n: int) -> float:
-    """Single-grid Gauss-Legendre entropy without the spectral-range gate.
+def matched_grid_entropy(params: PhysicalParams, order: RenyiOrder, n: int):
+    """Single-grid Gauss-Legendre entropy and its ClampReport, with no range gate.
 
     Meant for matched-grid differences: at fixed n the discretization error
     largely cancels between two kernels that differ by a smooth (mass)
-    perturbation, even at epsilon too small for the grid to resolve alone.
+    perturbation, but only where the grid nearly resolves epsilon, which a
+    max_distance within the range gate's band shows.
     ValueError before the spectrum if check_spectrum_memory refuses n.
     """
     check_spectrum_memory(n)
     grid = build_grid(n, params.lam)
     eigenvalues = operator_eigenvalues(params, grid, validate=False)
-    trace, _ = entropy_from_eigenvalues(eigenvalues, order)
-    return trace - subtraction_trace(params, order)
+    trace, clamp = entropy_from_eigenvalues(eigenvalues, order)
+    return trace - subtraction_trace(params, order), clamp
 
 
 def _high_low_sup_deviation(alpha: float, mass: float) -> float:
@@ -245,7 +230,9 @@ def offdiagonal_diagnostic(
     For each alpha = 1/epsilon the massive and massless entropies are
     evaluated on the same grid and differenced; the massless entropy is the
     diagonal-symbol term exactly, so the ratio |S(m) - S(0)| / ln(alpha)
-    isolates the off-diagonal contribution, which must trend to zero.
+    isolates the off-diagonal contribution, which must trend to zero. The grid
+    error cancels only where n nearly resolves epsilon: clamp_distances, the
+    larger max_distance of each alpha's spectra, exceeds DEFAULT_TOL_DISC where not.
     At mass = 0 the difference vanishes identically. ValueError before the
     first spectrum on bad input, n below the smallest grid-size cap included,
     or eigensolver buffers beyond the memory check_memory allows.
@@ -259,18 +246,16 @@ def offdiagonal_diagnostic(
     all_params = [(PhysicalParams(mass=mass, epsilon=1.0 / alpha, lam=lam),
                    PhysicalParams(mass=0.0, epsilon=1.0 / alpha, lam=lam)) for alpha in alphas]
 
-    ratios = []
-    sup_devs = []
+    ratios, sup_devs, distances = [], [], []
     for alpha, (massive, massless) in zip(alphas, all_params):
-        s_mass = matched_grid_entropy(massive, order, n)
-        s_zero = matched_grid_entropy(massless, order, n)
+        s_mass, c_mass = matched_grid_entropy(massive, order, n)
+        s_zero, c_zero = matched_grid_entropy(massless, order, n)
         ratios.append(abs(s_mass - s_zero) / np.log(alpha))
         sup_devs.append(_high_low_sup_deviation(alpha, mass))
-    return DiagnosticsResult(
-        alpha_grid=alphas,
-        offdiag_ratios=np.array(ratios),
-        sup_deviations=np.array(sup_devs),
-    )
+        distances.append(max(c_mass.max_distance, c_zero.max_distance))
+    return DiagnosticsResult(alpha_grid=alphas, offdiag_ratios=np.array(ratios),
+                             sup_deviations=np.array(sup_devs),
+                             clamp_distances=np.array(distances))
 
 
 def _scalar_kernel(params: PhysicalParams, u: np.ndarray) -> np.ndarray:

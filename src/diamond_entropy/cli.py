@@ -25,9 +25,10 @@ or CSV with `# version:` and `# config:` lines (sweep adds a `# fit:` line),
 a header and one row per flat record (bools as true/false, floats to 17
 significant digits). The entropy of a sweep point with no admissible grid,
 NaN, is null in JSON and nan in CSV; JSON refuses every other non-finite
-float. entropy warns on stderr when it reports an unconverged rung, and sweep
-writes one warning line per null or unconverged point, naming its epsilon
-and why.
+float. Stderr gets one warning line, the reason its EntropyResult holds, per
+unconverged entropy rung and null or unconverged sweep point, a refused
+sweep's too, and one per diag offdiag alpha whose spectra stray past the
+range band [-1e-6, 1 + 1e-6], where the grid does not resolve it (exit 0).
 
 verify's quasi-norm sums, like diag log-growth's, leave out the singular
 values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
@@ -70,7 +71,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import log_growth_diagnostic, offdiagonal_diagnostic, sweep
 from .dirac_symbols import PhysicalParams
-from .discretization import check_memory
+from .discretization import DEFAULT_TOL_DISC, check_memory
 from .entropy_pipeline import DEFAULT_N_MAX, entanglement_entropy
 from .errors import ConvergenceError
 from .kernel_eval import kernel_blocks
@@ -265,8 +266,7 @@ def _cmd_entropy(args) -> int:
     order = RenyiOrder(args.kappa)
     result = entanglement_entropy(params, order, n=args.grid_size, rule=GridRule(args.rule))
     if not result.converged:
-        sys.stderr.write(f"warning: entropy not converged at the grid-size cap "
-                         f"{args.grid_size}; reporting n={result.grid_size}\n")
+        sys.stderr.write(f"warning: entropy {result.reason}\n")
     row = {"kappa": order.kappa, "mass": params.mass, "epsilon": params.epsilon,
            "lambda": params.lam, "n": result.grid_size,
            "truncated_trace": result.truncated_trace,
@@ -278,24 +278,24 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _warn_unconverged(points) -> None:
+    for p in points:
+        if not p.converged:
+            sys.stderr.write(f"warning: sweep point epsilon={p.params.epsilon:.6g}: {p.reason}\n")
+
+
 def _cmd_sweep(args) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
     params = PhysicalParams(mass=args.mass, epsilon=float(eps_grid[0]), lam=args.lam)
     order = RenyiOrder(args.kappa)
     result = sweep(params, order, eps_grid, n_max=args.grid_size,
                    rule=GridRule(args.rule), jobs=args.jobs)
-    for p in result.points:
-        if not p.converged:
-            why = p.reason or (f"not converged at the grid-size cap {args.grid_size}; "
-                               f"reporting n={p.grid_size}")
-            sys.stderr.write(f"warning: sweep point epsilon={p.epsilon:.6g}: {why}\n")
+    _warn_unconverged(result.points)
     fit = {key: getattr(result, key)
            for key in ("slope", "intercept", "r_squared", "theory_slope", "rel_error")}
-    rows = [
-        {"epsilon": p.epsilon, "ln_inv_eps": float(np.log(1.0 / p.epsilon)),
-         "entropy": p.entropy, "n": p.grid_size, "converged": p.converged}
-        for p in result.points
-    ]
+    rows = [{"epsilon": p.params.epsilon, "ln_inv_eps": float(np.log(1.0 / p.params.epsilon)),
+             "entropy": p.entropy, "n": p.grid_size, "converged": p.converged}
+            for p in result.points]
     # a point with no admissible grid has a NaN entropy, which JSON writes as null
     points = [{**row, "entropy": None} if math.isnan(row["entropy"]) else row for row in rows]
     _write(args, {"fit": fit, "points": points}, rows)
@@ -343,6 +343,12 @@ def _cmd_diag(args) -> int:
         )
         columns = [("offdiag_ratios", "offdiag_ratio", result.offdiag_ratios),
                    ("sup_deviations", "sup_deviation", result.sup_deviations)]
+        for alpha, distance in zip(alphas, result.clamp_distances):
+            if distance > DEFAULT_TOL_DISC:
+                sys.stderr.write(f"warning: offdiag alpha={alpha:.6g}: its spectra at "
+                                 f"n={args.grid_size} stray {distance:.4g} outside [0, 1], "
+                                 f"past the range band {DEFAULT_TOL_DISC:g}; the grid does "
+                                 "not resolve this alpha\n")
     else:
         result = log_growth_diagnostic(args.q, alphas, lam=args.lam,
                                        half_width=args.box_half_width, n=args.box_grid_size,
@@ -375,6 +381,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (ConvergenceError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        _warn_unconverged(getattr(exc, "points", ()))  # a refused sweep names its points
         sys.stderr.write(f"non-convergence: {exc}\n")
         return 3
     except ValueError as exc:

@@ -64,12 +64,16 @@ class ClampReport:
 
 @dataclass(frozen=True)
 class EntropyResult:
+    """One rung's entropy at params; reason, empty once converged, says why not."""
+
+    params: PhysicalParams
     truncated_trace: float
     subtraction_trace: float
     entropy: float
     clamp_count: int
     grid_size: int
     converged: bool
+    reason: str = ""
 
 
 def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
@@ -192,9 +196,10 @@ def entanglement_entropy(
     spectrum, ConvergenceError is raised with the last grid's reason. The
     ladder builds one result per admissible rung, flagged converged when the
     entropy moved by less than DEFAULT_REL_CHANGE from the rung just before
-    it, if that one was admissible, and reports the first converged result or
-    else the last. Where kappa < 1, ConvergenceError instead if the reported
-    rung's _floor_bound exceeds its tolerance, converged or not.
+    it, if that one was admissible (else its reason names the cap), and
+    reports the first converged result or else the last. Where kappa < 1,
+    ConvergenceError instead if the reported rung's _floor_bound exceeds its
+    tolerance, converged or not.
     ValueError before any work if check_spectrum_memory refuses the cap:
     below the smallest cap, or its eigensolver buffers beyond the memory
     check_memory allows. partner, the point to be computed next, goes to
@@ -217,14 +222,12 @@ def entanglement_entropy(
         entropy_value = trace - sub
         # only an admissible rung sets tol, so after the loop it is the reported rung's
         tol = DEFAULT_REL_CHANGE * max(abs(entropy_value), 1e-12)
+        converged = prev_entropy is not None and abs(entropy_value - prev_entropy) < tol
         result = EntropyResult(
-            truncated_trace=trace,
-            subtraction_trace=sub,
-            entropy=entropy_value,
-            clamp_count=clamp.count,
-            grid_size=size,
-            converged=prev_entropy is not None and abs(entropy_value - prev_entropy) < tol,
-        )
+            params=params, truncated_trace=trace, subtraction_trace=sub, entropy=entropy_value,
+            clamp_count=clamp.count, grid_size=size, converged=converged,
+            reason="" if converged else f"not converged at the grid-size cap {n}; "
+                                        f"reporting n={size}")
         if result.converged:
             break
         prev_entropy = entropy_value

@@ -18,6 +18,10 @@ class ConvergenceError(DiamondEntropyError):
       or holds a NaN, and the eta-trace when it holds a NaN or infinity;
     - the grid-doubling entropy ladder when no grid up to the cap yields an
       admissible spectrum;
-    - sweeps with fewer converged points than the slope fit's minimum.
+    - sweeps with fewer converged points than the fit's minimum, kept as points.
     """
+
+    def __init__(self, message: str, points: tuple = ()):
+        super().__init__(message)
+        self.points = points
 

@@ -270,7 +270,7 @@ class MassIndependenceReport:
 
 def _refit_slope(result: SweepResult, keep: int) -> float:
     pts = result.converged_points()[:keep]
-    x = np.array([np.log(1.0 / p.epsilon) for p in pts])
+    x = np.array([np.log(1.0 / p.params.epsilon) for p in pts])
     y = np.array([p.entropy for p in pts])
     return _fit_line(x, y)[0]
 

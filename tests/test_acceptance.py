@@ -76,7 +76,7 @@ def test_criterion_2_main_theorem_massless(sweep_lambda1_k1):
     assert elapsed < 600.0, f"sweep took {elapsed:.0f}s"
     # residuals show no monotone trend: at least 2 sign changes
     pts = result.converged_points()
-    x = np.array([np.log(1 / p.epsilon) for p in pts])
+    x = np.array([np.log(1 / p.params.epsilon) for p in pts])
     y = np.array([p.entropy for p in pts])
     res = y - (result.slope * x + result.intercept)
     sign_changes = int(np.sum(np.diff(np.sign(res)) != 0))

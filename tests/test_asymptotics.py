@@ -47,8 +47,12 @@ class TestSweepValidation:
             sweep(base_params(), K1, [0.5, 0.3, 0.1, 0.05, 0.01, 0.005])
 
     def test_too_few_converged_signals(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as refused:
             sweep(base_params(), K1, np.geomspace(0.05, 0.001, 6), n_max=64)
+        # the refusal holds the points it counted, each saying why it failed
+        points = refused.value.points
+        assert [p.params.epsilon for p in points] == list(np.geomspace(0.05, 0.001, 6))
+        assert not any(p.converged or p.reason == "" for p in points)
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +71,12 @@ class TestSweep:
         assert coarse_sweep.r_squared >= 0.98
 
     def test_points_sorted_decreasing(self, coarse_sweep):
-        eps = [p.epsilon for p in coarse_sweep.points]
+        eps = [p.params.epsilon for p in coarse_sweep.points]
         assert eps == sorted(eps, reverse=True)
 
     def test_slope_stable_without_largest_eps(self, coarse_sweep):
         pts = coarse_sweep.converged_points()[1:]
-        x = np.array([np.log(1 / p.epsilon) for p in pts])
+        x = np.array([np.log(1 / p.params.epsilon) for p in pts])
         y = np.array([p.entropy for p in pts])
         slope = np.polyfit(x, y, 1)[0]
         assert abs(slope - coarse_sweep.slope) / coarse_sweep.slope < 0.05
@@ -146,9 +150,9 @@ class TestSweepWorkers:
 
     def test_cli_pool_capped_by_memory(self, recorded, monkeypatch, capsys):
         def point_on_theory_line(order, n_max, rule, params):
-            return asymptotics.SweepPoint(epsilon=params.epsilon,
-                                          entropy=np.log(1.0 / params.epsilon) / 3.0,
-                                          converged=True, grid_size=128)
+            return EntropyResult(params=params, truncated_trace=0.0, subtraction_trace=0.0,
+                                 entropy=np.log(1.0 / params.epsilon) / 3.0, clamp_count=0,
+                                 grid_size=128, converged=True)
 
         # room for three spectra at the cap: four jobs run as a pool of three
         monkeypatch.setattr(discretization, "physical_memory_bytes", lambda: 3 * 8 * 4096 * 4097)
@@ -165,7 +169,7 @@ class TestSweepWorkers:
 
         def on_theory_line(params, order, n, *, rule, partner=None):
             handed.append((params.epsilon, partner and partner.epsilon))
-            return EntropyResult(truncated_trace=0.0, subtraction_trace=0.0,
+            return EntropyResult(params=params, truncated_trace=0.0, subtraction_trace=0.0,
                                  entropy=np.log(1.0 / params.epsilon) / 3.0, clamp_count=0,
                                  grid_size=128, converged=True)
 
@@ -209,6 +213,31 @@ class TestSweepWorkers:
         assert "the largest grid-size cap that fits is 4095" in captured.err
 
 
+class TestSweepPointsAreLadderResults:
+    """A sweep point is the ladder's EntropyResult for its params, or, where
+    the ladder raised, a NaN result that carries the error's text."""
+
+    # at the cap of 256, 0.00928 and 0.00431 end unconverged and 0.002 fails
+    EPS = np.geomspace(2.0, 0.002, 10)
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial-partners", "pool"])
+    def test_each_point_is_the_ladders_result(self, jobs):
+        # a serial sweep caches its partners' spectra, which the ladder below
+        # reads back; the pool's workers solve alone, as the ladder here does
+        discretization.clear_spectrum_cache()
+        result = sweep(base_params(), K1, self.EPS, n_max=256, jobs=jobs)
+        *solved, failed = result.points
+        assert [p.params.epsilon for p in result.points] == list(self.EPS)
+        for point in solved:
+            assert point == asymptotics.entanglement_entropy(point.params, K1, n=256)
+        assert [p.converged for p in solved] == [True] * 7 + [False] * 2
+        with pytest.raises(ConvergenceError) as refused:
+            asymptotics.entanglement_entropy(failed.params, K1, n=256)
+        assert failed.reason == str(refused.value)
+        assert np.isnan([failed.truncated_trace, failed.subtraction_trace, failed.entropy]).all()
+        assert (failed.clamp_count, failed.grid_size, failed.converged) == (0, 256, False)
+
+
 class TestMassIndependence:
     def test_requires_zero_mass(self):
         with pytest.raises(ValueError):
@@ -246,6 +275,12 @@ class TestOffdiagonalDiagnostic:
     def test_ratios_decrease_for_massive_input(self):
         res = offdiagonal_diagnostic(1.0, K1, 1.0, [10.0, 31.6, 100.0], n=512)
         assert np.all(np.diff(res.offdiag_ratios) < 0)
+
+    def test_clamp_distances_flag_an_alpha_the_grid_does_not_resolve(self):
+        # alpha = 1e3 needs more than 256 nodes: its spectra reach 1.52
+        res = offdiagonal_diagnostic(1.0, K1, 1.0, [100.0, 1000.0], n=256)
+        assert res.clamp_distances[0] < discretization.DEFAULT_TOL_DISC
+        assert res.clamp_distances[1] == pytest.approx(0.5271, abs=1e-4)
 
     def test_sup_deviation_bound(self):
         res = offdiagonal_diagnostic(1.0, K1, 1.0, [np.e**4, np.e**7, np.e**10], n=256)

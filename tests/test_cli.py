@@ -541,6 +541,35 @@ class TestSweepCommand:
                                "resolves epsilon=0.002")
 
 
+    def test_a_refused_sweep_names_each_unconverged_point(self, capsys):
+        code = run_cli(["sweep", "--kappa", "0.3", "--eps-grid", "0.05:0.001:6log",
+                        "--grid-size", "1024"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *named, refusal = captured.err.splitlines()
+        assert refusal == "non-convergence: only 2 of 6 sweep points converged; need 5"
+        epsilons = ("0.0104564", "0.00478176", "0.00218672", "0.001")
+        assert len(named) == len(epsilons)
+        for line, eps in zip(named, epsilons):
+            assert line.startswith(f"warning: sweep point epsilon={eps}: ")
+        assert "n = 1024: its floor bound B = 0.0233" in named[0]
+        assert named[2].endswith("not converged at the grid-size cap 1024; reporting n=1024")
+        assert "no grid size up to 1024 resolves epsilon=0.001" in named[3]
+
+    def test_entropy_and_sweep_give_an_unconverged_point_one_reason(self, capsys):
+        # eps = 0.01 ends both the sweep's grid and its ladder unconverged at 256
+        assert run_cli(["entropy", "--kappa", "1", "--epsilon", "0.01",
+                        "--grid-size", "256"]) == 0
+        [entropy_line] = capsys.readouterr().err.splitlines()
+        assert run_cli(["sweep", "--kappa", "1", "--eps-grid", "0.5:0.01:6log",
+                        "--grid-size", "256"]) == 0
+        [sweep_line] = capsys.readouterr().err.splitlines()
+        reason = entropy_line.removeprefix("warning: entropy ")
+        assert reason.startswith("not converged at the grid-size cap 256")
+        assert sweep_line == f"warning: sweep point epsilon=0.01: {reason}"
+
+
 class TestKernelDumpCommand:
     def test_csv_matches_closed_form(self, tmp_path):
         out = tmp_path / "kernel.csv"
@@ -683,6 +712,17 @@ class TestDiagCommand:
         assert len(d["alpha_grid"]) == 3
         assert len(d["offdiag_ratios"]) == 3
         assert len(d["sup_deviations"]) == 3
+
+    def test_offdiag_warns_once_per_alpha_the_grid_does_not_resolve(self, capsys):
+        # at 256 nodes alpha = 1e3's spectra reach 1.52; alpha = 100 stays in the band
+        code = run_cli(["diag", "offdiag", "--alpha-grid", "100,1000", "--grid-size", "256"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: offdiag alpha=1000: its spectra at n=256 stray 0.5271 outside [0, 1], "
+            "past the range band 1e-06; the grid does not resolve this alpha"]
+        ratios = json.loads(captured.out)["diagnostics"]["offdiag_ratios"]
+        assert len(ratios) == 2 and all(np.isfinite(ratios))
 
     def test_log_growth_json(self, capsys):
         code = run_cli(

@@ -109,15 +109,33 @@ def _callers(path: Path, names) -> list[str]:
     return _owners(path, is_call)
 
 
-def _stdout_users(path: Path) -> list[str]:
-    """The function around each print call and each mention of stdout: an
-    attribute (sys.stdout), a name or an imported name."""
-    def uses_stdout(node):
-        named = (getattr(node, "attr", None), getattr(node, "id", None),
-                 getattr(node, "name", None))
-        return "stdout" in named
+def _namers(path: Path, name: str) -> list[str]:
+    """The function around each mention of name: an attribute (sys.name), a
+    name or an imported name."""
+    def names_it(node):
+        return name in (getattr(node, "attr", None), getattr(node, "id", None),
+                        getattr(node, "name", None))
 
-    return _callers(path, ("print",)) + _owners(path, uses_stdout)
+    return _owners(path, names_it)
+
+
+def _stdout_users(path: Path) -> list[str]:
+    """The function around each print call and each mention of stdout."""
+    return _callers(path, ("print",)) + _namers(path, "stdout")
+
+
+def _unconverged_sentences(path: Path) -> list[str]:
+    """The function around each string literal that says "not converged", a
+    docstring (a string standing alone as a statement) aside."""
+    alone = set()
+
+    def says_it(node):
+        if isinstance(node, ast.Expr):  # visited before the string it holds
+            alone.add(id(node.value))
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "not converged" in node.value and id(node) not in alone)
+
+    return _owners(path, says_it)
 
 
 def test_only_discretization_sets_blas_threads():
@@ -149,6 +167,35 @@ def test_the_stdout_check_sees_print_and_every_spelling_of_stdout(tmp_path):
                       "    stdout.flush()\n"
                       "    sys.stderr.write('x')\n")
     assert _stdout_users(source) == ["show", "<module>", "emit", "emit"]
+
+
+def test_only_the_cli_names_stderr():
+    # the library reports through its return values and exceptions; the cli
+    # alone decides which of them become stderr lines
+    users = {path.name: _namers(path, "stderr") for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, found in users.items() if found] == ["cli.py"]
+
+
+def test_only_the_ladder_says_why_a_result_is_unconverged():
+    # EntropyResult.reason carries the sentence, and entropy and sweep print
+    # it as it is, so the two commands name an unconverged point alike
+    found = {path.name: _unconverged_sentences(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "entropy_pipeline.py": ["entanglement_entropy"]}
+
+
+def test_the_stderr_and_sentence_checks_see_every_spelling(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import sys\n"
+                      "from sys import stderr\n"
+                      "def warn(cap):\n"
+                      "    \"\"\"Warn when not converged.\"\"\"\n"
+                      "    sys.stderr.write(f'warning: not converged at {cap}')\n"
+                      "    stderr.flush()\n"
+                      "def why():\n"
+                      "    return 'not converged at the cap'\n")
+    assert _namers(source, "stderr") == ["<module>", "warn", "warn"]
+    assert _unconverged_sentences(source) == ["warn", "why"]
 
 
 def test_only_check_memory_reads_the_memory_limits():
