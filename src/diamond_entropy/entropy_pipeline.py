@@ -12,7 +12,9 @@ integral; discretizing it in position space would only add a second,
 avoidable source of error. The integral is a fixed composite Gauss-Legendre
 sum on dyadic panels checked by a coarser rule on the same panels, the one
 the cross-block diagnostic's box gate uses. The same sum at m = 0 gives the
-integral behind the slope constant, entropy_integral.
+integral behind the slope constant, entropy_integral, and from x_delta > 0
+instead of 0 the floor bound below: the bulk term's tail above x_delta,
+taken by the bulk term's quadrature.
 
 The ladder's grid sizes are the requested cap and its halvings down to the
 smallest one of at least 128, or down to half the cap below a cap of 256.
@@ -21,8 +23,10 @@ compares N with about 2N: a cap of 128 * 2^k (k >= 1) climbs 128, 256, ...,
 the cap. The ladder stops once the entropy changes by less than 0.5% or at
 the cap. Below kappa = 1 the rung it reports, converged or not, must also
 pass the floor bound: the bulk mass of the modes below the eigensolver's
-rounding band may not exceed that rung's tolerance, or double precision, not
-the spectrum, sets the digit, and ConvergenceError says so.
+rounding band delta, which is the bulk term's tail above
+x_delta = sqrt(ln^2(1/delta) - (eps m)^2), may not exceed that rung's
+tolerance, or double precision, not the spectrum, sets the digit, and
+ConvergenceError says so.
 """
 
 from __future__ import annotations
@@ -95,58 +99,52 @@ def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     return float(np.sum(eta(order, clipped))), report
 
 
-def _x_max(order: RenyiOrder, a: float) -> float:
-    """Where the bulk integrand is cut: it has underflowed well below
-    BULK_REL_TOL there."""
-    return max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
+def _eta_integral(order: RenyiOrder, a: float, x_lo: float = 0.0) -> float:
+    """int_{x_lo}^inf eta(exp(-hypot(x, a))) dx by a checked panel sum.
 
-
-def _eta_integral(order: RenyiOrder, a: float) -> float:
-    """int_0^inf eta(exp(-hypot(x, a))) dx by a checked panel sum.
-
-    The integrand decays like exp(-min(kappa,1) x) and is cut at x_max, where
-    it underflows well below BULK_REL_TOL. Dyadic panels resolve the x^kappa
-    and x log x behaviour at x = 0 and, when a < ln 2, the turn within
-    ~1/kappa of t = 1/2 at x* = sqrt(ln^2 2 - a^2), graded toward x* from
-    both sides down to 1024 ulps of x*. checked_panel_sum takes the 32-node
-    Gauss-Legendre sum and checks it by the 16-node one (ConvergenceError
-    past BULK_REL_TOL). eta is read from ln t, so the tail stays accurate
-    where exp(-hypot) underflows.
+    The integrand decays like exp(-min(kappa,1) x) and is cut where it has
+    underflowed well below BULK_REL_TOL. Dyadic panels double from x_lo to the
+    cut, from _BULK_FINE at x_lo = 0 to resolve the x^kappa and x log x
+    behaviour there, and from width 1 at any other x_lo, where the integrand is
+    smooth. When a < ln 2 and x* = sqrt(ln^2 2 - a^2) lies above x_lo, the
+    turn within ~1/kappa of t = 1/2 at x* is graded toward from both sides
+    down to 1024 ulps of x*. checked_panel_sum takes the 32-node
+    Gauss-Legendre sum and checks it by the 16-node one (ConvergenceError past
+    BULK_REL_TOL). eta is read from ln t, so the tail stays accurate where
+    exp(-hypot) underflows.
     """
-    x_max = _x_max(order, a)
-    edges = graded_edges(x_max, _BULK_FINE)
-    if a < LN2:
-        x_star = np.sqrt(LN2**2 - a * a)
+    x_max = max(80.0, 60.0 / min(order.kappa, 1.0)) + a + 5.0
+    first = _BULK_FINE if x_lo == 0.0 else 1.0
+    edges = x_lo + graded_edges(x_max - x_lo, first)
+    if a < LN2 and (x_star := np.sqrt(LN2**2 - a * a)) > x_lo:
         # the grading toward x* stops at 1024 ulps of it: the outermost of 32
         # Gauss-Legendre nodes sits 0.0028 half-widths inside its panel, so
         # narrower panels round nodes of neighbouring panels onto one another
         fine = 1024.0 * np.spacing(x_star)
-        below = graded_edges(0.5 * x_star, _BULK_FINE)
-        toward = graded_edges(0.5 * x_star, fine)
+        mid = x_lo + 0.5 * (x_star - x_lo)
+        below = x_lo + graded_edges(mid - x_lo, first)
+        # mid >= x*/2, so x* - mid is exact and x* - toward ends on mid
+        toward = graded_edges(x_star - mid, fine)
         above = x_star + graded_edges(x_max - x_star, fine)
         edges = np.sort(np.concatenate([below, x_star - toward, above]))
-        # x*/2 and x* each end two of the gradings; keep one copy of each
+        # mid and x* each end two of the gradings; keep one copy of each
         edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
     return checked_panel_sum(lambda x: eta_of_log(order, -np.hypot(x, a)), edges,
-                             BULK_REL_TOL, 1e-13, "bulk-term quadrature")
+                             BULK_REL_TOL, 0.0, "bulk-term quadrature")
 
 
 def _floor_bound(params: PhysicalParams, order: RenyiOrder, n: int) -> float:
-    """(lam / (pi eps)) int_{x_d}^{x_max} eta(exp(-hypot(x, eps m))) dx: the
-    bulk mass of the modes whose eigenvalue lies below delta = 2N u, the
-    rounding band of ClampReport, where x_d = sqrt(max(0, ln^2(1/delta) -
-    (eps m)^2)). An N-node spectrum carries rounding noise in place of those
-    modes, so no entropy at N is known to better than this. It grows with N,
-    and it matters only where kappa < 1: eta(t) ~ t^kappa / (1 - kappa) at 0.
-    The integrand decays smoothly from x_d, so one checked panel sum on
-    panels doubling from 1 takes it."""
+    """(lam / (pi eps)) int_{x_d}^inf eta(exp(-hypot(x, eps m))) dx, the bulk
+    term's tail above x_d, taken by the bulk term's quadrature _eta_integral.
+    It is the bulk mass of the modes whose eigenvalue lies below delta = 2N u,
+    the rounding band of ClampReport, where x_d = sqrt(max(0, ln^2(1/delta) -
+    (eps m)^2)); at x_d = 0 it is the bulk term itself. An N-node spectrum
+    carries rounding noise in place of those modes, so no entropy at N is
+    known to better than this. It grows with N, and it matters only where
+    kappa < 1: eta(t) ~ t^kappa / (1 - kappa) at 0."""
     a = params.epsilon * params.mass
-    log_inv_delta = -math.log(2 * n * _UNIT_ROUNDOFF)
-    x_d = math.sqrt(max(0.0, log_inv_delta**2 - a * a))
-    edges = x_d + graded_edges(_x_max(order, a) - x_d, 1.0)
-    tail = checked_panel_sum(lambda x: eta_of_log(order, -np.hypot(x, a)), edges,
-                             BULK_REL_TOL, 0.0, "floor-bound quadrature")
-    return float(params.lam) * tail / (math.pi * float(params.epsilon))
+    x_d = math.sqrt(max(0.0, math.log(2 * n * _UNIT_ROUNDOFF) ** 2 - a * a))
+    return float(params.lam) * _eta_integral(order, a, x_d) / (np.pi * float(params.epsilon))
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:

@@ -7,7 +7,9 @@ kind and checks that it prints every per-layer metric of BENCHMARK.json,
 with the ladders and their rungs seen. It also runs each frozen workload
 once on one BLAS thread and applies the workload's own output check
 against perfbench/references.json, so a changed entropy, n or converged flag
-shows here and not first in a benchmark run.
+shows here and not first in a benchmark run. Every converged point pinned
+there is checked against the fixed-grid 2n entropy of
+studies/reference_table.json, read from that file, not recomputed.
 """
 
 import importlib.util
@@ -19,12 +21,15 @@ from pathlib import Path
 
 import pytest
 
+from diamond_entropy.entropy_pipeline import DEFAULT_REL_CHANGE
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 _spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
 workloads = sys.modules["workloads"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 WORKLOADS = workloads.load_workloads()
+TABLE = json.loads((ROOT / "studies" / "reference_table.json").read_text())
 # perfbench/run.py derives trace.overhead_s from a second, untraced run
 LAYER_KEYS = {m["name"] for m in BENCHMARK["per_layer"]} - {"trace.overhead_s"}
 
@@ -70,3 +75,36 @@ def test_workload_output_matches_its_reference(name):
                           env=_pinned_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert workload.check(workloads.parse_output(workload.kind, workload.spec, proc.stdout)) == []
+
+
+def _pinned(workload) -> list[tuple]:
+    """(kappa, index in its sweep, point) for every point the reference pins."""
+    ref = workload.reference
+    if workload.kind == "entropy":
+        return [(ref["kappa"], 0, ref)]
+    sweeps = ref["sweeps"] if workload.kind == "orders" else [ref]
+    return [(sweep["kappa"], i, point) for sweep in sweeps
+            for i, point in enumerate(sweep["points"])]
+
+
+def test_every_converged_pinned_point_lies_within_its_tolerance_of_the_2n_reference():
+    # the ladder calls a point converged once it moved by less than
+    # DEFAULT_REL_CHANGE |S|; the same point on a fixed grid of twice its n
+    # must lie that close too. Unconverged points are listed in the table
+    # (kappa = 1/2 at eps = 0.002 sits 4.7 tolerances off) but not checked.
+    rows = {(r["epsilon"], r["mass"], r["kappa"], r["n"]): r["entropy"] for r in TABLE["rows"]}
+    listed = {(p["workload"], p["kappa"], p["index"]): p for p in TABLE["points"]}
+    pinned = [(name, *found) for name, workload in sorted(WORKLOADS.items())
+              for found in _pinned(workload)]
+    assert len(pinned) == len(listed) == 33
+    off = []
+    for name, kappa, index, point in pinned:
+        entry = listed[name, kappa, index]
+        assert (entry["n"], entry["entropy"], entry["converged"]) == (
+            point["n"], point["entropy"], point["converged"])
+        reference = rows[entry["epsilon"], entry["mass"], kappa, 2 * point["n"]]
+        if point["converged"]:
+            tol = DEFAULT_REL_CHANGE * abs(point["entropy"])
+            off.append(abs(point["entropy"] - reference) / tol)
+    assert len(off) == 27
+    assert max(off) <= 1.0

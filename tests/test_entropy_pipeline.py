@@ -194,6 +194,25 @@ class TestSubtractionTrace:
             assert x.size == w.size == per * (edges.size - 1)
             assert np.all(np.diff(x) > 0)
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 20.0])
+    def test_a_tail_from_below_x_star_completes_the_integral(self, kappa):
+        # at a = 0.3, x* = 0.625 lies above x_lo = 0.3, so the tail's panels,
+        # doubling from width 1 at x_lo, are still graded toward x*; the head
+        # from 0 to x_lo in 30 digits
+        a, x_lo = 0.3, 0.3
+        with mpmath.workdps(30):
+            def integrand(x):
+                r = mpmath.sqrt(x * x + mpmath.mpf(a) ** 2)
+                p, q = mpmath.exp(-r), -mpmath.expm1(-r)
+                if kappa == 1.0:
+                    return -p * mpmath.log(p) - q * mpmath.log(q)
+                return mpmath.log(p**kappa + q**kappa) / (1 - kappa)
+
+            head = float(mpmath.quad(integrand, [0, x_lo]))
+        order = RenyiOrder(kappa)
+        tail = entropy_pipeline._eta_integral(order, a, x_lo)
+        assert head + tail == pytest.approx(entropy_pipeline._eta_integral(order, a), rel=1e-13)
+
     @pytest.mark.parametrize("kappa", [1.0 + 1e-9, 1.0 - 1e-9, 1.0 + 1e-11])
     def test_orders_next_to_von_neumann(self, kappa):
         # eta's general form cancels within ~1e-8 of kappa = 1, which the
@@ -377,6 +396,14 @@ class TestFloorBound:
         params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
         bound = entropy_pipeline._floor_bound(params, RenyiOrder(kappa), n)
         assert bound == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.3])
+    def test_is_the_bulk_term_where_the_rounding_band_covers_every_mode(self, kappa):
+        # eps m = 40 lies past ln(1/delta) = 31.9 at N = 64, so x_d = 0 and
+        # the tail is the whole integral, by the same quadrature to the bit
+        params = PhysicalParams(mass=40.0, epsilon=1.0, lam=1.0)
+        order = RenyiOrder(kappa)
+        assert entropy_pipeline._floor_bound(params, order, 64) == subtraction_trace(params, order)
 
     def test_grows_with_n(self):
         params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)

@@ -223,6 +223,25 @@ def test_only_cross_block_nodes_lays_panel_nodes():
         "asymptotics.py": ["cross_block_nodes", "cross_block_nodes"]}
 
 
+def test_one_quadrature_takes_every_eta_integral():
+    # the bulk term, the slope constant and the floor bound are one checked
+    # panel sum, so their panels, cut and convergence check cannot drift apart
+    assert _callers(PACKAGE / "entropy_pipeline.py", ("checked_panel_sum",)) == ["_eta_integral"]
+
+
+def test_the_quadrature_check_counts_every_call_and_spelling(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("from . import quadrature\n"
+                      "from .quadrature import checked_panel_sum\n"
+                      "def _eta_integral(edges):\n"
+                      "    return checked_panel_sum(abs, edges, 1e-8, 0.0, 'bulk')\n"
+                      "def _floor_bound(edges):\n"
+                      "    tail = quadrature.checked_panel_sum(abs, edges, 1e-8, 0.0, 'floor')\n"
+                      "    return tail + checked_panel_sum(abs, edges, 1e-8, 0.0, 'again')\n")
+    assert _callers(source, ("checked_panel_sum",)) == ["_eta_integral", "_floor_bound",
+                                                        "_floor_bound"]
+
+
 def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text("_SET_BLAS_THREADS(1)\n"
