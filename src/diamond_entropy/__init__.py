@@ -31,9 +31,11 @@ from .discretization import (
 from .entropy_pipeline import (
     ClampReport,
     EntropyResult,
+    ErrorBound,
     entanglement_entropy,
     entropy_from_eigenvalues,
     entropy_integral,
+    error_bound,
     subtraction_trace,
 )
 from .errors import (

@@ -29,6 +29,11 @@ float. Stderr gets one warning line, the reason its EntropyResult holds, per
 unconverged entropy rung and null or unconverged sweep point, a refused
 sweep's too, and one per diag offdiag alpha whose spectra stray past the
 range band [-1e-6, 1 + 1e-6], where the grid does not resolve it (exit 0).
+An unconverged result's reason ends with "error bound B, within|above the
+tolerance T": B is the discretization part of entropy_pipeline.error_bound,
+the bulk mass below the grid's resolution delta_N = exp(-2N asinh(2 eps /
+lambda)) or the rounding band 2N u, whichever is higher, and T the 0.5%
+tolerance. B sets no exit code; only the rounding part does (below).
 
 verify's quasi-norm sums, like diag log-growth's, leave out the singular
 values s <= s_1 * size * 2^-52 (size the larger matrix dimension), rounding
@@ -41,8 +46,9 @@ allocation that fails (MemoryError); 3 numerical non-convergence, an
 eigensolve or SVD that LAPACK reports as failed among it, an epsilon whose
 bulk term or massless kernel leaves the float range (entropy and
 kernel-dump at 1e-310), and an order below 1 whose reported rung, converged
-or not, does not clear its floor bound, the bulk mass below the solver's
-rounding band (entropy --kappa 0.3 and 0.1 --epsilon 0.01 --grid-size 2048);
+or not, does not clear its floor bound, error_bound's rounding part, the
+bulk mass below the solver's rounding band 2N u (entropy --kappa 0.3 and 0.1
+--epsilon 0.01 --grid-size 2048);
 4 property-suite failure. Among the argument errors are a --grid-size cap
 below 64 for entropy, sweep and diag offdiag, a flag the subcommand does not
 take, a --jobs that is not an integer >= 1, an --alpha-grid entry that is not finite and > 0, a kernel-dump --u-max that is

@@ -12,9 +12,14 @@ integral; discretizing it in position space would only add a second,
 avoidable source of error. The integral is a fixed composite Gauss-Legendre
 sum on dyadic panels checked by a coarser rule on the same panels, the one
 the cross-block diagnostic's box gate uses. The same sum at m = 0 gives the
-integral behind the slope constant, entropy_integral, and from x_delta > 0
-instead of 0 the floor bound below: the bulk term's tail above x_delta,
-taken by the bulk term's quadrature.
+integral behind the slope constant, entropy_integral, and from x(delta) > 0
+instead of 0 both parts of error_bound: the bulk term's tail above
+x(delta) = sqrt(ln^2(1/delta) - (eps m)^2), the bulk mass of the modes whose
+eigenvalue lies below delta, taken by the bulk term's quadrature. Its
+rounding part takes delta = 2N u, the eigensolver's rounding band (u =
+2^-53); its discretization part takes delta = max(delta_N, 2N u), where
+delta_N = exp(-2N asinh(2 eps / lam)) is the resolution of an N-node
+Gauss-Legendre grid.
 
 The ladder's grid sizes are the requested cap and its halvings down to the
 smallest one of at least 128, or down to half the cap below a cap of 256.
@@ -22,17 +27,17 @@ Each size is 2N or 2N + 1 after the size N before it, so each 0.5% test
 compares N with about 2N: a cap of 128 * 2^k (k >= 1) climbs 128, 256, ...,
 the cap. The ladder stops once the entropy changes by less than 0.5% or at
 the cap. Below kappa = 1 the rung it reports, converged or not, must also
-pass the floor bound: the bulk mass of the modes below the eigensolver's
-rounding band delta, which is the bulk term's tail above
-x_delta = sqrt(ln^2(1/delta) - (eps m)^2), may not exceed that rung's
-tolerance, or double precision, not the spectrum, sets the digit, and
-ConvergenceError says so.
+pass the floor bound, error_bound's rounding part: the bulk mass below the
+rounding band may not exceed that rung's tolerance, or double precision,
+not the spectrum, sets the digit, and ConvergenceError says so. Only the
+rounding part can refuse a result. An unconverged result's reason ends with
+the discretization part and whether it lies within that tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,17 +54,22 @@ DEFAULT_REL_CHANGE = 0.005
 BULK_REL_TOL = 1e-8
 # innermost bulk-term panel edge; dyadic panels double from here to x_max
 _BULK_FINE = 2.0**-60
-_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _rounding_band(size: int) -> float:
+    """size u (u = 2^-53), the rounding band of a dense symmetric eigensolve
+    of size eigenvalues (2N for N nodes), within which the sign of an
+    eigenvalue near 0 or 1 is noise."""
+    return size * 2.0**-53
 
 
 @dataclass(frozen=True)
 class ClampReport:
     """How far eigenvalues had to be clipped into [0, 1].
 
-    count takes only the eigenvalues more than 2N u outside [0, 1] (the 2N
-    eigenvalues of N nodes, u = 2^-53): the rounding band of a dense
-    symmetric eigensolve, within which the sign of an eigenvalue near 0 or 1
-    is noise. max_distance takes every clipped eigenvalue.
+    count takes only the eigenvalues more than the rounding band 2N u outside
+    [0, 1] (the 2N eigenvalues of N nodes); max_distance takes every clipped
+    eigenvalue.
     """
 
     count: int
@@ -80,6 +90,15 @@ class EntropyResult:
     reason: str = ""
 
 
+@dataclass(frozen=True)
+class ErrorBound:
+    """error_bound's two parts: the bulk mass below the rounding band 2N u,
+    and below the grid's resolution delta_N where that lies higher."""
+
+    rounding: float
+    discretization: float
+
+
 def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     """Sum of eta over the clipped spectrum, with a clamp report.
 
@@ -93,7 +112,7 @@ def entropy_from_eigenvalues(eigenvalues: np.ndarray, order: RenyiOrder):
     if not np.isfinite(max_distance):  # max propagates a NaN
         raise ConvergenceError(f"spectrum holds a non-finite eigenvalue ({max_distance})")
     report = ClampReport(
-        count=int(np.count_nonzero(distances > ev.size * _UNIT_ROUNDOFF)),
+        count=int(np.count_nonzero(distances > _rounding_band(ev.size))),
         max_distance=max_distance,
     )
     return float(np.sum(eta(order, clipped))), report
@@ -133,18 +152,29 @@ def _eta_integral(order: RenyiOrder, a: float, x_lo: float = 0.0) -> float:
                              BULK_REL_TOL, 0.0, "bulk-term quadrature")
 
 
-def _floor_bound(params: PhysicalParams, order: RenyiOrder, n: int) -> float:
-    """(lam / (pi eps)) int_{x_d}^inf eta(exp(-hypot(x, eps m))) dx, the bulk
-    term's tail above x_d, taken by the bulk term's quadrature _eta_integral.
-    It is the bulk mass of the modes whose eigenvalue lies below delta = 2N u,
-    the rounding band of ClampReport, where x_d = sqrt(max(0, ln^2(1/delta) -
-    (eps m)^2)); at x_d = 0 it is the bulk term itself. An N-node spectrum
-    carries rounding noise in place of those modes, so no entropy at N is
+def error_bound(params: PhysicalParams, order: RenyiOrder, n: int) -> ErrorBound:
+    """How far the entropy of an N = n node spectrum can lie from the truth.
+
+    Each part is the bulk term's tail (lam / (pi eps)) int_{x(delta)}^inf
+    eta(exp(-hypot(x, eps m))) dx, by _eta_integral, and at x(delta) = 0 the
+    bulk term itself. rounding (delta = 2N u): an N-node spectrum carries
+    rounding noise in place of the modes below delta, so no entropy at N is
     known to better than this. It grows with N, and it matters only where
-    kappa < 1: eta(t) ~ t^kappa / (1 - kappa) at 0."""
+    kappa < 1: eta(t) ~ t^kappa / (1 - kappa) at 0. discretization (delta =
+    max(delta_N, 2N u)): Gauss-Legendre errors on an integrand analytic in
+    the strip of half-width eps about the interval fall as delta_N (F.
+    Bornemann, Math. Comp. 79 (2010) 871), so the grid resolves no mode below it.
+    """
     a = params.epsilon * params.mass
-    x_d = math.sqrt(max(0.0, math.log(2 * n * _UNIT_ROUNDOFF) ** 2 - a * a))
-    return float(params.lam) * _eta_integral(order, a, x_d) / (np.pi * float(params.epsilon))
+    lam, eps = float(params.lam), float(params.epsilon)
+    log_rounding = -math.log(_rounding_band(2 * n))
+    log_resolution = min(2 * n * math.asinh(2 * eps / lam), log_rounding)
+
+    def tail(log_inv_delta):
+        x_delta = math.sqrt(max(0.0, log_inv_delta**2 - a * a))
+        return lam * _eta_integral(order, a, x_delta) / (np.pi * eps)
+
+    return ErrorBound(rounding=tail(log_rounding), discretization=tail(log_resolution))
 
 
 def subtraction_trace(params: PhysicalParams, order: RenyiOrder) -> float:
@@ -195,9 +225,11 @@ def entanglement_entropy(
     ladder builds one result per admissible rung, flagged converged when the
     entropy moved by less than DEFAULT_REL_CHANGE from the rung just before
     it, if that one was admissible (else its reason names the cap), and
-    reports the first converged result or else the last. Where kappa < 1,
-    ConvergenceError instead if the reported rung's _floor_bound exceeds its
-    tolerance, converged or not.
+    reports the first converged result or else the last, whose reason ends
+    with error_bound's discretization part and whether it lies within the
+    tolerance DEFAULT_REL_CHANGE |S|. Where kappa < 1, ConvergenceError
+    instead if the reported rung's rounding part exceeds that tolerance,
+    converged or not.
     ValueError before any work if check_spectrum_memory refuses the cap:
     below the smallest cap, or its eigensolver buffers beyond the memory
     check_memory allows. partner, the point to be computed next, goes to
@@ -223,9 +255,7 @@ def entanglement_entropy(
         converged = prev_entropy is not None and abs(entropy_value - prev_entropy) < tol
         result = EntropyResult(
             params=params, truncated_trace=trace, subtraction_trace=sub, entropy=entropy_value,
-            clamp_count=clamp.count, grid_size=size, converged=converged,
-            reason="" if converged else f"not converged at the grid-size cap {n}; "
-                                        f"reporting n={size}")
+            clamp_count=clamp.count, grid_size=size, converged=converged)
         if result.converged:
             break
         prev_entropy = entropy_value
@@ -234,9 +264,17 @@ def entanglement_entropy(
         raise ConvergenceError(
             f"no grid size up to {n} resolves epsilon={params.epsilon} (last at {rejected})"
         )
-    if order.kappa < 1.0 and (floor := _floor_bound(params, order, result.grid_size)) > tol:
+    if result.converged and order.kappa >= 1.0:
+        return result
+    bound = error_bound(params, order, result.grid_size)
+    if order.kappa < 1.0 and bound.rounding > tol:
         raise ConvergenceError(
-            f"n = {result.grid_size}: its floor bound B = {floor:.3g}, the bulk mass below "
-            f"the rounding band, exceeds the tolerance {tol:.3g}: double precision cannot "
-            "give this entropy")
-    return result
+            f"n = {result.grid_size}: its floor bound B = {bound.rounding:.3g}, the bulk mass "
+            f"below the rounding band, exceeds the tolerance {tol:.3g}: double precision "
+            "cannot give this entropy")
+    if result.converged:
+        return result
+    within = "within" if bound.discretization <= tol else "above"
+    return replace(
+        result, reason=f"not converged at the grid-size cap {n}; reporting n={result.grid_size}; "
+                       f"error bound {bound.discretization:.3g}, {within} the tolerance {tol:.3g}")

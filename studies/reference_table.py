@@ -3,14 +3,13 @@
 For each point (epsilon, mass, kappa) that perfbench/references.json pins at
 grid size n, one fixed-grid Gauss-Legendre spectrum is solved at n, 3n/2 and
 2n (lam = 1), and every order kappa in {1, 2, 1/2} is evaluated on each
-spectrum. Each row also carries two tails of the bulk term, both taken by
-the bulk term's own quadrature above x(delta) = sqrt(ln^2(1/delta) - (eps m)^2):
+spectrum. Each row also carries the two parts of entropy_pipeline's
+error_bound at N, the bulk term's tail above x(delta) = sqrt(ln^2(1/delta) -
+(eps m)^2):
 
 - rounding_tail at delta = 2N u, the ladder's floor bound at N;
-- discretization_tail at delta = max(rho^-2N, 2N u), with rho^-2N =
-  exp(-2N asinh(2 eps / lam)) the Gauss-Legendre resolution of an integrand
-  analytic in the strip of half-width eps (F. Bornemann, Math. Comp. 79
-  (2010) 871).
+- discretization_tail at delta = max(delta_N, 2N u), with delta_N =
+  exp(-2N asinh(2 eps / lam)) the grid's Gauss-Legendre resolution.
 
 The points list names each pinned point with its workload, its pinned
 entropy, n and convergence flag, the table's 2n entropy and their distance
@@ -32,13 +31,10 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 import importlib.util  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
 
 from diamond_entropy import entropy_pipeline  # noqa: E402
 from diamond_entropy.dirac_symbols import PhysicalParams  # noqa: E402
@@ -49,7 +45,6 @@ from diamond_entropy.renyi_functions import RenyiOrder  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 KAPPAS = (1.0, 2.0, 0.5)
 LAM = 1.0
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _load_workloads():
@@ -78,29 +73,20 @@ def pinned_points(workloads) -> list[dict]:
     return points
 
 
-def bulk_tail(params: PhysicalParams, order: RenyiOrder, log_inv_delta: float) -> float:
-    """(lam / (pi eps)) int_{x(delta)}^inf eta(exp(-hypot(x, eps m))) dx."""
-    a = params.epsilon * params.mass
-    x_delta = math.sqrt(max(0.0, log_inv_delta**2 - a * a))
-    return (float(params.lam) * entropy_pipeline._eta_integral(order, a, x_delta)
-            / (np.pi * float(params.epsilon)))
-
-
 def spectrum_rows(epsilon: float, mass: float, n: int) -> list[dict]:
     """One fixed-grid spectrum at n nodes, evaluated at every order."""
     params = PhysicalParams(mass=mass, epsilon=epsilon, lam=LAM)
     eigenvalues = operator_eigenvalues(params, build_grid(n, LAM), use_cache=False)
-    log_rounding = -math.log(2 * n * _UNIT_ROUNDOFF)
-    log_resolution = min(2 * n * math.asinh(2 * epsilon / LAM), log_rounding)
     rows = []
     for kappa in KAPPAS:
         order = RenyiOrder(kappa)
         trace, _ = entropy_pipeline.entropy_from_eigenvalues(eigenvalues, order)
+        bound = entropy_pipeline.error_bound(params, order, n)
         rows.append({
             "epsilon": epsilon, "mass": mass, "kappa": kappa, "n": n,
             "entropy": trace - entropy_pipeline.subtraction_trace(params, order),
-            "rounding_tail": bulk_tail(params, order, log_rounding),
-            "discretization_tail": bulk_tail(params, order, log_resolution),
+            "rounding_tail": bound.rounding,
+            "discretization_tail": bound.discretization,
         })
     return rows
 

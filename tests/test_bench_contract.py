@@ -9,7 +9,8 @@ once on one BLAS thread and applies the workload's own output check
 against perfbench/references.json, so a changed entropy, n or converged flag
 shows here and not first in a benchmark run. Every converged point pinned
 there is checked against the fixed-grid 2n entropy of
-studies/reference_table.json, read from that file, not recomputed.
+studies/reference_table.json, read from that file, not recomputed, and each
+row's two bulk tails must be error_bound's two parts at that row.
 """
 
 import importlib.util
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from diamond_entropy import PhysicalParams, RenyiOrder, error_bound
 from diamond_entropy.entropy_pipeline import DEFAULT_REL_CHANGE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,3 +110,26 @@ def test_every_converged_pinned_point_lies_within_its_tolerance_of_the_2n_refere
             off.append(abs(point["entropy"] - reference) / tol)
     assert len(off) == 27
     assert max(off) <= 1.0
+
+
+def test_error_bound_reproduces_every_rows_two_tails():
+    # the table's tails come from error_bound itself, so a change to either
+    # part shows here, without a solve
+    assert len(TABLE["rows"]) == 99
+    for row in TABLE["rows"]:
+        params = PhysicalParams(mass=row["mass"], epsilon=row["epsilon"], lam=TABLE["lam"])
+        bound = error_bound(params, RenyiOrder(row["kappa"]), row["n"])
+        assert (bound.rounding, bound.discretization) == (
+            row["rounding_tail"], row["discretization_tail"]), row
+
+
+def test_the_discretization_part_bounds_each_doubling_of_the_grid():
+    # |S(n) - S(2n)| on the same fixed grids lies below n's discretization
+    # part on every pair, at most 0.43 of it
+    rows = {(r["epsilon"], r["mass"], r["kappa"], r["n"]): r for r in TABLE["rows"]}
+    pairs = [(row, rows[(*key[:3], 2 * key[3])]) for key, row in rows.items()
+             if (*key[:3], 2 * key[3]) in rows]
+    assert len(pairs) == 45
+    ratios = [abs(row["entropy"] - doubled["entropy"]) / row["discretization_tail"]
+              for row, doubled in pairs]
+    assert max(ratios) < 1.0

@@ -533,10 +533,11 @@ class TestSweepCommand:
              "--eps-grid", "2:0.002:10log", "--grid-size", "256", "--jobs", jobs],
             capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        cap = "not converged at the grid-size cap 256; reporting n=256"
+        cap = "not converged at the grid-size cap 256; reporting n=256; error bound"
         *unconverged, null = proc.stderr.splitlines()
-        assert unconverged == [f"warning: sweep point epsilon=0.00928318: {cap}",
-                               f"warning: sweep point epsilon=0.00430887: {cap}"]
+        assert unconverged == [
+            f"warning: sweep point epsilon=0.00928318: {cap} 0.0294, above the tolerance 0.0089",
+            f"warning: sweep point epsilon=0.00430887: {cap} 5.74, above the tolerance 0.00476"]
         assert null.startswith("warning: sweep point epsilon=0.002: no grid size up to 256 "
                                "resolves epsilon=0.002")
 
@@ -554,7 +555,9 @@ class TestSweepCommand:
         for line, eps in zip(named, epsilons):
             assert line.startswith(f"warning: sweep point epsilon={eps}: ")
         assert "n = 1024: its floor bound B = 0.0233" in named[0]
-        assert named[2].endswith("not converged at the grid-size cap 1024; reporting n=1024")
+        # S = -23.32 passes the floor bound; the discretization part names it
+        assert named[2].endswith("not converged at the grid-size cap 1024; reporting n=1024; "
+                                 "error bound 46.4, above the tolerance 0.117")
         assert "no grid size up to 1024 resolves epsilon=0.001" in named[3]
 
     def test_entropy_and_sweep_give_an_unconverged_point_one_reason(self, capsys):

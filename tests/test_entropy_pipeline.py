@@ -359,7 +359,7 @@ class TestLadder:
         # n = 50 and n = 100 agree far within 0.5% at eps = 0.1
         result = entanglement_entropy(PhysicalParams(mass=0.0, epsilon=0.1, lam=1.0), K1,
                                       n=100)
-        assert (result.grid_size, result.converged) == (100, True)
+        assert (result.grid_size, result.converged, result.reason) == (100, True, "")
 
     # m = 0, eps = 0.0035 on fixed Gauss-Legendre grids. kappa = 1: 2.1163822199
     # at N = 2048, 4096 and 8192, moving 3e-10 between them. kappa = 2:
@@ -376,26 +376,42 @@ class TestLadder:
 
 
 class TestFloorBound:
-    """B_N, the bulk mass of the modes below the rounding band 2N u."""
+    """error_bound: the bulk mass of the modes below the rounding band 2N u
+    (its rounding part, the ladder's floor bound) and below the grid's
+    resolution delta_N = exp(-2N asinh(2 eps / lam)) where that lies higher
+    (its discretization part)."""
 
-    @pytest.mark.parametrize("mass, eps, kappa, n", [(0.0, 0.01, 0.3, 2048),
-                                                     (20.0, 0.5, 0.5, 1024)])
-    def test_matches_an_independent_quadrature(self, mass, eps, kappa, n):
-        # (1/(pi eps)) int eta(exp(-hypot(x, a))) dx from x_d to infinity in
-        # 30 digits; a = eps m = 10 sits inside ln(1/delta) = 36.0
+    @staticmethod
+    def _oracle(mass, eps, kappa, log_inv_delta):
+        # (1/(pi eps)) int eta(exp(-hypot(x, a))) dx from x(delta) to infinity
+        # in 30 digits
         with mpmath.workdps(30):
             a, k = mpmath.mpf(mass) * mpmath.mpf(eps), mpmath.mpf(kappa)
-            x_d = mpmath.sqrt(mpmath.log(mpmath.mpf(2) ** 53 / (2 * n)) ** 2 - a * a)
+            x_d = mpmath.sqrt(log_inv_delta() ** 2 - a * a)
 
             def integrand(x):
                 r = mpmath.sqrt(x * x + a * a)
                 return mpmath.log(mpmath.exp(-k * r) + (-mpmath.expm1(-r)) ** k) / (1 - k)
 
-            oracle = float(mpmath.quad(integrand, [x_d, x_d + 8, x_d + 64, mpmath.inf])
-                           / (mpmath.pi * eps))
+            return float(mpmath.quad(integrand, [x_d, x_d + 8, x_d + 64, mpmath.inf])
+                         / (mpmath.pi * eps))
+
+    @pytest.mark.parametrize("mass, eps, kappa, n", [(0.0, 0.01, 0.3, 2048),
+                                                     (20.0, 0.5, 0.5, 1024)])
+    def test_matches_an_independent_quadrature(self, mass, eps, kappa, n):
+        # a = eps m = 10 sits inside ln(1/delta) = 36.0
+        oracle = self._oracle(mass, eps, kappa, lambda: mpmath.log(mpmath.mpf(2) ** 53 / (2 * n)))
         params = PhysicalParams(mass=mass, epsilon=eps, lam=1.0)
-        bound = entropy_pipeline._floor_bound(params, RenyiOrder(kappa), n)
+        bound = entropy_pipeline.error_bound(params, RenyiOrder(kappa), n).rounding
         assert bound == pytest.approx(oracle, rel=1e-10)
+
+    def test_discretization_part_matches_an_independent_quadrature(self):
+        # delta_N = exp(-4096 asinh(0.004)) = 7.7e-8 lies above 2N u = 4.5e-13
+        oracle = self._oracle(0.0, 0.002, 0.5, lambda: 4096 * mpmath.asinh(mpmath.mpf(0.004)))
+        bound = entropy_pipeline.error_bound(PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0),
+                                             RenyiOrder(0.5), 2048)
+        assert bound.discretization == pytest.approx(oracle, rel=1e-10)
+        assert bound.discretization > 100 * bound.rounding
 
     @pytest.mark.parametrize("kappa", [0.5, 0.3])
     def test_is_the_bulk_term_where_the_rounding_band_covers_every_mode(self, kappa):
@@ -403,11 +419,12 @@ class TestFloorBound:
         # the tail is the whole integral, by the same quadrature to the bit
         params = PhysicalParams(mass=40.0, epsilon=1.0, lam=1.0)
         order = RenyiOrder(kappa)
-        assert entropy_pipeline._floor_bound(params, order, 64) == subtraction_trace(params, order)
+        bound = entropy_pipeline.error_bound(params, order, 64)
+        assert bound.rounding == bound.discretization == subtraction_trace(params, order)
 
     def test_grows_with_n(self):
         params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
-        bounds = [entropy_pipeline._floor_bound(params, RenyiOrder(0.3), n)
+        bounds = [entropy_pipeline.error_bound(params, RenyiOrder(0.3), n).rounding
                   for n in (128, 256, 512, 1024, 2048, 4096)]
         assert all(b < c for b, c in zip(bounds, bounds[1:]))
 
@@ -416,7 +433,7 @@ class TestFloorBound:
         # and epsilon the acceptance sweeps and benchmarks reach, against a
         # tolerance of about 0.0147
         params = PhysicalParams(mass=0.0, epsilon=0.002, lam=1.0)
-        assert entropy_pipeline._floor_bound(params, RenyiOrder(0.5), 4096) < 1e-3
+        assert entropy_pipeline.error_bound(params, RenyiOrder(0.5), 4096).rounding < 1e-3
 
     def test_a_sweep_point_below_the_floor_fails(self):
         point = asymptotics._sweep_point(RenyiOrder(0.3), 2048, GridRule.GAUSS_LEGENDRE,
@@ -432,6 +449,12 @@ class TestFloorBound:
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
     def test_is_never_evaluated_from_order_1_up(self, monkeypatch, kappa):
-        monkeypatch.setattr(entropy_pipeline, "_floor_bound", None)  # never called
+        # both orders end unconverged at the 256 cap, so their reason reads the
+        # discretization part; a rounding part far past any tolerance must
+        # still not refuse them
+        monkeypatch.setattr(entropy_pipeline, "error_bound",
+                            lambda *args: entropy_pipeline.ErrorBound(1e300, 0.0))
         params = PhysicalParams(mass=0.0, epsilon=0.01, lam=1.0)
-        assert entanglement_entropy(params, RenyiOrder(kappa), n=256).grid_size == 256
+        result = entanglement_entropy(params, RenyiOrder(kappa), n=256)
+        assert (result.grid_size, result.converged) == (256, False)
+        assert "; error bound 0, within the tolerance " in result.reason

@@ -44,6 +44,57 @@ def test_the_check_sees_relative_and_absolute_private_imports(tmp_path):
     ]
 
 
+def _private_reads(path: Path) -> list[str]:
+    """Private names of the package that a script outside it reads: imported
+    by name, or taken as an attribute of a package module it imported."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or "diamond_entropy" for alias in node.names
+                         if alias.name.split(".")[0] == "diamond_entropy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                (node.module or "").split(".")[0] == "diamond_entropy"):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    found = _private_imports(path)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            continue
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in bound:
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_study_reads_a_private_name_of_the_package():
+    # a study calls what the library exports, so its numbers stay the
+    # library's (the reference table's tails are error_bound's two parts)
+    sources = sorted((PACKAGE.parents[1] / "studies").glob("*.py"))
+    assert sources
+    assert [line for path in sources for line in _private_reads(path)] == []
+
+
+def test_the_study_check_sees_every_spelling_of_a_private_read(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import os\n"
+                      "import diamond_entropy.quadrature\n"
+                      "import diamond_entropy.discretization as disc\n"
+                      "from diamond_entropy import entropy_pipeline, __version__\n"
+                      "from diamond_entropy.renyi_functions import _eta_reflected\n"
+                      "entropy_pipeline._eta_integral(order, 0.0)\n"
+                      "diamond_entropy.quadrature._legendre_rule(32)\n"
+                      "disc._solve, entropy_pipeline.error_bound, os._exit, disc.__name__\n")
+    assert _private_reads(source) == [
+        "sample.py:5: from diamond_entropy.renyi_functions import _eta_reflected",
+        "sample.py:6: entropy_pipeline._eta_integral",
+        "sample.py:7: diamond_entropy.quadrature._legendre_rule",
+        "sample.py:8: disc._solve",
+    ]
+
+
 def _calls(path: Path, names) -> list[str]:
     """Calls of any of names, by bare name or as an attribute."""
     found = []
@@ -224,7 +275,7 @@ def test_only_cross_block_nodes_lays_panel_nodes():
 
 
 def test_one_quadrature_takes_every_eta_integral():
-    # the bulk term, the slope constant and the floor bound are one checked
+    # the bulk term, the slope constant and the error bound are one checked
     # panel sum, so their panels, cut and convergence check cannot drift apart
     assert _callers(PACKAGE / "entropy_pipeline.py", ("checked_panel_sum",)) == ["_eta_integral"]
 
@@ -235,11 +286,11 @@ def test_the_quadrature_check_counts_every_call_and_spelling(tmp_path):
                       "from .quadrature import checked_panel_sum\n"
                       "def _eta_integral(edges):\n"
                       "    return checked_panel_sum(abs, edges, 1e-8, 0.0, 'bulk')\n"
-                      "def _floor_bound(edges):\n"
-                      "    tail = quadrature.checked_panel_sum(abs, edges, 1e-8, 0.0, 'floor')\n"
+                      "def error_bound(edges):\n"
+                      "    tail = quadrature.checked_panel_sum(abs, edges, 1e-8, 0.0, 'tail')\n"
                       "    return tail + checked_panel_sum(abs, edges, 1e-8, 0.0, 'again')\n")
-    assert _callers(source, ("checked_panel_sum",)) == ["_eta_integral", "_floor_bound",
-                                                        "_floor_bound"]
+    assert _callers(source, ("checked_panel_sum",)) == ["_eta_integral", "error_bound",
+                                                        "error_bound"]
 
 
 def test_the_thread_check_sees_the_function_around_each_call(tmp_path):
